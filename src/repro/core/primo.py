@@ -21,7 +21,7 @@ after a failure.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..commit.logging import LogRecordKind
 from ..protocols.base import BaseProtocol, install_write_entries
@@ -50,133 +50,22 @@ DISTRIBUTED_MODE = "distributed"
 class PrimoContext(TxnContext):
     """Execution-phase context implementing Algorithm 1 at the coordinator."""
 
+    registers_lower_bound = True
+
     def __init__(self, protocol: "PrimoProtocol", server: "Server", txn: Transaction):
         super().__init__(protocol, server, txn)
+        # Local mode reads lock-free (TicToc); the switch below turns
+        # ``local_lock`` exclusive for every later read (Line 6).
         self.mode = LOCAL_MODE
-        # (partition, table, key) -> Record for records held locally.
-        self.records: dict = {}
         # The executor is stateless per attempt, so it is shared per server.
         self.tictoc = protocol.executor_for(server)
-        # Partitions already contacted with a remote read; used to decide
-        # whether a dummy read for a blind write can be piggybacked (§4.2).
-        self.contacted_partitions: set[int] = set()
-        # Hot-path hoists: one attribute read per operation instead of two
-        # chained lookups (config) and a method resolution (timeout).
-        self._access_cost = protocol.config.cpu_record_access_us
-        self._timeout = server.env.timeout
 
-    # -- reads -----------------------------------------------------------------
-    def read(self, partition: int, table: str, key) -> Generator:
-        """Flattened hot-path override of :meth:`TxnContext.read`.
-
-        One generator frame per operation instead of three: the per-access
-        CPU charge is a direct Timeout (no ``cpu()`` sub-generator), and the
-        common local-mode TicToc read runs synchronously instead of through
-        ``_protocol_read`` → ``_local_read`` delegation.  Event order and
-        RNG consumption are identical to the generic path.
-        """
-        cost = self._access_cost
-        if cost > 0:
-            yield self._timeout(cost)
-        txn = self.txn
-        if partition == self.server.partition_id:
-            existing = txn.find_read(partition, table, key)
-            if existing is not None:
-                value = dict(existing.value)
-            elif self.mode == LOCAL_MODE:
-                record, entry = self.tictoc.read(txn, table, key)
-                if record is None:
-                    raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-                self.records[(partition, table, key)] = record
-                value = entry.value
-            else:
-                value = yield from self._local_read(table, key)
-        else:
-            if self.mode == LOCAL_MODE:
-                yield from self._switch_to_distributed()
-            value = yield from self._remote_read(partition, table, key)
-        cluster = self.server.cluster
-        if cluster.stale_read_active:
-            # Mirror of the stale_read hook in TxnContext.read — this override
-            # bypasses the base class, so the fault check lives here too.
-            cluster.note_read(partition)
-        if not txn.write_set:
-            return value
-        return self._merge_own_writes(partition, table, key, value)
-
-    def _protocol_read(self, partition: int, table: str, key) -> Generator:
-        cost = self.protocol.config.cpu_record_access_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        if self.is_local(partition):
-            value = yield from self._local_read(table, key)
-            return value
+    def _remote_read(self, partition: int, table: str, key) -> Generator:
+        """The first remote access switches the transaction to distributed mode."""
         if self.mode == LOCAL_MODE:
             yield from self._switch_to_distributed()
-        value = yield from self._remote_read(partition, table, key)
-        return value
-
-    def _local_read(self, table: str, key) -> Generator:
-        existing = self.txn.find_read(self.home_partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        if self.mode == LOCAL_MODE:
-            record, entry = self.tictoc.read(self.txn, table, key)
-            if record is None:
-                raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-            self.records[(self.home_partition, table, key)] = record
-            return entry.value
-        # Distributed mode: exclusive-lock the record before reading (Line 6).
-        record = self.server.store.table(table).get(key)
-        if record is None:
-            raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-        ok = self.server.store.lock_manager.acquire_nowait(
-            self.txn.tid, record, LockMode.EXCLUSIVE
-        )
-        if type(ok) is not bool:
-            ok = yield ok
-        if not ok:
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, f"X-lock {table}:{key}")
-        entry = ReadEntry(
-            partition=self.home_partition,
-            table=table,
-            key=key,
-            value=record.snapshot(),
-            wts=record.wts,
-            rts=record.rts,
-            version=record.version,
-            locked=True,
-            local=True,
-        )
-        self.txn.add_read(entry)
-        if self.txn.lower_bound_ts == 0.0:
-            self.txn.lower_bound_ts = max(record.wts, self.server.ts_floor + 1)
-        self.records[(self.home_partition, table, key)] = record
-        return entry.value
-
-    def _remote_read(self, partition: int, table: str, key, dummy: bool = False) -> Generator:
-        existing = self.txn.find_read(partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        status, value, wts, rts = yield from self.protocol.remote_read(
-            self.server, self.txn, partition, table, key
-        )
-        if status != "ok":
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, f"remote read {table}:{key}: {status}")
-        entry = ReadEntry(
-            partition=partition,
-            table=table,
-            key=key,
-            value=value,
-            wts=wts,
-            rts=rts,
-            locked=True,
-            dummy=dummy,
-            local=False,
-        )
-        self.txn.add_read(entry)
-        self.contacted_partitions.add(partition)
-        return value
+        entry = yield from self.protocol.remote_read(self.server, self.txn, partition, table, key)
+        return entry
 
     # -- the local -> distributed mode switch (§4.2.2) ---------------------------
     def _switch_to_distributed(self) -> Generator:
@@ -198,60 +87,24 @@ class PrimoContext(TxnContext):
                 raise TxnAborted(AbortReason.MODE_SWITCH, "record changed before switch")
             entry.locked = True
         self.mode = DISTRIBUTED_MODE
+        self.local_lock = LockMode.EXCLUSIVE
         self.txn.is_distributed = True
 
     # -- writes --------------------------------------------------------------------
-    def update(self, partition: int, table: str, key, updates: dict) -> Generator:
-        """Flattened hot-path override of :meth:`TxnContext.update`.
-
-        Mirrors ``_protocol_write`` for the plain-update case (never an
-        insert) with one generator frame instead of two.
-        """
-        cost = self._access_cost
-        if cost > 0:
-            yield self._timeout(cost)
-        txn = self.txn
-        local = partition == self.server.partition_id
-        if txn.find_read(partition, table, key) is None:
-            # Blind write: add a dummy read to acquire the exclusive lock so
-            # the commit phase stays conflict-free (§4.2).
-            if local:
-                if self.mode == DISTRIBUTED_MODE:
-                    yield from self._local_read(table, key)
-                # In local mode TicToc's write-set locking at validation covers it.
-            else:
-                if self.mode == LOCAL_MODE:
-                    yield from self._switch_to_distributed()
-                yield from self._remote_read(partition, table, key, dummy=True)
-        elif not local and self.mode == LOCAL_MODE:
-            yield from self._switch_to_distributed()
-        txn.add_write(WriteEntry(
-            partition=partition,
-            table=table,
-            key=key,
-            updates=dict(updates),
-            local=local,
-        ))
-
-    def _protocol_write(self, entry: WriteEntry) -> Generator:
-        cost = self.protocol.config.cpu_record_access_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        covered = self.txn.write_covered_by_read(entry.partition, entry.table, entry.key)
-        if not covered and not entry.is_insert:
-            # Blind write: add a dummy read to acquire the exclusive lock so the
-            # commit phase stays conflict-free (§4.2 "Blind-write Handling").
-            if self.is_local(entry.partition):
-                if self.mode == DISTRIBUTED_MODE:
-                    yield from self._local_read(entry.table, entry.key)
-                # In local mode TicToc's write-set locking at validation covers it.
-            else:
-                if self.mode == LOCAL_MODE:
-                    yield from self._switch_to_distributed()
-                yield from self._remote_read(entry.partition, entry.table, entry.key, dummy=True)
-        elif not self.is_local(entry.partition) and self.mode == LOCAL_MODE:
-            yield from self._switch_to_distributed()
-        self.txn.add_write(entry)
+    def _before_write(self, entry: WriteEntry) -> Optional[Generator]:
+        """Keep the read-set covering the write-set (§4.2 "Blind-write
+        Handling") and switch modes on the first remote write."""
+        if not entry.is_insert and self.txn.find_read(
+            entry.partition, entry.table, entry.key
+        ) is None:
+            # Blind write: a dummy read takes the exclusive lock so the commit
+            # phase stays conflict-free.  A local one in local mode needs
+            # none: TicToc's write-set locking at validation covers it.
+            if not entry.local or self.mode == DISTRIBUTED_MODE:
+                return self.read(entry.partition, entry.table, entry.key, dummy=True)
+        elif not entry.local and self.mode == LOCAL_MODE:
+            return self._switch_to_distributed()
+        return None
 
 
 @register_protocol("primo", default_durability="wm",
@@ -261,6 +114,7 @@ class PrimoProtocol(BaseProtocol):
 
     name = "primo"
     lock_policy = LockPolicy.WAIT_DIE
+    context_class = PrimoContext
 
     def __init__(self, cluster):
         super().__init__(cluster)
@@ -280,9 +134,6 @@ class PrimoProtocol(BaseProtocol):
         return executor
 
     # -- protocol interface --------------------------------------------------------
-    def create_context(self, server: "Server", txn: Transaction) -> PrimoContext:
-        return PrimoContext(self, server, txn)
-
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:
         if self._fallback is not None:
@@ -400,21 +251,22 @@ class PrimoProtocol(BaseProtocol):
     # -- remote reads (participant side of the execution phase) ------------------------
     def remote_read(self, server: "Server", txn: Transaction, partition: int,
                     table: str, key) -> Generator:
+        """Exclusive-lock the record at its partition and return its read entry."""
         target = self.server_of(partition)
 
         def handler() -> Generator:
             if target.crashed:
-                return ("crashed", None, 0.0, 0.0)
+                return None
             record = target.store.table(table).get(key)
             if record is None:
-                return ("missing", None, 0.0, 0.0)
+                return None
             ok = target.store.lock_manager.acquire_nowait(
                 txn.tid, record, LockMode.EXCLUSIVE
             )
             if type(ok) is not bool:
                 ok = yield ok
             if not ok:
-                return ("conflict", None, 0.0, 0.0)
+                return None
             # Watermark requirement R2 (§5.1): make sure the final commit
             # timestamp will exceed this partition's published watermark.
             floor = target.ts_floor
@@ -422,10 +274,15 @@ class PrimoProtocol(BaseProtocol):
                 record.wts = floor + 1
                 record.rts = max(record.rts, floor + 1)
             target.active_txns.register(txn, lower_bound=record.wts)
-            return ("ok", record.snapshot(), record.wts, record.rts)
+            return ReadEntry(
+                partition, table, key, record.snapshot(),
+                record.wts, record.rts, record.version, locked=True, local=False,
+            )
 
-        result = yield from self.network.rpc(server.partition_id, partition, handler)
-        return result
+        entry = yield from self.network.rpc(server.partition_id, partition, handler)
+        if entry is None:
+            raise TxnAborted(AbortReason.LOCK_CONFLICT, f"remote read {table}:{key}")
+        return entry
 
     # -- abort handling -------------------------------------------------------------------
     def _cleanup_abort(self, server: "Server", txn: Transaction) -> None:

@@ -1,8 +1,9 @@
 """TicToc optimistic concurrency control for *local* transactions.
 
 Primo processes single-partition transactions with TicToc (§4.2): reads take
-no locks and record the observed ``[wts, rts]`` interval; at commit the
-write-set is locked, a commit timestamp is derived from the constraints
+no locks and record the observed ``[wts, rts]`` interval (the shared
+:meth:`~repro.txn.context.TxnContext.read` with no ``local_lock``); at commit
+the write-set is locked, a commit timestamp is derived from the constraints
 
 * ``ts >= wts`` of every record read,
 * ``ts >  rts`` of every record written,
@@ -13,18 +14,17 @@ makes the scheme robust to Primo's extra exclusive read locks: a lock held by
 a distributed transaction only aborts a local transaction when the local
 transaction *needs* to extend the record's ``rts`` (§4.2.1).
 
-The same helper functions are reused by the Sundial baseline, which is the
+``compute_commit_ts`` is reused by the Sundial baseline, which is the
 distributed 2PC-based variant of TicToc.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 from ..storage.lock import LockMode
 from ..storage.record import Record
-from ..storage.table import TableError
-from ..txn.transaction import AbortReason, ReadEntry, Transaction, TxnAborted
+from ..txn.transaction import AbortReason, Transaction, TxnAborted
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.server import Server
@@ -72,34 +72,6 @@ class TicTocLocalExecutor:
     def __init__(self, server: "Server"):
         self.server = server
         self.env = server.env
-
-    # -- execution phase -----------------------------------------------------
-    def read(self, txn: Transaction, table: str, key) -> tuple[Optional[Record], Optional[ReadEntry]]:
-        """Lock-free read; returns the record and the recorded read entry."""
-        server = self.server
-        table_obj = server.store.tables.get(table)
-        if table_obj is None:
-            raise TableError(
-                f"table {table!r} does not exist on partition {server.partition_id}"
-            )
-        record = table_obj.get(key)
-        if record is None:
-            return None, None
-        entry = ReadEntry(
-            partition=server.partition_id,
-            table=table,
-            key=key,
-            value=dict(record.value),
-            wts=record.wts,
-            rts=record.rts,
-            version=record.version,
-            locked=False,
-            local=True,
-        )
-        txn.add_read(entry)
-        if txn.lower_bound_ts == 0.0:
-            txn.lower_bound_ts = max(record.wts, server.ts_floor + 1)
-        return record, entry
 
     # -- commit phase ----------------------------------------------------------
     def validate_and_commit(self, txn: Transaction, records: dict) -> Generator:

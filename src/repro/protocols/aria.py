@@ -28,14 +28,7 @@ from typing import TYPE_CHECKING, Generator
 from ..sim.engine import all_of
 from ..storage.lock import LockPolicy
 from ..txn.context import TxnContext
-from ..txn.transaction import (
-    AbortReason,
-    ReadEntry,
-    Transaction,
-    TxnAborted,
-    UserAbort,
-    WriteEntry,
-)
+from ..txn.transaction import AbortReason, Transaction, TxnAborted, UserAbort, WriteEntry
 from ..registry import register_protocol
 from .base import BaseProtocol, install_write_entries
 
@@ -48,35 +41,7 @@ __all__ = ["AriaProtocol", "AriaContext"]
 class AriaContext(TxnContext):
     """Snapshot reads + write reservations."""
 
-    def __init__(self, protocol, server, txn):
-        super().__init__(protocol, server, txn)
-
-    def _protocol_read(self, partition: int, table: str, key) -> Generator:
-        yield from self.protocol.cpu(self.protocol.config.cpu_record_access_us)
-        existing = self.txn.find_read(partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        if self.is_local(partition):
-            record = self.server.store.table(table).get(key)
-            if record is None:
-                raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-            value = record.snapshot()
-        else:
-            status, value = yield from self.protocol.remote_snapshot_read(
-                self.server, partition, table, key
-            )
-            if status != "ok":
-                raise TxnAborted(AbortReason.VALIDATION, f"remote read {table}:{key}")
-        entry = ReadEntry(
-            partition=partition, table=table, key=key, value=value,
-            locked=False, local=self.is_local(partition),
-        )
-        self.txn.add_read(entry)
-        return value
-
-    def _protocol_write(self, entry: WriteEntry) -> Generator:
-        yield from self.protocol.cpu(self.protocol.config.cpu_record_access_us)
-        self.txn.add_write(entry)
+    def _before_write(self, entry: WriteEntry) -> None:
         # Reservation messages are batched with the execution phase: no
         # blocking round trip, the reservation table is updated directly.
         self.protocol.reserve_write(entry.partition, entry.table, entry.key, self.txn.tid)
@@ -88,6 +53,7 @@ class AriaProtocol(BaseProtocol):
     name = "aria"
     lock_policy = LockPolicy.NO_WAIT
     runs_own_loop = True
+    context_class = AriaContext
 
     def __init__(self, cluster):
         super().__init__(cluster)
@@ -95,9 +61,6 @@ class AriaProtocol(BaseProtocol):
         self._write_reservations: dict[int, dict] = {}
         self._batch_counter = 0
         self.stats = {"batches": 0, "reexecutions": 0}
-
-    def create_context(self, server: "Server", txn: Transaction) -> AriaContext:
-        return AriaContext(self, server, txn)
 
     def run_transaction(self, server, txn, logic):  # pragma: no cover - not used
         raise NotImplementedError("Aria uses its own batch loop (run_loop)")
@@ -126,21 +89,6 @@ class AriaProtocol(BaseProtocol):
             if owner is not None and owner < txn.tid:
                 return True
         return False
-
-    # -- remote snapshot read ------------------------------------------------------
-    def remote_snapshot_read(self, server: "Server", partition: int, table: str, key):
-        target = self.server_of(partition)
-
-        def handler():
-            if target.crashed:
-                return ("crashed", None)
-            record = target.store.table(table).get(key)
-            if record is None:
-                return ("missing", None)
-            return ("ok", record.snapshot())
-
-        result = yield from self.network.rpc(server.partition_id, partition, handler)
-        return result
 
     # -- the batch loop ----------------------------------------------------------------
     def run_loop(self) -> Generator:

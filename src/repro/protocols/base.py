@@ -12,12 +12,12 @@ the worker uses to decide whether to retry.
 
 Shared helpers implemented here:
 
-* routing (which server owns a partition, local vs. remote),
+* routing (which server owns a partition),
 * the write-set installer used by every protocol's commit phase (applies
   updates/inserts/deletes, bumps TicToc timestamps, collects before-images and
   appends the partition's redo/undo log record),
-* remote index lookups,
-* per-operation CPU cost accounting.
+* the lock-free remote read of the optimistic protocols,
+* commit-phase CPU cost accounting.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Iterable
 from ..storage.lock import LockPolicy
 from ..storage.table import TableError
 from ..txn.context import TxnContext
-from ..txn.transaction import AbortReason, Transaction, TxnAborted, WriteEntry
+from ..txn.transaction import AbortReason, ReadEntry, Transaction, TxnAborted, WriteEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.cluster import Cluster
@@ -98,24 +98,38 @@ class BaseProtocol:
         if duration_us > 0:
             yield self.env.timeout(duration_us)
 
-    # -- operations shared by all contexts ------------------------------------
-    def index_lookup(self, server: "Server", txn: Transaction, partition: int,
-                     table: str, index: str, index_key) -> Generator:
-        """Secondary-index lookup (not transactionally protected, like DBx1000)."""
-        yield from self.cpu(self.config.cpu_record_access_us)
-        if partition == server.partition_id:
-            return server.store.table(table).index_lookup(index, index_key)
+    # -- execution-phase interface -------------------------------------------
+    #: Context class handed to the workload logic (its hooks are the
+    #: protocol's execution-phase behaviour, see :mod:`repro.txn.context`).
+    context_class = TxnContext
+
+    def create_context(self, server: "Server", txn: Transaction) -> TxnContext:
+        return self.context_class(self, server, txn)
+
+    def remote_read(self, server: "Server", txn: Transaction, partition: int,
+                    table: str, key) -> Generator:
+        """Lock-free snapshot read of a record on another partition (one RPC).
+
+        Returns the finished :class:`ReadEntry`; protocols whose reads lock
+        at the participant override this.
+        """
         target = self.server_of(partition)
 
-        def remote_lookup():
-            return target.store.table(table).index_lookup(index, index_key)
+        def handler():
+            if target.crashed:
+                return None
+            record = target.store.table(table).get(key)
+            if record is None:
+                return None
+            return ReadEntry(
+                partition, table, key, record.snapshot(),
+                record.wts, record.rts, record.version, local=False,
+            )
 
-        keys = yield from self.network.rpc(server.partition_id, partition, remote_lookup)
-        return keys
-
-    # -- protocol interface --------------------------------------------------
-    def create_context(self, server: "Server", txn: Transaction) -> TxnContext:
-        raise NotImplementedError
+        entry = yield from self.network.rpc(server.partition_id, partition, handler)
+        if entry is None:
+            raise TxnAborted(AbortReason.VALIDATION, f"remote read {table}:{key}")
+        return entry
 
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:

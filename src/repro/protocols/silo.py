@@ -1,7 +1,7 @@
 """Silo-style OCC + 2PC (the distributed variant used in COCO).
 
-Execution phase: reads take no locks and record the observed version; writes
-are buffered.  Commit phase runs over 2PC: *prepare* locks the write-set
+Execution phase (the default :class:`~repro.txn.context.TxnContext`): reads
+take no locks and record the observed version; writes are buffered.  Commit phase runs over 2PC: *prepare* locks the write-set
 records (NO_WAIT style — a lock conflict votes NO) and validates the
 partition's portion of the read-set (version unchanged and not locked by
 another transaction); *commit* installs the writes and releases.
@@ -14,14 +14,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 from ..commit.logging import LogRecordKind
 from ..storage.lock import LockMode, LockPolicy
 from ..txn.context import TxnContext
-from ..txn.transaction import (
-    AbortReason,
-    ReadEntry,
-    Transaction,
-    TxnAborted,
-    UserAbort,
-    WriteEntry,
-)
+from ..txn.transaction import AbortReason, Transaction, TxnAborted, UserAbort
 from ..registry import register_protocol
 from .base import BaseProtocol, install_write_entries
 from .two_pc import TwoPhaseCommitMixin
@@ -29,48 +22,7 @@ from .two_pc import TwoPhaseCommitMixin
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.server import Server
 
-__all__ = ["SiloProtocol", "SiloContext"]
-
-
-class SiloContext(TxnContext):
-    """OCC execution phase: version-stamped reads, buffered writes."""
-
-    def __init__(self, protocol, server, txn):
-        super().__init__(protocol, server, txn)
-        self.records: dict = {}
-
-    def _protocol_read(self, partition: int, table: str, key) -> Generator:
-        yield from self.protocol.cpu(self.protocol.config.cpu_record_access_us)
-        existing = self.txn.find_read(partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        if self.is_local(partition):
-            record = self.server.store.table(table).get(key)
-            if record is None:
-                raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-            entry = ReadEntry(
-                partition=partition, table=table, key=key,
-                value=record.snapshot(), wts=record.wts, rts=record.rts,
-                version=record.version, locked=False, local=True,
-            )
-            self.records[(partition, table, key)] = record
-            self.txn.add_read(entry)
-            return entry.value
-        status, value, version = yield from self.protocol.remote_read(
-            self.server, self.txn, partition, table, key
-        )
-        if status != "ok":
-            raise TxnAborted(AbortReason.VALIDATION, f"remote read {table}:{key}")
-        entry = ReadEntry(
-            partition=partition, table=table, key=key,
-            value=value, version=version, locked=False, local=False,
-        )
-        self.txn.add_read(entry)
-        return value
-
-    def _protocol_write(self, entry: WriteEntry) -> Generator:
-        yield from self.protocol.cpu(self.protocol.config.cpu_record_access_us)
-        self.txn.add_write(entry)
+__all__ = ["SiloProtocol"]
 
 
 @register_protocol("silo", default_durability="coco",
@@ -78,9 +30,6 @@ class SiloContext(TxnContext):
 class SiloProtocol(TwoPhaseCommitMixin, BaseProtocol):
     name = "silo"
     lock_policy = LockPolicy.NO_WAIT
-
-    def create_context(self, server: "Server", txn: Transaction) -> SiloContext:
-        return SiloContext(self, server, txn)
 
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:
@@ -102,22 +51,6 @@ class SiloProtocol(TwoPhaseCommitMixin, BaseProtocol):
             if txn.abort_reason is None:
                 txn.abort_reason = aborted.reason
             return False
-
-    # -- execution-phase remote read -----------------------------------------------
-    def remote_read(self, server: "Server", txn: Transaction, partition: int,
-                    table: str, key) -> Generator:
-        target = self.server_of(partition)
-
-        def handler():
-            if target.crashed:
-                return ("crashed", None, 0)
-            record = target.store.table(table).get(key)
-            if record is None:
-                return ("missing", None, 0)
-            return ("ok", record.snapshot(), record.version)
-
-        result = yield from self.network.rpc(server.partition_id, partition, handler)
-        return result
 
     # -- validation helpers ------------------------------------------------------------
     def _lock_and_validate(self, server: "Server", txn: Transaction,

@@ -18,14 +18,7 @@ from ..commit.logging import LogRecordKind
 from ..core.tictoc import compute_commit_ts
 from ..storage.lock import LockMode, LockPolicy
 from ..txn.context import TxnContext
-from ..txn.transaction import (
-    AbortReason,
-    ReadEntry,
-    Transaction,
-    TxnAborted,
-    UserAbort,
-    WriteEntry,
-)
+from ..txn.transaction import AbortReason, Transaction, TxnAborted, UserAbort
 from ..registry import register_protocol
 from .base import BaseProtocol, install_write_entries
 from .two_pc import TwoPhaseCommitMixin
@@ -37,50 +30,9 @@ __all__ = ["SundialProtocol", "SundialContext"]
 
 
 class SundialContext(TxnContext):
-    """Lease-stamped OCC reads; writes buffered."""
+    """Lease-stamped OCC reads (no locks); writes buffered."""
 
-    def __init__(self, protocol, server, txn):
-        super().__init__(protocol, server, txn)
-        self.records: dict = {}
-
-    def _protocol_read(self, partition: int, table: str, key) -> Generator:
-        cost = self.protocol.config.cpu_record_access_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        existing = self.txn.find_read(partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        if self.is_local(partition):
-            record = self.server.store.table(table).get(key)
-            if record is None:
-                raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-            entry = ReadEntry(
-                partition=partition, table=table, key=key,
-                value=record.snapshot(), wts=record.wts, rts=record.rts,
-                version=record.version, locked=False, local=True,
-            )
-            self.records[(partition, table, key)] = record
-            self.txn.add_read(entry)
-            if self.txn.lower_bound_ts == 0.0:
-                self.txn.lower_bound_ts = max(record.wts, self.server.ts_floor + 1)
-            return entry.value
-        status, value, wts, rts = yield from self.protocol.remote_read(
-            self.server, self.txn, partition, table, key
-        )
-        if status != "ok":
-            raise TxnAborted(AbortReason.VALIDATION, f"remote read {table}:{key}")
-        entry = ReadEntry(
-            partition=partition, table=table, key=key,
-            value=value, wts=wts, rts=rts, locked=False, local=False,
-        )
-        self.txn.add_read(entry)
-        return value
-
-    def _protocol_write(self, entry: WriteEntry) -> Generator:
-        cost = self.protocol.config.cpu_record_access_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        self.txn.add_write(entry)
+    registers_lower_bound = True
 
 
 @register_protocol("sundial", default_durability="coco",
@@ -89,8 +41,7 @@ class SundialProtocol(TwoPhaseCommitMixin, BaseProtocol):
     name = "sundial"
     lock_policy = LockPolicy.WAIT_DIE
 
-    def create_context(self, server: "Server", txn: Transaction) -> SundialContext:
-        return SundialContext(self, server, txn)
+    context_class = SundialContext
 
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:
@@ -112,22 +63,6 @@ class SundialProtocol(TwoPhaseCommitMixin, BaseProtocol):
             if txn.abort_reason is None:
                 txn.abort_reason = aborted.reason
             return False
-
-    # -- execution-phase remote read ----------------------------------------------------
-    def remote_read(self, server: "Server", txn: Transaction, partition: int,
-                    table: str, key) -> Generator:
-        target = self.server_of(partition)
-
-        def handler():
-            if target.crashed:
-                return ("crashed", None, 0.0, 0.0)
-            record = target.store.table(table).get(key)
-            if record is None:
-                return ("missing", None, 0.0, 0.0)
-            return ("ok", record.snapshot(), record.wts, record.rts)
-
-        result = yield from self.network.rpc(server.partition_id, partition, handler)
-        return result
 
     # -- commit-timestamp + validation ------------------------------------------------------
     def choose_commit_ts(self, server: "Server", txn: Transaction, context) -> float:

@@ -23,62 +23,14 @@ from ..sim.engine import all_of
 from ..sim.network import NodeUnreachable
 from ..storage.lock import LockPolicy
 from ..txn.context import TxnContext
-from ..txn.transaction import (
-    AbortReason,
-    ReadEntry,
-    Transaction,
-    TxnAborted,
-    UserAbort,
-    WriteEntry,
-)
+from ..txn.transaction import AbortReason, Transaction, TxnAborted, UserAbort
 from ..registry import register_protocol
 from .base import BaseProtocol, install_write_entries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.server import Server
 
-__all__ = ["TapirProtocol", "TapirContext"]
-
-
-class TapirContext(TxnContext):
-    """OCC execution phase: versioned reads without locks."""
-
-    def __init__(self, protocol, server, txn):
-        super().__init__(protocol, server, txn)
-        self.records: dict = {}
-
-    def _protocol_read(self, partition: int, table: str, key) -> Generator:
-        yield from self.protocol.cpu(self.protocol.config.cpu_record_access_us)
-        existing = self.txn.find_read(partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        if self.is_local(partition):
-            record = self.server.store.table(table).get(key)
-            if record is None:
-                raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-            entry = ReadEntry(
-                partition=partition, table=table, key=key,
-                value=record.snapshot(), version=record.version,
-                locked=False, local=True,
-            )
-            self.records[(partition, table, key)] = record
-            self.txn.add_read(entry)
-            return entry.value
-        status, value, version = yield from self.protocol.remote_read(
-            self.server, self.txn, partition, table, key
-        )
-        if status != "ok":
-            raise TxnAborted(AbortReason.VALIDATION, f"remote read {table}:{key}")
-        entry = ReadEntry(
-            partition=partition, table=table, key=key,
-            value=value, version=version, locked=False, local=False,
-        )
-        self.txn.add_read(entry)
-        return value
-
-    def _protocol_write(self, entry: WriteEntry) -> Generator:
-        yield from self.protocol.cpu(self.protocol.config.cpu_record_access_us)
-        self.txn.add_write(entry)
+__all__ = ["TapirProtocol"]
 
 
 @register_protocol("tapir", default_durability="sync",
@@ -98,9 +50,6 @@ class TapirProtocol(BaseProtocol):
             p: {} for p in range(self.config.n_partitions)
         }
 
-    def create_context(self, server: "Server", txn: Transaction) -> TapirContext:
-        return TapirContext(self, server, txn)
-
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:
         try:
@@ -118,22 +67,6 @@ class TapirProtocol(BaseProtocol):
             if txn.abort_reason is None:
                 txn.abort_reason = aborted.reason
             return False
-
-    # -- execution-phase remote read ----------------------------------------------------
-    def remote_read(self, server: "Server", txn: Transaction, partition: int,
-                    table: str, key) -> Generator:
-        target = self.server_of(partition)
-
-        def handler():
-            if target.crashed:
-                return ("crashed", None, 0)
-            record = target.store.table(table).get(key)
-            if record is None:
-                return ("missing", None, 0)
-            return ("ok", record.snapshot(), record.version)
-
-        result = yield from self.network.rpc(server.partition_id, partition, handler)
-        return result
 
     # -- single-round commit --------------------------------------------------------------
     def _commit(self, server: "Server", txn: Transaction) -> Generator:

@@ -24,7 +24,6 @@ from ..txn.transaction import (
     Transaction,
     TxnAborted,
     UserAbort,
-    WriteEntry,
 )
 from ..registry import register_protocol
 from .base import BaseProtocol, install_write_entries
@@ -39,53 +38,7 @@ __all__ = ["TwoPLNoWaitProtocol", "TwoPLWaitDieProtocol", "TwoPLContext"]
 class TwoPLContext(TxnContext):
     """Execution-phase context: shared locks for reads, buffered writes."""
 
-    def __init__(self, protocol, server, txn):
-        super().__init__(protocol, server, txn)
-        self.records: dict = {}
-
-    def _protocol_read(self, partition: int, table: str, key) -> Generator:
-        cost = self.protocol.config.cpu_record_access_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        existing = self.txn.find_read(partition, table, key)
-        if existing is not None:
-            return dict(existing.value)
-        if self.is_local(partition):
-            record = self.server.store.table(table).get(key)
-            if record is None:
-                raise TxnAborted(AbortReason.VALIDATION, f"missing record {table}:{key}")
-            ok = self.server.store.lock_manager.acquire_nowait(
-                self.txn.tid, record, LockMode.SHARED
-            )
-            if type(ok) is not bool:
-                ok = yield ok
-            if not ok:
-                raise TxnAborted(AbortReason.LOCK_CONFLICT, f"S-lock {table}:{key}")
-            entry = ReadEntry(
-                partition=partition, table=table, key=key,
-                value=record.snapshot(), wts=record.wts, rts=record.rts,
-                version=record.version, locked=True, local=True,
-            )
-            self.records[(partition, table, key)] = record
-            self.txn.add_read(entry)
-            return entry.value
-        status, value, version = yield from self.protocol.remote_read(
-            self.server, self.txn, partition, table, key
-        )
-        if status != "ok":
-            raise TxnAborted(AbortReason.LOCK_CONFLICT, f"remote S-lock {table}:{key}")
-        entry = ReadEntry(
-            partition=partition, table=table, key=key,
-            value=value, version=version, locked=True, local=False,
-        )
-        self.txn.add_read(entry)
-        return value
-
-    def _protocol_write(self, entry: WriteEntry) -> Generator:
-        cost = self.protocol.config.cpu_record_access_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        self.txn.add_write(entry)
+    local_lock = LockMode.SHARED
 
 
 @register_protocol("2pl_nw", default_durability="coco",
@@ -96,10 +49,9 @@ class TwoPLNoWaitProtocol(TwoPhaseCommitMixin, BaseProtocol):
     name = "2pl_nw"
     lock_policy = LockPolicy.NO_WAIT
 
-    # -- protocol interface -----------------------------------------------------
-    def create_context(self, server: "Server", txn: Transaction) -> TwoPLContext:
-        return TwoPLContext(self, server, txn)
+    context_class = TwoPLContext
 
+    # -- protocol interface -----------------------------------------------------
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:
         try:
@@ -121,25 +73,31 @@ class TwoPLNoWaitProtocol(TwoPhaseCommitMixin, BaseProtocol):
     # -- execution-phase remote read ------------------------------------------------
     def remote_read(self, server: "Server", txn: Transaction, partition: int,
                     table: str, key) -> Generator:
+        """Shared-lock the record at its partition and return its read entry."""
         target = self.server_of(partition)
 
         def handler() -> Generator:
             if target.crashed:
-                return ("crashed", None, 0)
+                return None
             record = target.store.table(table).get(key)
             if record is None:
-                return ("missing", None, 0)
+                return None
             ok = target.store.lock_manager.acquire_nowait(
                 txn.tid, record, LockMode.SHARED
             )
             if type(ok) is not bool:
                 ok = yield ok
             if not ok:
-                return ("conflict", None, 0)
-            return ("ok", record.snapshot(), record.version)
+                return None
+            return ReadEntry(
+                partition, table, key, record.snapshot(),
+                record.wts, record.rts, record.version, locked=True, local=False,
+            )
 
-        result = yield from self.network.rpc(server.partition_id, partition, handler)
-        return result
+        entry = yield from self.network.rpc(server.partition_id, partition, handler)
+        if entry is None:
+            raise TxnAborted(AbortReason.LOCK_CONFLICT, f"remote S-lock {table}:{key}")
+        return entry
 
     # -- 2PC hooks ----------------------------------------------------------------------
     def prepare_local(self, server: "Server", txn: Transaction, context) -> Generator:

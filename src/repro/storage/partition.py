@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Union
 from ..sim.engine import Environment
 from .columnar import ColumnarTable, TableSchema
 from .lock import LockManager, LockPolicy
-from .record import Record
 from .table import Table, TableError
 
 __all__ = ["PartitionStore"]
@@ -70,15 +69,6 @@ class PartitionStore:
             raise TableError(
                 f"table {name!r} does not exist on partition {self.partition_id}"
             ) from exc
-
-    def get_record(self, table_name: str, key) -> Optional[Record]:
-        return self.table(table_name).get(key)
-
-    def require_record(self, table_name: str, key) -> Record:
-        return self.table(table_name).require(key)
-
-    def insert_record(self, table_name: str, key, value: dict) -> Record:
-        return self.table(table_name).insert(key, value)
 
     def table_names(self) -> Iterable[str]:
         return self.tables.keys()

@@ -210,10 +210,6 @@ class Transaction:
     def writes_for_partition(self, partition: int) -> list:
         return [e for e in self.write_set if e.partition == partition]
 
-    def write_covered_by_read(self, partition: int, table: str, key) -> bool:
-        """Is this write's record already in the read-set (write-set ⊆ read-set)?"""
-        return self.find_read(partition, table, key) is not None
-
     def all_partitions(self) -> set:
         """Every partition the transaction touched, including the coordinator."""
         return {self.coordinator} | set(self.participants)

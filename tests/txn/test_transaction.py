@@ -74,12 +74,13 @@ def test_writes_and_reads_filtered_by_partition():
     assert txn.writes_for_partition(0) == []
 
 
-def test_write_covered_by_read():
+def test_find_read_is_keyed_by_partition_table_and_key():
     txn = make_txn()
-    txn.add_read(ReadEntry(partition=0, table="t", key=1, value={}))
-    assert txn.write_covered_by_read(0, "t", 1)
-    assert not txn.write_covered_by_read(0, "t", 2)
-    assert not txn.write_covered_by_read(1, "t", 1)
+    entry = ReadEntry(partition=0, table="t", key=1, value={})
+    txn.add_read(entry)
+    assert txn.find_read(0, "t", 1) is entry
+    assert txn.find_read(0, "t", 2) is None
+    assert txn.find_read(1, "t", 1) is None
 
 
 def test_breakdown_accumulates_and_ignores_non_positive():
