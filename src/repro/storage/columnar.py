@@ -87,7 +87,7 @@ class ColumnarRecord:
     ``deleted``/``value``) go straight to the owning table's arrays, so a view
     is safe to hold across simulation yields: every view of a row observes
     every other view's writes.  Equality and hashing are by ``(table, row)``
-    because the lock manager tracks held locks in sets of records.
+    because the lock manager keys its held-lock dicts by record.
     """
 
     __slots__ = ("_t", "_row", "key")
@@ -97,7 +97,7 @@ class ColumnarRecord:
         self._row = row
         self.key = key
 
-    # -- identity (lock-manager held-sets rely on it) ----------------------
+    # -- identity (lock-manager held-lock dicts rely on it) -----------------
     def __hash__(self) -> int:
         return hash((id(self._t), self._row))
 

@@ -100,7 +100,9 @@ class LockManager:
     def __init__(self, env: Environment, policy: LockPolicy = LockPolicy.WAIT_DIE):
         self.env = env
         self.policy = policy
-        # txn_id -> set of records it currently holds locks on.
+        # txn_id -> records it holds locks on, as an insertion-ordered dict so
+        # release_all wakes waiters in acquisition order; records hash by
+        # address, so a set here would make the run depend on the allocator.
         self._held: dict = {}
         self.stats = {"grants": 0, "waits": 0, "aborts": 0, "releases": 0}
 
@@ -215,8 +217,8 @@ class LockManager:
         state.mode = LockMode.EXCLUSIVE if state.n_exclusive else LockMode.SHARED
         held = self._held.get(txn_id)
         if held is None:
-            self._held[txn_id] = held = set()
-        held.add(record)
+            self._held[txn_id] = held = {}
+        held[record] = None
         self.stats["grants"] += 1
 
     # -- release ------------------------------------------------------------
@@ -230,7 +232,7 @@ class LockManager:
             state.n_exclusive -= 1
         held = self._held.get(txn_id)
         if held is not None:
-            held.discard(record)
+            held.pop(record, None)
             if not held:
                 del self._held[txn_id]
         self.stats["releases"] += 1

@@ -1,5 +1,6 @@
 """Tests for the lock manager: modes, policies, fairness and invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,6 +175,50 @@ def test_force_release_everything_clears_state():
         assert acquire(env, manager, TxnId(i + 1, 0), record, LockMode.EXCLUSIVE) is True
     manager.force_release_everything()
     assert all(not manager.is_locked(r) for r in records)
+
+
+class _HashedRecord(Record):
+    """A record whose hash is chosen by the test instead of by its address."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, key, hash_value):
+        super().__init__(key, {})
+        self._hash = hash_value
+
+    def __hash__(self):
+        return self._hash
+
+
+@pytest.mark.parametrize("release", ["release_all", "force_release_everything"])
+def test_release_wakes_waiters_in_acquisition_order_not_hash_order(release):
+    """Records hash by address, so a hash-ordered held-set made fixed-seed
+    runs diverge between processes (perf/README.md "Found while building")."""
+    env, manager = make_manager(LockPolicy.WAIT_DIE)
+    # Hash order (0 before 1) is the reverse of acquisition order.
+    first, second = _HashedRecord("first", 1), _HashedRecord("second", 0)
+    assert list({first, second}) == [second, first]
+    holder = TxnId(9, 0)
+    for record in (first, second):
+        assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
+    woken = []
+
+    def waiter(tid, record):
+        yield from manager.acquire(tid, record, LockMode.EXCLUSIVE)
+        woken.append(record.key)
+
+    # Older transactions wait (WAIT_DIE); queue them against hash order too.
+    env.process(waiter(TxnId(2, 0), second))
+    env.process(waiter(TxnId(1, 0), first))
+    env.run(until=env.now + 5)
+    assert woken == []
+    if release == "release_all":
+        manager.release_all(holder)
+    else:
+        manager.force_release_everything()
+    env.run(until=env.now + 5)
+    assert woken == ["first", "second"]
+    assert manager.locks_held(holder) == set()
 
 
 @settings(max_examples=40, deadline=None)
