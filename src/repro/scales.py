@@ -97,7 +97,9 @@ _PRESETS = {
     # dict-backed tables need ~8x the memory at these populations.  The
     # simulated durations are short — the point of these tiers is *population*
     # (cold caches, deep Zipf tails, hundreds of concurrent clients), not
-    # simulated seconds, and loading dominates wall-clock anyway.
+    # simulated seconds.  Loading a fixed-schema workload (ycsb, smallbank) is
+    # O(columns) array operations (``ColumnarTable.insert_many``), so host
+    # time at these tiers is the run; tpcc/tatp rows differ and load per row.
     "xlarge": BenchScale(
         name="xlarge",
         duration_us=20_000.0,

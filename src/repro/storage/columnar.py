@@ -26,6 +26,17 @@ dynamic-schema workloads (TPC-C's mixed-type rows and secondary-index
 lookups) pass none and keep the dict backend, which remains the bit-identical
 reference (``storage_backend="dict"`` forces it everywhere).
 
+Loading is columnar too.  :meth:`ColumnarTable.insert_many` (the loaders'
+entry point, same signature on :class:`~repro.storage.table.Table`) is by
+definition ``for k in keys: insert(k, row)``.  When the call itself shows
+that nothing per-row can happen — ``keys`` is a step-1 ``range`` starting at
+the table's row count, the table is still dense and has no secondary index —
+the template row is checked once and every column and metadata array grows
+by one ``array * n`` extend: O(columns) Python-level operations for any
+number of rows, one column-sized transient alive at a time.  Every other
+input (a list of keys, a stepped or non-contiguous range, a sparse or indexed
+table) runs the per-row loop; there is no switch to choose between them.
+
 Simulation semantics are backend-independent by construction: the columnar
 path stores the same values, applies the same unique-key/missing-key errors,
 and never changes event ordering — fixed-seed runs produce bit-identical
@@ -148,18 +159,15 @@ class ColumnarRecord:
         self._t._deleted[self._row] = 1 if flag else 0
 
     # -- value access -------------------------------------------------------
-    @property
-    def value(self) -> dict:
+    def snapshot(self) -> dict:
         """The row materialized as a column-ordered dict (a private copy)."""
-        t, row = self._t, self._row
-        return {name: col[row] for name, col in t._columns}
+        row = self._row
+        return {name: col[row] for name, col in self._t._columns}
 
-    @value.setter
-    def value(self, new_value: dict) -> None:
+    def _set_value(self, new_value: dict) -> None:
         self._t._write_row(self._row, new_value, full=True)
 
-    def snapshot(self) -> dict:
-        return self.value
+    value = property(snapshot, _set_value)
 
     def get(self, column: str, default: Any = None) -> Any:
         col = self._t._by_name.get(column)
@@ -303,16 +311,28 @@ class ColumnarTable:
             raise TableError(f"key {key!r} not found in table {self.name!r}")
         return record
 
+    def _unknown_column(self, col) -> TableError:
+        return TableError(
+            f"column {col!r} not in the fixed schema of columnar "
+            f"table {self.name!r} (columns: {', '.join(self.schema.names)})"
+        )
+
+    def _not_numeric(self, col, item) -> TableError:
+        return TableError(
+            f"column {col!r} of columnar table {self.name!r} is "
+            f"numeric; got {item!r}"
+        )
+
     def _write_row(self, row: int, values: dict, *, full: bool) -> None:
         by_name = self._by_name
         for col, value in values.items():
             arr = by_name.get(col)
             if arr is None:
-                raise TableError(
-                    f"column {col!r} not in the fixed schema of columnar "
-                    f"table {self.name!r} (columns: {', '.join(self.schema.names)})"
-                )
-            arr[row] = value
+                raise self._unknown_column(col)
+            try:
+                arr[row] = value
+            except TypeError as exc:
+                raise self._not_numeric(col, value) from exc
         if full:
             for col, arr in self._columns:
                 if col not in values:
@@ -321,10 +341,8 @@ class ColumnarTable:
     def _append_row(self, key, value: dict) -> int:
         by_name = self._by_name
         if len(value) > len(by_name) or any(col not in by_name for col in value):
-            unknown = [col for col in value if col not in by_name]
-            raise TableError(
-                f"column {unknown[0]!r} not in the fixed schema of columnar "
-                f"table {self.name!r} (columns: {', '.join(self.schema.names)})"
+            raise self._unknown_column(
+                next(col for col in value if col not in by_name)
             )
         row = self._n_rows
         if self._dense and not (type(key) is int and key == row):
@@ -345,10 +363,7 @@ class ColumnarTable:
                 if not self._dense:
                     self._keys.pop()
                     del self._key_rows[key]
-                raise TableError(
-                    f"column {col!r} of columnar table {self.name!r} is "
-                    f"numeric; got {item!r}"
-                ) from exc
+                raise self._not_numeric(col, item) from exc
         self._wts.append(0.0)
         self._rts.append(0.0)
         self._version.append(0)
@@ -377,6 +392,50 @@ class ColumnarTable:
             for index in self._indexes.values():
                 index.add(key, materialized)
         return record
+
+    def insert_many(self, keys, row: dict) -> None:
+        """Insert one copy of ``row`` per key: ``for k in keys: insert(k, row)``.
+
+        A step-1 ``range`` that continues a dense table with no secondary
+        index is appended with whole-array operations — no key can collide
+        and no index needs the materialized rows, so one check of the
+        template stands for all of them.  Anything else is the loop above.
+        """
+        if (type(keys) is range and keys.step == 1 and self._dense
+                and keys.start == self._n_rows and not self._indexes):
+            if keys:
+                self._append_rows(len(keys), row)
+            return
+        insert = self.insert
+        for key in keys:
+            insert(key, row)
+
+    def _append_rows(self, n: int, value: dict) -> None:
+        """Append ``n`` dense rows holding ``value`` in O(columns) operations."""
+        by_name = self._by_name
+        for col in value:
+            if col not in by_name:
+                raise self._unknown_column(col)
+        # Check every cell before the first column grows, so a rejected
+        # template appends nothing.
+        cells = []
+        for col, arr in self._columns:
+            item = value.get(col, 0)
+            try:
+                cells.append(array(arr.typecode, [item]))
+            except TypeError as exc:
+                raise self._not_numeric(col, item) from exc
+        # One column-sized transient alive at a time: the million-key tiers'
+        # memory ceiling is measured across the load.
+        for (_, arr), cell in zip(self._columns, cells):
+            arr.extend(cell * n)
+        self._version.extend(array("q", [0]) * n)
+        self._deleted.extend(bytes(n))
+        zeros = array("d", [0.0]) * n
+        self._wts.extend(zeros)
+        self._rts.extend(zeros)
+        self._n_rows += n
+        self._live_count += n
 
     def upsert(self, key, value: dict) -> ColumnarRecord:
         """Insert or overwrite without raising on duplicates (loader use only)."""

@@ -114,6 +114,17 @@ class Table:
             index.add(key, record.value)
         return record
 
+    def insert_many(self, keys, row: dict) -> None:
+        """Insert one copy of ``row`` per key: ``for k in keys: insert(k, row)``.
+
+        The loaders' bulk entry point, shared with
+        :meth:`repro.storage.columnar.ColumnarTable.insert_many` (which can
+        vectorise it); here every row is a boxed object, so it is the loop.
+        """
+        insert = self.insert
+        for key in keys:
+            insert(key, row)
+
     def upsert(self, key, value: dict) -> Record:
         """Insert or overwrite without raising on duplicates (loader use only)."""
         existing = self._records.get(key)

@@ -114,12 +114,10 @@ class SmallbankWorkload(Workload):
 
     def load(self, cluster: "Cluster") -> None:
         row = {"balance": 1_000.0}
-        for partition_id, server in cluster.servers.items():
-            checking = server.store.create_table("checking", schema=self.SCHEMA)
-            savings = server.store.create_table("savings", schema=self.SCHEMA)
-            for account in range(self.config.accounts_per_partition):
-                checking.insert(account, row)
-                savings.insert(account, row)
+        accounts = range(self.config.accounts_per_partition)
+        for server in cluster.servers.values():
+            for name in ("checking", "savings"):
+                server.store.create_table(name, schema=self.SCHEMA).insert_many(accounts, row)
 
     def make_source(self, cluster: "Cluster", partition_id: int, stream_id: int) -> _SmallbankSource:
         return _SmallbankSource(self, cluster, partition_id, self.rng(cluster, partition_id, stream_id))

@@ -153,11 +153,9 @@ class YCSBWorkload(Workload):
     # -- loading ------------------------------------------------------------------
     def load(self, cluster: "Cluster") -> None:
         row = {f"field{i}": 0 for i in range(FIELDS)}
-        for partition_id, server in cluster.servers.items():
-            table = server.store.create_table(TABLE, schema=SCHEMA)
-            insert = table.insert
-            for key in range(self.config.keys_per_partition):
-                insert(key, row)
+        keys = range(self.config.keys_per_partition)
+        for server in cluster.servers.values():
+            server.store.create_table(TABLE, schema=SCHEMA).insert_many(keys, row)
 
     # -- transaction streams --------------------------------------------------------
     def make_source(self, cluster: "Cluster", partition_id: int, stream_id: int) -> YCSBSource:

@@ -7,6 +7,8 @@ A/B run, and fault-free runs drop log history (the other half of the memory
 budget) while faulted runs keep it for recovery.
 """
 
+import json
+
 import pytest
 
 from repro.scales import SCALES, resolve_scale
@@ -80,6 +82,22 @@ def test_columnar_and_dict_backends_are_bit_identical(workload):
     assert auto["extra"]["config"].pop("storage_backend") == "auto"
     assert ref["extra"]["config"].pop("storage_backend") == "dict"
     assert auto == ref
+
+
+def _insert_per_row(table, keys, row):
+    for key in keys:
+        table.insert(key, row)
+
+
+@pytest.mark.parametrize("backend", ["auto", "dict"])
+@pytest.mark.parametrize("workload", ["ycsb", "smallbank"])
+def test_bulk_load_and_per_row_load_are_byte_identical(workload, backend, monkeypatch):
+    """``insert_many`` is only a faster way to run the loaders' insert loop."""
+    spec = tiny(workload, config_overrides={"storage_backend": backend})
+    bulk = json.dumps(run(spec).to_json_dict(), sort_keys=True)
+    monkeypatch.setattr(ColumnarTable, "insert_many", _insert_per_row)
+    monkeypatch.setattr(Table, "insert_many", _insert_per_row)
+    assert json.dumps(run(spec).to_json_dict(), sort_keys=True) == bulk
 
 
 # -- log retention (the other half of the memory budget) -----------------------

@@ -100,6 +100,27 @@ def test_non_numeric_value_rolls_back_cleanly():
     assert table.get(1).value == {"a": 2, "b": 0.0}
 
 
+def test_non_numeric_write_to_an_existing_row_raises_table_error():
+    """Overwrites report a bad value the way appends do, not as a raw TypeError."""
+    table = make_table()
+    record = table.insert(0, {"a": 1, "b": 0.0})
+    message = "column 'a' of columnar table 't' is numeric; got 'x'"
+    with pytest.raises(TableError, match=message):
+        record.install({"a": "x"}, ts=1.0)
+    with pytest.raises(TableError, match=message):
+        record.install_fields({"a": "x"}, ts=1.0)
+    with pytest.raises(TableError, match=message):
+        record.value = {"a": "x"}
+    with pytest.raises(TableError, match=message):
+        table.upsert(0, {"a": "x"})
+    # The failed writes installed nothing: timestamps and version are untouched.
+    assert (record.wts, record.rts, record.version) == (0.0, 0.0, 0)
+    table.delete(0)
+    with pytest.raises(TableError, match=message):
+        table.insert(0, {"a": "x"})  # tombstone re-insert overwrites in place
+    assert table.get(0) is None and len(table) == 0
+
+
 # -- record semantics ----------------------------------------------------------
 
 def test_record_install_updates_timestamps_and_version():
