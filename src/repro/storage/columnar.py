@@ -164,10 +164,11 @@ class ColumnarRecord:
         row = self._row
         return {name: col[row] for name, col in self._t._columns}
 
-    def _set_value(self, new_value: dict) -> None:
-        self._t._write_row(self._row, new_value, full=True)
+    value = property(snapshot)
 
-    value = property(snapshot, _set_value)
+    @value.setter
+    def value(self, new_value: dict) -> None:
+        self._t._write_row(self._row, new_value, full=True)
 
     def get(self, column: str, default: Any = None) -> Any:
         col = self._t._by_name.get(column)
@@ -323,6 +324,12 @@ class ColumnarTable:
             f"numeric; got {item!r}"
         )
 
+    def _check_columns(self, value: dict) -> None:
+        by_name = self._by_name
+        for col in value:
+            if col not in by_name:
+                raise self._unknown_column(col)
+
     def _write_row(self, row: int, values: dict, *, full: bool) -> None:
         by_name = self._by_name
         for col, value in values.items():
@@ -339,11 +346,7 @@ class ColumnarTable:
                     arr[row] = 0
 
     def _append_row(self, key, value: dict) -> int:
-        by_name = self._by_name
-        if len(value) > len(by_name) or any(col not in by_name for col in value):
-            raise self._unknown_column(
-                next(col for col in value if col not in by_name)
-            )
+        self._check_columns(value)
         row = self._n_rows
         if self._dense and not (type(key) is int and key == row):
             self._go_sparse()
@@ -412,10 +415,7 @@ class ColumnarTable:
 
     def _append_rows(self, n: int, value: dict) -> None:
         """Append ``n`` dense rows holding ``value`` in O(columns) operations."""
-        by_name = self._by_name
-        for col in value:
-            if col not in by_name:
-                raise self._unknown_column(col)
+        self._check_columns(value)
         # Check every cell before the first column grows, so a rejected
         # template appends nothing.
         cells = []
