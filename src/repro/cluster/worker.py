@@ -14,21 +14,23 @@ one of two modes sharing a single retry body (:func:`_drive`):
 A fiber drives each transaction through the cluster's protocol with
 exponential back-off on aborts (§6.1.3), hands the committed transaction to
 the durability scheme, and — without blocking on the group commit — moves on
-to the next transaction.  A completion *callback* (one slotted object per
-committed transaction, attached straight to the durability event) records
-end-to-end latency once the result is durable, so latency includes the
-``return`` component without stalling the execution pipeline.  The durability
-schemes wake whole batches of these callbacks through one shared fast-lane
-notify (:meth:`~repro.sim.engine.Environment.succeed_all`): a group commit
-releasing ``k`` transactions costs one scheduled event, not ``k`` process
-resumptions.
+to the next transaction.  What waits for durability is a
+:class:`~repro.commit.base.CommitReceipt` (one slotted callback per committed
+transaction, attached straight to the durability event), not the transaction:
+the attempt — read-set, snapshots, write-set, context — dies when
+:func:`_drive` returns.  The receipt records end-to-end latency once the
+result is durable, so latency includes the ``return`` component without
+stalling the execution pipeline.  The durability schemes wake whole batches
+of these callbacks through one shared fast-lane notify
+(:meth:`~repro.sim.engine.Environment.succeed_all`): a group commit releasing
+``k`` transactions costs one scheduled event, not ``k`` process resumptions.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from ..commit.base import DURABLE
+from ..commit.base import CommitReceipt
 from ..sim.network import NodeUnreachable
 from ..txn.transaction import AbortReason
 
@@ -39,33 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..workloads.base import TxnSource
 
 __all__ = ["open_worker_loop", "worker_loop"]
-
-
-class _Completion:
-    """Durability-event callback recording one transaction's completion.
-
-    Replaces the old per-transaction ``_await_durability`` fiber: attaching a
-    callback costs one slotted object, where spawning a process cost a
-    generator frame, a Process event and a fast-lane kick-off event — all on
-    the per-commit path.
-    """
-
-    __slots__ = ("cluster", "server", "txn")
-
-    def __init__(self, cluster: "Cluster", server: "Server", txn):
-        self.cluster = cluster
-        self.server = server
-        self.txn = txn
-
-    def __call__(self, event) -> None:
-        cluster = self.cluster
-        txn = self.txn
-        txn.durable_time = cluster.env.now
-        txn.add_breakdown("return", max(0.0, txn.durable_time - txn.commit_end_time))
-        if event._value == DURABLE:
-            cluster.record_durable(self.server, txn)
-        else:
-            cluster.record_crash_abort(self.server, txn)
 
 
 def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
@@ -120,7 +95,7 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
                 yield timeout(overhead)
             cluster.record_commit(server, txn)
             durable_event = durability.transaction_executed(server, txn)
-            durable_event.add_callback(_Completion(cluster, server, txn))
+            durable_event.add_callback(CommitReceipt(cluster, txn))
             break
 
         cluster.record_abort(server, txn)

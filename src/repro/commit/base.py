@@ -12,8 +12,16 @@ This is where the schemes compared in §6.4 differ:
   (implemented in :mod:`repro.core.watermark`);
 * ``none`` — acknowledge immediately (unit tests and micro-benches).
 
-The worker loop calls :meth:`transaction_executed` and waits on the returned
-event; the event's value is ``"durable"`` or ``"crash_aborted"``.
+The worker loop calls :meth:`transaction_executed` and attaches a
+:class:`CommitReceipt` to the returned event; the event's value is
+``"durable"`` or ``"crash_aborted"``.
+
+**Lifetime contract.**  Commit is the end of an attempt's life: read what you
+need from ``txn`` *inside* :meth:`transaction_executed` (``effective_ts()``,
+``all_partitions()``, per-partition ``last_lsn``); keep no reference.  What
+waits for durability is the event, those scalars and the receipt — not the
+read-set, row snapshots, write-set and indexes — so the state awaiting a group
+commit is O(1) per transaction (``tests/commit/test_commit_lifetime.py``).
 """
 
 from __future__ import annotations
@@ -27,10 +35,34 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.server import Server
     from ..txn.transaction import Transaction
 
-__all__ = ["DurabilityScheme", "DURABLE", "CRASH_ABORTED"]
+__all__ = ["CommitReceipt", "DurabilityScheme", "DURABLE", "CRASH_ABORTED"]
 
 DURABLE = "durable"
 CRASH_ABORTED = "crash_aborted"
+
+
+class CommitReceipt:
+    """All that outlives a committed attempt: the durability-event callback.
+
+    Holds the three things the cluster's accounting reads once the outcome
+    is known — the end-to-end latency anchor, the commit instant (the
+    ``return`` component runs from it) and the breakdown dict, *moved* from
+    the transaction, which nothing touches after commit.
+    """
+
+    __slots__ = ("cluster", "first_start_time", "commit_end_time", "breakdown")
+
+    def __init__(self, cluster: "Cluster", txn: "Transaction"):
+        self.cluster = cluster
+        self.first_start_time = txn.first_start_time
+        self.commit_end_time = txn.commit_end_time
+        self.breakdown = txn.breakdown
+
+    def __call__(self, event: Event) -> None:
+        if event._value == DURABLE:
+            self.cluster.record_durable(self)
+        else:
+            self.cluster.record_crash_abort(self)
 
 
 class DurabilityScheme:

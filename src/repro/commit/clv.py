@@ -31,10 +31,9 @@ __all__ = ["ControlledLockViolation"]
 
 
 class _PendingTxn:
-    __slots__ = ("txn", "event", "needed")
+    __slots__ = ("event", "needed")
 
-    def __init__(self, txn, event: Event, needed: dict[int, int]):
-        self.txn = txn
+    def __init__(self, event: Event, needed: dict[int, int]):
         self.event = event
         # partition id -> LSN that must be durable on that partition.
         self.needed = needed
@@ -67,7 +66,7 @@ class ControlledLockViolation(DurabilityScheme):
         for partition_id in sorted(txn.all_partitions()):
             target = self.cluster.servers[partition_id]
             needed[partition_id] = target.log.last_lsn
-        self._pending.append(_PendingTxn(txn, done, needed))
+        self._pending.append(_PendingTxn(done, needed))
         return done
 
     def _flusher(self, partition_id: int):

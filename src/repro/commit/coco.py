@@ -38,7 +38,7 @@ class _PartitionEpochState:
         self.env = env
         self.closed = False
         self.open_event: Optional[Event] = None
-        # epoch number -> list of (txn, completion event)
+        # epoch number -> completion events of the epoch's transactions
         self.pending: dict[int, list] = {}
         self.inflight = 0
         self.drained_event: Optional[Event] = None
@@ -95,7 +95,7 @@ class CocoGroupCommit(DurabilityScheme):
     def transaction_executed(self, server, txn) -> Event:
         done = self.env.event()
         state = self._states[server.partition_id]
-        state.pending.setdefault(self.epoch, []).append((txn, done))
+        state.pending.setdefault(self.epoch, []).append(done)
         return done
 
     # -- epoch protocol ---------------------------------------------------------
@@ -176,7 +176,7 @@ class CocoGroupCommit(DurabilityScheme):
         for state in self._states.values():
             released = []
             for pending_epoch in [e for e in state.pending if e <= epoch]:
-                for _txn, done in state.pending.pop(pending_epoch):
+                for done in state.pending.pop(pending_epoch):
                     if not done.triggered:
                         released.append(done)
             if released:

@@ -28,11 +28,11 @@ class SyncDurability(DurabilityScheme):
 
     def transaction_executed(self, server: "Server", txn: "Transaction") -> Event:
         done = self.env.event()
-        self.env.process(self._flush_all(server, txn, done), name=f"sync-flush-{txn.tid}")
+        self.env.process(self._flush_all(sorted(txn.all_partitions()), done),
+                         name=f"sync-flush-{txn.tid}")
         return done
 
-    def _flush_all(self, server, txn, done: Event):
-        partitions = sorted(txn.all_partitions())
+    def _flush_all(self, partitions: list, done: Event):
         flush_processes = []
         for partition_id in partitions:
             target = self.cluster.servers[partition_id]

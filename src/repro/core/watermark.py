@@ -51,7 +51,7 @@ class _PartitionWatermarkState:
         # Last watermark heard from every partition (including ourselves).
         self.table = {p: 0.0 for p in range(n_partitions)}
         self.wg = 0.0
-        # Executed transactions waiting for the global watermark: (ts, txn, event).
+        # Executed transactions waiting for the global watermark: (ts, event).
         self.pending: list = []
 
 
@@ -88,7 +88,7 @@ class WatermarkGroupCommit(DurabilityScheme):
             # very fast transactions): durable immediately.
             done.succeed(DURABLE)
             return done
-        state.pending.append((ts, txn, done))
+        state.pending.append((ts, done))
         return done
 
     # -- the per-partition loop -------------------------------------------------------
@@ -193,10 +193,10 @@ class WatermarkGroupCommit(DurabilityScheme):
         still_pending = []
         wg = state.wg
         for pending in state.pending:
-            if pending[2].triggered:
+            if pending[1].triggered:
                 continue
             if pending[0] < wg:
-                released.append(pending[2])
+                released.append(pending[1])
             else:
                 still_pending.append(pending)
         state.pending = still_pending
@@ -224,7 +224,7 @@ class WatermarkGroupCommit(DurabilityScheme):
             for p in state.table:
                 state.table[p] = max(state.table[p], agreed_wg)
             remaining = []
-            for ts, txn, event in state.pending:
+            for ts, event in state.pending:
                 if event.triggered:
                     continue
                 if ts < agreed_wg:

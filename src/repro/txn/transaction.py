@@ -130,9 +130,15 @@ class WriteEntry:
     local: bool = True
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, weakref_slot=True)
 class Transaction:
-    """Runtime state of a single transaction attempt."""
+    """Runtime state of a single transaction attempt.
+
+    An attempt ends at commit: the worker keeps a
+    :class:`~repro.commit.base.CommitReceipt`, nothing keeps the transaction
+    (weak references exist so ``tests/commit/test_commit_lifetime.py`` can
+    watch it die).
+    """
 
     tid: TxnId
     coordinator: int
@@ -161,7 +167,6 @@ class Transaction:
     start_time: float = 0.0
     execute_end_time: float = 0.0
     commit_end_time: float = 0.0
-    durable_time: float = 0.0
     first_start_time: float = 0.0  # across retries, for end-to-end latency
 
     # Per-component time (µs) for the latency-breakdown figures; protocols fill
