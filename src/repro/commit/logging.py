@@ -89,10 +89,16 @@ class LogManager:
         return record
 
     def append_writeset(self, txn, entries, before_images: dict) -> LogRecord:
-        """Append the redo/undo record for one transaction on this partition."""
+        """Append the redo/undo record for one transaction on this partition.
+
+        The record takes ownership of each entry's ``updates`` dict rather
+        than copying it a second time (``TxnContext`` already made it private
+        to the attempt, which ends at commit); storage copies values *out* of
+        it on install, so the payload never aliases a live row.
+        """
         payload = {
             "writes": [
-                (entry.table, entry.key, dict(entry.updates), entry.is_insert, entry.is_delete)
+                (entry.table, entry.key, entry.updates, entry.is_insert, entry.is_delete)
                 for entry in entries
             ],
             "before_images": before_images,

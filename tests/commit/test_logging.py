@@ -1,11 +1,18 @@
 """Tests for the write-ahead log manager and its replication-backed flushes."""
 
+import copy
 
+import pytest
+
+from repro.cluster.cluster import Cluster
 from repro.commit.logging import LogManager, LogRecordKind
+from repro.protocols.base import install_write_entries
 from repro.replication.raft import ReplicationGroup
 from repro.sim.engine import Environment
 from repro.sim.network import Network
 from repro.txn.transaction import Transaction, TxnId, WriteEntry
+
+from tests.conftest import tiny_config, tiny_ycsb
 
 
 def make_log(n_replicas=3):
@@ -110,3 +117,52 @@ def test_single_replica_group_still_persists():
     log.append(LogRecordKind.WRITESET, txn_ts=1.0)
     assert flush(env, log) == 1
     assert log.durable_lsn == 1
+
+
+@pytest.mark.parametrize("backend", ["auto", "dict"])
+def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend):
+    """The WRITESET record keeps the attempt's ``updates`` dicts themselves.
+
+    Storage copies values *out* of them on install, so whatever happens to
+    the rows afterwards — later commits, in-place edits — neither the log
+    payload nor the §5.2 rollback it feeds can change.
+    """
+    cluster = Cluster(tiny_config("primo", storage_backend=backend), tiny_ycsb())
+    server = cluster.servers[0]
+    server.log.retain_history = True   # as under a fault plan
+    table = server.store.table("usertable")
+    original = {key: table.get(key).snapshot() for key in (1, 2)}
+    fresh_key = len(table)
+    assert table.get(fresh_key) is None
+    update, insert = {"field0": 111}, {"field0": 222, "field1": 333}
+    txn = server.new_transaction()
+    txn.ts = 5.0
+    install_write_entries(server, txn, [
+        WriteEntry(partition=0, table="usertable", key=1, updates=update),
+        WriteEntry(partition=0, table="usertable", key=fresh_key, updates=insert,
+                   is_insert=True),
+    ], commit_ts=5.0)
+    (record,) = server.log.records(LogRecordKind.WRITESET)
+    writes = record.payload["writes"]
+    assert writes[0][2] is update and writes[1][2] is insert   # owned, not copied
+    payload_then = copy.deepcopy(record.payload)
+
+    # A later commit and direct edits of the live rows.
+    table.get(1).install_fields({"field0": 999, "field1": 998}, ts=6.0)
+    table.get(2).install_fields({"field0": 997}, ts=6.0)
+    inserted = table.get(fresh_key)
+    inserted.value = {"field0": -1}
+    if backend == "dict":
+        inserted.value["field1"] = -2      # the row's own dict, edited in place
+        table.get(1).value["field0"] = -3
+    assert record.payload == payload_then
+
+    rolled_back = cluster.recovery._rollback_partition(server, 5.0)
+    assert rolled_back == 1
+    assert table.get(1).snapshot() == original[1]      # the before-image
+    assert table.get(fresh_key) is None                # the insert is undone
+    assert record.payload == payload_then
+    # Rows restored from the log do not alias it either.
+    table.get(1).install_fields({"field0": 555}, ts=7.0)
+    assert record.payload == payload_then
+    assert table.get(2).get("field0") == 997           # untouched by the rollback
