@@ -319,6 +319,7 @@ class ColumnarTable:
         )
 
     def _not_numeric(self, col, item) -> TableError:
+        """A value the column's array rejects: wrong type, or out of range."""
         return TableError(
             f"column {col!r} of columnar table {self.name!r} is "
             f"numeric; got {item!r}"
@@ -338,7 +339,7 @@ class ColumnarTable:
                 raise self._unknown_column(col)
             try:
                 arr[row] = value
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise self._not_numeric(col, value) from exc
         if full:
             for col, arr in self._columns:
@@ -357,7 +358,7 @@ class ColumnarTable:
             item = value.get(col, 0)
             try:
                 arr.append(item)
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 # Roll the half-appended row back before raising so the
                 # arrays stay rectangular.
                 for _, done in self._columns:
@@ -423,7 +424,7 @@ class ColumnarTable:
             item = value.get(col, 0)
             try:
                 cells.append(array(arr.typecode, [item]))
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise self._not_numeric(col, item) from exc
         # One column-sized transient alive at a time: the million-key tiers'
         # memory ceiling is measured across the load.

@@ -121,6 +121,54 @@ def test_non_numeric_write_to_an_existing_row_raises_table_error():
     assert table.get(0) is None and len(table) == 0
 
 
+def rectangular(table):
+    """Every column and metadata array holds exactly ``_n_rows`` cells."""
+    lengths = {len(arr) for _, arr in table._columns}
+    lengths |= {len(table._wts), len(table._rts), len(table._version),
+                len(table._deleted)}
+    return lengths == {table._n_rows}
+
+
+@pytest.mark.parametrize("huge, col", [(2**70, "a"), (-2**70, "a"), (10**400, "b")],
+                         ids=["int_too_large", "int_too_small", "float_overflow"])
+def test_out_of_range_value_is_a_table_error_like_a_non_numeric_one(huge, col):
+    """``array`` raises OverflowError, not TypeError, for an int that does not
+    fit the 64-bit cell; it must roll back and report the same way."""
+    good = {"a": 1, "b": 0.0}
+    bad = {**good, col: huge}
+    message = f"column '{col}' of columnar table 't' is numeric; got {huge}"
+    table = make_table()
+    record = table.insert(0, good)
+
+    with pytest.raises(TableError, match=message):
+        table.insert(1, bad)            # append path: rolled back
+    assert table._n_rows == 1 and rectangular(table) and table._dense
+    with pytest.raises(TableError, match=message):
+        table.insert("k", bad)          # sparse append: key map rolled back too
+    assert table._n_rows == 1 and rectangular(table) and table.get("k") is None
+    with pytest.raises(TableError, match=message):
+        table.insert_many([1, 2], bad)  # per-row loop
+    assert table._n_rows == 1 and rectangular(table)
+    with pytest.raises(TableError, match=message):
+        record.install_fields({col: huge}, ts=1.0)
+    with pytest.raises(TableError, match=message):
+        table.upsert(0, bad)
+    assert (record.wts, record.rts, record.version) == (0.0, 0.0, 0)
+    table.delete(0)
+    with pytest.raises(TableError, match=message):
+        table.insert(0, bad)            # tombstone re-insert overwrites in place
+    assert table.get(0) is None and len(table) == 0
+    table.insert(2, good)
+    assert table.get(2).value == good and rectangular(table)
+
+    dense = make_table()
+    with pytest.raises(TableError, match=message):
+        dense.insert_many(range(4), bad)  # vectorised path: appends nothing
+    assert dense._n_rows == 0 and len(dense) == 0 and rectangular(dense)
+    dense.insert_many(range(4), good)
+    assert len(dense) == 4
+
+
 # -- record semantics ----------------------------------------------------------
 
 def test_record_install_updates_timestamps_and_version():
