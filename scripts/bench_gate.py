@@ -53,10 +53,11 @@ timed repeats run untraced and memory gets its own run (whose correctness
 fields are asserted against the timed ones).  ``--check`` compares memory
 like wall clock — soft warning beyond ``--tolerance`` — unless
 ``--enforce-memory`` is given, which turns a memory regression into a hard
-failure.  That flag backs the CI ``xlarge-smoke`` job: it runs just the
-million-key row (``--rows ycsb_xlarge``) and asserts the columnar storage
-tier still fits its recorded ceiling.  ``--rows`` restricts the measured
-end-to-end rows (micro benches are skipped when it is given).
+failure.  The CI ``bench-gate`` job passes it for every row: the million-key
+row asserts the columnar storage tier still fits its recorded ceiling, the
+small rows that committed transactions are not retained while they wait for
+their group commit.  ``--rows`` restricts the measured end-to-end rows
+(micro benches are skipped when it is given).
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def check(current: dict, baseline: dict, tolerance: float,
             # Memory verdict.  tracemalloc peaks are far more machine-stable
             # than wall clock (they count Python-allocator bytes, not time),
             # so a blown ceiling is meaningful anywhere — but still soft by
-            # default; --enforce-memory (the xlarge-smoke CI job) hardens it.
+            # default; --enforce-memory (the bench-gate CI job) hardens it.
             mem_ratio = cur_mem / base_mem
             regressed = mem_ratio > 1.0 + tolerance
             if regressed and enforce_memory:
