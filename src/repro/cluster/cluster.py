@@ -236,7 +236,7 @@ class Cluster:
         if "_counted" not in breakdown:
             return
         metrics = self.metrics
-        durable_time = self.env._now
+        durable_time = self.env.now
         latency = max(0.0, durable_time - receipt.first_start_time)
         metrics.latency.record(latency)
         if metrics.timeline is not None:

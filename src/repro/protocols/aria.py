@@ -110,16 +110,14 @@ class AriaProtocol(BaseProtocol):
             # ---- sequencing + execution phase -----------------------------------
             # The attempts live in the partition fibers, then only in
             # ``execution_results``, which the commit phase empties.
-            batch = self._assemble_batch(sources, carry_over)
             execution_results: list = []
             yield all_of(self.env, [
                 self.env.process(
                     self._execute_partition(
-                        self.cluster.servers[partition], batch.pop(partition),
-                        execution_results),
+                        self.cluster.servers[partition], entries, execution_results),
                     name=f"aria-exec-p{partition}",
                 )
-                for partition in range(config.n_partitions)
+                for partition, entries in self._assemble_batch(sources, carry_over).items()
             ])
             execution_end = self.env.now
 
