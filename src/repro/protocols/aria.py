@@ -107,79 +107,76 @@ class AriaProtocol(BaseProtocol):
             self._batch_counter += 1
             self.stats["batches"] += 1
 
-            # ---- sequencing + execution phase -----------------------------------
-            # The attempts live in the partition fibers, then only in
-            # ``execution_results``, which the commit phase empties.
+            # ---- sequencing: assemble the batch -------------------------------
+            batch: dict[int, list] = {}
+            for partition in range(config.n_partitions):
+                entries = list(carry_over[partition])
+                while len(entries) < config.aria_batch_size_per_partition:
+                    spec = sources[partition].next()
+                    server = self.cluster.servers[partition]
+                    txn = server.new_transaction(spec.name)
+                    txn.first_start_time = self.env.now
+                    entries.append((spec, txn))
+                batch[partition] = entries
+                carry_over[partition] = []
+
+            # ---- execution phase ------------------------------------------------
             execution_results: list = []
-            yield all_of(self.env, [
-                self.env.process(
-                    self._execute_partition(
-                        self.cluster.servers[partition], entries, execution_results),
-                    name=f"aria-exec-p{partition}",
+            partition_processes = []
+            for partition, entries in batch.items():
+                server = self.cluster.servers[partition]
+                partition_processes.append(
+                    self.env.process(
+                        self._execute_partition(server, entries, execution_results),
+                        name=f"aria-exec-p{partition}",
+                    )
                 )
-                for partition, entries in self._assemble_batch(sources, carry_over).items()
-            ])
+            yield all_of(self.env, partition_processes)
             execution_end = self.env.now
 
             # ---- barrier 1: exchange reservations --------------------------------
             yield from self._barrier()
 
-            self._commit_batch(execution_results, carry_over, execution_end)
+            # ---- commit phase ------------------------------------------------------
+            for txn, spec, ok, server in execution_results:
+                if not ok:
+                    txn.abort_reason = txn.abort_reason or AbortReason.VALIDATION
+                    self.cluster.record_abort(server, txn)
+                    if txn.abort_reason is not AbortReason.USER:
+                        fresh = server.new_transaction(spec.name)
+                        fresh.first_start_time = txn.first_start_time
+                        carry_over[server.partition_id].append((spec, fresh))
+                    continue
+                if self._lost_reservation(txn) or self._reads_conflict(txn):
+                    txn.abort_reason = AbortReason.RESERVATION
+                    self.cluster.record_abort(server, txn)
+                    self.stats["reexecutions"] += 1
+                    fresh = server.new_transaction(spec.name)
+                    fresh.first_start_time = txn.first_start_time
+                    carry_over[server.partition_id].append((spec, fresh))
+                    continue
+                commit_ts = server.highest_ts_seen + 1
+                txn.ts = commit_ts
+                for partition in sorted(txn.all_partitions()):
+                    target = self.server_of(partition)
+                    writes = txn.writes_for_partition(partition)
+                    if writes:
+                        install_write_entries(target, txn, writes, commit_ts, log=False)
+                        target.note_ts(commit_ts)
+                txn.commit_end_time = self.env.now
+                txn.add_breakdown("wait_batch", max(0.0, execution_end - txn.execute_end_time))
+                txn.add_breakdown("sequence", self.config.epoch_length_us / 2.0)
+                self.cluster.record_commit(server, txn)
+                self.cluster.record_durable(CommitReceipt(self.cluster, txn))
+            # Commit ends an attempt's life: hold none across the barrier.
+            execution_results.clear()
+            batch = entries = partition_processes = txn = None
 
             # ---- barrier 2: all partitions agree the batch is done -----------------
             yield from self._barrier()
             # Avoid spinning when the simulation is otherwise idle.
             if self.env.now - batch_start < self.config.cpu_txn_logic_us:
                 yield self.env.timeout(self.config.cpu_txn_logic_us)
-
-    def _assemble_batch(self, sources: dict, carry_over: dict) -> dict:
-        """Sequencing: top the carried-over attempts up to a full batch."""
-        batch: dict[int, list] = {}
-        for partition, entries in carry_over.items():
-            server = self.cluster.servers[partition]
-            while len(entries) < self.config.aria_batch_size_per_partition:
-                spec = sources[partition].next()
-                txn = server.new_transaction(spec.name)
-                txn.first_start_time = self.env.now
-                entries.append((spec, txn))
-            batch[partition] = entries
-            carry_over[partition] = []
-        return batch
-
-    def _commit_batch(self, execution_results: list, carry_over: dict,
-                      execution_end: float) -> None:
-        """Commit phase: deterministic aborts, installs, acknowledgements."""
-        for txn, spec, ok, server in execution_results:
-            if not ok:
-                txn.abort_reason = txn.abort_reason or AbortReason.VALIDATION
-                self.cluster.record_abort(server, txn)
-                if txn.abort_reason is not AbortReason.USER:
-                    fresh = server.new_transaction(spec.name)
-                    fresh.first_start_time = txn.first_start_time
-                    carry_over[server.partition_id].append((spec, fresh))
-                continue
-            if self._lost_reservation(txn) or self._reads_conflict(txn):
-                txn.abort_reason = AbortReason.RESERVATION
-                self.cluster.record_abort(server, txn)
-                self.stats["reexecutions"] += 1
-                fresh = server.new_transaction(spec.name)
-                fresh.first_start_time = txn.first_start_time
-                carry_over[server.partition_id].append((spec, fresh))
-                continue
-            commit_ts = server.highest_ts_seen + 1
-            txn.ts = commit_ts
-            for partition in sorted(txn.all_partitions()):
-                target = self.server_of(partition)
-                writes = txn.writes_for_partition(partition)
-                if writes:
-                    install_write_entries(target, txn, writes, commit_ts, log=False)
-                    target.note_ts(commit_ts)
-            txn.commit_end_time = self.env.now
-            txn.add_breakdown("wait_batch", max(0.0, execution_end - txn.execute_end_time))
-            txn.add_breakdown("sequence", self.config.epoch_length_us / 2.0)
-            self.cluster.record_commit(server, txn)
-            self.cluster.record_durable(CommitReceipt(self.cluster, txn))
-        execution_results.clear()
 
     def _execute_partition(self, server: "Server", entries: list, results: list) -> Generator:
         """Execute the partition's share of the batch on its worker fibers."""

@@ -130,14 +130,12 @@ class WriteEntry:
     local: bool = True
 
 
-@dataclass(slots=True, weakref_slot=True)
+@dataclass(slots=True)
 class Transaction:
     """Runtime state of a single transaction attempt.
 
     An attempt ends at commit: the worker keeps a
-    :class:`~repro.commit.base.CommitReceipt`, nothing keeps the transaction
-    (weak references exist so ``tests/commit/test_commit_lifetime.py`` can
-    watch it die).
+    :class:`~repro.commit.base.CommitReceipt`, nothing keeps the transaction.
     """
 
     tid: TxnId

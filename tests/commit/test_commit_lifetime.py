@@ -11,7 +11,6 @@ nothing depends on the machine.
 """
 
 import gc
-import weakref
 
 import pytest
 
@@ -45,6 +44,11 @@ def spy_on(obj, method, probe):
     setattr(obj, method, wrapper)
 
 
+def live_attempts():
+    """The ``tid`` of every ``Transaction`` that is still allocated."""
+    return {obj.tid for obj in gc.get_objects() if type(obj) is Transaction}
+
+
 @pytest.mark.parametrize("scheme", sorted(DURABILITY_REGISTRY.names()))
 def test_committed_transaction_dies_while_its_durability_event_is_pending(
         scheme, no_collector):
@@ -53,13 +57,13 @@ def test_committed_transaction_dies_while_its_durability_event_is_pending(
     cluster = Cluster(tiny_config("sundial", durability=scheme), tiny_ycsb())
     handed_over = []
     spy_on(cluster.durability, "transaction_executed",
-           lambda args, event: handed_over.append((weakref.ref(args[1]), event)))
+           lambda args, event: handed_over.append((args[1].tid, event)))
     cluster.start()
     # Mid-epoch (epochs close at multiples of 2 ms): a group commit is open.
     cluster.env.run(until=2_000.0 + 1_700.0)
 
     assert len(handed_over) > 20
-    assert all(txn() is None for txn, _ in handed_over)
+    assert live_attempts().isdisjoint(tid for tid, _ in handed_over)
     waiting = sum(1 for _, event in handed_over if not event.triggered)
     if scheme in ("coco", "wm"):
         # Epoch-long waits: the property was checked on real pending state.
@@ -75,14 +79,14 @@ def test_aria_committed_transaction_dies_with_its_batch_commit(no_collector):
     cluster = Cluster(tiny_config("aria"), tiny_ycsb())
     committed = []
     spy_on(cluster, "record_commit",
-           lambda args, _: committed.append(weakref.ref(args[1])))
+           lambda args, _: committed.append(args[1].tid))
     cluster.start()
     # Between two events the batch loop is parked in an execution phase or a
     # barrier; sample finely enough to land in the barrier that follows a
     # commit phase.  Every attempt that committed is already gone.
     for now in range(2_000, 6_000, 25):
         cluster.env.run(until=float(now))
-        assert all(txn() is None for txn in committed)
+        assert live_attempts().isdisjoint(committed)
     assert len(committed) > 20
 
 
