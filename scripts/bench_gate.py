@@ -5,14 +5,8 @@ Runs the simulation-substrate micro-benchmarks (engine dispatch, timeouts,
 process spawn, network rpc/send, Zipf sampling) plus fixed-seed end-to-end
 YCSB and TPC-C runs, and writes the samples to ``BENCH_substrate.json`` at
 the repo root.  The JSON file is committed so every PR leaves a perf
-trajectory the next one can compare against; ``git_sha``, ``generated_at``
-and ``engine_backend`` (which scheduler kernel produced the samples — see
-``repro/sim/engine.py``) metadata make the committed trajectory
-self-describing.  When ``--check`` compares runs from *different* backends,
-wall-clock ratios are reported informationally instead of as soft
-regressions — they measure the kernel swap, not a code change — while the
-fixed-seed correctness fields stay enforced (bit-identity across backends is
-the engine contract).
+trajectory the next one can compare against; ``git_sha`` and
+``generated_at`` metadata make the committed trajectory self-describing.
 
 Modes
 -----
@@ -78,7 +72,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.micro import MICRO_BENCHMARKS  # noqa: E402
-from repro.sim.engine import ENGINE_BACKEND  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_substrate.json"
 # v7: every end-to-end row times cluster construction as ``load_s`` beside
@@ -93,9 +86,7 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_substrate.json"
 # columnar storage backend's flagship tier) joins the table alongside the
 # ``zipf_1m`` micro bench.  v4 added the fixed-seed *open-loop* end-to-end
 # row (Poisson arrivals at 0.8x of measured saturation) and stamped each
-# row's arrival mode.  v3 added ``engine_backend`` metadata (which scheduler
-# kernel produced the samples); perf ratios against a baseline from the
-# other backend are informational, not regressions.
+# row's arrival mode.
 SCHEMA_VERSION = 7
 
 
@@ -312,20 +303,6 @@ def check(current: dict, baseline: dict, tolerance: float,
         "| check | status |",
         "| --- | --- |",
     ]
-    # Wall-clock comparisons across different scheduler kernels measure the
-    # backend swap, not a regression: report them informationally.  The
-    # correctness fields below are backend-independent (bit-identity is the
-    # engine contract) and stay enforced regardless.
-    base_backend = baseline.get("engine_backend", "py")
-    cur_backend = current.get("engine_backend", "py")
-    backend_differs = base_backend != cur_backend
-    if backend_differs:
-        note = (
-            f"engine backend differs from baseline ({base_backend} → "
-            f"{cur_backend}); perf ratios below are informational"
-        )
-        print(f"note: {note}")
-        summary.append(f"| engine backend | ℹ️ {note} |")
     for row in E2E_ROWS:
         row_name = row.name
         if row_name not in current:
@@ -362,11 +339,9 @@ def check(current: dict, baseline: dict, tolerance: float,
             if not base_wall:
                 continue  # a baseline older than the field
             ratio = base_wall / cur_row[key] if cur_row[key] else 1.0
-            regressed = (not backend_differs and ratio < 1.0 - tolerance
+            regressed = (ratio < 1.0 - tolerance
                          and cur_row[key] - base_wall > WALL_FLOOR_S)
-            if backend_differs:
-                status, marker = "informational (backend differs)", "ℹ️"
-            elif regressed:
+            if regressed:
                 status, marker = "REGRESSION (soft)", "⚠️ **soft regression**"
             else:
                 status, marker = "ok", "✅"
@@ -413,10 +388,8 @@ def check(current: dict, baseline: dict, tolerance: float,
             summary.append(f"| `{name}` | ➕ no baseline sample |")
             continue
         ratio = sample["ops_per_s"] / base["ops_per_s"] if base["ops_per_s"] else 1.0
-        regressed = not backend_differs and ratio < 1.0 - tolerance
-        if backend_differs:
-            status, marker = "informational (backend differs)", "ℹ️"
-        elif regressed:
+        regressed = ratio < 1.0 - tolerance
+        if regressed:
             status, marker = "REGRESSION (soft)", "⚠️ **soft regression**"
         else:
             status, marker = "ok", "✅"
@@ -471,7 +444,6 @@ def main() -> int:
                                          .isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "engine_backend": ENGINE_BACKEND,
         **measure(args.repeats, rows=rows, include_micro=rows is None),
     }
 

@@ -1,19 +1,9 @@
-"""Packaging entry point: pure-Python package + optional compiled kernel.
-
-The library itself is dependency-free pure Python; the one native piece is
-the optional scheduler kernel ``repro.sim._ckernel`` (see ``repro/sim/
-engine.py`` for how it is selected at import).  The extension is built
-best-effort: a missing compiler or failed compile degrades to the pure-Python
-reference kernel instead of failing the install.  ``python
-scripts/build_ckernel.py`` builds it in place for source checkouts.
-"""
+"""Packaging entry point: a dependency-free pure-Python package under ``src/``."""
 
 import re
 from pathlib import Path
 
-from setuptools import Extension, find_packages, setup
-from setuptools.command.build_ext import build_ext
-from setuptools.errors import CCompilerError, ExecError, PlatformError
+from setuptools import find_packages, setup
 
 REPO_ROOT = Path(__file__).resolve().parent
 
@@ -23,42 +13,9 @@ def _version() -> str:
     return re.search(r'^__version__ = "([^"]+)"', text, re.MULTILINE).group(1)
 
 
-class optional_build_ext(build_ext):
-    """Build the C kernel if we can; fall back to pure Python if we can't."""
-
-    _BUILD_ERRORS = (CCompilerError, ExecError, PlatformError, OSError)
-
-    def run(self):
-        try:
-            super().run()
-        except self._BUILD_ERRORS as exc:
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except self._BUILD_ERRORS as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            "WARNING: building repro.sim._ckernel failed; the pure-Python "
-            f"scheduler kernel will be used instead ({exc})"
-        )
-
-
 setup(
     name="repro-primo",
     version=_version(),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    ext_modules=[
-        Extension(
-            "repro.sim._ckernel",
-            sources=["src/repro/sim/_ckernel.c"],
-            optional=True,
-        )
-    ],
-    cmdclass={"build_ext": optional_build_ext},
 )

@@ -37,8 +37,7 @@ arrival kind, the stream label and the partition via ``stable_hash``) and one
 transaction source whose ``next()`` is drawn exactly once per arrival, at
 enqueue time, in arrival order — the draw-order contract documented on
 :class:`repro.workloads.base.TxnSource`.  Arrival events are plain engine
-timeouts, so they ride both scheduler kernels (py and C) through the foreign
--event protocol unchanged.
+timeouts.
 """
 
 from __future__ import annotations
@@ -412,7 +411,7 @@ class AdmissionQueue:
     queue instead of unbounded memory growth.  ``take``/``wait`` give service
     fibers a lost-wakeup-free dequeue: waiter events are appended before
     control returns to the engine and woken one-per-offer in FIFO order, so
-    dequeue order is deterministic under both scheduler kernels.
+    dequeue order is deterministic.
     """
 
     __slots__ = ("_env", "capacity", "_items", "_waiters",
@@ -521,12 +520,12 @@ def start_open_loop(cluster: "Cluster") -> None:
             ))
             ctx = ArrivalContext(env, partition_id, label, interval_us,
                                  total_us, rng, source, params)
-            env.process(
+            cluster.fibers.append(env.process(
                 _arrival_loop(cluster, queue, source, handler.gaps(ctx)),
                 name=f"arrival-p{partition_id}-{label}",
-            )
+            ))
         for fiber_id in range(config.concurrency_per_partition):
-            env.process(
+            cluster.fibers.append(env.process(
                 open_worker_loop(cluster, server, queue),
                 name=f"service-p{partition_id}-{fiber_id}",
-            )
+            ))

@@ -7,8 +7,8 @@ missing.  ``--emit-json`` writes the per-figure data dictionaries plus sweep
 accounting as a machine-readable artifact (used by the figures-smoke CI job).
 
 The registries are the CLI's source of truth: ``--list protocols`` (or
-``workloads``/``durability``/``figures``/``scales``/``faults``/``arrivals``/
-``engines``) prints
+``workloads``/``durability``/``figures``/``scales``/``faults``/``arrivals``)
+prints
 everything currently registered — including extensions registered by imported
 user code — and ``--scenario file.json`` runs declarative
 :class:`~repro.scenario.ScenarioSpec` documents — fault plans and workload
@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
-from ..sim import engine as sim_engine
 from ..registry import (
     ARRIVAL_REGISTRY,
     DURABILITY_REGISTRY,
@@ -70,21 +68,7 @@ LISTINGS = {
     "arrivals": lambda: [
         (e.name, _arrival_blurb(e)) for e in ARRIVAL_REGISTRY.entries()
     ],
-    "engines": lambda: _engine_rows(),
 }
-
-
-def _engine_rows() -> list[tuple[str, str]]:
-    status = sim_engine.backend_status()
-
-    def _mark(name: str, blurb: str) -> str:
-        return f"{blurb} [selected]" if status["selected"] == name else blurb
-
-    return [
-        ("auto", "prefer the compiled kernel, fall back to pure Python (default)"),
-        ("py", _mark("py", status["py"])),
-        ("c", _mark("c", status["c"])),
-    ]
 
 
 def _arrival_blurb(entry) -> str:
@@ -171,7 +155,6 @@ def _run_scenarios(specs: list[ScenarioSpec], args, cache, progress, profile_dir
             "meta": {
                 "substrate_version": SUBSTRATE_VERSION,
                 "jobs": args.jobs,
-                "engine_backend": sim_engine.ENGINE_BACKEND,
             },
             "scenarios": [
                 {
@@ -185,38 +168,6 @@ def _run_scenarios(specs: list[ScenarioSpec], args, cache, progress, profile_dir
             json.dump(artifact, fh, indent=2, sort_keys=True)
         print(f"[bench] wrote {args.emit_json}", file=sys.stderr)
     return 0
-
-
-def _apply_engine(requested: str, parser: argparse.ArgumentParser, reexec: bool) -> None:
-    """Honor ``--engine`` even though the kernel was chosen at import time.
-
-    Importing :mod:`repro` pulls in the engine before this module's code
-    runs, so the backend cannot be swapped in-process.  When the resolved
-    request differs from the loaded backend, the real CLI re-executes itself
-    with ``REPRO_ENGINE`` set (and the already-resolved backend, so the new
-    process cannot loop); programmatic callers of :func:`main` get a clean
-    error telling them to set the variable before importing instead.
-    """
-    if requested == "c" and sim_engine.load_ckernel() is None:
-        parser.error(
-            "--engine c: the compiled scheduler kernel is unavailable "
-            f"({sim_engine.C_IMPORT_ERROR}); build it with "
-            "`python scripts/build_ckernel.py`"
-        )
-    if requested == "auto":
-        resolved = "c" if sim_engine.load_ckernel() is not None else "py"
-    else:
-        resolved = requested
-    if resolved == sim_engine.ENGINE_BACKEND:
-        return
-    if not reexec:
-        parser.error(
-            f"--engine {requested} resolves to the {resolved!r} kernel but the "
-            f"{sim_engine.ENGINE_BACKEND!r} kernel is already loaded; set "
-            "REPRO_ENGINE before importing repro when calling main() directly"
-        )
-    os.environ["REPRO_ENGINE"] = resolved
-    os.execv(sys.executable, [sys.executable, "-m", "repro.bench", *sys.argv[1:]])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -242,14 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         "--scenario",
         metavar="FILE",
         help="run ScenarioSpec JSON (an object or an array) instead of figures",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=sim_engine.BACKENDS,
-        default=None,
-        help="scheduler kernel: auto (compiled when available), py (pure "
-             "Python), or c (require the compiled kernel). Results are "
-             "bit-identical either way (see --list engines)",
     )
     parser.add_argument(
         "--scale",
@@ -296,8 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.engine:
-        _apply_engine(args.engine, parser, reexec=argv is None)
 
     if args.list_target:
         _print_listing(args.list_target)
@@ -366,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
                 "jobs": args.jobs,
                 "figures": figure_names,
                 "substrate_version": SUBSTRATE_VERSION,
-                "engine_backend": sim_engine.ENGINE_BACKEND,
                 "cells_total": len(all_cells),
                 "cells_executed": outcome.executed,
                 "cells_cached": outcome.cache_hits,

@@ -28,7 +28,7 @@ from ..commit.base import CommitReceipt
 from ..faults import FaultPlan, FaultScheduler, compile_legacy_faults
 from ..protocols import create_protocol
 from ..replication.membership import MembershipService
-from ..sim.engine import Environment
+from ..sim.engine import Environment, Process
 from ..sim.network import Network
 from ..sim.randgen import DeterministicRandom, derive_seed, stable_hash
 from ..sim.stats import Counter, RunMetrics, WindowedRecorder
@@ -72,6 +72,10 @@ class Cluster:
         # Per-partition open-loop admission queues (empty for closed loops);
         # their drop/depth accounting folds into ``counters`` at run end.
         self.admission_queues: dict[int, AdmissionQueue] = {}
+        # The top-level fibers (workers, arrival streams, the protocol's own
+        # loop, heartbeats).  Nothing awaits them, so a fiber that raises only
+        # records the exception on its Process; run() re-raises it.
+        self.fibers: list[Process] = []
         self.env = Environment()
         self.network = Network(
             self.env,
@@ -284,9 +288,11 @@ class Cluster:
         if self.fault_plan.requires_membership:
             self.membership.start()
             for server in self.servers.values():
-                self.env.process(self._heartbeat_loop(server), name=f"heartbeat-p{server.partition_id}")
+                self.fibers.append(self.env.process(
+                    self._heartbeat_loop(server), name=f"heartbeat-p{server.partition_id}"))
         if self.protocol.runs_own_loop:
-            self.env.process(self.protocol.run_loop(), name="protocol-loop")
+            self.fibers.append(
+                self.env.process(self.protocol.run_loop(), name="protocol-loop"))
             return
         if self.arrival is not None and self.arrival.open_loop:
             start_open_loop(self)
@@ -303,11 +309,11 @@ class Cluster:
                 for fiber_id in range(self.config.inflight_per_worker):
                     stream_id = worker_id * self.config.inflight_per_worker + fiber_id
                     source = self.new_txn_source(partition_id, stream_id)
-                    self.env.process(
+                    self.fibers.append(self.env.process(
                         worker_loop(self, server, source,
                                     think_time_us=think_time_us),
                         name=f"worker-p{partition_id}-{stream_id}",
-                    )
+                    ))
 
     def _heartbeat_loop(self, server: Server):
         # Keeps running through the post-measurement drain so the failure
@@ -358,6 +364,12 @@ class Cluster:
         finally:
             gc.set_threshold(*gc_thresholds)
             gc.unfreeze()
+        for fiber in self.fibers:
+            if not fiber.ok:
+                # A bug in a fiber, not a simulated fault (crash interrupts
+                # end a fiber successfully): the run is one client short and
+                # its numbers mean nothing.
+                raise fiber.value
         self.metrics.duration_us = self._measure_end - self._measure_start
         if self.admission_queues:
             # Fold the open-loop admission accounting into the run's counters

@@ -1,49 +1,52 @@
-"""Discrete-event simulation engine: backend selector.
+"""Discrete-event simulation engine: the scheduler every simulated run sits on.
 
-Two interchangeable scheduler kernels implement the same ``Environment`` /
-``Event`` / ``Timeout`` / ``Process`` / ``BatchWakeup`` surface:
+The whole reproduction runs on simulated time: partitions, worker threads,
+network messages, log flushes and replication rounds are all events scheduled
+on a single :class:`Environment`.  Processes are plain Python generators that
+yield :class:`Event` objects (typically produced by :meth:`Environment.timeout`
+or by the networking / locking substrates) and are resumed when the event
+fires.
 
-* :mod:`repro.sim._pykernel` — the pure-Python reference implementation.
-  Always available; the semantics ground truth.
-* ``repro.sim._ckernel`` — an optional C extension implementing the same
-  kernel (heap + fast-lane merge with the shared sequence counter, zero-delay
-  dispatch, timeout scheduling, the batched-wakeup fire loop) compiled
-  best-effort at install time (``python scripts/build_ckernel.py``).
+The design intentionally mirrors a small subset of SimPy so that the protocol
+code reads like straight-line pseudo code from the paper:
 
-Selection happens once, at import, from the ``REPRO_ENGINE`` environment
-variable:
+    def worker(env):
+        yield env.timeout(10.0)
+        value = yield from network.rpc(src, dst, handler, payload)
 
-* ``auto`` (default) — use the C kernel when it imports, otherwise fall back
-  silently to pure Python;
-* ``py`` — force the pure-Python kernel;
-* ``c`` — require the C kernel; raise ``ImportError`` with the underlying
-  build/import failure instead of silently falling back (CI uses this to
-  assert the compiled backend actually loaded).
+Only the features the reproduction needs are implemented: timeouts, generic
+events, processes (which are themselves events and can therefore be awaited),
+and process failure propagation.
 
-The selected backend's name is exported as :data:`ENGINE_BACKEND` (``"py"``
-or ``"c"``).  Bit-identity between the kernels is a hard contract, not a
-goal: both run the determinism goldens, the fixed-seed bench-gate rows and a
-randomized differential test (``tests/sim/test_backend_parity.py``), so
-callers never need to care which one is active — cache keys and recorded
-metrics are backend-independent.
+Scheduling internals
+--------------------
 
-Everything outside this package imports the engine surface from here, never
-from a kernel module directly.
+Regenerating a figure pushes tens of millions of events through this module,
+so the dispatcher is the single hottest code in the repo.  Two queues are
+maintained:
+
+* a binary heap of ``(time, seqno, event)`` for events in the future, and
+* a plain FIFO deque of bare events for events triggered with zero delay
+  at the current time — process kick-offs, interrupts, lock grants,
+  ``all_of`` completions and local ``succeed()`` chains all land here and
+  bypass the heap entirely.
+
+Both queues share one monotone sequence counter (fast-lane events carry
+theirs in the ``_seq`` slot), and the dispatcher always runs the entry with
+the smallest ``(time, seqno)`` pair, so the observable
+event order is exactly the order a single heap would produce: FIFO among
+same-timestamp events, globally sorted by time.  This docstring is the one
+place event ordering is specified; ``tests/sim/test_dispatch_order.py`` pins
+the invariant against a single-heap reference on randomized schedules.
 """
 
 from __future__ import annotations
 
 import os
-
-from . import _pykernel
-from ._pykernel import (  # noqa: F401 - shared, backend-independent surface
-    Interrupt,
-    SimulationError,
-    _PENDING,
-    _PROCESSED,
-    all_of,
-    any_of,
-)
+from collections import deque
+from heapq import heappop, heappush
+from itertools import count
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Environment",
@@ -53,97 +56,532 @@ __all__ = [
     "Process",
     "SimulationError",
     "Interrupt",
-    "ENGINE_BACKEND",
-    "BACKENDS",
-    "backend_status",
-    "load_ckernel",
 ]
 
-#: Names accepted by ``REPRO_ENGINE`` / ``python -m repro.bench --engine``.
-BACKENDS = ("auto", "py", "c")
 
-#: Why the C kernel failed to import (``None`` when it loaded or was never
-#: requested).  Surfaced by ``python -m repro.bench --list engines``.
-C_IMPORT_ERROR: str | None = None
+# Both names below survive only for the benchmark under perf/, which no PR to
+# this repo may edit: perf/harness.py prints ENGINE_BACKEND in its report
+# header, and perf.run's engine flag (with its tier-1 test) expects importing
+# repro under REPRO_ENGINE=c to raise ImportError.  There is one scheduler and
+# nothing to select, so a stale REPRO_ENGINE=c in someone's shell fails loudly
+# rather than being silently ignored.  Both go when perf/ drops that flag
+# (ROADMAP item 3).
+ENGINE_BACKEND = "py"
 
-_ckernel = None
-
-
-def load_ckernel():
-    """Import and configure the C kernel once; return the module or ``None``.
-
-    Safe to call regardless of the selected backend (the differential parity
-    test drives both kernels in one process).  The failure reason, if any, is
-    recorded in :data:`C_IMPORT_ERROR`.
-    """
-    global _ckernel, C_IMPORT_ERROR
-    if _ckernel is not None:
-        return _ckernel
-    try:
-        from . import _ckernel as ck
-    except ImportError as exc:
-        C_IMPORT_ERROR = str(exc)
-        return None
-    # Both kernels must share one set of sentinels and exception types so
-    # events created by one dispatcher remain legible to the other (the
-    # parity test interleaves them deliberately).
-    ck._configure(
-        pending=_pykernel._PENDING,
-        processed=_pykernel._PROCESSED,
-        interrupt=Interrupt,
-        simulation_error=SimulationError,
+if os.environ.get("REPRO_ENGINE") not in (None, "", "py", "auto"):
+    raise ImportError(
+        f"REPRO_ENGINE={os.environ['REPRO_ENGINE']} is set, but the compiled "
+        "scheduler kernel was removed and repro.sim.engine is the only "
+        "scheduler; unset REPRO_ENGINE (py and auto are still accepted)"
     )
-    _ckernel = ck
-    return ck
 
 
-def _select() -> str:
-    requested = (os.environ.get("REPRO_ENGINE") or "auto").strip().lower()
-    if requested not in BACKENDS:
-        raise ImportError(
-            f"REPRO_ENGINE={requested!r} is not a valid engine backend; "
-            f"expected one of {', '.join(BACKENDS)}"
-        )
-    if requested == "py":
-        return "py"
-    if load_ckernel() is not None:
-        return "c"
-    if requested == "c":
-        raise ImportError(
-            "REPRO_ENGINE=c but the compiled scheduler kernel is unavailable "
-            f"({C_IMPORT_ERROR}); build it with `python scripts/build_ckernel.py` "
-            "or drop REPRO_ENGINE back to auto/py"
-        )
-    return "py"
+class SimulationError(RuntimeError):
+    """Raised for misuse of the simulation engine (e.g. yielding a non-event)."""
 
 
-#: The kernel actually in use for this process: ``"py"`` or ``"c"``.
-ENGINE_BACKEND = _select()
+class Interrupt(Exception):
+    """Thrown into a process that has been interrupted (e.g. by a crash)."""
 
-if ENGINE_BACKEND == "c":
-    Environment = _ckernel.Environment
-    Event = _ckernel.Event
-    Timeout = _ckernel.Timeout
-    BatchWakeup = _ckernel.BatchWakeup
-    Process = _ckernel.Process
-else:
-    Environment = _pykernel.Environment
-    Event = _pykernel.Event
-    Timeout = _pykernel.Timeout
-    BatchWakeup = _pykernel.BatchWakeup
-    Process = _pykernel.Process
+    def __init__(self, cause: Any = None):
+        super().__init__(cause)
+        self.cause = cause
 
 
-def backend_status() -> dict:
-    """Describe backend availability (used by ``--list engines`` and CI)."""
-    c_available = load_ckernel() is not None
-    return {
-        "selected": ENGINE_BACKEND,
-        "py": "pure-Python reference kernel (always available)",
-        "c": (
-            "compiled C kernel (loaded)"
-            if c_available
-            else f"compiled C kernel unavailable: {C_IMPORT_ERROR}"
-        ),
-        "c_available": c_available,
-    }
+# Event state markers.
+_PENDING = object()
+# Marker stored in Event.callbacks once the event has been dispatched.  A
+# fresh event's callbacks field is ``None``; a single waiter is stored bare
+# (most events have exactly one), and a list is only allocated for the rare
+# event with several waiters.
+_PROCESSED: tuple = ()
+
+
+class Event:
+    """A single occurrence a process can wait for.
+
+    An event starts *untriggered*; once :meth:`succeed` (or :meth:`fail`) is
+    called it is scheduled on the environment and every waiting callback runs
+    at the current simulated time.
+    """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_seq")
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        # None = no waiters; a bare callable = one waiter; list = several
+        # waiters; _PROCESSED = already fired.
+        self.callbacks: Any = None
+        self._value: Any = _PENDING
+        self._ok = True
+
+    @property
+    def triggered(self) -> bool:
+        """True once the event has been given a value (it may not have fired yet)."""
+        return self._value is not _PENDING
+
+    @property
+    def processed(self) -> bool:
+        """True once callbacks have run."""
+        return self.callbacks is _PROCESSED
+
+    @property
+    def ok(self) -> bool:
+        return self._ok
+
+    @property
+    def value(self) -> Any:
+        if self._value is _PENDING:
+            raise SimulationError("event value accessed before it was triggered")
+        return self._value
+
+    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+        """Trigger the event successfully with ``value`` after ``delay``."""
+        if self._value is not _PENDING:
+            raise SimulationError("event already triggered")
+        self._value = value
+        env = self.env
+        if delay == 0.0:
+            self._seq = env._next_seq()
+            env._fast_append(self)
+        else:
+            heappush(env._queue, (env._now + delay, env._next_seq(), self))
+        return self
+
+    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+        """Trigger the event with an exception; waiters will see it raised."""
+        if self._value is not _PENDING:
+            raise SimulationError("event already triggered")
+        if not isinstance(exception, BaseException):
+            raise SimulationError("fail() requires an exception instance")
+        self._ok = False
+        self._value = exception
+        self.env._schedule(self, delay)
+        return self
+
+    def add_callback(self, callback: Callable[["Event"], None]) -> None:
+        callbacks = self.callbacks
+        if callbacks is None:
+            self.callbacks = callback
+        elif callbacks is _PROCESSED:
+            # Already processed: run immediately at the current time.
+            callback(self)
+        elif type(callbacks) is list:
+            callbacks.append(callback)
+        else:
+            self.callbacks = [callbacks, callback]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        state = "triggered" if self.triggered else "pending"
+        return f"<{type(self).__name__} {state} at t={self.env.now:.3f}>"
+
+
+class BatchWakeup(Event):
+    """One fast-lane carrier that fires a batch of already-triggered events.
+
+    Group-commit style code releases whole batches of waiters at once (the
+    watermark/epoch/CLV durability schemes, lock wake-ups).  Scheduling one
+    fast-lane entry per released event costs a sequence draw, a deque append
+    and a dispatcher iteration each; a :class:`BatchWakeup` pays those once
+    for the whole batch and then runs each sub-event's callbacks in batch
+    order.
+
+    Ordering is exactly what individual ``succeed()`` calls would produce:
+    the sub-events are consecutive in the lane either way (the releasing code
+    runs synchronously, so nothing else can interleave sequence numbers), and
+    anything a woken callback schedules lands *after* the whole batch in both
+    schemes.  ``tests/sim/test_engine.py`` pins this equivalence against a
+    reference run.
+    """
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, env: "Environment", batch: list):
+        self.env = env
+        self._value = None
+        self._ok = True
+        self._batch = batch
+        self.callbacks = self._fire
+        self._seq = env._next_seq()
+        env._fast_append(self)
+
+    def _fire(self, _event: Event) -> None:
+        for sub in self._batch:
+            callbacks = sub.callbacks
+            sub.callbacks = _PROCESSED
+            if callbacks is not None:
+                if type(callbacks) is list:
+                    for callback in callbacks:
+                        callback(sub)
+                else:
+                    callbacks(sub)
+
+
+class Timeout(Event):
+    """An event that fires after a fixed delay."""
+
+    __slots__ = ("delay",)
+
+    def __init__(self, env: "Environment", delay: float, value: Any = None):
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        # Inlined Event.__init__ + Event.succeed: a timeout is born triggered
+        # and scheduled, and this constructor runs once per simulated wait.
+        self.env = env
+        self.callbacks = None
+        self._value = value
+        self._ok = True
+        self.delay = delay
+        if delay == 0.0:
+            self._seq = env._next_seq()
+            env._fast_append(self)
+        else:
+            heappush(env._queue, (env._now + delay, env._next_seq(), self))
+
+
+class Process(Event):
+    """Wraps a generator and drives it through the events it yields.
+
+    A process is itself an event: it triggers with the generator's return
+    value when the generator finishes, so processes can wait for each other
+    (``result = yield env.process(child())``).
+    """
+
+    __slots__ = ("name", "_generator", "_interrupted_by", "_resume_cb", "_target")
+
+    def __init__(self, env: "Environment", generator: Generator, name: str = ""):
+        super().__init__(env)
+        if not hasattr(generator, "send"):
+            raise SimulationError("Process requires a generator")
+        self.name = name or getattr(generator, "__name__", "process")
+        self._generator = generator
+        self._interrupted_by: Optional[Interrupt] = None
+        # The bound resume method is allocated once and reused for every wait.
+        resume = self._resume
+        self._resume_cb = resume
+        # Kick off the process at the current simulated time (fast lane).
+        self._target = env._immediate(resume)
+
+    @property
+    def is_alive(self) -> bool:
+        return not self.triggered
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current time."""
+        if self._value is not _PENDING:
+            return
+        self._interrupted_by = Interrupt(cause)
+        self.env._immediate(self._resume_cb)
+
+    def _finish(self) -> None:
+        """Drop completion-time references so a finished process is acyclic.
+
+        A live process is inherently cyclic (``self._resume_cb`` is a bound
+        method back to ``self``, and the generator frame's locals reference
+        events whose callbacks reference the process).  Dropping the
+        generator and the bound method here lets reference counting reclaim
+        the frame and its locals immediately — finished processes otherwise
+        pile up as cyclic garbage and force expensive full GC passes (a
+        measurable fraction of end-to-end run time).
+        """
+        self._generator = None
+        self._resume_cb = None
+        self._target = None
+        self._interrupted_by = None
+
+    def _resume(self, event: Event) -> None:
+        if self._value is not _PENDING:
+            return
+        try:
+            if self._interrupted_by is not None:
+                exc, self._interrupted_by = self._interrupted_by, None
+                target = self._generator.throw(exc)
+            elif event is not self._target:
+                # Stale wakeup: an interrupt was scheduled but the awaited
+                # event fired (and consumed the interrupt) in the same tick.
+                # The generator is waiting on a different event now.
+                return
+            elif event._ok:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._value)
+        except StopIteration as stop:
+            self._finish()
+            self.succeed(stop.value)
+            return
+        except Interrupt:
+            # Process chose not to handle the interrupt: treat as termination.
+            self._finish()
+            self.succeed(None)
+            return
+        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                raise
+            self._finish()
+            self.fail(exc)
+            return
+        try:
+            callbacks = target.callbacks
+        except AttributeError:
+            error = SimulationError(
+                f"process {self.name!r} yielded non-event {target!r}"
+            )
+            self._generator.close()
+            self._finish()
+            self.fail(error)
+            return
+        self._target = target
+        if callbacks is None:
+            target.callbacks = self._resume_cb
+        elif callbacks is _PROCESSED:
+            # Target already processed: resume immediately at the current time.
+            self._resume(target)
+        elif type(callbacks) is list:
+            callbacks.append(self._resume_cb)
+        else:
+            target.callbacks = [callbacks, self._resume_cb]
+
+
+class Environment:
+    """The simulation clock and event queue."""
+
+    __slots__ = (
+        "_now",
+        "_queue",
+        "_fast",
+        "_fast_append",
+        "_counter",
+        "_next_seq",
+        "_active_processes",
+    )
+
+    def __init__(self, initial_time: float = 0.0):
+        self._now = float(initial_time)
+        self._queue: list[tuple[float, int, Event]] = []
+        # Zero-delay fast-dispatch lane; see the module docstring.  The
+        # append and sequence-draw callables are bound once: the scheduling
+        # fast path runs them for every zero-delay event.
+        self._fast: deque[Event] = deque()
+        self._fast_append = self._fast.append
+        self._counter = count()
+        self._next_seq = self._counter.__next__
+        self._active_processes = 0
+
+    @property
+    def now(self) -> float:
+        """Current simulated time (microseconds by convention in this repo)."""
+        return self._now
+
+    # -- event creation -------------------------------------------------
+    def event(self) -> Event:
+        return Event(self)
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        return Timeout(self, delay, value)
+
+    def process(self, generator: Generator, name: str = "") -> Process:
+        return Process(self, generator, name=name)
+
+    # -- scheduling -----------------------------------------------------
+    def _immediate(self, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback`` at the current time via the fast-dispatch lane.
+
+        The single place that builds a pre-succeeded single-callback event;
+        process kick-off, interrupts and one-way sends all go through here so
+        the lane's scheduling invariants live in one spot.
+        """
+        event = Event(self)
+        event._value = None
+        event.callbacks = callback
+        event._seq = self._next_seq()
+        self._fast_append(event)
+        return event
+
+    def succeed_all(self, events: list, value: Any = None) -> None:
+        """Trigger every event in ``events`` with ``value`` at the current time.
+
+        The batched equivalent of calling ``event.succeed(value)`` on each in
+        order: every event is marked triggered immediately, and all of their
+        callbacks run from one shared sequence-ordered fast-lane entry (see
+        :class:`BatchWakeup`).  Observable event order is identical to the
+        unbatched loop; only the per-event scheduling overhead disappears.
+        """
+        # Validate the whole batch before mutating anything: a partial batch
+        # (some events marked triggered but never scheduled) would hang their
+        # waiters forever, which the equivalent per-event succeed() loop can
+        # never do to events preceding the bad one.
+        for event in events:
+            if event._value is not _PENDING:
+                raise SimulationError("event already triggered")
+        for event in events:
+            event._value = value
+        if not events:
+            return
+        if len(events) == 1:
+            event = events[0]
+            event._seq = self._next_seq()
+            self._fast_append(event)
+        else:
+            BatchWakeup(self, list(events))
+
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        if delay == 0.0:
+            event._seq = self._next_seq()
+            self._fast_append(event)
+        else:
+            heappush(self._queue, (self._now + delay, self._next_seq(), event))
+
+    def _fast_is_next(self) -> bool:
+        """True when the fast lane holds the globally next event.
+
+        The fast lane only contains events at the current time, so it wins
+        unless the heap head is *also* at the current time with a smaller
+        sequence number (i.e. it was scheduled earlier).
+        """
+        queue = self._queue
+        if not queue:
+            return True
+        head = queue[0]
+        return head[0] > self._now or head[1] > self._fast[0]._seq
+
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
+        if self._fast:
+            return self._now
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def step(self) -> None:
+        """Process the next event in the queue."""
+        if self._fast and self._fast_is_next():
+            event = self._fast.popleft()
+        else:
+            if not self._queue:
+                raise SimulationError("step() on an empty event queue")
+            when, _, event = heappop(self._queue)
+            self._now = when
+        callbacks = event.callbacks
+        event.callbacks = _PROCESSED
+        if callbacks is not None:
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    callback(event)
+            else:
+                callbacks(event)
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until simulated time ``until`` (or until the queue drains)."""
+        if until is not None and until < self._now:
+            raise SimulationError("cannot run into the past")
+        # The dispatch loop is deliberately inlined (no step() call per event):
+        # it is the hottest loop in the repo.
+        fast = self._fast
+        queue = self._queue
+        popleft = fast.popleft
+        while True:
+            if fast:
+                if queue:
+                    head = queue[0]
+                    if head[0] <= self._now and head[1] < fast[0]._seq:
+                        self._now = head[0]
+                        event = heappop(queue)[2]
+                    else:
+                        event = popleft()
+                else:
+                    event = popleft()
+            elif queue:
+                when = queue[0][0]
+                if until is not None and when > until:
+                    self._now = until
+                    return until
+                self._now = when
+                event = heappop(queue)[2]
+            else:
+                break
+            callbacks = event.callbacks
+            event.callbacks = _PROCESSED
+            if callbacks is not None:
+                if type(callbacks) is list:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    callbacks(event)
+        if until is not None:
+            self._now = until
+        return self._now
+
+    def run_all(self, max_events: int = 50_000_000) -> float:
+        """Drain the queue entirely (bounded by ``max_events`` as a safety net)."""
+        processed = 0
+        fast = self._fast
+        queue = self._queue
+        popleft = fast.popleft
+        while True:
+            if fast:
+                if queue:
+                    head = queue[0]
+                    if head[0] <= self._now and head[1] < fast[0]._seq:
+                        self._now = head[0]
+                        event = heappop(queue)[2]
+                    else:
+                        event = popleft()
+                else:
+                    event = popleft()
+            elif queue:
+                self._now = queue[0][0]
+                event = heappop(queue)[2]
+            else:
+                break
+            callbacks = event.callbacks
+            event.callbacks = _PROCESSED
+            if callbacks is not None:
+                if type(callbacks) is list:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    callbacks(event)
+            processed += 1
+            if processed > max_events:
+                raise SimulationError("simulation did not terminate (event budget exceeded)")
+        return self._now
+
+
+def all_of(env: Environment, events: Iterable[Event]) -> Event:
+    """Return an event that fires after every event in ``events`` has fired."""
+    events = list(events)
+    done = env.event()
+    remaining = len(events)
+    results: list[Any] = [None] * remaining
+    if remaining == 0:
+        done.succeed([])
+        return done
+
+    def make_callback(index: int) -> Callable[[Event], None]:
+        def callback(event: Event) -> None:
+            nonlocal remaining
+            results[index] = event.value if event.ok else event._value
+            remaining -= 1
+            if remaining == 0 and not done.triggered:
+                done.succeed(results)
+
+        return callback
+
+    for i, event in enumerate(events):
+        event.add_callback(make_callback(i))
+    return done
+
+
+def any_of(env: Environment, events: Iterable[Event]) -> Event:
+    """Return an event that fires as soon as one event in ``events`` fires."""
+    events = list(events)
+    done = env.event()
+    if not events:
+        done.succeed(None)
+        return done
+
+    def callback(event: Event) -> None:
+        if not done.triggered:
+            done.succeed(event.value if event.ok else event._value)
+
+    for event in events:
+        event.add_callback(callback)
+    return done

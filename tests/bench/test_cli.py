@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,49 +115,27 @@ def test_cli_runs_the_openloop_figure(tmp_path, capsys):
             assert key in series
 
 
-def test_cli_lists_engine_backends(capsys):
-    from repro.sim import engine
-
-    assert run_cli("--list", "engines") == 0
-    out = capsys.readouterr().out
-    for name in engine.BACKENDS:
-        assert name in out
-    assert "[selected]" in out
-
-
-def test_cli_engine_matching_loaded_backend_is_a_noop(tmp_path, capsys):
-    from repro.sim import engine
-
-    code = run_cli(
-        "--engine", engine.ENGINE_BACKEND,
-        "--only", "fig09", "--scale", TINY,
-        "--cache-dir", str(tmp_path / "cache"),
-        "--quiet-progress",
-    )
-    assert code == 0
-    assert "Figure 9" in capsys.readouterr().out
+def test_cli_has_no_engine_flag_and_no_engines_listing(capsys):
+    """One scheduler: nothing to select, nothing to list."""
+    for argv in (("--engine", "py", "--list", "figures"), ("--list", "engines")):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
-def test_cli_emits_engine_backend_in_meta(tmp_path):
-    from repro.sim import engine
-
-    artifact = tmp_path / "figures.json"
-    assert run_cli(
-        "--only", "fig09", "--scale", TINY,
-        "--cache-dir", str(tmp_path / "cache"),
-        "--emit-json", str(artifact),
-        "--quiet-progress",
-    ) == 0
-    data = json.loads(artifact.read_text())
-    assert data["meta"]["engine_backend"] == engine.ENGINE_BACKEND
-
-
-def test_cli_engine_mismatch_errors_for_programmatic_calls(tmp_path):
-    """main(argv) cannot re-exec; a backend mismatch must error cleanly."""
-    from repro.sim import engine
-
-    other = "py" if engine.ENGINE_BACKEND == "c" else "c"
-    if other == "c" and engine.load_ckernel() is None:
-        pytest.skip("compiled kernel unavailable; mismatch path needs both")
-    with pytest.raises(SystemExit):
-        run_cli("--engine", other, "--list", "figures")
+@pytest.mark.parametrize("value,accepted", [
+    (None, True), ("py", True), ("auto", True), ("c", False),
+])
+def test_repro_engine_is_rejected_unless_it_names_the_only_kernel(value, accepted):
+    """A stale REPRO_ENGINE=c must fail the import loudly, not be ignored."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_ENGINE"}
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if value is not None:
+        env["REPRO_ENGINE"] = value
+    done = subprocess.run([sys.executable, "-c", "import repro"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode == 0) == accepted, done.stderr
+    if not accepted:
+        assert f"ImportError: REPRO_ENGINE={value}" in done.stderr

@@ -106,3 +106,36 @@ def test_single_partition_cluster_has_no_distributed_transactions():
     cluster, result = run_tiny("primo", n_partitions=1)
     assert result.committed > 0
     assert cluster.network.stats.rpc_calls == 0  # nothing remote to call
+
+
+class _RaisesOnDraw25:
+    """A transaction source with a bug: its 25th ``next()`` raises."""
+
+    def __init__(self, source):
+        self._source = source
+        self._draws = 0
+
+    def next(self):
+        self._draws += 1
+        if self._draws == 25:
+            raise TypeError("planted in the 25th draw")
+        return self._source.next()
+
+
+@pytest.mark.parametrize(
+    "arrival", [None, {"kind": "poisson", "rate_tps": 20_000.0}],
+    ids=["closed_loop", "open_loop"],
+)
+def test_a_fiber_that_raises_fails_the_run(arrival):
+    """Nothing awaits the worker / arrival fibers; a dead one used to leave a
+    run that returned normally with one client fewer."""
+    cluster = Cluster(tiny_config("primo"), tiny_ycsb(), arrival=arrival)
+    make_source = cluster.new_txn_source
+
+    def new_txn_source(partition_id, stream_id):
+        source = make_source(partition_id, stream_id)
+        return _RaisesOnDraw25(source) if (partition_id, stream_id) == (0, 0) else source
+
+    cluster.new_txn_source = new_txn_source
+    with pytest.raises(TypeError, match="planted in the 25th draw"):
+        cluster.run()

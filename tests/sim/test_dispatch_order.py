@@ -1,38 +1,39 @@
-"""Differential test: both scheduler kernels must produce identical traces.
+"""Differential test: the two-lane dispatcher against a single-heap reference.
 
-Bit-identity between the pure-Python reference kernel and the compiled C
-kernel is the engine contract (see ``repro/sim/engine.py``): same wake
-orderings, same sequence numbers, same simulated clock at every step.  This
-test generates randomized schedules — zero-delay events, heap timeouts,
-interrupts, ``succeed_all`` batches, delayed succeeds, and one-way network
-sends interleaved across several actor processes — runs each schedule through
-both kernels in the same process, and compares the full event traces.
+``repro/sim/engine.py`` promises that its heap + zero-delay fast lane dispatch
+in "exactly the order a single heap would produce".  This test generates
+randomized schedules — zero-delay events, heap timeouts, interrupts,
+``succeed_all`` batches, delayed succeeds, and one-way network sends
+interleaved across several actor processes — runs each schedule through the
+real ``Environment`` and through a reference whose fast lane *is* the heap,
+and compares the full event traces: same wake orderings, same sequence
+numbers, same simulated clock at every step.
 
 The scenarios are driven by seeded ``random.Random`` streams that live inside
 the simulation generators, so the streams themselves only stay aligned while
-the two kernels dispatch in exactly the same order: any divergence compounds
-and shows up as a trace mismatch, not just a reordered tail.
-
-Skips (visibly, with the underlying import error) when the C kernel has not
-been built; ``python scripts/build_ckernel.py`` fixes that.
+the two dispatchers run events in exactly the same order: any divergence
+compounds and shows up as a trace mismatch, not just a reordered tail.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappush
 
 import pytest
 
 from repro.sim import engine
 from repro.sim.network import Network
 
-PY_KERNEL = engine._pykernel
-C_KERNEL = engine.load_ckernel()
 
-requires_c = pytest.mark.skipif(
-    C_KERNEL is None,
-    reason=f"compiled scheduler kernel unavailable: {engine.C_IMPORT_ERROR}",
-)
+class SingleHeapEnvironment(engine.Environment):
+    """The reference: zero-delay events go through the heap like any other."""
+
+    def __init__(self):
+        super().__init__()
+        self._fast_append = lambda event: heappush(
+            self._queue, (self._now, event._seq, event))
+
 
 #: Mix of zero (fast-lane), tie-prone (heap FIFO) and distinct delays.
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0)
@@ -40,10 +41,10 @@ N_ACTORS = 6
 OPS_PER_ACTOR = 12
 
 
-def run_scenario(kernel, seed: int) -> list:
-    """One randomized schedule on ``kernel``; returns the full wake trace."""
+def run_scenario(environment_cls, seed: int) -> list:
+    """One randomized schedule on ``environment_cls``; returns the full wake trace."""
     rng = random.Random(seed)
-    env = kernel.Environment()
+    env = environment_cls()
     net = Network(env, one_way_latency_us=2.0, local_latency_us=0.5)
     trace: list = []
     pending: list = []  # events waiting for the pump process to trigger them
@@ -117,7 +118,9 @@ def run_scenario(kernel, seed: int) -> list:
     for i in range(N_ACTORS):
         actors.append(env.process(actor(i, rng.randrange(2**30)), name=f"actor{i}"))
     env.process(pump(rng.randrange(2**30)), name="pump")
-    env.run_all()
+    # run() and run_all() each inline their own copy of the merge loop; odd
+    # seeds drain through one, even seeds through the other.
+    (env.run_all if seed % 2 else env.run)()
 
     # A stalling pump can leave parked events untriggered; release them so
     # every actor's completion (or lack of one) is part of the trace.
@@ -132,44 +135,23 @@ def run_scenario(kernel, seed: int) -> list:
     return trace
 
 
-@requires_c
 @pytest.mark.parametrize("seed", range(25))
 def test_randomized_schedules_are_bit_identical(seed):
-    assert run_scenario(PY_KERNEL, seed) == run_scenario(C_KERNEL, seed)
+    assert (run_scenario(engine.Environment, seed)
+            == run_scenario(SingleHeapEnvironment, seed))
 
 
-@requires_c
+def fast_lane_seqs(trace: list) -> list:
+    return [row[4] for row in trace
+            if row[0] in ("timeout", "zero") and row[4] is not None]
+
+
 def test_sequence_numbers_match_exactly():
-    """Seq numbers, not just orderings: the shared counter must agree."""
+    """Seq numbers, not just orderings: both lanes draw from one counter."""
     for seed in (101, 202):
-        py_trace = run_scenario(PY_KERNEL, seed)
-        c_trace = run_scenario(C_KERNEL, seed)
-        py_seqs = [
-            row[4]
-            for row in py_trace
-            if row[0] in ("timeout", "zero") and row[4] is not None
-        ]
-        c_seqs = [
-            row[4]
-            for row in c_trace
-            if row[0] in ("timeout", "zero") and row[4] is not None
-        ]
-        assert py_seqs, "no fast-lane wakeups recorded; scenario too tame"
-        assert py_seqs == c_seqs
-        assert py_trace[-1] == c_trace[-1]  # final env.now
-
-
-@requires_c
-def test_mixed_kernel_events_interoperate():
-    """A py-kernel event scheduled onto a C environment wakes in order."""
-    env = C_KERNEL.Environment()
-    order = []
-    py_ev = PY_KERNEL.Event(env)  # foreign event on the C dispatcher
-    c_ev = env.event()
-    py_ev.add_callback(lambda ev: order.append(("py", env.now)))
-    c_ev.add_callback(lambda ev: order.append(("c", env.now)))
-    py_ev.succeed(delay=1.0)
-    c_ev.succeed(delay=2.0)
-    env.run_all()
-    assert order == [("py", 1.0), ("c", 2.0)]
-    assert env.now == 2.0
+        trace = run_scenario(engine.Environment, seed)
+        reference = run_scenario(SingleHeapEnvironment, seed)
+        seqs = fast_lane_seqs(trace)
+        assert seqs, "no fast-lane wakeups recorded; scenario too tame"
+        assert seqs == fast_lane_seqs(reference)
+        assert trace[-1] == reference[-1]  # final env.now
