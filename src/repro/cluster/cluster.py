@@ -365,11 +365,12 @@ class Cluster:
             gc.set_threshold(*gc_thresholds)
             gc.unfreeze()
         for fiber in self.fibers:
-            if not fiber.ok:
+            if not fiber._ok:
                 # A bug in a fiber, not a simulated fault (crash interrupts
                 # end a fiber successfully): the run is one client short and
-                # its numbers mean nothing.
-                raise fiber.value
+                # its numbers mean nothing.  (Slots read directly, like
+                # env._now above: no engine call is added to a run.)
+                raise fiber._value
         self.metrics.duration_us = self._measure_end - self._measure_start
         if self.admission_queues:
             # Fold the open-loop admission accounting into the run's counters

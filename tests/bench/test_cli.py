@@ -127,7 +127,7 @@ def test_cli_has_no_engine_flag_and_no_engines_listing(capsys):
 @pytest.mark.parametrize("value,accepted", [
     (None, True), ("py", True), ("auto", True), ("c", False),
 ])
-def test_repro_engine_is_rejected_unless_it_names_the_only_kernel(value, accepted):
+def test_repro_engine_only_accepts_the_one_kernel(value, accepted):
     """A stale REPRO_ENGINE=c must fail the import loudly, not be ignored."""
     env = {k: v for k, v in os.environ.items() if k != "REPRO_ENGINE"}
     src = str(Path(__file__).resolve().parents[2] / "src")
