@@ -204,7 +204,7 @@ class PrimoProtocol(BaseProtocol):
                     "participants": sorted(txn.participants),
                     "remote_writes": {
                         partition: [
-                            (w.table, w.key, dict(w.updates), w.is_insert, w.is_delete)
+                            (w.table, w.key, w.updates, w.is_insert, w.is_delete)
                             for w in txn.writes_for_partition(partition)
                         ]
                         for partition in txn.participants
@@ -273,11 +273,10 @@ class PrimoProtocol(BaseProtocol):
             if record.wts <= floor:
                 record.wts = floor + 1
                 record.rts = max(record.rts, floor + 1)
-            target.active_txns.register(txn, lower_bound=record.wts)
-            return ReadEntry(
-                partition, table, key, record.snapshot(),
-                record.wts, record.rts, record.version, locked=True, local=False,
-            )
+            entry = ReadEntry(
+                partition, table, key, *record.read(), locked=True, local=False)
+            target.active_txns.register(txn, lower_bound=entry.wts)
+            return entry
 
         entry = yield from self.network.rpc(server.partition_id, partition, handler)
         if entry is None:

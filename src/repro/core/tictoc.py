@@ -129,8 +129,7 @@ class TicTocLocalExecutor:
                     continue  # already exclusively locked above, rts extension trivial
                 if commit_ts <= record.rts:
                     continue  # still inside the valid interval, nothing to do
-                holders = lock_manager.holders_of(record)
-                if any(holder != txn.tid for holder in holders):
+                if lock_manager.locked_by_other(txn.tid, record):
                     # Another transaction holds the record exclusively and we
                     # need to extend rts: this is the (rare) abort Primo's
                     # extra read locks can cause (§4.2.1).

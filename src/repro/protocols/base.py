@@ -121,10 +121,7 @@ class BaseProtocol:
             record = target.store.table(table).get(key)
             if record is None:
                 return None
-            return ReadEntry(
-                partition, table, key, record.snapshot(),
-                record.wts, record.rts, record.version, local=False,
-            )
+            return ReadEntry(partition, table, key, *record.read(), local=False)
 
         entry = yield from self.network.rpc(server.partition_id, partition, handler)
         if entry is None:

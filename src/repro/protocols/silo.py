@@ -75,8 +75,7 @@ class SiloProtocol(TwoPhaseCommitMixin, BaseProtocol):
                 return False
             if (entry.table, entry.key) in written:
                 continue
-            holders = lock_manager.holders_of(record)
-            if any(holder != txn.tid for holder in holders):
+            if lock_manager.locked_by_other(txn.tid, record):
                 return False
         yield from self.cpu(self.config.cpu_record_access_us * max(1, len(writes) + len(reads)))
         return True

@@ -94,8 +94,7 @@ class SundialProtocol(TwoPhaseCommitMixin, BaseProtocol):
                 continue
             if commit_ts <= record.rts:
                 continue
-            holders = lock_manager.holders_of(record)
-            if any(holder != txn.tid for holder in holders):
+            if lock_manager.locked_by_other(txn.tid, record):
                 return False
             record.extend_rts(commit_ts)
         yield from self.cpu(self.config.cpu_record_access_us * max(1, len(writes) + len(reads)))

@@ -90,9 +90,7 @@ class TwoPLNoWaitProtocol(TwoPhaseCommitMixin, BaseProtocol):
             if not ok:
                 return None
             return ReadEntry(
-                partition, table, key, record.snapshot(),
-                record.wts, record.rts, record.version, locked=True, local=False,
-            )
+                partition, table, key, *record.read(), locked=True, local=False)
 
         entry = yield from self.network.rpc(server.partition_id, partition, handler)
         if entry is None:

@@ -11,13 +11,13 @@ flag: ~50 bytes per row for YCSB's two-field schema, an ~8x reduction.
 
 The columnar table sits behind the exact ``Table``/``Record`` interface the
 protocols already use: :meth:`ColumnarTable.get` hands back a
-:class:`ColumnarRecord` *view* whose attribute reads and writes go straight
-to the backing arrays.  Views are ephemeral (a fresh one per access) but
-compare and hash by ``(table, row)``, so the lock manager's per-transaction
-held-lock sets — which rely on record identity with the dict backend — keep
-working when two views of one row meet.  Lock state stays sparse: a dict
-keyed by row index holds :class:`~repro.storage.lock.LockState` only for the
-rows that have ever been locked.
+:class:`ColumnarRecord` *handle* — the tuple ``(table, row, key)`` — whose
+attribute reads and writes go straight to the backing arrays.  Handles are
+ephemeral (a fresh one per access) and are built, hashed and compared as
+tuples, in C: two handles of one row are equal, which is all the lock
+manager's table and per-transaction held-lock dicts — keyed by record
+identity with the dict backend — need.  No lock state lives here: the lock
+manager keeps an entry for a row only while it is held or awaited.
 
 Which backend a table uses is decided at creation time
 (:meth:`repro.storage.partition.PartitionStore.create_table`): workloads with
@@ -46,6 +46,7 @@ results under either backend (pinned by ``tests/integration``).
 from __future__ import annotations
 
 from array import array
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
 from .table import SecondaryIndex, TableError
@@ -91,113 +92,105 @@ class TableSchema:
         return f"TableSchema({inner})"
 
 
-class ColumnarRecord:
-    """A live view of one columnar row, API-compatible with ``Record``.
+class ColumnarRecord(tuple):
+    """A handle ``(table, row, key)`` on one columnar row, API-compatible
+    with ``Record``.
 
-    Attribute reads and writes (``wts``/``rts``/``version``/``lock_state``/
-    ``deleted``/``value``) go straight to the owning table's arrays, so a view
-    is safe to hold across simulation yields: every view of a row observes
-    every other view's writes.  Equality and hashing are by ``(table, row)``
-    because the lock manager keys its held-lock dicts by record.
+    Attribute reads and writes (``wts``/``rts``/``version``/``deleted``/
+    ``value``) go straight to the owning table's arrays, so a handle is safe
+    to hold across simulation yields: every handle of a row observes every
+    other handle's writes.  Construction, equality and hashing are the
+    tuple's own.
     """
 
-    __slots__ = ("_t", "_row", "key")
+    __slots__ = ()
 
-    def __init__(self, table: "ColumnarTable", row: int, key):
-        self._t = table
-        self._row = row
-        self.key = key
-
-    # -- identity (lock-manager held-lock dicts rely on it) -----------------
-    def __hash__(self) -> int:
-        return hash((id(self._t), self._row))
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ColumnarRecord:
-            return NotImplemented
-        return self._t is other._t and self._row == other._row
+    key = property(itemgetter(2))
 
     # -- concurrency-control metadata --------------------------------------
     @property
     def wts(self) -> float:
-        return self._t._wts[self._row]
+        return self[0]._wts[self[1]]
 
     @wts.setter
     def wts(self, ts: float) -> None:
-        self._t._wts[self._row] = ts
+        self[0]._wts[self[1]] = ts
 
     @property
     def rts(self) -> float:
-        return self._t._rts[self._row]
+        return self[0]._rts[self[1]]
 
     @rts.setter
     def rts(self, ts: float) -> None:
-        self._t._rts[self._row] = ts
+        self[0]._rts[self[1]] = ts
 
     @property
     def version(self) -> int:
-        return self._t._version[self._row]
+        return self[0]._version[self[1]]
 
     @version.setter
     def version(self, v: int) -> None:
-        self._t._version[self._row] = v
-
-    @property
-    def lock_state(self):
-        return self._t._lock_states.get(self._row)
-
-    @lock_state.setter
-    def lock_state(self, state) -> None:
-        self._t._lock_states[self._row] = state
+        self[0]._version[self[1]] = v
 
     @property
     def deleted(self) -> bool:
-        return bool(self._t._deleted[self._row])
+        return bool(self[0]._deleted[self[1]])
 
     @deleted.setter
     def deleted(self, flag: bool) -> None:
-        self._t._deleted[self._row] = 1 if flag else 0
+        self[0]._deleted[self[1]] = 1 if flag else 0
 
     # -- value access -------------------------------------------------------
     def snapshot(self) -> dict:
         """The row materialized as a column-ordered dict (a private copy)."""
-        row = self._row
-        return {name: col[row] for name, col in self._t._columns}
+        row = self[1]
+        value = {}
+        for name, col in self[0]._columns:
+            value[name] = col[row]
+        return value
 
     value = property(snapshot)
 
     @value.setter
     def value(self, new_value: dict) -> None:
-        self._t._write_row(self._row, new_value, full=True)
+        self[0]._write_row(self[1], new_value, full=True)
+
+    def read(self) -> tuple:
+        """``(private value copy, wts, rts, version)``: a read entry's fields."""
+        t, row, _ = self
+        value = {}
+        for name, col in t._columns:
+            value[name] = col[row]
+        return value, t._wts[row], t._rts[row], t._version[row]
 
     def get(self, column: str, default: Any = None) -> Any:
-        col = self._t._by_name.get(column)
+        col = self[0]._by_name.get(column)
         if col is None:
             return default
-        return col[self._row]
+        return col[self[1]]
 
     def install(self, new_value: dict, ts: float) -> None:
-        t, row = self._t, self._row
+        t, row, _ = self
         t._write_row(row, new_value, full=True)
         t._wts[row] = ts
         t._rts[row] = ts
         t._version[row] += 1
 
     def install_fields(self, updates: dict, ts: float) -> None:
-        t, row = self._t, self._row
+        t, row, _ = self
         t._write_row(row, updates, full=False)
         t._wts[row] = ts
         t._rts[row] = ts
         t._version[row] += 1
 
     def extend_rts(self, ts: float) -> None:
-        rts = self._t._rts
-        if ts > rts[self._row]:
-            rts[self._row] = ts
+        rts, row = self[0]._rts, self[1]
+        if ts > rts[row]:
+            rts[row] = ts
 
     def valid_at(self, ts: float) -> bool:
-        row = self._row
-        return self._t._wts[row] <= ts <= self._t._rts[row]
+        t, row, _ = self
+        return t._wts[row] <= ts <= t._rts[row]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -228,8 +221,6 @@ class ColumnarTable:
         self._rts = array("d")
         self._version = array("q")
         self._deleted = bytearray()
-        # Sparse: row index -> LockState, only for rows ever contended.
-        self._lock_states: dict[int, Any] = {}
         # Dense mode stores *no key objects at all*: keys are exactly the row
         # indices 0..n-1 (what every workload loader produces), which at 1M
         # rows saves ~36 bytes/row of boxed ints + list slots.  The first
@@ -301,10 +292,16 @@ class ColumnarTable:
 
     # -- record access -------------------------------------------------------
     def get(self, key) -> Optional[ColumnarRecord]:
-        row = self._row_of(key)
-        if row < 0 or self._deleted[row]:
+        # _row_of's dense test inlined: every record access comes through here.
+        if self._dense and type(key) is int and 0 <= key < self._n_rows:
+            row = key
+        else:
+            row = self._row_of(key)
+            if row < 0:
+                return None
+        if self._deleted[row]:
             return None
-        return ColumnarRecord(self, row, key)
+        return ColumnarRecord((self, row, key))
 
     def require(self, key) -> ColumnarRecord:
         record = self.get(key)
@@ -390,7 +387,7 @@ class ColumnarTable:
         else:
             row = self._append_row(key, value)
         self._live_count += 1
-        record = ColumnarRecord(self, row, key)
+        record = ColumnarRecord((self, row, key))
         if self._indexes:
             materialized = record.value
             for index in self._indexes.values():
@@ -451,7 +448,7 @@ class ColumnarTable:
         if self._deleted[row]:
             self._deleted[row] = 0
             self._live_count += 1
-        record = ColumnarRecord(self, row, key)
+        record = ColumnarRecord((self, row, key))
         if self._indexes:
             materialized = record.value
             for index in self._indexes.values():
@@ -460,7 +457,7 @@ class ColumnarTable:
 
     def delete(self, key) -> None:
         record = self.require(key)
-        row = record._row
+        row = record[1]
         if self._indexes:
             materialized = record.value
             for index in self._indexes.values():
@@ -478,7 +475,7 @@ class ColumnarTable:
     def records(self) -> Iterator[ColumnarRecord]:
         deleted = self._deleted
         return (
-            ColumnarRecord(self, row, self._key_of(row))
+            ColumnarRecord((self, row, self._key_of(row)))
             for row in range(self._n_rows)
             if not deleted[row]
         )
@@ -492,5 +489,5 @@ class ColumnarTable:
             if deleted[row]:
                 continue
             if predicate({col: arr[row] for col, arr in columns}):
-                out.append(ColumnarRecord(self, row, self._key_of(row)))
+                out.append(ColumnarRecord((self, row, self._key_of(row))))
         return out

@@ -7,6 +7,15 @@ policies used in the paper's baselines and in Primo itself:
 * ``WAIT_DIE`` — an *older* requester (smaller TID) waits for the holder, a
   *younger* one aborts (2PL(WD) and Primo's WCF, §4.2 "Deadlock Prevention").
 
+The manager owns the lock table: one insertion-ordered dict record →
+:class:`LockState` whose entries exist only while the record has a holder or
+a waiter.  Almost every row a run touches is locked once, briefly and without
+contention (Primo exclusive-locks what a distributed transaction reads,
+TicToc its write-set at commit), so releasing the last holder drops the entry
+and recycles its state through a free list: lock memory is bounded by
+concurrency, not by the rows ever touched, the steady state allocates
+nothing, records carry no lock field and the queries only look.
+
 Acquisition is two-tier for the hot path: :meth:`LockManager.acquire_nowait`
 resolves the common uncontended case synchronously (``True``/``False``) and
 only returns an :class:`~repro.sim.engine.Event` to wait on when the request
@@ -16,11 +25,11 @@ generator for call sites that prefer ``yield from``.  The manager never
 grants conflicting locks and always wakes waiters in FIFO order subject to
 mode compatibility, which tests verify as an invariant.
 
-Hot-path notes: uncontended acquisition touches no queue machinery at all —
-the wait deque is allocated lazily on first contention, grant/release keep an
-exclusive-holder count so the record's aggregate mode is maintained in O(1)
-without scanning holders, and compatibility checks compare dict sizes instead
-of materializing sets.
+Hot-path notes: a request for a record with no entry is granted without a
+compatibility check, the wait deque is allocated lazily on first contention,
+an exclusive-holder count answers "may a reader join?" without scanning
+holders, and compatibility checks compare dict sizes instead of
+materializing sets.
 """
 
 from __future__ import annotations
@@ -59,27 +68,19 @@ class LockRequest:
 
 
 class LockState:
-    """Lock bookkeeping attached to a single record."""
+    """Lock bookkeeping for one record while it is held or awaited."""
 
-    __slots__ = ("holders", "mode", "waiters", "n_exclusive")
+    __slots__ = ("holders", "waiters", "n_exclusive")
 
     def __init__(self) -> None:
         # txn_id -> LockMode currently granted.
         self.holders: dict = {}
-        self.mode: Optional[LockMode] = None
         # Allocated lazily on first contention: uncontended records never pay
         # for a deque.
         self.waiters: Optional[deque[LockRequest]] = None
-        # Number of holders in EXCLUSIVE mode, so the aggregate mode is
-        # maintained in O(1) on grant/release instead of scanning holders.
+        # Number of holders in EXCLUSIVE mode, so "can a reader join?" is
+        # O(1) on grant/release instead of a scan of holders.
         self.n_exclusive = 0
-
-    @property
-    def locked(self) -> bool:
-        return bool(self.holders)
-
-    def held_by(self, txn_id) -> Optional[LockMode]:
-        return self.holders.get(txn_id)
 
     def compatible(self, txn_id, mode: LockMode) -> bool:
         """Can ``txn_id`` be granted ``mode`` right now?"""
@@ -100,27 +101,39 @@ class LockManager:
     def __init__(self, env: Environment, policy: LockPolicy = LockPolicy.WAIT_DIE):
         self.env = env
         self.policy = policy
+        # record -> LockState while the record is held (dict records hash by
+        # identity, columnar handles by row).  Every entry has a holder: the
+        # head of a queue behind none is granted by the release that emptied it.
+        self._table: dict = {}
+        # States of released records, reused by the next first holder.
+        self._free: list = []
         # txn_id -> records it holds locks on, as an insertion-ordered dict so
         # release_all wakes waiters in acquisition order; records hash by
         # address, so a set here would make the run depend on the allocator.
         self._held: dict = {}
         self.stats = {"grants": 0, "waits": 0, "aborts": 0, "releases": 0}
 
-    # -- helpers -----------------------------------------------------------
-    @staticmethod
-    def _state(record: "Record") -> LockState:
-        if record.lock_state is None:
-            record.lock_state = LockState()
-        return record.lock_state
-
+    # -- queries (never create state) ---------------------------------------
     def holders_of(self, record: "Record") -> dict:
-        return dict(self._state(record).holders)
+        state = self._table.get(record)
+        return {} if state is None else dict(state.holders)
 
     def is_locked(self, record: "Record") -> bool:
-        return self._state(record).locked
+        return record in self._table
 
     def held_by(self, txn_id, record: "Record") -> Optional[LockMode]:
-        return self._state(record).held_by(txn_id)
+        state = self._table.get(record)
+        return None if state is None else state.holders.get(txn_id)
+
+    def locked_by_other(self, txn_id, record: "Record") -> bool:
+        """Does anyone but ``txn_id`` hold ``record``?  (What an optimistic
+        validator asks before extending ``rts`` or trusting a version.)"""
+        state = self._table.get(record)
+        if state is not None:
+            for holder in state.holders:
+                if holder != txn_id:
+                    return True
+        return False
 
     def locks_held(self, txn_id) -> set:
         return set(self._held.get(txn_id, ()))
@@ -128,14 +141,18 @@ class LockManager:
     # -- acquisition --------------------------------------------------------
     def try_acquire(self, txn_id, record: "Record", mode: LockMode) -> bool:
         """Non-blocking acquire; returns ``True`` iff granted immediately."""
-        state = self._state(record)
-        held = state.holders.get(txn_id)
-        if held is not None and (held is mode or held is LockMode.EXCLUSIVE):
-            return True
-        if not state.waiters and state.compatible(txn_id, mode):
-            self._grant(state, txn_id, record, mode)
-            return True
-        return False
+        state = self._table.get(record)
+        if state is None:
+            free = self._free
+            self._table[record] = state = free.pop() if free else LockState()
+        else:
+            held = state.holders.get(txn_id)
+            if held is not None and (held is mode or held is LockMode.EXCLUSIVE):
+                return True
+            if state.waiters or not state.compatible(txn_id, mode):
+                return False
+        self._grant(state, txn_id, record, mode)
+        return True
 
     def acquire_nowait(
         self,
@@ -149,9 +166,9 @@ class LockManager:
         Returns ``True`` (granted), ``False`` (the caller must abort: NO_WAIT
         conflict, or WAIT_DIE with a younger requester), or an
         :class:`~repro.sim.engine.Event` the caller must ``yield``; the
-        event's value is the grant flag.  The fast path — re-entrant or
-        immediately compatible requests — touches no queue machinery and
-        allocates nothing.
+        event's value is the grant flag.  The fast path — nobody holds or
+        awaits the record, a re-entrant or an immediately compatible request
+        — touches no queue machinery and allocates nothing.
 
         Grants are FIFO-fair: a new request never overtakes queued waiters
         (otherwise a steady stream of shared readers starves lock upgrades on
@@ -160,9 +177,12 @@ class LockManager:
         age check therefore covers both the current holders and every queued
         waiter: a transaction only ever waits for strictly younger ones.
         """
-        state = record.lock_state
+        state = self._table.get(record)
         if state is None:
-            record.lock_state = state = LockState()
+            free = self._free
+            self._table[record] = state = free.pop() if free else LockState()
+            self._grant(state, txn_id, record, mode)
+            return True
         held = state.holders.get(txn_id)
         if held is not None and (held is mode or held is LockMode.EXCLUSIVE):
             # Re-entrant request (or downgrade request): already satisfied.
@@ -214,7 +234,6 @@ class LockManager:
         holders[txn_id] = granted
         if granted is LockMode.EXCLUSIVE and previous is not LockMode.EXCLUSIVE:
             state.n_exclusive += 1
-        state.mode = LockMode.EXCLUSIVE if state.n_exclusive else LockMode.SHARED
         held = self._held.get(txn_id)
         if held is None:
             self._held[txn_id] = held = {}
@@ -224,10 +243,12 @@ class LockManager:
     # -- release ------------------------------------------------------------
     def release(self, txn_id, record: "Record") -> None:
         """Release one lock (no-op if the transaction does not hold it)."""
-        state = record.lock_state
-        if state is None or txn_id not in state.holders:
+        state = self._table.get(record)
+        if state is None:
             return
-        removed = state.holders.pop(txn_id)
+        removed = state.holders.pop(txn_id, None)
+        if removed is None:
+            return
         if removed is LockMode.EXCLUSIVE:
             state.n_exclusive -= 1
         held = self._held.get(txn_id)
@@ -236,9 +257,12 @@ class LockManager:
             if not held:
                 del self._held[txn_id]
         self.stats["releases"] += 1
-        self._recompute_mode(state)
         if state.waiters:
             self._wake_waiters(state, record)
+        elif not state.holders:
+            # Last holder, nobody queued: the entry dies with the lock.
+            del self._table[record]
+            self._free.append(state)
 
     def release_all(self, txn_id) -> None:
         """Release every lock held by ``txn_id``."""
@@ -247,23 +271,6 @@ class LockManager:
             return
         for record in list(held):
             self.release(txn_id, record)
-
-    def cancel_waits(self, txn_id) -> None:
-        """Remove ``txn_id`` from every wait queue (used on external aborts)."""
-        # Wait queues are short; a linear sweep over held records is not
-        # possible because the transaction is *not* a holder, so we cannot
-        # know which records it waits on without scanning.  Callers keep
-        # track of the single record they wait on instead; this method is a
-        # safety net used by crash handling.
-        # Intentionally left as a no-op hook for LockState owners.
-
-    def _recompute_mode(self, state: LockState) -> None:
-        if not state.holders:
-            state.mode = None
-        elif state.n_exclusive:
-            state.mode = LockMode.EXCLUSIVE
-        else:
-            state.mode = LockMode.SHARED
 
     def _wake_waiters(self, state: LockState, record: "Record") -> None:
         """Grant queued requests that are now compatible (FIFO, no overtaking).
@@ -293,24 +300,24 @@ class LockManager:
         The woken requester counts as an abort; the accounting lives here so
         both the generator and the ``acquire_nowait`` call sites observe it.
         """
-        state = self._state(record)
+        state = self._table.get(record)
+        if state is None:
+            return
         waiters = state.waiters
-        failed: list[Event] = []
-        while waiters:
-            request = waiters.popleft()
-            failed.append(request.event)
-            self.stats["aborts"] += 1
-        if failed:
-            self.env.succeed_all(failed, False)
+        if waiters:
+            self.stats["aborts"] += len(waiters)
+            self.env.succeed_all([request.event for request in waiters], False)
+            waiters.clear()
+        if not state.holders:
+            del self._table[record]
+            self._free.append(state)
 
     def force_release_everything(self) -> None:
         """Drop all lock state (used when a partition crashes and restarts)."""
-        for txn_id in list(self._held):
-            for record in list(self._held.get(txn_id, ())):
-                state = self._state(record)
-                removed = state.holders.pop(txn_id, None)
-                if removed is LockMode.EXCLUSIVE:
+        for txn_id, held in self._held.items():
+            for record in held:
+                state = self._table[record]
+                if state.holders.pop(txn_id) is LockMode.EXCLUSIVE:
                     state.n_exclusive -= 1
-                self._recompute_mode(state)
                 self.abort_waiters(record)
         self._held.clear()

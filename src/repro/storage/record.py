@@ -1,8 +1,9 @@
 """Record representation shared by every protocol.
 
 A record carries the TicToc metadata (``wts``/``rts``) used by Primo and
-Sundial, a monotone ``version`` used by Silo-style validation, and a pointer
-to its lock state (managed by :class:`repro.storage.lock.LockManager`).
+Sundial and a monotone ``version`` used by Silo-style validation.  It carries
+nothing about locks: :class:`repro.storage.lock.LockManager` keys its table
+by the record itself, for as long as the record is held or awaited.
 
 Values are stored as plain Python dictionaries (column name → value) so that
 the TPC-C tables read naturally; YCSB simply stores ``{"field0": ...}``.
@@ -18,7 +19,7 @@ __all__ = ["Record"]
 class Record:
     """A single row plus the concurrency-control metadata attached to it."""
 
-    __slots__ = ("key", "value", "wts", "rts", "version", "lock_state", "deleted")
+    __slots__ = ("key", "value", "wts", "rts", "version", "deleted")
 
     def __init__(self, key: Any, value: dict):
         self.key = key
@@ -28,14 +29,16 @@ class Record:
         self.rts: float = 0.0
         # Monotone write counter used by Silo read-set validation.
         self.version: int = 0
-        # Lazily-created LockState (see repro.storage.lock).
-        self.lock_state = None
         self.deleted = False
 
     # -- value access ----------------------------------------------------
     def snapshot(self) -> dict:
         """Copy of the current value (so buffered reads are isolated)."""
         return dict(self.value)
+
+    def read(self) -> tuple:
+        """``(private value copy, wts, rts, version)``: a read entry's fields."""
+        return dict(self.value), self.wts, self.rts, self.version
 
     def get(self, column: str, default: Any = None) -> Any:
         return self.value.get(column, default)

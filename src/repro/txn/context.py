@@ -12,7 +12,7 @@ protocol.  They are simulation generators receiving a :class:`TxnContext`:
 ``delete`` are the *only* implementation of an access: each is one generator
 frame that charges ``cpu_record_access_us`` once, and ``read`` dedupes
 against the read-set, fetches the record (taking the protocol's lock),
-snapshots it once, records the :class:`ReadEntry`, lets the ``stale_read``
+reads it in one call, records the :class:`ReadEntry`, lets the ``stale_read``
 fault observe the read and overlays the transaction's own buffered writes.
 Protocols do **not** override them.  A protocol's context subclass supplies
 only what genuinely differs:
@@ -95,12 +95,10 @@ class TxnContext:
                             AbortReason.LOCK_CONFLICT, f"{mode.value} lock {table}:{key}"
                         )
                 entry = ReadEntry(
-                    partition, table, key, record.snapshot(),
-                    record.wts, record.rts, record.version, locked=mode is not None,
-                )
+                    partition, table, key, *record.read(), locked=mode is not None)
                 self.records[(partition, table, key)] = record
                 if self.registers_lower_bound and txn.lower_bound_ts == 0.0:
-                    txn.lower_bound_ts = max(record.wts, server.ts_floor + 1)
+                    txn.lower_bound_ts = max(entry.wts, server.ts_floor + 1)
             else:
                 entry = yield from self._remote_read(partition, table, key)
                 entry.dummy = dummy

@@ -21,17 +21,6 @@ from repro.txn.transaction import ReadEntry, Transaction, WriteEntry
 from tests.conftest import tiny_config, tiny_ycsb
 
 
-@pytest.fixture
-def no_collector():
-    """Only reference counts may free anything while the test body runs."""
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def spy_on(obj, method, probe):
     """Call ``probe(args, result)`` after every ``obj.method(*args)``."""
     inner = getattr(obj, method)

@@ -121,7 +121,7 @@ def test_single_replica_group_still_persists():
 
 @pytest.mark.parametrize("backend", ["auto", "dict"])
 def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend):
-    """The WRITESET record keeps the attempt's ``updates`` dicts themselves.
+    """A log record keeps the attempt's ``updates`` dicts themselves.
 
     Storage copies values *out* of them on install, so whatever happens to
     the rows afterwards — later commits, in-place edits — neither the log
@@ -166,3 +166,37 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend):
     table.get(1).install_fields({"field0": 555}, ts=7.0)
     assert record.payload == payload_then
     assert table.get(2).get("field0") == 997           # untouched by the rollback
+
+    # Primo's coordinator logs the remote write-sets it ships one-way, and that
+    # COMMIT_DECISION record owns their dicts the same way.  Here the
+    # participant's leader dies before the message lands, so recovery installs
+    # the logged values (§5.2 re-delivery).
+    participant = cluster.servers[1]
+    remote = participant.store.table("usertable")
+    remote_fresh = len(remote)
+    attempt = server.new_transaction()
+
+    def logic(ctx):
+        yield from ctx.update(1, "usertable", 3, {"field0": 444})
+        yield from ctx.insert(1, "usertable", remote_fresh, {"field0": 555, "field1": 666})
+        participant.crash()
+
+    outcome = cluster.env.process(cluster.protocol.run_transaction(server, attempt, logic))
+    cluster.env.run(until=cluster.env.now + 5_000)
+    assert outcome.value is True
+    (decision,) = server.log.records(LogRecordKind.COMMIT_DECISION)
+    shipped = decision.payload["remote_writes"][1]
+    assert [w[2] for w in shipped] == [{"field0": 444}, {"field0": 555, "field1": 666}]
+    assert all(w[2] is entry.updates for w, entry in zip(shipped, attempt.write_set))
+    decision_then = copy.deepcopy(decision.payload)
+    assert remote.get(3).get("field0") != 444 and remote.get(remote_fresh) is None
+
+    assert cluster.recovery._redeliver_lost_writes(1, attempt.ts + 1) == 2
+    assert remote.get(3).get("field0") == 444
+    assert remote.get(remote_fresh).snapshot() == {"field0": 555, "field1": 666}
+    remote.get(3).install_fields({"field0": 1, "field1": 2}, ts=attempt.ts + 2)
+    redelivered = remote.get(remote_fresh)
+    redelivered.value = {"field0": -1}
+    if backend == "dict":
+        redelivered.value["field1"] = -2   # the row's own dict, edited in place
+    assert decision.payload == decision_then

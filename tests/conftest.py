@@ -7,6 +7,7 @@ the full protocol paths.
 
 from __future__ import annotations
 
+import gc
 from typing import Generator
 
 import pytest
@@ -114,6 +115,18 @@ class TransferWorkload(Workload):
                 return TransactionSpec(name="transfer", logic=logic)
 
         return _Source()
+
+
+@pytest.fixture
+def no_collector():
+    """Only reference counts may free anything while the test body runs (the
+    object-lifetime tests count what is still allocated)."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -11,9 +11,11 @@ import tracemalloc
 import pytest
 
 from repro.storage.columnar import ColumnarRecord, ColumnarTable, TableSchema
+from repro.storage.lock import LockManager, LockMode
 from repro.storage.partition import PartitionStore
 from repro.storage.table import Table, TableError
 from repro.sim.engine import Environment
+from repro.txn.transaction import TxnId
 
 SCHEMA = TableSchema((("a", "i"), ("b", "f")))
 
@@ -210,19 +212,29 @@ def test_record_snapshot_is_a_copy_and_get_defaults():
 
 
 def test_views_of_one_row_share_state_and_identity():
-    """Two views of one row are the same record to the lock manager."""
-    table = make_table()
-    table.insert(0, {"a": 1, "b": 0.0})
-    table.insert(1, {"a": 2, "b": 0.0})
+    """Two handles of one row are the same record to the lock manager."""
+    table, other_table = make_table(), make_table()
+    for t in (table, other_table):
+        t.insert(0, {"a": 1, "b": 0.0})
+        t.insert(1, {"a": 2, "b": 0.0})
     first, second = table.get(0), table.get(0)
+    assert first is not second and type(second) is ColumnarRecord
     assert first == second and hash(first) == hash(second)
-    assert len({first, second}) == 1  # held-lock sets rely on this
+    assert len({first, second}) == 1  # the lock table and held-lock dicts rely on this
     assert first != table.get(1)
+    assert first != other_table.get(0)
+    assert first.key == 0 and table.get(1).key == 1
     first.wts = 42.0
     assert second.wts == 42.0  # write-through to the shared arrays
-    first.lock_state = "sentinel"
-    assert second.lock_state == "sentinel"
-    assert type(second) is ColumnarRecord
+    # A lock taken through one handle is released through the other.
+    manager = LockManager(Environment())
+    tid = TxnId(1, 0)
+    assert manager.acquire_nowait(tid, first, LockMode.EXCLUSIVE) is True
+    assert manager.held_by(tid, second) is LockMode.EXCLUSIVE
+    assert not manager.is_locked(other_table.get(0))
+    manager.release(tid, second)
+    assert not manager.is_locked(first) and manager.locks_held(tid) == set()
+    assert not manager._table
 
 
 # -- dense keys and sparse fallback --------------------------------------------

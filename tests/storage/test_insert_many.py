@@ -42,7 +42,7 @@ def state(table):
         "len": len(table),
         "keys": list(table.keys()),
         "records": [
-            (r.key, r.value, r.wts, r.rts, r.version, r.deleted, r.lock_state)
+            (r.key, r.value, r.wts, r.rts, r.version, r.deleted)
             for r in table.records()
         ],
     }

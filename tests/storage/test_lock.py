@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment
+from repro.storage.columnar import ColumnarTable, TableSchema
 from repro.storage.lock import LockManager, LockMode, LockPolicy
 from repro.storage.record import Record
 from repro.txn.transaction import TxnId
@@ -175,6 +176,45 @@ def test_force_release_everything_clears_state():
         assert acquire(env, manager, TxnId(i + 1, 0), record, LockMode.EXCLUSIVE) is True
     manager.force_release_everything()
     assert all(not manager.is_locked(r) for r in records)
+
+
+def _three_records(backend):
+    if backend == "dict":
+        return [Record(key, {}) for key in range(3)]
+    table = ColumnarTable("t", TableSchema((("a", "i"),)))
+    table.insert_many(range(3), {"a": 0})
+    return [table.get(key) for key in range(3)]
+
+
+@pytest.mark.parametrize("backend", ["dict", "columnar"])
+def test_lock_queries_leave_no_state_behind(backend):
+    """Validators ask about rows nobody locked; asking must not plant state."""
+    env, manager = make_manager()
+    never_locked, released, held = _three_records(backend)
+    tid, other = TxnId(1, 0), TxnId(2, 0)
+    assert acquire(env, manager, tid, released, LockMode.EXCLUSIVE) is True
+    manager.release(tid, released)
+    assert acquire(env, manager, other, held, LockMode.SHARED) is True
+    recycled = list(manager._free)
+    for record in (never_locked, released):
+        assert manager.holders_of(record) == {}
+        assert not manager.is_locked(record)
+        assert manager.held_by(tid, record) is None
+        assert not manager.locked_by_other(tid, record)
+        manager.abort_waiters(record)
+        manager.release(tid, record)
+    assert list(manager._table) == [held] and manager._free == recycled
+    # The answers themselves: a copy of the holders, and "someone else?".
+    holders = manager.holders_of(held)
+    holders.clear()
+    assert manager.holders_of(held) == {other: LockMode.SHARED}
+    assert manager.locked_by_other(tid, held) and not manager.locked_by_other(other, held)
+    assert acquire(env, manager, tid, held, LockMode.SHARED) is True
+    assert manager.locked_by_other(tid, held) and manager.locked_by_other(other, held)
+    manager.release(other, held)
+    assert not manager.locked_by_other(tid, held)
+    manager.release(tid, held)
+    assert not manager._table
 
 
 class _HashedRecord(Record):
