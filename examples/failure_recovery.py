@@ -2,8 +2,7 @@
 """Failure and recovery demo: what happens when a partition leader crashes.
 
 Declares the crash as a :class:`repro.FaultPlan` event on the scenario
-(``faults=[...]`` — the legacy ``crash_partition``/``crash_time_us`` config
-overrides still work and compile to exactly this event), then uses
+(``faults=[...]``), then uses
 :func:`repro.build` (rather than :func:`repro.run`) to keep a handle on the
 cluster, so the post-run recovery state of §5.2 can be inspected: failure
 detection by the membership service, leader re-election, watermark agreement

@@ -71,6 +71,8 @@ from typing import NamedTuple, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import repro  # noqa: E402
+from repro.bench.experiments import storm_duration_us  # noqa: E402
 from repro.bench.micro import MICRO_BENCHMARKS  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_substrate.json"
@@ -144,42 +146,28 @@ def run_e2e(row: E2ERow, traced: bool = False) -> dict:
     ``mem_peak_mb``; its walls are *not* recorded (tracing roughly doubles
     them).
     """
-    from repro.bench.runner import SCALES, build_workload
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.config import SystemConfig
-    from repro.faults import FaultPlan, standard_storm
-
-    scale = SCALES[row.scale]
-    config_kwargs = dict(
-        duration_us=scale.duration_us,
-        warmup_us=scale.warmup_us,
-        workers_per_partition=scale.workers_per_partition,
-        inflight_per_worker=scale.inflight_per_worker,
-    )
-    plan = None
+    spec = repro.ScenarioSpec(protocol=row.protocol, workload=row.workload,
+                              scale=row.scale, arrival=row.arrival)
     if row.faults == "standard_storm":
-        from repro.bench.experiments import storm_duration_us
-
         # Mirror the storm figure exactly: the fast failure detector (so the
         # leader flap is detected and recovered inside the fixed-seed run)
         # and the stretched >= 60 ms window — at the raw small-scale duration
         # the flap's ~20 ms recovery quiesce would swallow the trailing
         # stale-read window, leaving the stale_reads correctness key vacuous.
-        duration = storm_duration_us(scale)
-        config_kwargs.update(duration_us=duration,
-                             heartbeat_interval_us=500.0,
-                             heartbeat_timeout_us=2_000.0)
-        plan = FaultPlan(events=tuple(
-            standard_storm(scale.warmup_us, duration)))
+        duration = storm_duration_us(spec.scale)
+        spec = spec.derive(
+            faults=repro.standard_storm(spec.scale.warmup_us, duration),
+            duration_us=duration,
+            heartbeat_interval_us=500.0,
+            heartbeat_timeout_us=2_000.0,
+        )
     elif row.faults is not None:
         raise SystemExit(f"unknown named fault plan {row.faults!r}")
-    config = SystemConfig.for_protocol(row.protocol, **config_kwargs)
     if traced:
         tracemalloc.start()
     try:
         load_start = time.perf_counter()
-        cluster = Cluster(config, build_workload(scale, row.workload),
-                          arrival=row.arrival, faults=plan)
+        cluster = repro.build(spec)
         start = time.perf_counter()
         result = cluster.run()
         wall_s = time.perf_counter() - start

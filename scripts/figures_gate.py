@@ -32,7 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench.experiments import FIGURES  # noqa: E402
 from repro.bench.orchestrator import ResultCache, run_cells  # noqa: E402
-from repro.bench.runner import SCALES, TINY_SCALE  # noqa: E402
+from repro.scales import SCALES, TINY_SCALE  # noqa: E402
 
 #: Small but representative default: a knob sweep (blind writes) and a
 #: durability-scheme matrix, covering workload and config overrides.

@@ -26,16 +26,11 @@ objects (``Cluster``, ``SystemConfig``, workload classes) remain available
 for code that wants to assemble a cluster by hand.
 """
 
-# 1.4.0: million-key scale tier (columnar storage backend, fixed-memory
-# latency sketch past SKETCH_THRESHOLD samples, xlarge/web tiers).  All
-# fixed-seed metrics at tiny→paper scales are bit-identical, but result
-# documents can now carry a ``latency_sketch`` instead of raw samples, so
-# the version bump (with cache schema v5) retires old orchestrator caches.
-# 1.3.0: transaction-pipeline perf overhaul (batched wakeups, zero-alloc
-# send path, cheap stats).  Fixed-seed metrics are bit-identical, but the
-# serialized latency-sample *order* inside cached RunResults can differ from
-# pre-1.3 entries, so the version bump retires old orchestrator caches.
-__version__ = "1.4.0"
+# Part of every orchestrator cache key and campaign manifest (the "substrate
+# version"): bump it when results or their serialized form change, so stale
+# caches degrade to misses and old manifests ask to be recompiled.  The
+# history of past bumps is in CHANGES.md.
+__version__ = "1.5.0"
 
 from .arrivals import ArrivalSpec, arrival
 from .cluster import Cluster, RunResult, Server, SystemConfig

@@ -1,11 +1,9 @@
 """Benchmark harness regenerating every figure of the paper's evaluation."""
 
-from .experiments import ALL_EXPERIMENTS, FIGURES, FigureSpec
+from .experiments import FIGURES, FigureSpec, run_figure
 from .orchestrator import Cell, ResultCache, SweepOutcome, make_cell, run_cells
-from .runner import SCALES, BenchScale, build_cluster, build_workload, run_config
 
 __all__ = [
-    "ALL_EXPERIMENTS",
     "FIGURES",
     "FigureSpec",
     "Cell",
@@ -13,9 +11,5 @@ __all__ = [
     "SweepOutcome",
     "make_cell",
     "run_cells",
-    "SCALES",
-    "BenchScale",
-    "build_cluster",
-    "build_workload",
-    "run_config",
+    "run_figure",
 ]

@@ -1,4 +1,4 @@
-"""Figure-level experiments: one function per table/figure of the paper.
+"""Figure-level experiments: one plan/render pair per table/figure of the paper.
 
 Every figure is split into two halves so the orchestrator can parallelize and
 cache the expensive part:
@@ -9,59 +9,30 @@ cache the expensive part:
 * a **render** function takes ``{cell.key: RunResult}`` for those cells,
   prints the readable report and returns the figure's data dictionary.
 
-The classic one-shot entry points (``fig04_ycsb_overall(scale)`` …) still
-exist: they plan, execute inline, and render.  ``python -m repro.bench`` goes
-through :data:`FIGURES` instead so it can execute the union of every planned
-cell across processes with an on-disk cache (see ``orchestrator.py``).
-
-The pytest-benchmark files under ``benchmarks/`` call the one-shot functions
-at the ``small`` scale; ``python -m repro.bench`` runs them at any scale.
+Both halves are reached through the :data:`FIGURES` registry.
+``python -m repro.bench`` executes the union of every planned cell across
+processes with an on-disk cache (see ``orchestrator.py``);
+:func:`run_figure` plans, executes inline and renders one figure in a single
+call (``benchmarks/bench_figures.py`` times it at the ``small`` scale).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..core.analysis import AnalysisParameters, ConflictRateModel
 from ..registry import FIGURE_REGISTRY
+from ..scales import SCALES, BenchScale, sweep_values
 from ..scenario import ScenarioSpec, sweep as scenario_sweep
 from ..sim.stats import BREAKDOWN_COMPONENTS
 from .orchestrator import Cell, make_cell, run_cells
 from .report import print_header, print_table
-from .runner import BenchScale, SCALES, sweep_values
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "FIGURES",
-    "FigureSpec",
-    "fig04_ycsb_overall",
-    "fig05_tpcc_overall",
-    "fig06_contention",
-    "fig07_distributed_ratio",
-    "fig08_read_write_ratio",
-    "fig09_blind_writes",
-    "fig10_warehouses",
-    "fig11_logging_schemes",
-    "fig12_interval",
-    "fig13_lagging",
-    "fig14_scalability",
-    "fig15_tapir",
-    "openloop_curves",
-    "storm_degradation",
-    "appendix_analysis",
-]
+__all__ = ["FIGURES", "FigureSpec", "run_figure"]
 
 #: Protocols compared in the overall-performance figures (Figs. 4, 5).
 OVERALL_PROTOCOLS = ("2pl_nw", "2pl_wd", "silo", "sundial", "aria", "primo")
-
-
-def _execute_inline(cells: list[Cell], results: Optional[dict]) -> dict:
-    """Results for ``cells`` keyed by cell key, computing inline if needed."""
-    if results is not None:
-        return results
-    outcome = run_cells(cells, jobs=1, cache=None)
-    return outcome.by_key(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +132,6 @@ def fig04_render(scale: BenchScale, results: dict) -> dict:
     return _overall_render(results, "ycsb", paper_factor=1.91, figure="Figure 4")
 
 
-def fig04_ycsb_overall(scale: BenchScale = SCALES["small"], *,
-                       results: Optional[dict] = None) -> dict:
-    """Figure 4: overall performance and breakdowns on YCSB."""
-    return fig04_render(scale, _execute_inline(fig04_plan(scale), results))
-
 
 def fig05_plan(scale: BenchScale) -> list[Cell]:
     return _overall_plan("fig05", scale, "tpcc")
@@ -174,11 +140,6 @@ def fig05_plan(scale: BenchScale) -> list[Cell]:
 def fig05_render(scale: BenchScale, results: dict) -> dict:
     return _overall_render(results, "tpcc", paper_factor=1.42, figure="Figure 5")
 
-
-def fig05_tpcc_overall(scale: BenchScale = SCALES["small"], *,
-                       results: Optional[dict] = None) -> dict:
-    """Figure 5: overall performance and breakdowns on TPC-C."""
-    return fig05_render(scale, _execute_inline(fig05_plan(scale), results))
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +182,6 @@ def fig06_render(scale: BenchScale, results: dict,
     )
     return {"skews": skews, "throughput_ktps": series, "abort_rate": aborts}
 
-
-def fig06_contention(scale: BenchScale = SCALES["small"],
-                     protocols: tuple = ("sundial", "2pl_nw", "primo"), *,
-                     results: Optional[dict] = None) -> dict:
-    """Figure 6: throughput and abort rate vs Zipf skew."""
-    cells = fig06_plan(scale, protocols)
-    return fig06_render(scale, _execute_inline(cells, results), protocols)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +227,6 @@ def fig07_render(scale: BenchScale, results: dict,
         )
     return {"ratios": ratios, **out}
 
-
-def fig07_distributed_ratio(scale: BenchScale = SCALES["small"],
-                            protocols: tuple = ("sundial", "primo"), *,
-                            results: Optional[dict] = None) -> dict:
-    """Figure 7: throughput vs fraction of distributed transactions."""
-    cells = fig07_plan(scale, protocols)
-    return fig07_render(scale, _execute_inline(cells, results), protocols)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +274,6 @@ def fig08_render(scale: BenchScale, results: dict,
     return {"write_ratios": write_ratios, **out}
 
 
-def fig08_read_write_ratio(scale: BenchScale = SCALES["small"],
-                           protocols: tuple = ("sundial", "primo"), *,
-                           results: Optional[dict] = None) -> dict:
-    """Figure 8: throughput vs % of write operations (20% and 80% distributed)."""
-    cells = fig08_plan(scale, protocols)
-    return fig08_render(scale, _execute_inline(cells, results), protocols)
-
 
 # ---------------------------------------------------------------------------
 # Figure 9: blind writes
@@ -369,11 +309,6 @@ def fig09_render(scale: BenchScale, results: dict) -> dict:
     )
     return {"ratios": ratios, **series}
 
-
-def fig09_blind_writes(scale: BenchScale = SCALES["small"], *,
-                       results: Optional[dict] = None) -> dict:
-    """Figure 9: Primo vs Sundial as the blind-write ratio grows."""
-    return fig09_render(scale, _execute_inline(fig09_plan(scale), results))
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +350,6 @@ def fig10_render(scale: BenchScale, results: dict,
     return {"warehouses": warehouse_counts, **series}
 
 
-def fig10_warehouses(scale: BenchScale = SCALES["small"],
-                     protocols: tuple = ("sundial", "primo"), *,
-                     results: Optional[dict] = None) -> dict:
-    """Figure 10: TPC-C throughput vs number of warehouses per partition."""
-    cells = fig10_plan(scale, protocols)
-    return fig10_render(scale, _execute_inline(cells, results), protocols)
-
 
 # ---------------------------------------------------------------------------
 # Figure 11: logging schemes
@@ -458,14 +386,6 @@ def fig11_render(scale: BenchScale, results: dict, workload: str = "ycsb",
     return {"throughput_ktps": table}
 
 
-def fig11_logging_schemes(scale: BenchScale = SCALES["small"],
-                          workload: str = "ycsb",
-                          protocols: tuple = ("2pl_wd", "sundial", "primo"), *,
-                          results: Optional[dict] = None) -> dict:
-    """Figure 11: CLV vs COCO vs WM under several concurrency-control schemes."""
-    cells = fig11_plan(scale, workload, protocols)
-    return fig11_render(scale, _execute_inline(cells, results), workload, protocols)
-
 
 # ---------------------------------------------------------------------------
 # Figure 12: watermark interval / epoch size
@@ -479,7 +399,7 @@ def fig12_plan(scale: BenchScale) -> list[Cell]:
             "fig12", f"{scheme}@i{interval_ms}", "primo", scale,
             workload="ycsb", durability=scheme,
             epoch_length_us=interval_ms * 1000.0,
-            crash_partition=1, crash_time_us=crash_time,
+            faults=[{"kind": "crash", "at_us": crash_time, "target": 1}],
         )
         for interval_ms in intervals_ms
         for scheme in ("wm", "coco")
@@ -511,11 +431,6 @@ def fig12_render(scale: BenchScale, results: dict) -> dict:
     }
 
 
-def fig12_interval(scale: BenchScale = SCALES["small"], *,
-                   results: Optional[dict] = None) -> dict:
-    """Figure 12: watermark-interval / epoch-size trade-off (latency, crash aborts, throughput)."""
-    return fig12_render(scale, _execute_inline(fig12_plan(scale), results))
-
 
 # ---------------------------------------------------------------------------
 # Figure 13: lagging watermarks and slow partitions
@@ -527,9 +442,6 @@ FIG13_SLOW_VARIANTS = (
 
 
 def fig13_plan(scale: BenchScale) -> list[Cell]:
-    # Both halves are declarative fault plans now; the legacy scalar knobs
-    # compile to exactly these events (bit-identity pinned by
-    # tests/api/test_faults.py).
     delays_ms = sweep_values([0.0, 5.0, 10.0, 20.0, 30.0], scale)
     cells = [
         # (a) delay only the watermark/epoch control messages of partition 1.
@@ -597,11 +509,6 @@ def fig13_render(scale: BenchScale, results: dict) -> dict:
     return {"delays_ms": delays_ms, "message_delay": message_delay, "slow_partition": slow}
 
 
-def fig13_lagging(scale: BenchScale = SCALES["small"], *,
-                  results: Optional[dict] = None) -> dict:
-    """Figure 13: lagging watermark/epoch messages and a slow partition."""
-    return fig13_render(scale, _execute_inline(fig13_plan(scale), results))
-
 
 # ---------------------------------------------------------------------------
 # Figure 14: scalability
@@ -649,13 +556,6 @@ def fig14_render(scale: BenchScale, results: dict, workload: str = "ycsb",
     )
     return {"partitions": partition_counts, "throughput_ktps": series}
 
-
-def fig14_scalability(scale: BenchScale = SCALES["small"], workload: str = "ycsb",
-                      protocols: tuple = ("sundial", "primo"), *,
-                      results: Optional[dict] = None) -> dict:
-    """Figure 14: scalability with the number of partitions (plus Primo with COCO)."""
-    cells = fig14_plan(scale, workload, protocols)
-    return fig14_render(scale, _execute_inline(cells, results), workload, protocols)
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +609,6 @@ def fig15_render(scale: BenchScale, results: dict) -> dict:
     }
 
 
-def fig15_tapir(scale: BenchScale = SCALES["small"], *,
-                results: Optional[dict] = None) -> dict:
-    """Figure 15: Primo vs TAPIR (single worker per server, as in §6.6)."""
-    return fig15_render(scale, _execute_inline(fig15_plan(scale), results))
-
 
 # ---------------------------------------------------------------------------
 # Appendix A: analytical model (no simulation cells)
@@ -737,11 +632,6 @@ def appendix_render(scale: BenchScale, results: dict) -> dict:
     )
     return {"rows": rows}
 
-
-def appendix_analysis(scale: BenchScale = SCALES["small"], *,
-                      results: Optional[dict] = None) -> dict:
-    """Appendix A: the analytical conflict-rate model (CR_2PC vs CR_Primo)."""
-    return appendix_render(scale, results or {})
 
 
 # ---------------------------------------------------------------------------
@@ -843,12 +733,6 @@ def openloop_render(scale: BenchScale, results: dict) -> dict:
     return data
 
 
-def openloop_curves(scale: BenchScale = SCALES["small"], *,
-                    results: Optional[dict] = None) -> dict:
-    """Open-loop offered-load sweep: throughput and tail-latency curves."""
-    cells = openloop_plan(scale)
-    return openloop_render(scale, _execute_inline(cells, results))
-
 
 # ---------------------------------------------------------------------------
 # The standard storm: degradation and recovery under replication faults
@@ -940,12 +824,6 @@ def storm_render(scale: BenchScale, results: dict) -> dict:
     return data
 
 
-def storm_degradation(scale: BenchScale = SCALES["small"], *,
-                      results: Optional[dict] = None) -> dict:
-    """The standard storm across every registered protocol."""
-    cells = storm_plan(scale)
-    return storm_render(scale, _execute_inline(cells, results))
-
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -997,22 +875,9 @@ _register_figure("appendix", appendix_plan, appendix_render,
 #: external code (``repro.registry.register_figure``) appear here too.
 FIGURES = FIGURE_REGISTRY.as_mapping()
 
-#: name -> one-shot callable (plan + inline execute + render), kept for the
-#: pytest-benchmark suite and any callers that predate the orchestrator.
-ALL_EXPERIMENTS = {
-    "fig04": fig04_ycsb_overall,
-    "fig05": fig05_tpcc_overall,
-    "fig06": fig06_contention,
-    "fig07": fig07_distributed_ratio,
-    "fig08": fig08_read_write_ratio,
-    "fig09": fig09_blind_writes,
-    "fig10": fig10_warehouses,
-    "fig11": fig11_logging_schemes,
-    "fig12": fig12_interval,
-    "fig13": fig13_lagging,
-    "fig14": fig14_scalability,
-    "fig15": fig15_tapir,
-    "openloop": openloop_curves,
-    "storm": storm_degradation,
-    "appendix": appendix_analysis,
-}
+
+def run_figure(name: str, scale: BenchScale) -> dict:
+    """Plan, execute inline (no cache) and render one registered figure."""
+    figure = FIGURES[name]
+    cells = figure.plan(scale)
+    return figure.render(scale, run_cells(cells).by_key(cells))

@@ -3,11 +3,12 @@
 Regenerating the paper's figures decomposes into independent *cells*: one
 fixed-seed simulation per (protocol, workload, scale, knobs) point.  This
 module turns each cell into a declarative :class:`Cell` spec, executes the
-whole set across CPU cores with a :class:`~concurrent.futures.ProcessPoolExecutor`,
-and memoizes every cell's :class:`~repro.cluster.results.RunResult` in an
-on-disk JSON cache keyed by a stable hash of the cell spec plus the substrate
-version.  Interrupted or repeated sweeps therefore resume: only cells whose
-spec (or the simulator itself) changed are recomputed.
+whole set across CPU cores (:func:`execute_cells` — the one inline-or-pool
+loop, which the campaign executor drains too), and memoizes every cell's
+:class:`~repro.cluster.results.RunResult` in an on-disk JSON cache keyed by a
+stable hash of the cell spec plus the substrate version.  Interrupted or
+repeated sweeps therefore resume: only cells whose spec (or the simulator
+itself) changed are recomputed.
 
 Determinism contract
 --------------------
@@ -42,8 +43,9 @@ import os
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .. import __version__ as _REPRO_VERSION
 from ..cluster.results import RunResult
@@ -61,9 +63,8 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "collect_cache_garbage",
     "execute_cell",
-    "execute_cell_json",
+    "execute_cells",
     "make_cell",
-    "run_cached_cell",
     "run_cells",
 ]
 
@@ -74,22 +75,12 @@ __all__ = [
 #: coexist on CI.
 SUBSTRATE_VERSION = _REPRO_VERSION
 
-#: Version of the on-disk cache file format itself.  v6: spec JSON can carry
-#: a geo ``topology`` (omitted for flat-network specs, whose cache keys are
-#: therefore unchanged) and fault-run result documents carry a windowed
-#: ``timeline`` (degradation/recovery metrics); stale v5 caches degrade to
-#: misses.  v5: result documents
-#: from runs past ``repro.sim.stats.SKETCH_THRESHOLD`` samples store a
-#: bounded-size ``latency_sketch`` instead of raw ``latency_samples`` (and are
-#: streamed to disk incrementally), so entries no longer grow with transaction
-#: count; stale v4 caches degrade to misses.  v4: spec JSON can carry
-#: an open-loop ``arrival`` process (omitted for closed-loop specs, whose
-#: cache keys are therefore unchanged); stale v3 caches degrade to misses.
-#: v3: spec JSON grew the declarative ``faults`` plan (and workload mixes),
-#: so fault schedules and mix weights are part of every cell's cache
-#: identity.  v2: cells carry a ScenarioSpec and cache keys hash its
-#: canonical JSON.
-CACHE_SCHEMA_VERSION = 6
+#: Version of the on-disk cache file format itself.  v7: spec JSON omits every
+#: optional field that is ``None`` (``faults`` joined ``arrival`` and
+#: ``topology``) and lost the two scalar fault knobs, so every content key
+#: changed; entries written under an older schema degrade to misses and
+#: ``scripts/cache_gc.py`` reclaims them.
+CACHE_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -111,19 +102,6 @@ class Cell:
     def cell_id(self) -> str:
         return f"{self.figure}/{self.key}"
 
-    # Convenience accessors kept from the pre-spec Cell shape.
-    @property
-    def protocol(self) -> str:
-        return self.spec.protocol
-
-    @property
-    def workload(self) -> str:
-        return self.spec.workload
-
-    @property
-    def scale(self) -> BenchScale:
-        return self.spec.scale
-
     def cache_key(self) -> str:
         """Stable content hash of the spec's canonical JSON + substrate version."""
         payload = (
@@ -143,11 +121,9 @@ def make_cell(
     faults=None,
     arrival=None,
     topology=None,
-    durability_message_delay: Optional[tuple] = None,
-    network_extra_delay_to: Optional[tuple] = None,
     **config_overrides,
 ) -> Cell:
-    """Convenience constructor mirroring :func:`repro.bench.runner.run_config`.
+    """Convenience constructor: loose keywords are ``SystemConfig`` overrides.
 
     Spec validation runs here — a typo'd protocol, workload, override key,
     fault kind or mix component fails while the figure is being *planned*,
@@ -165,8 +141,6 @@ def make_cell(
             faults=faults,
             arrival=arrival,
             topology=topology,
-            durability_message_delay=durability_message_delay,
-            network_extra_delay_to=network_extra_delay_to,
         ),
     )
 
@@ -203,33 +177,55 @@ def _profile_path(profile_dir: str, cell: Cell) -> str:
     return str(directory / f"{cell.figure}-{safe_key}-{cell.cache_key()[:8]}.pstats")
 
 
-def execute_cell_json(cell: Cell, profile_dir: Optional[str] = None) -> dict:
-    """Run one cell and return its result's lossless JSON dict.
-
-    The pool-worker entry point of :func:`run_cells` and of the campaign
-    executor (:mod:`repro.campaign.executor`): the JSON form crosses the
-    process boundary, so pooled results are normalized exactly like cached
-    ones.
-    """
+def _execute_cell_json(cell: Cell, profile_dir: Optional[str] = None) -> dict:
+    """Pool-worker entry point: the JSON form crosses the process boundary."""
     return execute_cell(cell, profile_dir=profile_dir).to_json_dict()
 
 
-# Kept under the historical private name for pickling compatibility with
-# in-flight pools started by older call sites.
-_pool_execute = execute_cell_json
+def execute_cells(
+    cells: Iterable[Cell],
+    jobs: int = 1,
+    profile_dir: Optional[str] = None,
+) -> Iterator[tuple[Cell, Union[dict, BaseException]]]:
+    """Run ``cells``, yielding ``(cell, result_json | exception)`` as each finishes.
 
-
-def run_cached_cell(cell: Cell, cache, profile_dir: Optional[str] = None) -> RunResult:
-    """Execute one cell inline, persist it, and return the normalized result.
-
-    The single execute-and-store step shared by the inline path of
-    :func:`run_cells` and the campaign executor: the result is written to
-    ``cache`` atomically and handed back *through the JSON round trip*, so an
-    inline execution is indistinguishable from a cache hit or a pool result.
+    The one execution loop behind :func:`run_cells` and the campaign
+    executor.  ``cells`` is consumed lazily — a cell is pulled only when there
+    is room for it — so the caller's iterator decides, just before each cell
+    starts, whether there is more work (claim it, stop after an error, ...).
+    With ``jobs <= 1`` cells run inline, one at a time; otherwise on a process
+    pool with at most ``2 * jobs`` in flight, so a huge plan streams instead
+    of being submitted whole.  A cell that raises is yielded with its
+    exception and the loop carries on: what an error means is the caller's
+    policy.  Results are always the lossless JSON dict, so inline and pooled
+    executions are normalized exactly like cached ones.
     """
-    result_json = execute_cell(cell, profile_dir=profile_dir).to_json_dict()
-    cache.put(cell, result_json)
-    return RunResult.from_json_dict(result_json)
+    if jobs <= 1:
+        for cell in cells:
+            try:
+                result = _execute_cell_json(cell, profile_dir)
+            except Exception as exc:  # noqa: BLE001 — handed to the caller
+                result = exc
+            yield cell, result
+        return
+    cells = iter(cells)
+    in_flight: dict = {}  # future -> cell
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        while True:
+            for cell in islice(cells, 2 * jobs - len(in_flight)):
+                in_flight[pool.submit(_execute_cell_json, cell, profile_dir)] = cell
+            if not in_flight:
+                return
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            for future in done:
+                cell = in_flight.pop(future)
+                exc = future.exception()
+                yield cell, exc if exc is not None else future.result()
+    finally:
+        # Torn down early (the consumer raised or stopped iterating): queued
+        # cells never start, running ones finish before the pool is joined.
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class ResultCache:
@@ -359,6 +355,11 @@ def run_cells(
     cached executions are indistinguishable.  ``profile_dir`` turns on
     per-cell :mod:`cProfile` dumps (see :func:`execute_cell`) — cached cells
     produce no profile because nothing simulates.
+
+    A cell that raises fails the sweep, but not the work already paid for:
+    no further cell is started, everything in flight is still published to
+    the cache, then the first error is re-raised — a rerun executes only
+    what is missing.
     """
     cache = cache if cache is not None else NullCache()
     notify = progress or (lambda message: None)
@@ -370,47 +371,43 @@ def run_cells(
 
     outcome = SweepOutcome()
     outcome.deduplicated = len(cells) - len(unique)
-    resolved: dict[str, RunResult] = {}
+    resolved: dict[Cell, RunResult] = {}  # first cell of each key -> result
 
-    pending: list[tuple[str, Cell]] = []
-    for cache_key, aliases in unique.items():
+    pending: list[Cell] = []
+    for aliases in unique.values():
         cached = cache.get(aliases[0])
         if cached is not None:
-            resolved[cache_key] = cached
+            resolved[aliases[0]] = cached
             outcome.cache_hits += 1
             notify(f"cache hit  {aliases[0].cell_id}")
         else:
-            pending.append((cache_key, aliases[0]))
+            pending.append(aliases[0])
 
-    if pending and jobs <= 1:
-        for cache_key, cell in pending:
+    first_error: Optional[BaseException] = None
+
+    def work() -> Iterator[Cell]:
+        for cell in pending:
+            if first_error is not None:
+                return
             notify(f"running    {cell.cell_id}")
-            resolved[cache_key] = run_cached_cell(cell, cache,
-                                                  profile_dir=profile_dir)
-            outcome.executed += 1
-    elif pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(execute_cell_json, cell, profile_dir): (cache_key, cell)
-                for cache_key, cell in pending
-            }
-            notify(
-                f"running    {len(pending)} cells on up to {jobs} worker processes"
-            )
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    cache_key, cell = futures[future]
-                    result_json = future.result()
-                    cache.put(cell, result_json)
-                    resolved[cache_key] = RunResult.from_json_dict(result_json)
-                    outcome.executed += 1
-                    notify(f"finished   {cell.cell_id}")
+            yield cell
 
-    for cache_key, aliases in unique.items():
+    for cell, result in execute_cells(work(), jobs=jobs, profile_dir=profile_dir):
+        if isinstance(result, BaseException):
+            notify(f"FAILED     {cell.cell_id}: {result}")
+            if first_error is None:
+                first_error = result
+            continue
+        cache.put(cell, result)
+        resolved[cell] = RunResult.from_json_dict(result)
+        outcome.executed += 1
+        notify(f"finished   {cell.cell_id}")
+    if first_error is not None:
+        raise first_error
+
+    for aliases in unique.values():
         for cell in aliases:
-            outcome.results[cell] = resolved[cache_key]
+            outcome.results[cell] = resolved[aliases[0]]
     return outcome
 
 

@@ -41,12 +41,11 @@ import os
 import socket
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from ..bench.orchestrator import ResultCache, execute_cell_json
+from ..bench.orchestrator import Cell, ResultCache, execute_cells
 from .manifest import Manifest, load_manifest
 
 __all__ = [
@@ -240,9 +239,11 @@ def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
 
     Streams the manifest once: for each cell in this shard, check the shared
     cache (done → skip), try to claim (lost → skip; someone live owns it),
-    else simulate — inline with ``jobs=1``, or on a bounded process pool —
-    publish to the cache, and release the claim.  Everything is idempotent:
-    rerunning a finished campaign streams straight through on cache hits.
+    else simulate — through :func:`~repro.bench.orchestrator.execute_cells`,
+    inline with ``jobs=1`` or on a bounded process pool, which pulls (and so
+    claims) a cell only when it is about to start — publish to the cache,
+    and release the claim.  Everything is idempotent: rerunning a finished
+    campaign streams straight through on cache hits.
 
     A cell whose simulation *raises* is recorded in ``stats.errors`` and its
     claim released so another executor (or a rerun) can retry; the executor
@@ -259,21 +260,9 @@ def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
     claims_dir = manifest.dirs.claims_dir
     stats = ExecutorStats()
     start = time.perf_counter()
+    claimed: dict[Cell, str] = {}  # started, not yet published -> content key
 
-    def publish(cell, result_json: dict, key: str) -> None:
-        cache.put(cell, result_json)
-        release_claim(claims_dir, key)
-        stats.executed += 1
-        notify(f"finished   {cell.cell_id}")
-
-    def fail(cell_id: str, key: str, exc: BaseException) -> None:
-        stats.errors.append((cell_id, f"{type(exc).__name__}: {exc}"))
-        release_claim(claims_dir, key)
-        notify(f"FAILED     {cell_id}: {exc}")
-
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    in_flight: dict = {}  # future -> (orchestrator cell, content key)
-    try:
+    def claim_next() -> Iterator[Cell]:
         for manifest_cell in manifest.iter_cells():
             stats.total_cells += 1
             if manifest_cell.index % shard_count != shard_index:
@@ -301,39 +290,30 @@ def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
             except Exception:
                 release_claim(claims_dir, key)
                 raise  # derivation drift poisons every cell: stop loudly
+            claimed[cell] = key
             notify(f"running    {cell.cell_id}")
-            if pool is None:
-                try:
-                    publish(cell, execute_cell_json(cell), key)
-                except Exception as exc:  # noqa: BLE001 — isolate poisoned cells
-                    fail(cell.cell_id, key, exc)
-                continue
-            in_flight[pool.submit(execute_cell_json, cell)] = (cell, key)
-            # Bound in-flight work so a huge manifest streams instead of
-            # enqueueing (and claiming!) every remaining cell at once.
-            while len(in_flight) >= 2 * jobs:
-                _drain_one(in_flight, publish, fail)
-        while in_flight:
-            _drain_one(in_flight, publish, fail)
+            yield cell
+
+    try:
+        for cell, result in execute_cells(claim_next(), jobs=jobs):
+            try:
+                if isinstance(result, BaseException):
+                    raise result
+                cache.put(cell, result)
+            except Exception as exc:  # noqa: BLE001 — isolate poisoned cells
+                stats.errors.append((cell.cell_id, f"{type(exc).__name__}: {exc}"))
+                notify(f"FAILED     {cell.cell_id}: {exc}")
+            else:
+                stats.executed += 1
+                notify(f"finished   {cell.cell_id}")
+            release_claim(claims_dir, claimed.pop(cell))
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-            # Anything still claimed but never published (pool torn down by
-            # an exception) goes back to the table.
-            for cell, key in in_flight.values():
-                release_claim(claims_dir, key)
+        # Anything still claimed but never published (torn down by an
+        # exception) goes back to the table.
+        for key in claimed.values():
+            release_claim(claims_dir, key)
     stats.wall_s = time.perf_counter() - start
     return stats
-
-
-def _drain_one(in_flight: dict, publish, fail) -> None:
-    done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-    for future in done:
-        cell, key = in_flight.pop(future)
-        try:
-            publish(cell, future.result(), key)
-        except Exception as exc:  # noqa: BLE001 — isolate poisoned cells
-            fail(cell.cell_id, key, exc)
 
 
 def main_progress(stream=None) -> Callable[[str], None]:

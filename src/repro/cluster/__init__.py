@@ -2,14 +2,13 @@
 
 from .cluster import Cluster
 from .config import DURABILITY_SCHEMES, PROTOCOLS, SystemConfig
-from .recovery import CrashInjector, RecoveryCoordinator
+from .recovery import RecoveryCoordinator
 from .results import RunResult
 from .server import ActiveTxnRegistry, Server
 
 __all__ = [
     "ActiveTxnRegistry",
     "Cluster",
-    "CrashInjector",
     "DURABILITY_SCHEMES",
     "PROTOCOLS",
     "RecoveryCoordinator",

@@ -25,7 +25,7 @@ from typing import Optional
 from ..arrivals import AdmissionQueue, ArrivalSpec, start_open_loop
 from ..commit import create_durability_scheme
 from ..commit.base import CommitReceipt
-from ..faults import FaultPlan, FaultScheduler, compile_legacy_faults
+from ..faults import FaultPlan, FaultScheduler
 from ..protocols import create_protocol
 from ..replication.membership import MembershipService
 from ..sim.engine import Environment, Process
@@ -48,13 +48,11 @@ class Cluster:
     """A simulated cluster running one protocol on one workload.
 
     ``faults`` is an optional declarative :class:`~repro.faults.FaultPlan`
-    (or a list of fault events); the legacy ``config.crash_partition`` /
-    ``config.crash_time_us`` knobs are compiled onto the same plan, so both
-    spellings share one injection path.  ``arrival`` is an optional
-    :class:`~repro.arrivals.ArrivalSpec` (or its kind name / JSON form)
-    selecting an open-loop arrival process; ``None`` — and the explicit
-    ``"closed"`` kind — run the historical closed-loop worker pool
-    bit-identically.  ``topology`` is an optional
+    (or a list of fault events) — the only way to inject a failure.
+    ``arrival`` is an optional :class:`~repro.arrivals.ArrivalSpec` (or its
+    kind name / JSON form) selecting an open-loop arrival process; ``None`` —
+    and the explicit ``"closed"`` kind — run the historical closed-loop
+    worker pool bit-identically.  ``topology`` is an optional
     :class:`~repro.sim.topology.RegionTopology` (or its JSON form) placing
     partition leaders and their replication followers into regions behind a
     region×region latency matrix; ``None`` keeps the scalar-latency fast path.
@@ -121,11 +119,7 @@ class Cluster:
             heartbeat_timeout_us=config.heartbeat_timeout_us,
         )
         self.recovery = RecoveryCoordinator(self)
-        plan = FaultPlan.coerce(faults) or FaultPlan()
-        self.fault_plan = plan.extend(compile_legacy_faults(
-            crash_partition=config.crash_partition,
-            crash_time_us=config.crash_time_us,
-        ))
+        self.fault_plan = FaultPlan.coerce(faults) or FaultPlan()
         self.fault_scheduler = FaultScheduler(self, self.fault_plan)
         # The logs' full record history exists only for the recovery sweep
         # after an injected fault (§5.2 rollback, watermark agreement).  A

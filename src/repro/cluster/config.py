@@ -9,7 +9,6 @@ they are deliberately explicit so ablation benches can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from ..registry import DURABILITY_REGISTRY, PROTOCOL_REGISTRY
 
@@ -91,9 +90,7 @@ class SystemConfig:
     duration_us: float = 200_000.0
     seed: int = 42
 
-    # -- failure injection ----------------------------------------------------
-    crash_partition: Optional[int] = None
-    crash_time_us: Optional[float] = None
+    # -- failure detection ----------------------------------------------------
     heartbeat_interval_us: float = 2_000.0
     heartbeat_timeout_us: float = 10_000.0
 

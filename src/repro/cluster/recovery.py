@@ -1,13 +1,9 @@
-"""Crash injection and the recovery protocol of §5.2.
+"""The recovery protocol of §5.2.
 
-``CrashInjector`` is the legacy single-crash shim: it compiles the
-``config.crash_partition`` / ``config.crash_time_us`` knobs into a one-event
-:class:`repro.faults.FaultPlan` (the experiment of Fig. 12b kills one
-partition after a fixed interval).  Declarative multi-event injection —
-failure storms, rolling crashes, delay windows — goes through
-``ScenarioSpec(faults=...)`` and :class:`repro.faults.FaultScheduler`
-instead; the cluster itself feeds the legacy knobs through the same
-compilation, so both paths are one code path.
+Crashes are injected declaratively — ``ScenarioSpec(faults=[...])`` /
+``Cluster(faults=...)``, applied by :class:`repro.faults.FaultScheduler`
+(the experiment of Fig. 12b kills one partition leader after a fixed
+interval; storms and rolling crashes are longer plans).
 
 ``RecoveryCoordinator`` reacts to the membership service's failure
 notification and runs the paper's recovery sequence:
@@ -33,32 +29,7 @@ from ..core.watermark import WatermarkGroupCommit
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
 
-__all__ = ["CrashInjector", "RecoveryCoordinator"]
-
-
-class CrashInjector:
-    """Legacy shim: ``config.crash_*`` knobs compiled to a one-crash FaultPlan.
-
-    :class:`~repro.cluster.cluster.Cluster` compiles the same knobs into its
-    own fault plan (applied by ``Cluster.start()``), so this class is no
-    longer part of the standard assembly path.  It is kept solely for code
-    that drives the environment by hand *without* ``Cluster.start()``; as
-    before this refactor, calling ``start()`` here *and* running the cluster
-    normally schedules the crash twice.
-    """
-
-    def __init__(self, cluster: "Cluster"):
-        self.cluster = cluster
-        self.env = cluster.env
-
-    def start(self) -> None:
-        from ..faults import FaultPlan, FaultScheduler, compile_legacy_faults
-
-        config = self.cluster.config
-        events = compile_legacy_faults(crash_partition=config.crash_partition,
-                                       crash_time_us=config.crash_time_us)
-        if events:
-            FaultScheduler(self.cluster, FaultPlan(events=tuple(events))).start()
+__all__ = ["RecoveryCoordinator"]
 
 
 class RecoveryCoordinator:

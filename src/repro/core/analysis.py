@@ -3,7 +3,7 @@
 Implements equations (1)–(6): the probability that a representative local
 transaction conflicts with a concurrent transaction under a 2PC-based scheme
 versus under Primo, and the resulting conflict rates given the workload and
-cluster parameters.  The benchmark ``bench_appendix_analysis`` sweeps the read
+cluster parameters.  The ``appendix`` figure (``repro.bench``) sweeps the read
 ratio and contention exactly as the appendix discusses (Primo wins for
 ``R_r < 0.8`` with the conservative ``R_u = 0.6``).
 """

@@ -34,13 +34,8 @@ Determinism
 
 The :class:`FaultScheduler` applies a plan inside the engine's event order:
 events at ``at_us == 0`` are applied synchronously during ``Cluster.start()``
-(before any simulation event runs — exactly where the legacy scalar knobs
-used to be applied), and the remaining timeline is driven by a single
-simulation process that draws one timeout per distinct action time.  The
-legacy knobs (``ScenarioSpec.durability_message_delay`` /
-``network_extra_delay_to`` and ``SystemConfig.crash_partition`` /
-``crash_time_us``) now *compile* onto this path and reproduce their pre-plan
-results bit-identically (pinned by tests/api/test_faults.py).
+(before any simulation event runs), and the remaining timeline is driven by a
+single simulation process that draws one timeout per distinct action time.
 """
 
 from __future__ import annotations
@@ -273,10 +268,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.events)
 
-    def extend(self, events: Iterable) -> "FaultPlan":
-        """A new plan with ``events`` appended."""
-        return FaultPlan(events=self.events + tuple(events))
-
     @property
     def requires_membership(self) -> bool:
         """True when any event needs the cluster's failure detector running."""
@@ -317,11 +308,10 @@ class FaultScheduler:
     """Applies a :class:`FaultPlan` deterministically inside the event order.
 
     Zero-time events are applied synchronously when :meth:`start` runs (during
-    ``Cluster.start()``, before the first simulation event — the same point at
-    which the legacy scalar knobs were installed).  Timed applies and window
-    reverts are driven by one simulation process that sleeps between
-    consecutive action times, so a plan with a single timed event schedules
-    exactly the events the legacy ``CrashInjector`` did.
+    ``Cluster.start()``, before the first simulation event).  Timed applies
+    and window reverts are driven by one simulation process that sleeps
+    between consecutive action times, so a plan with a single timed event
+    draws a single timeout.
     """
 
     def __init__(self, cluster: "Cluster", plan: Optional[FaultPlan] = None):
@@ -672,34 +662,3 @@ def standard_storm(warmup_us: float, duration_us: float) -> list:
         fault("stale_read", at_us=at(0.75), duration_us=span(0.15),
               target=ALL_PARTITIONS, fraction=0.2),
     ]
-
-
-# ---------------------------------------------------------------------------
-# Legacy-knob compilation (the compatibility shims)
-# ---------------------------------------------------------------------------
-
-def compile_legacy_faults(
-    durability_message_delay: Optional[tuple] = None,
-    network_extra_delay_to: Optional[tuple] = None,
-    crash_partition: Optional[int] = None,
-    crash_time_us: Optional[float] = None,
-) -> list:
-    """Compile the pre-plan scalar knobs into :class:`FaultEvent`\\ s.
-
-    ``ScenarioSpec.durability_message_delay`` / ``network_extra_delay_to`` and
-    ``SystemConfig.crash_partition`` / ``crash_time_us`` survive as thin
-    shims over this function; the produced events reproduce the legacy
-    behaviour bit-identically (zero-time knobs apply synchronously before the
-    first simulation event, the crash draws the same timeout the old
-    ``CrashInjector`` process did).
-    """
-    events = []
-    if durability_message_delay is not None:
-        partition, delay_us = durability_message_delay
-        events.append(fault("message_delay", target=int(partition), delay_us=delay_us))
-    if network_extra_delay_to is not None:
-        partition, delay_us = network_extra_delay_to
-        events.append(fault("slow_partition", target=int(partition), delay_us=delay_us))
-    if crash_partition is not None and crash_time_us is not None:
-        events.append(fault("crash", at_us=crash_time_us, target=int(crash_partition)))
-    return events

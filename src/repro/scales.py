@@ -10,8 +10,7 @@ new name is immediately accepted by ``ScenarioSpec.scale``, ``--scale`` and
 ``--list scales``.  :data:`SCALES` is a live mapping view of the registry.
 
 This lives outside ``repro.bench`` so ``repro.scenario`` (which every bench
-entry point is built on) can import it without a cycle; ``repro.bench.runner``
-re-exports the same names for existing call sites.
+entry point is built on) can import it without a cycle.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 A :class:`ScenarioSpec` captures one (protocol × durability × workload ×
 scale × knobs) evaluation point as a frozen, JSON-round-trippable value.
-Everything the repo runs — ``repro.run``, ``repro.bench.runner.run_config``,
-the figure orchestrator's cells, ``python -m repro.bench --scenario`` — is
-built from one, so there is exactly one code path from "named configuration"
-to "running cluster".
+Everything the repo runs — ``repro.run``, the figure orchestrator's cells,
+campaign manifests, ``python -m repro.bench --scenario`` — is built from one,
+so there is exactly one code path from "named configuration" to "running
+cluster".
 
 Specs validate **eagerly at construction**: protocol/durability/workload
 names are checked against the registries (:mod:`repro.registry`) and override
@@ -44,7 +44,7 @@ from .arrivals import ArrivalSpec
 from .cluster.cluster import Cluster
 from .cluster.config import SystemConfig
 from .cluster.results import RunResult
-from .faults import FaultPlan, compile_legacy_faults
+from .faults import FaultPlan
 from .registry import (
     DURABILITY_REGISTRY,
     PROTOCOL_REGISTRY,
@@ -106,15 +106,6 @@ def _freeze_overrides(overrides, *, kind: str, valid: tuple[str, ...]) -> tuple:
     )
 
 
-def _freeze_delay(name: str, value) -> Optional[tuple]:
-    if value is None:
-        return None
-    pair = tuple(value)
-    if len(pair) != 2:
-        raise ValueError(f"{name} must be a (partition_id, delay_us) pair, got {value!r}")
-    return (int(pair[0]), float(pair[1]))
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One evaluation point, validated at construction and JSON-round-trippable.
@@ -125,8 +116,7 @@ class ScenarioSpec:
     accepts a registered name or a ``{name: weight}`` mapping — sugar for the
     ``"mixed"`` composite workload.  ``faults`` is a declarative
     :class:`~repro.faults.FaultPlan` (or a list of fault-event dicts) applied
-    deterministically by the cluster's fault scheduler; the two scalar
-    fault knobs below predate it and now compile onto the same path.
+    deterministically by the cluster's fault scheduler.
     Override mappings are frozen into sorted pairs so equal scenarios hash
     and serialize identically regardless of how they were written.
     """
@@ -143,20 +133,11 @@ class ScenarioSpec:
     #: or its JSON dict form).  ``None`` — and the explicit ``"closed"`` kind,
     #: which normalizes to ``None`` — is the historical closed loop; open
     #: kinds (``poisson``/``deterministic``/``bursty``) turn the run into an
-    #: offered-load sweep point.  Omitted from the JSON form when ``None`` so
-    #: legacy scenarios keep their orchestrator cache keys.
+    #: offered-load sweep point.
     arrival: Optional[ArrivalSpec] = None
     #: Geo-aware latency topology (:class:`~repro.sim.topology.RegionTopology`
-    #: or its JSON dict form).  ``None`` is the historical flat network; like
-    #: ``arrival`` it is omitted from the JSON form when ``None`` so
-    #: pre-topology scenarios keep their orchestrator cache keys.
+    #: or its JSON dict form).  ``None`` is the flat network.
     topology: Optional[RegionTopology] = None
-    #: Legacy shim — (partition_id, delay_us); compiles to a zero-time
-    #: ``message_delay`` fault event (Fig. 13a's lagging control messages).
-    durability_message_delay: Optional[tuple] = None
-    #: Legacy shim — (partition_id, extra_delay_us); compiles to a zero-time
-    #: ``slow_partition`` fault event (Fig. 13b's slow partition).
-    network_extra_delay_to: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         def set_field(name: str, value) -> None:
@@ -182,7 +163,7 @@ class ScenarioSpec:
 
         config_overrides = dict(self.config_overrides or ())
         # ``durability`` is a first-class axis; accept it in the override dict
-        # (the historical run_config spelling) but store it on the field.
+        # (``make_cell(..., durability=...)``) but store it on the field.
         hoisted = config_overrides.pop("durability", None)
         if hoisted is not None:
             if self.durability is not None and self.durability != hoisted:
@@ -241,14 +222,6 @@ class ScenarioSpec:
                     f"{suggestion_hint(unknown[0], names)}; mix components: "
                     f"{', '.join(names)}"
                 )
-        set_field(
-            "durability_message_delay",
-            _freeze_delay("durability_message_delay", self.durability_message_delay),
-        )
-        set_field(
-            "network_extra_delay_to",
-            _freeze_delay("network_extra_delay_to", self.network_extra_delay_to),
-        )
 
     # -- resolution -------------------------------------------------------------
     @property
@@ -261,7 +234,12 @@ class ScenarioSpec:
 
     # -- JSON round trip ---------------------------------------------------------
     def to_json_dict(self) -> dict:
-        """A plain-JSON representation; inverse of :meth:`from_json_dict`."""
+        """A plain-JSON representation; inverse of :meth:`from_json_dict`.
+
+        The optional fields (``faults``, ``arrival``, ``topology``) are
+        omitted when ``None``; :meth:`from_json_dict` also accepts an
+        explicit ``null``.
+        """
 
         def plain(value):
             if isinstance(value, tuple):
@@ -275,17 +253,12 @@ class ScenarioSpec:
             "scale": dataclasses.asdict(self.scale),
             "config_overrides": {name: plain(v) for name, v in self.config_overrides},
             "workload_overrides": {name: plain(v) for name, v in self.workload_overrides},
-            "faults": self.faults.to_json_list() if self.faults is not None else None,
-            "durability_message_delay": plain(self.durability_message_delay),
-            "network_extra_delay_to": plain(self.network_extra_delay_to),
         }
+        if self.faults is not None:
+            data["faults"] = self.faults.to_json_list()
         if self.arrival is not None:
-            # Omitted when None (the closed loop) so pre-arrival scenarios
-            # serialize — and cache-key — exactly as they always did.
             data["arrival"] = self.arrival.to_json_dict()
         if self.topology is not None:
-            # Same omit-when-None convention as ``arrival``, for the same
-            # cache-key stability reason.
             data["topology"] = self.topology.to_json_dict()
         return data
 
@@ -509,12 +482,11 @@ def build_workload(scale, workload: str = "ycsb", **overrides) -> Workload:
 def build(spec: ScenarioSpec) -> Cluster:
     """Build (but do not run) the cluster for one scenario.
 
-    The single assembly path shared by ``repro.run``, ``run_config`` and the
-    orchestrator's cell executor: scale presets fill any config knob the spec
-    does not override, the protocol's default durability pairing applies
-    unless the spec names a scheme, and the fault plan — including the
-    legacy scalar knobs, which compile to zero-time fault events — is handed
-    to the cluster's deterministic fault scheduler.
+    The single assembly path shared by ``repro.run`` and the orchestrator's
+    cell executor: scale presets fill any config knob the spec does not
+    override, the protocol's default durability pairing applies unless the
+    spec names a scheme, and the fault plan is handed to the cluster's
+    deterministic fault scheduler.
     """
     scale = spec.scale
     overrides = dict(spec.config_overrides)
@@ -526,16 +498,7 @@ def build(spec: ScenarioSpec) -> Cluster:
         overrides["durability"] = spec.durability
     config = SystemConfig.for_protocol(spec.protocol, **overrides)
     workload = build_workload(scale, spec.workload, **dict(spec.workload_overrides))
-    shimmed = compile_legacy_faults(
-        durability_message_delay=spec.durability_message_delay,
-        network_extra_delay_to=spec.network_extra_delay_to,
-    )
-    plan = spec.faults if spec.faults is not None else FaultPlan()
-    if shimmed:
-        # Legacy knobs apply before the plan's own zero-time events, matching
-        # the pre-plan application point (right after cluster construction).
-        plan = FaultPlan(events=tuple(shimmed)).extend(plan.events)
-    return Cluster(config, workload, faults=plan, arrival=spec.arrival,
+    return Cluster(config, workload, faults=spec.faults, arrival=spec.arrival,
                    topology=spec.topology)
 
 

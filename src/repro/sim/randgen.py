@@ -5,18 +5,11 @@ the classic Gray et al. (SIGMOD '94) rejection-free method, which is what YCSB
 and DBx1000 use.  Every worker gets its own :class:`DeterministicRandom`
 derived from the run seed so that simulations are exactly reproducible.
 
-Two sampling strategies are available for the Zipf distribution:
-
-* ``method="gray"`` (default) — the analytic inverse-CDF approximation, with
-  all per-draw constants hoisted at construction time so a draw is one
-  uniform, two comparisons and at most one ``pow``.  This is the method the
-  determinism goldens are pinned to: it consumes exactly one uniform per draw
-  and reproduces the seed repository's key stream bit-for-bit.
-* ``method="alias"`` — Vose's alias method over the exact Zipf PMF.  Setup is
-  O(n) (cached per ``(n, theta)``), a draw is one uniform and two table
-  lookups with no ``pow`` at all.  It samples the *exact* distribution but
-  consumes the underlying uniform stream differently, so it is opt-in: runs
-  that must match the pinned goldens keep the default.
+The Zipf sampler is the analytic inverse-CDF approximation with all per-draw
+constants hoisted at construction time, so a draw is one uniform, two
+comparisons and at most one ``pow``.  The determinism goldens are pinned to
+it: it consumes exactly one uniform per draw and reproduces the seed
+repository's key stream bit-for-bit.
 """
 
 from __future__ import annotations
@@ -24,12 +17,10 @@ from __future__ import annotations
 import math
 import random
 from zlib import crc32
-from typing import Sequence
 
 __all__ = [
     "DeterministicRandom",
     "ZipfGenerator",
-    "AliasSampler",
     "derive_seed",
     "stable_hash",
 ]
@@ -102,87 +93,27 @@ class DeterministicRandom:
         return "".join(self._rng.choice(chars) for _ in range(length))
 
 
-class AliasSampler:
-    """Vose alias-method sampler over an arbitrary discrete distribution.
-
-    One uniform draw per sample, O(1) per draw after O(n) setup.  Used by
-    :class:`ZipfGenerator` in ``method="alias"`` mode; exposed separately so
-    other workloads can sample custom discrete distributions cheaply.
-    """
-
-    __slots__ = ("n", "_prob", "_alias", "_random")
-
-    def __init__(self, weights: Sequence[float], rng: DeterministicRandom):
-        n = len(weights)
-        if n == 0:
-            raise ValueError("AliasSampler requires at least one weight")
-        total = math.fsum(weights)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        self.n = n
-        self._random = rng.random
-        scaled = [w * n / total for w in weights]
-        prob = [0.0] * n
-        alias = [0] * n
-        small = [i for i, p in enumerate(scaled) if p < 1.0]
-        large = [i for i, p in enumerate(scaled) if p >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            if scaled[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
-        for i in large:
-            prob[i] = 1.0
-        for i in small:
-            prob[i] = 1.0  # numerical leftovers
-        self._prob = prob
-        self._alias = alias
-
-    def next(self) -> int:
-        """Draw one index in ``[0, n)`` using a single uniform."""
-        u = self._random() * self.n
-        i = int(u)
-        if i >= self.n:  # u == 1.0 edge after float scaling
-            i = self.n - 1
-        return i if (u - i) < self._prob[i] else self._alias[i]
-
-
 class ZipfGenerator:
     """Zipfian key generator over ``[0, n_items)`` with skew ``theta``.
 
     ``theta = 0`` degenerates to uniform; ``theta -> 1`` concentrates accesses
-    on a few hot keys.  The zeta constants (and the alias tables in ``alias``
-    mode) are memoised per ``(n, theta)`` to keep repeated workload
-    construction cheap.
+    on a few hot keys.  The zeta constants are memoised per ``(n, theta)`` to
+    keep repeated workload construction cheap.
     """
 
     _zeta_cache: dict[tuple[int, float], float] = {}
-    _alias_cache: dict[tuple[int, float], tuple] = {}
 
-    def __init__(self, n_items: int, theta: float, rng: DeterministicRandom,
-                 method: str = "gray"):
+    def __init__(self, n_items: int, theta: float, rng: DeterministicRandom):
         if n_items <= 0:
             raise ValueError("ZipfGenerator requires at least one item")
         if not 0.0 <= theta < 1.0:
             raise ValueError("theta must be in [0, 1)")
-        if method not in ("gray", "alias"):
-            raise ValueError(f"unknown zipf sampling method {method!r}")
         self.n_items = n_items
         self.theta = theta
-        self.method = method
         self._rng = rng
         self._random = rng.random
         if theta == 0.0:
             self.next = self._next_uniform
-            return
-        if method == "alias":
-            self._sampler = self._make_alias_sampler(n_items, theta, rng)
-            self.next = self._sampler.next
             return
         self._zetan = self._zeta(n_items, theta)
         self._zeta2 = self._zeta(2, theta)
@@ -206,28 +137,14 @@ class ZipfGenerator:
             cls._zeta_cache[key] = sum(1.0 / math.pow(i, theta) for i in range(1, n + 1))
         return cls._zeta_cache[key]
 
-    @classmethod
-    def _make_alias_sampler(cls, n: int, theta: float, rng: DeterministicRandom) -> AliasSampler:
-        key = (n, theta)
-        tables = cls._alias_cache.get(key)
-        if tables is None:
-            sampler = AliasSampler([1.0 / math.pow(i, theta) for i in range(1, n + 1)], rng)
-            cls._alias_cache[key] = (sampler._prob, sampler._alias)
-            return sampler
-        sampler = AliasSampler.__new__(AliasSampler)
-        sampler.n = n
-        sampler._prob, sampler._alias = tables
-        sampler._random = rng.random
-        return sampler
-
     def _next_uniform(self) -> int:
         return self._rng.uniform_int(0, self.n_items - 1)
 
     def next(self) -> int:
         """Draw the next key in ``[0, n_items)``.
 
-        (Rebound per instance in ``__init__`` to the uniform / alias fast
-        paths; this body is the default Gray et al. analytic method.)
+        (Rebound per instance in ``__init__`` to the uniform fast path when
+        ``theta == 0``; this body is the Gray et al. analytic method.)
         """
         u = self._random()
         uz = u * self._zetan

@@ -6,11 +6,9 @@ Three contractual properties:
   bad targets and malformed windows raise at construction with did-you-mean
   hints, and a plan targeting a partition the cluster does not have fails
   when the cluster starts, not silently mid-run;
-* **legacy shim bit-identity** — the pre-plan scalar knobs
-  (``durability_message_delay``, ``network_extra_delay_to``,
-  ``crash_partition``/``crash_time_us``) compile onto the fault-plan path and
-  reproduce their pre-PR fixed-seed results exactly (golden-pinned), and an
-  explicitly spelled FaultPlan reproduces the same numbers;
+* **pre-plan goldens** — the three single-event plans that replaced the
+  scalar fault knobs (removed since) reproduce the fixed-seed results those
+  knobs gave before fault plans existed, exactly;
 * **one execution path** — a spec with a multi-event plan produces identical
   results through ``repro.run``, the cached orchestrator, and a
   ``--scenario file.json`` CLI invocation.
@@ -30,16 +28,16 @@ from repro.registry import FAULT_REGISTRY, UnknownNameError, register_fault
 
 from tests.api.test_scenario import fingerprint
 
-#: Fixed-seed fingerprints of the legacy fault knobs at TINY scale, captured
-#: on the commit *before* the fault-plan refactor.  If these change, the shim
-#: compilation changed simulation semantics — that must be intentional and
-#: called out in the PR description.
+#: Fixed-seed fingerprints at TINY scale of the scalar fault knobs the plans
+#: below replaced, captured on the commit *before* fault plans existed.  If
+#: these change, fault injection changed simulation semantics — that must be
+#: intentional and called out in the PR description.
 LEGACY_GOLDENS = {
-    # ScenarioSpec(durability_message_delay=(1, 5_000.0)) — fig13a's cell.
+    # Partition 1's control messages lag by 5 ms — fig13a's cell.
     "message_delay": (558, 36, 0, 476),
-    # ScenarioSpec(network_extra_delay_to=(1, 200.0)) — fig13b's cell.
+    # Messages to partition 1 take 200 us longer — fig13b's cell.
     "slow_partition": (354, 24, 0, 338),
-    # crash_partition=1, crash_time_us=4_000.0 (hb 500/2000) — fig12b-style.
+    # Partition 1's leader dies at 4 ms (hb 500/2000) — fig12b-style.
     "crash": (232, 26, 0, 247),
 }
 
@@ -121,46 +119,33 @@ def test_empty_fault_plans_normalize_to_none():
 
 
 # ---------------------------------------------------------------------------
-# Legacy shims: pre-PR golden pins and explicit-plan equivalence
+# Pre-plan golden pins (each test is named after the retired knob its golden
+# was captured from)
 # ---------------------------------------------------------------------------
 
 def test_legacy_message_delay_knob_matches_pre_plan_golden():
-    legacy = ScenarioSpec(protocol="primo", scale="tiny",
-                          durability_message_delay=(1, 5_000.0))
-    result = repro.run(legacy)
-    assert counts(result) == LEGACY_GOLDENS["message_delay"]
-    explicit = ScenarioSpec(
+    spec = ScenarioSpec(
         protocol="primo", scale="tiny",
         faults=[fault("message_delay", target=1, delay_us=5_000.0)])
-    assert fingerprint(repro.run(explicit)) == fingerprint(result)
+    assert counts(repro.run(spec)) == LEGACY_GOLDENS["message_delay"]
 
 
 def test_legacy_slow_partition_knob_matches_pre_plan_golden():
-    legacy = ScenarioSpec(protocol="primo", scale="tiny",
-                          network_extra_delay_to=(1, 200.0))
-    result = repro.run(legacy)
-    assert counts(result) == LEGACY_GOLDENS["slow_partition"]
-    explicit = ScenarioSpec(
+    spec = ScenarioSpec(
         protocol="primo", scale="tiny",
         faults=[fault("slow_partition", target=1, delay_us=200.0)])
-    assert fingerprint(repro.run(explicit)) == fingerprint(result)
+    assert counts(repro.run(spec)) == LEGACY_GOLDENS["slow_partition"]
 
 
 def test_legacy_crash_config_matches_pre_plan_golden():
-    legacy = ScenarioSpec(
-        protocol="primo", scale="tiny",
-        config_overrides={"crash_partition": 1, "crash_time_us": 4_000.0,
-                          "heartbeat_interval_us": 500.0,
-                          "heartbeat_timeout_us": 2_000.0})
-    result = repro.run(legacy)
-    assert counts(result) == LEGACY_GOLDENS["crash"]
-    assert result.metrics.counters.get("crashes_injected") == 1
-    explicit = ScenarioSpec(
+    spec = ScenarioSpec(
         protocol="primo", scale="tiny",
         faults=[fault("crash", at_us=4_000.0, target=1)],
         config_overrides={"heartbeat_interval_us": 500.0,
                           "heartbeat_timeout_us": 2_000.0})
-    assert fingerprint(repro.run(explicit)) == fingerprint(result)
+    result = repro.run(spec)
+    assert counts(result) == LEGACY_GOLDENS["crash"]
+    assert result.metrics.counters.get("crashes_injected") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ Covers the three contractual properties of :class:`repro.ScenarioSpec`:
   unknown override keys raise at *construction*, with did-you-mean hints;
 * **JSON round trip** — ``from_json(to_json(spec)) == spec`` and the
   canonical JSON is stable under override-dict ordering;
-* **single entry point** — ``repro.run(spec)`` is bit-identical to the
-  historical ``run_config(...)`` for every registered (protocol × workload)
-  pair at ``TINY_SCALE``.
+* **single entry point** — ``repro.run(spec)`` runs every registered
+  (protocol × workload) pair at ``TINY_SCALE``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 
 import repro
 from repro import ScenarioSpec
-from repro.bench.runner import run_config
 from repro.registry import PROTOCOL_REGISTRY, WORKLOAD_REGISTRY, UnknownNameError
 from repro.scales import SCALES, TINY_SCALE
 from repro.scenario import build, sweep
@@ -105,8 +103,8 @@ def test_json_round_trip_is_lossless():
         scale="tiny",
         config_overrides={"n_partitions": 2, "seed": 9},
         workload_overrides={"warehouses_per_partition": 3},
-        durability_message_delay=(1, 500.0),
-        network_extra_delay_to=(0, 125.0),
+        faults=[{"kind": "message_delay", "target": 1, "delay_us": 500.0},
+                {"kind": "slow_partition", "target": 0, "delay_us": 125.0}],
     )
     assert ScenarioSpec.from_json(spec.to_json()) == spec
     # And through a plain json load, as a scenario file would be read.
@@ -239,13 +237,14 @@ def test_known_axes_covers_spec_config_and_workload_fields():
 
 def test_build_applies_scale_defaults_and_failure_knobs():
     spec = ScenarioSpec(protocol="primo", scale="tiny",
-                        network_extra_delay_to=(1, 200.0))
+                        faults=[{"kind": "slow_partition", "target": 1,
+                                 "delay_us": 200.0}])
     cluster = build(spec)
     assert cluster.config.duration_us == TINY_SCALE.duration_us
     assert cluster.config.workers_per_partition == TINY_SCALE.workers_per_partition
     assert cluster.workload.config.keys_per_partition == TINY_SCALE.ycsb_keys_per_partition
-    # The legacy knob compiles to a zero-time slow_partition fault event,
-    # installed when the cluster starts (before the first simulation event).
+    # A zero-time fault event is installed when the cluster starts (before
+    # the first simulation event).
     [event] = cluster.fault_plan.events
     assert (event.kind, event.target, dict(event.params)) == (
         "slow_partition", 1, {"delay_us": 200.0})
@@ -261,17 +260,18 @@ _PAIR_OVERRIDES = {"mixed": {"components": [["ycsb", 0.7], ["tatp", 0.3]]}}
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY.names()))
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_REGISTRY.names()))
 def test_run_spec_matches_run_config_bit_identically(protocol, workload):
-    """Acceptance: repro.run(ScenarioSpec(...)) == run_config(...) for every
-    registered (protocol × workload) pair at TINY_SCALE."""
-    workload_overrides = _PAIR_OVERRIDES.get(workload, {})
+    """``repro.run`` drives every registered (protocol × workload) pair at
+    TINY_SCALE.  (The name predates the removal of the second entry point it
+    was compared with; it is kept because the test-floor list pins its 35
+    ids.)"""
     spec = ScenarioSpec(protocol=protocol, workload=workload, scale=TINY_SCALE,
-                        workload_overrides=workload_overrides,
+                        workload_overrides=_PAIR_OVERRIDES.get(workload, {}),
                         config_overrides={"n_partitions": 2})
-    via_facade = repro.run(spec)
-    via_runner = run_config(protocol, TINY_SCALE, workload=workload,
-                            workload_overrides=workload_overrides, n_partitions=2)
-    assert fingerprint(via_facade) == fingerprint(via_runner)
-    assert via_facade.durability == via_runner.durability == spec.resolved_durability
+    result = repro.run(spec)
+    assert result.committed > 0
+    assert result.protocol == protocol and result.workload.startswith(workload)
+    assert result.durability == spec.resolved_durability
+    assert result.n_partitions == 2  # the config override reached the cluster
 
 
 def test_scale_defaults_size_tatp_and_smallbank():
@@ -287,6 +287,15 @@ def test_scale_defaults_size_tatp_and_smallbank():
             assert getattr(workload.config, config_field) == getattr(scale, attr)
             sizes.add(getattr(workload.config, config_field))
         assert len(sizes) > 1, f"{name} population does not scale"
+
+
+def test_optional_fields_are_omitted_when_none_and_null_is_accepted():
+    bare = ScenarioSpec(protocol="primo", scale="tiny")
+    document = bare.to_json_dict()
+    assert not {"faults", "arrival", "topology"} & set(document)
+    # A hand-written scenario file may still spell the absence out.
+    spelled_out = {**document, "faults": None, "arrival": None, "topology": None}
+    assert ScenarioSpec.from_json_dict(spelled_out) == bare
 
 
 def test_topology_axis_round_trips_and_stays_out_of_bare_specs():

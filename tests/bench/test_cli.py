@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.__main__ import main
-from repro.bench.runner import TINY_SCALE
+from repro.scales import TINY_SCALE
 
 TEST_SCALE = TINY_SCALE
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.bench.orchestrator import (
     CACHE_SCHEMA_VERSION,
     Cell,
@@ -18,8 +20,8 @@ from repro.bench.orchestrator import (
     make_cell,
     run_cells,
 )
-from repro.bench.runner import TINY_SCALE
 from repro.cluster.results import RunResult
+from repro.scales import TINY_SCALE
 
 TEST_SCALE = TINY_SCALE
 
@@ -58,7 +60,8 @@ def test_cache_key_changes_with_physics():
     )
     assert (
         base.cache_key()
-        != cell(durability_message_delay=(1, 1000.0)).cache_key()
+        != cell(faults=[{"kind": "message_delay", "target": 1,
+                         "delay_us": 1000.0}]).cache_key()
     )
 
 
@@ -172,6 +175,42 @@ def test_identical_specs_share_one_simulation(tmp_path):
     assert outcome.results[a] is outcome.results[b]
 
 
+def test_a_failing_cell_does_not_discard_finished_results(tmp_path):
+    """One raising cell fails the sweep, but what was simulated is cached.
+
+    The poisoned plan passes spec validation (the spec does not know the
+    cluster's partition count) and raises when the cluster starts.
+    """
+    poisoned = cell(key="poisoned", faults=[
+        {"kind": "slow_partition", "target": 5, "delay_us": 10.0}])
+    good = [cell(key=f"seed{seed}", seed=seed) for seed in range(6)]
+
+    cache = ResultCache(tmp_path / "pooled")
+    started = []
+
+    def progress(message: str) -> None:
+        if message.startswith("running"):
+            started.append(message.split()[-1])
+
+    with pytest.raises(ValueError, match="targets partition 5"):
+        run_cells([poisoned] + good, jobs=2, cache=cache, progress=progress)
+    # Every cell handed out before the error surfaced was published — the
+    # pool holds 2 x jobs cells, so at least three good ones...
+    published = {c.cell_id for c in good if cache.get(c) is not None}
+    assert published == set(started) - {poisoned.cell_id}
+    assert len(published) >= 3
+    # ...and a rerun simulates only what never ran.
+    rerun = run_cells(good, jobs=2, cache=cache)
+    assert (rerun.cache_hits, rerun.executed) == (len(published),
+                                                  len(good) - len(published))
+
+    # Inline the order is fixed: nothing starts after the first error.
+    cache = ResultCache(tmp_path / "inline")
+    with pytest.raises(ValueError, match="targets partition 5"):
+        run_cells(good[:2] + [poisoned] + good[2:], cache=cache)
+    assert [cache.get(c) is not None for c in good] == [True, True] + [False] * 4
+
+
 # ---------------------------------------------------------------------------
 # Fixed-seed determinism across execution paths
 # ---------------------------------------------------------------------------
@@ -181,7 +220,8 @@ def test_jobs_1_and_jobs_4_produce_identical_results(tmp_path):
         cell(key="primo"),
         cell(key="sundial", protocol="sundial"),
         cell(key="skewed", workload_overrides={"zipf_theta": 0.9}),
-        cell(key="delayed", durability_message_delay=(1, 2_000.0)),
+        cell(key="delayed", faults=[{"kind": "message_delay", "target": 1,
+                                     "delay_us": 2_000.0}]),
     ]
     inline = run_cells(cells, jobs=1, cache=None)
     pooled = run_cells(cells, jobs=4, cache=ResultCache(tmp_path))
@@ -227,7 +267,7 @@ def test_cell_spec_is_a_validated_scenario():
 
     c = cell(workload_overrides={"zipf_theta": 0.9})
     assert isinstance(c.spec, ScenarioSpec)
-    assert c.protocol == "primo" and c.workload == "ycsb"
+    assert c.spec.protocol == "primo" and c.spec.workload == "ycsb"
     assert dict(c.spec.workload_overrides) == {"zipf_theta": 0.9}
     # Cache keys hash the spec's canonical JSON plus the substrate version.
     assert c.cache_key() == Cell("other", "name", c.spec).cache_key()

@@ -266,6 +266,37 @@ class TestCooperation:
         assert cache_bytes(pooled_dir) == cache_bytes(inline_dir)
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_raising_cell_is_recorded_released_and_skipped_over(self, tmp_path, jobs):
+        # The base plan targets partition 3, which the two-partition half of
+        # the grid does not have: those cells pass spec validation and raise
+        # when their cluster starts.
+        campaign = CampaignSpec(
+            name="poisoned",
+            base=ScenarioSpec(
+                protocol="primo", workload="ycsb", scale="tiny",
+                faults=[{"kind": "slow_partition", "target": 3, "delay_us": 10.0}]),
+            factors={"n_partitions": [2, 4], "zipf_theta": [0.2, 0.8]},
+            seed_reps=1,
+        )
+        directory = tmp_path / "poisoned"
+        manifest = compile_campaign(campaign, directory)
+        poisoned = sorted(f"campaign:poisoned/{cell.cell_id}"
+                          for cell in manifest.iter_cells()
+                          if cell.factors["n_partitions"] == 2)
+        assert len(poisoned) == 2
+
+        stats = run_campaign(directory, jobs=jobs)
+        assert stats.executed == 2  # the executor kept going past the errors
+        assert sorted(cell_id for cell_id, _ in stats.errors) == poisoned
+        assert all("targets partition 3" in message for _, message in stats.errors)
+        assert not list(manifest.dirs.claims_dir.iterdir())  # claims released
+        # ...so a rerun retries exactly the failed cells.
+        rerun = run_campaign(directory, jobs=jobs)
+        assert (rerun.cache_hits, rerun.executed) == (2, 0)
+        assert sorted(cell_id for cell_id, _ in rerun.errors) == poisoned
+
+
 class TestManifest:
     def test_load_requires_compile(self, tmp_path):
         with pytest.raises(ManifestError, match="no manifest.json"):

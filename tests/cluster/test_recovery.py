@@ -3,8 +3,13 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.faults import fault
 
 from tests.conftest import TransferWorkload, tiny_config, tiny_ycsb
+
+
+#: Partition 1's leader dies halfway through the run.
+CRASH = [fault("crash", at_us=15_000.0, target=1)]
 
 
 def crash_config(protocol="primo", durability="wm", **overrides):
@@ -13,8 +18,6 @@ def crash_config(protocol="primo", durability="wm", **overrides):
         duration_us=30_000.0,
         warmup_us=2_000.0,
         epoch_length_us=2_000.0,
-        crash_partition=1,
-        crash_time_us=15_000.0,
         heartbeat_interval_us=500.0,
         heartbeat_timeout_us=2_000.0,
     )
@@ -23,7 +26,7 @@ def crash_config(protocol="primo", durability="wm", **overrides):
 
 
 def test_crash_is_detected_and_recovered():
-    cluster = Cluster(crash_config(), tiny_ycsb())
+    cluster = Cluster(crash_config(), tiny_ycsb(), faults=CRASH)
     result = cluster.run()
     assert result.metrics.counters.get("crashes_injected") == 1
     assert cluster.recovery.stats["recoveries"] >= 1
@@ -36,7 +39,7 @@ def test_crash_is_detected_and_recovered():
 def test_crash_aborts_transactions_above_the_agreed_watermark():
     cluster = Cluster(
         crash_config(n_partitions=3, workers_per_partition=2, inflight_per_worker=2),
-        tiny_ycsb(),
+        tiny_ycsb(), faults=CRASH,
     )
     result = cluster.run()
     assert result.metrics.crash_aborted > 0
@@ -44,7 +47,7 @@ def test_crash_aborts_transactions_above_the_agreed_watermark():
 
 
 def test_recovery_agrees_on_the_maximum_published_watermark():
-    cluster = Cluster(crash_config(), tiny_ycsb())
+    cluster = Cluster(crash_config(), tiny_ycsb(), faults=CRASH)
     cluster.run()
     term = cluster.membership.current_term
     assert term >= 1
@@ -57,7 +60,7 @@ def test_recovery_agrees_on_the_maximum_published_watermark():
 def test_rollback_preserves_the_transfer_invariant():
     """After crash + rollback the total balance must still be conserved."""
     workload = TransferWorkload(accounts_per_partition=100)
-    cluster = Cluster(crash_config(), workload)
+    cluster = Cluster(crash_config(), workload, faults=CRASH)
     cluster.run()
     assert workload.total_balance(cluster) == pytest.approx(
         workload.expected_total(cluster), rel=1e-9
@@ -66,14 +69,15 @@ def test_rollback_preserves_the_transfer_invariant():
 
 def test_throughput_continues_after_recovery():
     """Primo keeps processing transactions after the failed partition rejoins."""
-    cluster = Cluster(crash_config(duration_us=40_000.0), tiny_ycsb())
+    cluster = Cluster(crash_config(duration_us=40_000.0), tiny_ycsb(), faults=CRASH)
     result = cluster.run()
     # Transactions were still being committed in the post-recovery period.
     assert result.committed > 100
 
 
 def test_coco_crash_aborts_the_epoch():
-    cluster = Cluster(crash_config(protocol="sundial", durability="coco"), tiny_ycsb())
+    cluster = Cluster(crash_config(protocol="sundial", durability="coco"), tiny_ycsb(),
+                      faults=CRASH)
     result = cluster.run()
     assert cluster.durability.stats["epochs_aborted"] >= 1
     assert result.metrics.crash_aborted > 0

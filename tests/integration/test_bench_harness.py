@@ -1,10 +1,12 @@
-"""Smoke tests of the benchmark harness (runner, sweeps, CLI plumbing)."""
+"""Smoke tests of the benchmark harness (figures, sweeps, CLI plumbing)."""
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, SCALES, build_workload, run_config
-from repro.bench.runner import TINY_SCALE, sweep_values
+from repro.bench import FIGURES, run_cells, run_figure
+from repro.bench.experiments import fig11_plan, fig11_render
 from repro.bench.report import format_ratio, print_header, print_table
+from repro.scales import SCALES, TINY_SCALE, sweep_values
+from repro.scenario import build_workload
 
 
 #: An even smaller scale than "small" so harness tests run in a few seconds.
@@ -13,24 +15,16 @@ TEST_SCALE = TINY_SCALE
 
 def test_all_figures_are_registered():
     expected = {f"fig{i:02d}" for i in range(4, 16)} | {"appendix", "openloop", "storm"}
-    assert set(ALL_EXPERIMENTS) == expected
+    assert set(FIGURES) == expected
+    for name, spec in FIGURES.items():
+        assert spec.name == name
+        assert callable(spec.plan) and callable(spec.render)
     # SCALES is a live view of the scale registry; the built-in presets
     # (including the test-oriented "tiny") are always present.
     assert {"tiny", "small", "medium", "paper"} <= set(SCALES)
 
 
-def test_figures_registry_mirrors_all_experiments():
-    from repro.bench import FIGURES
-
-    assert set(FIGURES) == set(ALL_EXPERIMENTS)
-    for name, spec in FIGURES.items():
-        assert spec.name == name
-        assert callable(spec.plan) and callable(spec.render)
-
-
 def test_every_figure_plan_declares_valid_cells():
-    from repro.bench import FIGURES
-
     for name, spec in FIGURES.items():
         cells = spec.plan(TEST_SCALE)
         assert isinstance(cells, list)
@@ -42,29 +36,10 @@ def test_every_figure_plan_declares_valid_cells():
 
 
 def test_figure_functions_render_from_preexecuted_results():
-    from repro.bench import FIGURES
-    from repro.bench.orchestrator import run_cells
-
     cells = FIGURES["fig09"].plan(TEST_SCALE)
     outcome = run_cells(cells, jobs=1)
-    data = ALL_EXPERIMENTS["fig09"](TEST_SCALE, results=outcome.by_key(cells))
-    inline = ALL_EXPERIMENTS["fig09"](TEST_SCALE)
-    assert data == inline  # rendering is a pure function of the results
-
-
-def test_run_config_returns_a_result_for_every_protocol():
-    result = run_config("primo", TEST_SCALE, workload="ycsb")
-    assert result.protocol == "primo"
-    assert result.committed > 0
-
-
-def test_run_config_applies_workload_and_config_overrides():
-    result = run_config(
-        "sundial", TEST_SCALE, workload="ycsb",
-        workload_overrides={"zipf_theta": 0.0},
-        n_partitions=2,
-    )
-    assert result.n_partitions == 2
+    data = FIGURES["fig09"].render(TEST_SCALE, outcome.by_key(cells))
+    assert data == run_figure("fig09", TEST_SCALE)  # a pure function of the results
 
 
 def test_build_workload_supports_all_four_workloads():
@@ -93,20 +68,22 @@ def test_report_helpers_do_not_crash(capsys):
 
 
 def test_appendix_experiment_matches_paper_conclusion():
-    rows = ALL_EXPERIMENTS["appendix"](TEST_SCALE)["rows"]
+    rows = run_figure("appendix", TEST_SCALE)["rows"]
     by_ratio = {row["read_ratio"]: row for row in rows}
     assert by_ratio[0.4]["primo_wins"] is True
     assert by_ratio[1.0]["primo_wins"] is False
 
 
 def test_blind_write_experiment_runs_at_test_scale(capsys):
-    data = ALL_EXPERIMENTS["fig09"](TEST_SCALE)
+    data = run_figure("fig09", TEST_SCALE)
     assert len(data["primo"]) == len(data["ratios"]) == TEST_SCALE.sweep_points
     assert all(v >= 0 for v in data["primo"])
 
 
 def test_logging_scheme_experiment_covers_all_schemes(capsys):
-    data = ALL_EXPERIMENTS["fig11"](TEST_SCALE, protocols=("primo",))
+    cells = fig11_plan(TEST_SCALE, protocols=("primo",))
+    data = fig11_render(TEST_SCALE, run_cells(cells).by_key(cells),
+                        protocols=("primo",))
     assert set(data["throughput_ktps"]["primo"]) == {"clv", "coco", "wm"}
 
 

@@ -124,37 +124,6 @@ def test_stable_hash_is_process_independent():
     assert stable_hash("ycsb") != stable_hash("tpcc")
 
 
-def test_alias_sampler_matches_distribution():
-    from repro.sim.randgen import AliasSampler
-
-    rng = DeterministicRandom(99)
-    sampler = AliasSampler([8.0, 4.0, 2.0, 1.0, 1.0], rng)
-    counts = [0] * 5
-    n = 40_000
-    for _ in range(n):
-        counts[sampler.next()] += 1
-    total = 16.0
-    for index, weight in enumerate([8.0, 4.0, 2.0, 1.0, 1.0]):
-        expected = weight / total
-        assert abs(counts[index] / n - expected) < 0.02
-
-
-def test_alias_zipf_mode_is_deterministic_and_in_range():
-    first = ZipfGenerator(1000, 0.8, DeterministicRandom(5), method="alias")
-    second = ZipfGenerator(1000, 0.8, DeterministicRandom(5), method="alias")
-    draws = [first.next() for _ in range(2000)]
-    assert draws == [second.next() for _ in range(2000)]
-    assert all(0 <= d < 1000 for d in draws)
-    # Zipf skew shows through the alias tables too.
-    hot_share = sum(1 for d in draws if d < 10) / len(draws)
-    assert hot_share > 0.2
-
-
-def test_alias_zipf_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        ZipfGenerator(10, 0.5, DeterministicRandom(1), method="cdf")
-
-
 def test_gray_zipf_stream_is_pinned():
     """The default Gray sampler's key stream is part of the determinism
     contract (the YCSB goldens depend on it): pin a short prefix."""
