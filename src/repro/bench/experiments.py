@@ -132,14 +132,12 @@ def fig04_render(scale: BenchScale, results: dict) -> dict:
     return _overall_render(results, "ycsb", paper_factor=1.91, figure="Figure 4")
 
 
-
 def fig05_plan(scale: BenchScale) -> list[Cell]:
     return _overall_plan("fig05", scale, "tpcc")
 
 
 def fig05_render(scale: BenchScale, results: dict) -> dict:
     return _overall_render(results, "tpcc", paper_factor=1.42, figure="Figure 5")
-
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,6 @@ def fig06_render(scale: BenchScale, results: dict,
         ],
     )
     return {"skews": skews, "throughput_ktps": series, "abort_rate": aborts}
-
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,6 @@ def fig07_render(scale: BenchScale, results: dict,
             [[f"{ratios[i]:.0%}"] + [series[p][i] for p in protocols] for i in range(len(ratios))],
         )
     return {"ratios": ratios, **out}
-
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,6 @@ def fig08_render(scale: BenchScale, results: dict,
     return {"write_ratios": write_ratios, **out}
 
 
-
 # ---------------------------------------------------------------------------
 # Figure 9: blind writes
 # ---------------------------------------------------------------------------
@@ -308,7 +303,6 @@ def fig09_render(scale: BenchScale, results: dict) -> dict:
         ],
     )
     return {"ratios": ratios, **series}
-
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +344,6 @@ def fig10_render(scale: BenchScale, results: dict,
     return {"warehouses": warehouse_counts, **series}
 
 
-
 # ---------------------------------------------------------------------------
 # Figure 11: logging schemes
 # ---------------------------------------------------------------------------
@@ -384,7 +377,6 @@ def fig11_render(scale: BenchScale, results: dict, workload: str = "ycsb",
         [[p] + [table[p][s] for s in FIG11_SCHEMES] for p in protocols],
     )
     return {"throughput_ktps": table}
-
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +421,6 @@ def fig12_render(scale: BenchScale, results: dict) -> dict:
         "crash_abort_rate": {s: [data[s][i].crash_abort_rate for i in intervals_ms] for s in data},
         "throughput_ktps": {s: [data[s][i].throughput_ktps for i in intervals_ms] for s in data},
     }
-
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +500,6 @@ def fig13_render(scale: BenchScale, results: dict) -> dict:
     return {"delays_ms": delays_ms, "message_delay": message_delay, "slow_partition": slow}
 
 
-
 # ---------------------------------------------------------------------------
 # Figure 14: scalability
 # ---------------------------------------------------------------------------
@@ -555,7 +545,6 @@ def fig14_render(scale: BenchScale, results: dict, workload: str = "ycsb",
          for i in range(len(partition_counts))],
     )
     return {"partitions": partition_counts, "throughput_ktps": series}
-
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +598,6 @@ def fig15_render(scale: BenchScale, results: dict) -> dict:
     }
 
 
-
 # ---------------------------------------------------------------------------
 # Appendix A: analytical model (no simulation cells)
 # ---------------------------------------------------------------------------
@@ -631,7 +619,6 @@ def appendix_render(scale: BenchScale, results: dict) -> dict:
         [[r["read_ratio"], r["cr_2pc"], r["cr_primo"], r["primo_wins"]] for r in rows],
     )
     return {"rows": rows}
-
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +720,6 @@ def openloop_render(scale: BenchScale, results: dict) -> dict:
     return data
 
 
-
 # ---------------------------------------------------------------------------
 # The standard storm: degradation and recovery under replication faults
 # ---------------------------------------------------------------------------
@@ -822,7 +808,6 @@ def storm_render(scale: BenchScale, results: dict) -> dict:
         rows,
     )
     return data
-
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,9 @@ class ScenarioSpec:
     accepts a registered name or a ``{name: weight}`` mapping — sugar for the
     ``"mixed"`` composite workload.  ``faults`` is a declarative
     :class:`~repro.faults.FaultPlan` (or a list of fault-event dicts) applied
-    deterministically by the cluster's fault scheduler.
-    Override mappings are frozen into sorted pairs so equal scenarios hash
-    and serialize identically regardless of how they were written.
+    deterministically by the cluster's fault scheduler.  Override mappings
+    are frozen into sorted pairs so equal scenarios hash and serialize
+    identically regardless of how they were written.
     """
 
     protocol: str

@@ -265,7 +265,6 @@ class TestCooperation:
         assert stats.executed == campaign.total_cells
         assert cache_bytes(pooled_dir) == cache_bytes(inline_dir)
 
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_raising_cell_is_recorded_released_and_skipped_over(self, tmp_path, jobs):
         # The base plan targets partition 3, which the two-partition half of
