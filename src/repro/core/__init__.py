@@ -3,7 +3,7 @@ the watermark-based group commit and the Appendix A analytical model."""
 
 from .analysis import AnalysisParameters, ConflictRateModel
 from .primo import PrimoContext, PrimoProtocol
-from .tictoc import TicTocLocalExecutor, compute_commit_ts
+from .tictoc import compute_commit_ts, in_key_order, lock_write_set
 from .watermark import WatermarkGroupCommit
 
 __all__ = [
@@ -11,7 +11,8 @@ __all__ = [
     "ConflictRateModel",
     "PrimoContext",
     "PrimoProtocol",
-    "TicTocLocalExecutor",
     "compute_commit_ts",
+    "in_key_order",
+    "lock_write_set",
     "WatermarkGroupCommit",
 ]

@@ -3,7 +3,8 @@
 The protocol distinguishes local and distributed transactions at runtime:
 
 * a transaction starts in **local mode** and is processed with TicToc
-  (:mod:`repro.core.tictoc`) — reads take no locks;
+  (:mod:`repro.core.tictoc`, :meth:`PrimoProtocol._commit_local_mode`) — reads
+  take no locks;
 * on its first remote access it **switches to distributed mode**: the records
   it has already read are exclusive-locked and re-validated, and from then on
   every read (local or remote) acquires an exclusive lock (Algorithm 1);
@@ -33,10 +34,9 @@ from ..txn.transaction import (
     ReadEntry,
     Transaction,
     TxnAborted,
-    UserAbort,
     WriteEntry,
 )
-from .tictoc import TicTocLocalExecutor, compute_commit_ts
+from .tictoc import compute_commit_ts, in_key_order, lock_write_set
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.server import Server
@@ -51,14 +51,9 @@ class PrimoContext(TxnContext):
     """Execution-phase context implementing Algorithm 1 at the coordinator."""
 
     registers_lower_bound = True
-
-    def __init__(self, protocol: "PrimoProtocol", server: "Server", txn: Transaction):
-        super().__init__(protocol, server, txn)
-        # Local mode reads lock-free (TicToc); the switch below turns
-        # ``local_lock`` exclusive for every later read (Line 6).
-        self.mode = LOCAL_MODE
-        # The executor is stateless per attempt, so it is shared per server.
-        self.tictoc = protocol.executor_for(server)
+    # Local mode reads lock-free (TicToc); the switch below turns
+    # ``local_lock`` exclusive for every later read (Line 6).
+    mode = LOCAL_MODE
 
     def _remote_read(self, partition: int, table: str, key) -> Generator:
         """The first remote access switches the transaction to distributed mode."""
@@ -119,19 +114,10 @@ class PrimoProtocol(BaseProtocol):
     def __init__(self, cluster):
         super().__init__(cluster)
         self._fallback = None
-        # partition id -> shared TicTocLocalExecutor (stateless between
-        # attempts; sharing avoids one allocation per transaction attempt).
-        self._executors: dict = {}
         if self.config.primo_fallback_to_2pc:
             from ..protocols.sundial import SundialProtocol
 
             self._fallback = SundialProtocol(cluster)
-
-    def executor_for(self, server: "Server") -> TicTocLocalExecutor:
-        executor = self._executors.get(server.partition_id)
-        if executor is None:
-            self._executors[server.partition_id] = executor = TicTocLocalExecutor(server)
-        return executor
 
     # -- protocol interface --------------------------------------------------------
     def run_transaction(self, server: "Server", txn: Transaction,
@@ -147,32 +133,69 @@ class PrimoProtocol(BaseProtocol):
         txn.lower_bound_ts = max(txn.lower_bound_ts, server.ts_floor + 1)
         server.active_txns.register(txn)
         try:
-            context = yield from self._execute_logic(server, txn, logic)
-            txn.execute_end_time = self.env._now
-            yield from self._commit(server, txn, context)
-            return True
-        except UserAbort:
-            self._cleanup_abort(server, txn)
-            txn.abort_reason = AbortReason.USER
-            return False
-        except TxnAborted as aborted:
-            self._cleanup_abort(server, txn)
-            if txn.abort_reason is None:
-                txn.abort_reason = aborted.reason
-            return False
+            committed = yield from super().run_transaction(server, txn, logic)
+            return committed
         finally:
             server.active_txns.deregister(txn)
 
     # -- commit phase -----------------------------------------------------------------
-    def _commit(self, server: "Server", txn: Transaction, context: PrimoContext) -> Generator:
-        commit_start = self.env._now
+    def commit(self, server: "Server", txn: Transaction, context: PrimoContext) -> Generator:
         if context.mode == LOCAL_MODE:
-            yield from context.tictoc.validate_and_commit(txn, context.records)
-            txn.add_breakdown("commit", self.env._now - commit_start)
-            txn.commit_end_time = self.env._now
-            return
+            return self._commit_local_mode(server, txn, context)
+        return self._commit_distributed(server, txn, context)
 
-        # Distributed mode (no validation needed, Lines 16-32 of Algorithm 1).
+    def _commit_local_mode(self, server: "Server", txn: Transaction,
+                           context: PrimoContext) -> Generator:
+        """TicToc: lock the write-set, validate the read-set, install, unlock.
+
+        No CPU is charged for any of it (Sundial's single-partition path
+        charges ``cpu_record_access_us`` × (|R| + |W|); ROADMAP finding (a)).
+        """
+        commit_start = self.env._now
+        lock_manager = server.store.lock_manager
+        records = context.records
+        # (1) Lock the write-set in a deterministic order (WAIT_DIE keeps
+        # this deadlock-free even against Primo's distributed transactions).
+        refused = yield from lock_write_set(server, txn, in_key_order(txn.write_set), records)
+        if refused is not None:
+            raise TxnAborted(refused, "write-set locking")
+
+        # (2) Compute the commit timestamp; ``ts_floor`` is read after the
+        # lock waits (Sundial reads it before its own).
+        commit_ts = compute_commit_ts(txn, server.ts_floor)
+        txn.ts = commit_ts
+
+        # (3) Validate the read-set, on the record handles the reads cached
+        # (Sundial looks every key up again and fails on a deleted row).
+        written = {(w.partition, w.table, w.key) for w in txn.write_set}
+        for read in txn.read_set:
+            key3 = (read.partition, read.table, read.key)
+            record = records.get(key3)
+            if record is None:
+                continue
+            if record.wts != read.wts:
+                raise TxnAborted(AbortReason.VALIDATION, "read version changed")
+            if key3 in written:
+                continue  # already exclusively locked above, rts extension trivial
+            if commit_ts <= record.rts:
+                continue  # still inside the valid interval, nothing to do
+            if lock_manager.locked_by_other(txn.tid, record):
+                # Another transaction holds the record exclusively and we
+                # need to extend rts: this is the (rare) abort Primo's
+                # extra read locks can cause (§4.2.1).
+                raise TxnAborted(AbortReason.VALIDATION, "rts extension blocked")
+            record.extend_rts(commit_ts)
+
+        # (4) Install writes and release (an abort releases in cleanup_abort).
+        install_write_entries(server, txn, txn.write_set, commit_ts)
+        server.note_ts(commit_ts)
+        lock_manager.release_all(txn.tid)
+        txn.add_breakdown("commit", self.env._now - commit_start)
+
+    def _commit_distributed(self, server: "Server", txn: Transaction,
+                            context: PrimoContext) -> Generator:
+        """Distributed mode: no validation needed (Lines 16-32 of Algorithm 1)."""
+        commit_start = self.env._now
         ts_start = self.env._now
         commit_ts = compute_commit_ts(txn, server.ts_floor)
         txn.ts = commit_ts
@@ -230,7 +253,6 @@ class PrimoProtocol(BaseProtocol):
                 read_keys,
             )
         txn.add_breakdown("commit", self.env._now - commit_start)
-        txn.commit_end_time = self.env._now
 
     def _participant_commit(self, partition: int, txn: Transaction, commit_ts: float,
                             writes: list, read_keys: list) -> Generator:
@@ -284,14 +306,6 @@ class PrimoProtocol(BaseProtocol):
         return entry
 
     # -- abort handling -------------------------------------------------------------------
-    def _cleanup_abort(self, server: "Server", txn: Transaction) -> None:
-        server.store.lock_manager.release_all(txn.tid)
-        for partition in txn.participants:
-            self.network.send(
-                server.partition_id, partition, self._participant_abort, partition, txn
-            )
-
-    def _participant_abort(self, partition: int, txn: Transaction) -> None:
-        participant = self.server_of(partition)
-        participant.store.lock_manager.release_all(txn.tid)
+    def abort_participant(self, participant: "Server", txn: Transaction) -> None:
+        super().abort_participant(participant, txn)
         participant.active_txns.deregister(txn)

@@ -1,4 +1,4 @@
-"""TicToc optimistic concurrency control for *local* transactions.
+"""TicToc optimistic concurrency control: the commit-phase building blocks.
 
 Primo processes single-partition transactions with TicToc (§4.2): reads take
 no locks and record the observed ``[wts, rts]`` interval (the shared
@@ -14,40 +14,56 @@ makes the scheme robust to Primo's extra exclusive read locks: a lock held by
 a distributed transaction only aborts a local transaction when the local
 transaction *needs* to extend the record's ``rts`` (§4.2.1).
 
-``compute_commit_ts`` is reused by the Sundial baseline, which is the
-distributed 2PC-based variant of TicToc.
+The commit phase lives with its protocol (Primo's local mode in
+:mod:`repro.core.primo`, the 2PC-based variant in
+:mod:`repro.protocols.sundial`); what they share is here: the write-set lock
+loop (also Silo's and 2PL's), the lock order and the timestamp rule.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Iterable
 
 from ..storage.lock import LockMode
-from ..storage.record import Record
-from ..txn.transaction import AbortReason, Transaction, TxnAborted
+from ..txn.transaction import AbortReason, Transaction, WriteEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.server import Server
 
-__all__ = ["compute_commit_ts", "TicTocLocalExecutor"]
-
-_INSTALL_WRITE_ENTRIES = None
+__all__ = ["compute_commit_ts", "in_key_order", "lock_write_set"]
 
 
-def _install_write_entries():
-    """Resolve :func:`repro.protocols.base.install_write_entries` once.
+def in_key_order(writes: Iterable[WriteEntry]) -> list:
+    """The deterministic order the optimistic protocols lock a write-set in."""
+    return sorted(writes, key=lambda w: (w.table, str(w.key)))
 
-    Importing ``protocols.base`` at module level would be circular (the
-    protocols package imports the protocol modules, which import this one),
-    and a per-commit ``from … import`` pays a ``sys.modules`` round trip on
-    every transaction; resolving lazily into a module global does neither.
+
+def lock_write_set(server: "Server", txn: Transaction, writes: Iterable[WriteEntry],
+                   records: dict) -> Generator:
+    """Exclusive-lock the records ``writes`` target on ``server``, in the order given.
+
+    ``records`` maps ``(partition, table, key)`` to record handles the caller
+    already holds (an execution context's ``records``; ``{}`` looks every key
+    up).  An insert of a key that does not exist yet has nothing to lock.
+    Returns ``None`` once everything is locked, else why not:
+    ``AbortReason.VALIDATION`` (a target no longer exists) or
+    ``AbortReason.LOCK_CONFLICT`` (a lock was refused).
     """
-    global _INSTALL_WRITE_ENTRIES
-    if _INSTALL_WRITE_ENTRIES is None:
-        from ..protocols.base import install_write_entries
-
-        _INSTALL_WRITE_ENTRIES = install_write_entries
-    return _INSTALL_WRITE_ENTRIES
+    lock_manager = server.store.lock_manager
+    for entry in writes:
+        record = records.get((entry.partition, entry.table, entry.key))
+        if record is None:
+            record = server.store.table(entry.table).get(entry.key)
+            if record is None:
+                if entry.is_insert:
+                    continue
+                return AbortReason.VALIDATION
+        ok = lock_manager.acquire_nowait(txn.tid, record, LockMode.EXCLUSIVE)
+        if type(ok) is not bool:
+            ok = yield ok
+        if not ok:
+            return AbortReason.LOCK_CONFLICT
+    return None
 
 
 def compute_commit_ts(txn: Transaction, ts_floor: float = 0.0) -> float:
@@ -60,86 +76,10 @@ def compute_commit_ts(txn: Transaction, ts_floor: float = 0.0) -> float:
     commit_ts = ts_floor + 1
     written = {(w.partition, w.table, w.key) for w in txn.write_set}
     for read in txn.read_set:
-        commit_ts = max(commit_ts, read.wts)
+        if read.wts > commit_ts:
+            commit_ts = read.wts
         if (read.partition, read.table, read.key) in written:
-            commit_ts = max(commit_ts, read.rts + 1)
+            bound = read.rts + 1
+            if bound > commit_ts:
+                commit_ts = bound
     return commit_ts
-
-
-class TicTocLocalExecutor:
-    """Validation and installation for local (single-partition) transactions."""
-
-    def __init__(self, server: "Server"):
-        self.server = server
-        self.env = server.env
-
-    # -- commit phase ----------------------------------------------------------
-    def validate_and_commit(self, txn: Transaction, records: dict) -> Generator:
-        """Lock the write-set, validate the read-set, install writes, unlock.
-
-        ``records`` maps ``(partition, table, key)`` to the :class:`Record`
-        objects observed during execution.  Returns the commit timestamp, or
-        raises :class:`TxnAborted` (after releasing any locks it took).
-        """
-        # Lazily bound once (not per commit): protocols.base imports this
-        # module's helpers, so a top-level import would be circular.
-        install_write_entries = _install_write_entries()
-        lock_manager = self.server.store.lock_manager
-        locked: list[Record] = []
-        try:
-            # (1) Lock the write-set in a deterministic order (WAIT_DIE keeps
-            # this deadlock-free even against Primo's distributed transactions).
-            for entry in sorted(txn.write_set, key=lambda w: (w.table, str(w.key))):
-                record = records.get((entry.partition, entry.table, entry.key))
-                if record is None:
-                    record = self.server.store.table(entry.table).get(entry.key)
-                    if record is None and entry.is_insert:
-                        continue
-                if record is None:
-                    raise TxnAborted(AbortReason.VALIDATION, "write target vanished")
-                ok = lock_manager.acquire_nowait(txn.tid, record, LockMode.EXCLUSIVE)
-                if type(ok) is not bool:
-                    ok = yield ok
-                if not ok:
-                    raise TxnAborted(AbortReason.LOCK_CONFLICT, "write lock")
-                locked.append(record)
-
-            # (2) Compute the commit timestamp (compute_commit_ts inlined so
-            # the ``written`` key set is built once and shared with step 3).
-            written = {(w.partition, w.table, w.key) for w in txn.write_set}
-            commit_ts = self.server.ts_floor + 1
-            for read in txn.read_set:
-                if read.wts > commit_ts:
-                    commit_ts = read.wts
-                if (read.partition, read.table, read.key) in written:
-                    bound = read.rts + 1
-                    if bound > commit_ts:
-                        commit_ts = bound
-            txn.ts = commit_ts
-
-            # (3) Validate the read-set.
-            for read in txn.read_set:
-                key3 = (read.partition, read.table, read.key)
-                record = records.get(key3)
-                if record is None:
-                    continue
-                if record.wts != read.wts:
-                    raise TxnAborted(AbortReason.VALIDATION, "read version changed")
-                if key3 in written:
-                    continue  # already exclusively locked above, rts extension trivial
-                if commit_ts <= record.rts:
-                    continue  # still inside the valid interval, nothing to do
-                if lock_manager.locked_by_other(txn.tid, record):
-                    # Another transaction holds the record exclusively and we
-                    # need to extend rts: this is the (rare) abort Primo's
-                    # extra read locks can cause (§4.2.1).
-                    raise TxnAborted(AbortReason.VALIDATION, "rts extension blocked")
-                record.extend_rts(commit_ts)
-
-            # (4) Install writes and release.
-            install_write_entries(self.server, txn, txn.write_set, commit_ts)
-            self.server.note_ts(commit_ts)
-            return commit_ts
-        finally:
-            for record in locked:
-                lock_manager.release(txn.tid, record)

@@ -5,7 +5,7 @@ from .base import BaseProtocol, install_write_entries
 from .silo import SiloProtocol
 from .sundial import SundialProtocol
 from .tapir import TapirProtocol
-from .two_pc import TwoPhaseCommitMixin
+from .two_pc import TwoPhaseCommitProtocol
 from .two_pl import TwoPLNoWaitProtocol, TwoPLWaitDieProtocol
 
 __all__ = [
@@ -14,7 +14,7 @@ __all__ = [
     "SiloProtocol",
     "SundialProtocol",
     "TapirProtocol",
-    "TwoPhaseCommitMixin",
+    "TwoPhaseCommitProtocol",
     "TwoPLNoWaitProtocol",
     "TwoPLWaitDieProtocol",
     "install_write_entries",

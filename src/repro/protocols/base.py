@@ -1,4 +1,4 @@
-"""Protocol interface and the helpers shared by every concurrency-control scheme.
+"""Protocol interface, the attempt skeleton and the helpers every protocol shares.
 
 A protocol is instantiated once per cluster and is given the coordinating
 server plus the transaction whenever the worker loop runs an attempt:
@@ -10,9 +10,15 @@ server plus the transaction whenever the worker loop runs an attempt:
 commit and ``False`` for abort; on abort ``txn.abort_reason`` says why, which
 the worker uses to decide whether to retry.
 
-Shared helpers implemented here:
+``run_transaction`` is written once: execute the logic with the protocol's
+context class, ``commit(server, txn, context)``, stamp the times; a
+:class:`TxnAborted` anywhere lands in ``cleanup_abort``.  A protocol supplies
+``commit`` (the 2PC family only its prepare work, :mod:`repro.protocols.two_pc`).
+
+Also shared here:
 
 * routing (which server owns a partition),
+* the abort round (release locally, one-way ABORT to every participant),
 * the write-set installer used by every protocol's commit phase (applies
   updates/inserts/deletes, bumps TicToc timestamps, collects before-images and
   appends the partition's redo/undo log record),
@@ -75,7 +81,7 @@ def install_write_entries(server: "Server", txn: Transaction, entries: Iterable[
 
 
 class BaseProtocol:
-    """Abstract protocol; subclasses implement the context and commit path."""
+    """Abstract protocol; subclasses supply the context class and ``commit``."""
 
     name = "base"
     #: Lock policy installed on every partition's lock manager.
@@ -128,33 +134,51 @@ class BaseProtocol:
             raise TxnAborted(AbortReason.VALIDATION, f"remote read {table}:{key}")
         return entry
 
+    # -- the attempt skeleton ------------------------------------------------------
     def run_transaction(self, server: "Server", txn: Transaction,
                         logic: Callable[[TxnContext], Generator]) -> Generator:
         """Run one attempt; returns True on commit, False on abort."""
+        try:
+            context = self.create_context(server, txn)
+            cost = self.config.cpu_txn_logic_us
+            if cost > 0:
+                yield self.env.timeout(cost)
+            yield from logic(context)
+            txn.execute_end_time = self.env._now
+            yield from self.commit(server, txn, context)
+            txn.commit_end_time = self.env._now
+            return True
+        except TxnAborted as aborted:  # a UserAbort too: its reason is USER
+            self.cleanup_abort(server, txn)
+            if txn.abort_reason is None:
+                txn.abort_reason = aborted.reason
+            return False
+
+    def commit(self, server: "Server", txn: Transaction, context: TxnContext) -> Generator:
+        """The protocol's commit phase; raises :class:`TxnAborted` to abort."""
         raise NotImplementedError
 
-    # -- common execution-phase driver ------------------------------------------
-    def _execute_logic(self, server: "Server", txn: Transaction,
-                       logic: Callable[[TxnContext], Generator]) -> Generator:
-        """Drive the workload logic with this protocol's context.
-
-        Charges the per-transaction compute cost and lets :class:`TxnAborted`
-        propagate to the caller (which performs protocol-specific cleanup).
-        """
-        context = self.create_context(server, txn)
-        cost = self.config.cpu_txn_logic_us
-        if cost > 0:
-            yield self.env.timeout(cost)
-        yield from logic(context)
-        return context
-
-    # -- abort helpers ------------------------------------------------------------
+    # -- the abort round ------------------------------------------------------------------
     def _abort(self, txn: Transaction, reason: AbortReason, detail: str = "") -> None:
         txn.abort_reason = reason
         raise TxnAborted(reason, detail)
+
+    def cleanup_abort(self, server: "Server", txn: Transaction) -> None:
+        """Release the coordinator's locks and send ABORT to every participant."""
+        server.store.lock_manager.release_all(txn.tid)
+        for partition in txn.participants:
+            # One-way and a plain function: a generator handler would get its
+            # own process (extra events).
+            self.network.send(server.partition_id, partition,
+                              self.abort_participant, self.server_of(partition), txn)
+
+    def abort_participant(self, participant: "Server", txn: Transaction) -> None:
+        participant.store.lock_manager.release_all(txn.tid)
 
     def release_locks_everywhere(self, txn: Transaction) -> None:
         """Best-effort lock release on every partition (abort/crash cleanup)."""
         for partition in txn.all_partitions():
             server = self.server_of(partition)
+            # Kept bug-compatible: not abort_participant, so Primo's participant
+            # registration leaks (ROADMAP "Found and still open", finding (c)).
             server.store.lock_manager.release_all(txn.tid)

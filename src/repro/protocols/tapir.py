@@ -17,13 +17,12 @@ harness restricts TAPIR (and Primo, for fairness) to one worker per server.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Generator
 
 from ..sim.engine import all_of
 from ..sim.network import NodeUnreachable
 from ..storage.lock import LockPolicy
-from ..txn.context import TxnContext
-from ..txn.transaction import AbortReason, Transaction, TxnAborted, UserAbort
+from ..txn.transaction import AbortReason, Transaction
 from ..registry import register_protocol
 from .base import BaseProtocol, install_write_entries
 
@@ -50,26 +49,8 @@ class TapirProtocol(BaseProtocol):
             p: {} for p in range(self.config.n_partitions)
         }
 
-    def run_transaction(self, server: "Server", txn: Transaction,
-                        logic: Callable[[TxnContext], Generator]) -> Generator:
-        try:
-            context = yield from self._execute_logic(server, txn, logic)
-            txn.execute_end_time = self.env.now
-            yield from self._commit(server, txn)
-            txn.commit_end_time = self.env.now
-            return True
-        except UserAbort:
-            self._cleanup(txn)
-            txn.abort_reason = AbortReason.USER
-            return False
-        except TxnAborted as aborted:
-            self._cleanup(txn)
-            if txn.abort_reason is None:
-                txn.abort_reason = aborted.reason
-            return False
-
     # -- single-round commit --------------------------------------------------------------
-    def _commit(self, server: "Server", txn: Transaction) -> Generator:
+    def commit(self, server: "Server", txn: Transaction, context) -> Generator:
         commit_start = self.env.now
         partitions = sorted(txn.all_partitions())
         prepare_calls = []
@@ -78,7 +59,7 @@ class TapirProtocol(BaseProtocol):
             writes = txn.writes_for_partition(partition)
             prepare_calls.append(
                 self.env.process(
-                    self._prepare_rpc(server, partition, txn, reads, writes),
+                    self._ask_quorum(server, partition, txn, reads, writes),
                     name=f"tapir-prepare-{txn.tid}-p{partition}",
                 )
             )
@@ -93,14 +74,12 @@ class TapirProtocol(BaseProtocol):
         server.note_ts(commit_ts)
         txn.add_breakdown("commit", self.env.now - commit_start)
 
-    def _prepare_rpc(self, server, partition, txn, reads, writes):
-        def handler():
-            return self._validate_at(partition, txn, reads, writes)
-
+    def _ask_quorum(self, server, partition, txn, reads, writes):
         try:
             # One round trip to the partition's replica quorum: the inconsistent
             # replication fast path costs the same as a single RPC.
-            vote = yield from self.network.rpc(server.partition_id, partition, handler)
+            vote = yield from self.network.rpc(
+                server.partition_id, partition, self._validate_at, partition, txn, reads, writes)
         except NodeUnreachable:
             return False
         return vote
@@ -165,6 +144,7 @@ class TapirProtocol(BaseProtocol):
             if not readers:
                 del self._prepared_reads[partition][table_key]
 
-    def _cleanup(self, txn: Transaction) -> None:
+    def cleanup_abort(self, server: "Server", txn: Transaction) -> None:
+        """No locks and no ABORT round: forget the prepared state everywhere."""
         for partition in range(self.config.n_partitions):
             self._forget(partition, txn)

@@ -18,6 +18,7 @@ Two halves:
 
 import pytest
 
+from repro.protocols import BaseProtocol, TwoPhaseCommitProtocol
 from repro.registry import PROTOCOL_REGISTRY
 from repro.scenario import ScenarioSpec, build
 
@@ -64,3 +65,28 @@ def test_fixed_seed_commit_path_matches_golden(protocol, workload):
     result = cluster.run()
     assert (result.committed, result.aborted, result.network_messages,
             sorted(result.abort_reasons.items()), cluster.env.now) == GOLDEN[protocol, workload]
+
+
+# -- structure: one attempt skeleton, one set of 2PC rounds, one abort round ----
+
+TWO_PC_FAMILY = ("2pl_nw", "2pl_wd", "silo", "sundial")
+
+
+@pytest.mark.parametrize("protocol", TWO_PC_FAMILY + ("tapir",))
+def test_the_attempt_skeleton_is_the_shared_one(protocol):
+    assert PROTOCOL_REGISTRY.get(protocol).run_transaction is BaseProtocol.run_transaction
+
+
+@pytest.mark.parametrize("protocol", TWO_PC_FAMILY)
+def test_the_2pc_family_supplies_prepare_work_not_a_commit_phase(protocol):
+    cls = PROTOCOL_REGISTRY.get(protocol)
+    assert cls.commit is TwoPhaseCommitProtocol.commit
+    assert cls.two_phase_commit is TwoPhaseCommitProtocol.two_phase_commit
+    assert cls.prepare_partition is not TwoPhaseCommitProtocol.prepare_partition
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_REGISTRY.names())
+def test_no_protocol_carries_its_own_copy_of_the_shared_commit_steps(protocol):
+    copies = {"commit_local", "commit_participant", "_cleanup_abort", "_abort_everywhere"}
+    for cls in PROTOCOL_REGISTRY.get(protocol).__mro__:
+        assert not copies & set(vars(cls)), cls
