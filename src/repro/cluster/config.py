@@ -68,15 +68,6 @@ class SystemConfig:
     # -- Aria ---------------------------------------------------------------
     aria_batch_size_per_partition: int = 20
 
-    # -- storage --------------------------------------------------------------
-    # "auto": workloads that declare a fixed numeric schema (YCSB, Smallbank)
-    # get array-backed columnar tables (~8x less memory per row — required for
-    # the xlarge/web scale tiers); schema-less tables (TPC-C, TATP) stay
-    # dict-backed.  "dict": force the dict-backed reference tables everywhere,
-    # for A/B parity runs against the columnar backend.  Both backends are
-    # bit-identical on fixed seeds (pinned by tests/storage and the goldens).
-    storage_backend: str = "auto"
-
     # -- open-loop admission --------------------------------------------------
     # Bound of the per-partition queue between open-loop arrival streams and
     # the service fibers (closed-loop runs never queue).  Arrivals beyond a
@@ -115,10 +106,6 @@ class SystemConfig:
             raise ValueError("epoch_length_us must be positive")
         if self.admission_queue_depth < 1:
             raise ValueError("admission_queue_depth must be >= 1")
-        if self.storage_backend not in ("auto", "dict"):
-            raise ValueError(
-                f"storage_backend must be 'auto' or 'dict', got {self.storage_backend!r}"
-            )
 
     # -- derived quantities ----------------------------------------------------
     @property

@@ -76,10 +76,7 @@ class Server:
         self.env: Environment = cluster.env
         self.config = cluster.config
         self.partition_id = partition_id
-        self.store = PartitionStore(
-            self.env, partition_id, lock_policy,
-            backend=cluster.config.storage_backend,
-        )
+        self.store = PartitionStore(self.env, partition_id, lock_policy)
         follower_base = follower_node_base(cluster.config.n_partitions, partition_id)
         self.replication = ReplicationGroup(
             self.env,

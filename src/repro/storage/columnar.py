@@ -24,7 +24,7 @@ Which backend a table uses is decided at creation time
 a fixed numeric schema (YCSB, Smallbank) pass a :class:`TableSchema`;
 dynamic-schema workloads (TPC-C's mixed-type rows and secondary-index
 lookups) pass none and keep the dict backend, which remains the bit-identical
-reference (``storage_backend="dict"`` forces it everywhere).
+reference (the test suite's ``dict_tables`` fixture forces it everywhere).
 
 Loading is columnar too.  :meth:`ColumnarTable.insert_many` (the loaders'
 entry point, same signature on :class:`~repro.storage.table.Table`) is by

@@ -9,11 +9,11 @@ dict-backed :class:`~repro.storage.table.Table` (the bit-identical reference,
 required for dynamic schemas like TPC-C) and the array-backed
 :class:`~repro.storage.columnar.ColumnarTable` for fixed numeric schemas
 (YCSB, Smallbank), which costs ~8x less memory per row — the difference
-between the ``xlarge``/``web`` scale tiers fitting in RAM or not.  A workload
-opts a table in by passing a :class:`~repro.storage.columnar.TableSchema` to
-:meth:`PartitionStore.create_table`; ``backend="dict"``
-(``SystemConfig.storage_backend``) overrides every schema back to the
-reference tables for A/B parity runs.
+between the ``xlarge``/``web`` scale tiers fitting in RAM or not.  The schema
+declaration is the one selector: a table is columnar iff its workload passes a
+:class:`~repro.storage.columnar.TableSchema` to
+:meth:`PartitionStore.create_table`.  (The A/B parity runs against the
+reference tables are a test fixture, ``dict_tables`` in ``tests/conftest.py``.)
 """
 
 from __future__ import annotations
@@ -36,26 +36,20 @@ class PartitionStore:
         env: Environment,
         partition_id: int,
         lock_policy: LockPolicy = LockPolicy.WAIT_DIE,
-        backend: str = "auto",
     ):
-        if backend not in ("auto", "dict"):
-            raise ValueError(
-                f"unknown storage backend {backend!r}; use 'auto' or 'dict'"
-            )
         self.env = env
         self.partition_id = partition_id
-        self.backend = backend
         self.tables: dict[str, Union[Table, ColumnarTable]] = {}
         self.lock_manager = LockManager(env, policy=lock_policy)
 
     def create_table(
         self, name: str, schema: Optional[TableSchema] = None
     ) -> Union[Table, ColumnarTable]:
-        """Create a table; with a ``schema`` (and ``backend="auto"``) it is
-        columnar, otherwise the dict-backed reference table."""
+        """Create a table; with a ``schema`` it is columnar, otherwise the
+        dict-backed reference table."""
         if name in self.tables:
             raise TableError(f"table {name!r} already exists on partition {self.partition_id}")
-        if schema is not None and self.backend == "auto":
+        if schema is not None:
             table: Union[Table, ColumnarTable] = ColumnarTable(name, schema)
         else:
             table = Table(name)

@@ -109,7 +109,7 @@ class SmallbankWorkload(Workload):
         self.config = config or SmallbankConfig()
         self.config.validate()
 
-    #: Single-float schema → columnar tables under storage_backend="auto".
+    #: Single-float schema → columnar tables.
     SCHEMA = TableSchema((("balance", "f"),))
 
     def load(self, cluster: "Cluster") -> None:

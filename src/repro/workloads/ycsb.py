@@ -32,10 +32,10 @@ __all__ = ["YCSBConfig", "YCSBWorkload", "YCSBSource"]
 TABLE = "usertable"
 FIELDS = 2  # number of payload columns per record
 
-#: Fixed integer schema: lets the partition store pick the array-backed
-#: columnar tables (storage_backend="auto"), which is what makes the
-#: xlarge/web million-key tiers fit in memory.  Column order matches the
-#: loader's insert dict, so snapshots are bit-identical to the dict backend.
+#: Fixed integer schema: makes the partition store pick the array-backed
+#: columnar tables, which is what makes the xlarge/web million-key tiers fit
+#: in memory.  Column order matches the loader's insert dict, so snapshots
+#: are bit-identical to the dict backend.
 SCHEMA = TableSchema(tuple((f"field{i}", "i") for i in range(FIELDS)))
 
 

@@ -120,14 +120,16 @@ def test_single_replica_group_still_persists():
 
 
 @pytest.mark.parametrize("backend", ["auto", "dict"])
-def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend):
+def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, request):
     """A log record keeps the attempt's ``updates`` dicts themselves.
 
     Storage copies values *out* of them on install, so whatever happens to
     the rows afterwards — later commits, in-place edits — neither the log
     payload nor the §5.2 rollback it feeds can change.
     """
-    cluster = Cluster(tiny_config("primo", storage_backend=backend), tiny_ycsb())
+    if backend == "dict":
+        request.getfixturevalue("dict_tables")
+    cluster = Cluster(tiny_config("primo"), tiny_ycsb())
     server = cluster.servers[0]
     server.log.retain_history = True   # as under a fault plan
     table = server.store.table("usertable")

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import SystemConfig
+from repro.storage.partition import PartitionStore
 from repro.workloads.base import TransactionSpec, TxnSource, Workload
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
@@ -127,6 +128,15 @@ def no_collector():
         yield
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def dict_tables(monkeypatch):
+    """The A/B reference: every table dict-backed, whatever schema its
+    workload declares (``create_table`` drops the schema)."""
+    create_table = PartitionStore.create_table
+    monkeypatch.setattr(PartitionStore, "create_table",
+                        lambda store, name, schema=None: create_table(store, name))
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 Pins the plumbing the ``xlarge``/``web`` tiers depend on: the tiers are
 registered scales, fixed-schema workloads get columnar tables (and TPC-C
-keeps the dict reference), ``storage_backend="dict"`` forces a bit-identical
+keeps the dict reference), the ``dict_tables`` fixture forces a bit-identical
 A/B run, and fault-free runs drop log history (the other half of the memory
 budget) while faulted runs keep it for recovery.
 """
@@ -59,29 +59,23 @@ def test_dynamic_schema_workload_keeps_dict_tables():
             assert isinstance(server.store.table(name), Table), name
 
 
-def test_dict_override_forces_reference_tables_everywhere():
-    cluster = build(tiny("ycsb", config_overrides={"storage_backend": "dict"}))
-    for server in cluster.servers.values():
-        assert isinstance(server.store.table(YCSB_TABLE), Table)
-
-
-def test_unknown_storage_backend_rejected():
-    with pytest.raises(ValueError, match="storage_backend"):
-        run(tiny("ycsb", config_overrides={"storage_backend": "rowstore"}))
+def test_a_spec_still_carrying_the_removed_selector_is_rejected():
+    with pytest.raises(ValueError, match="unknown config override 'storage_backend'"):
+        tiny("ycsb", config_overrides={"storage_backend": "dict"})
 
 
 # -- backend parity ------------------------------------------------------------
 
 @pytest.mark.parametrize("workload", ["ycsb", "smallbank"])
-def test_columnar_and_dict_backends_are_bit_identical(workload):
+def test_columnar_and_dict_backends_are_bit_identical(workload, request):
     """The columnar backend must not change simulation semantics at all."""
     auto = run(tiny(workload)).to_json_dict()
-    ref = run(tiny(workload,
-                   config_overrides={"storage_backend": "dict"})).to_json_dict()
-    # The embedded config legitimately differs by the one knob under test.
-    assert auto["extra"]["config"].pop("storage_backend") == "auto"
-    assert ref["extra"]["config"].pop("storage_backend") == "dict"
-    assert auto == ref
+    request.getfixturevalue("dict_tables")
+    cluster = build(tiny(workload))
+    for server in cluster.servers.values():
+        assert all(isinstance(server.store.table(name), Table)
+                   for name in server.store.table_names())
+    assert cluster.run().to_json_dict() == auto
 
 
 def _insert_per_row(table, keys, row):
@@ -91,9 +85,11 @@ def _insert_per_row(table, keys, row):
 
 @pytest.mark.parametrize("backend", ["auto", "dict"])
 @pytest.mark.parametrize("workload", ["ycsb", "smallbank"])
-def test_bulk_load_and_per_row_load_are_byte_identical(workload, backend, monkeypatch):
+def test_bulk_load_and_per_row_load_are_byte_identical(workload, backend, monkeypatch, request):
     """``insert_many`` is only a faster way to run the loaders' insert loop."""
-    spec = tiny(workload, config_overrides={"storage_backend": backend})
+    if backend == "dict":
+        request.getfixturevalue("dict_tables")
+    spec = tiny(workload)
     bulk = json.dumps(run(spec).to_json_dict(), sort_keys=True)
     monkeypatch.setattr(ColumnarTable, "insert_many", _insert_per_row)
     monkeypatch.setattr(Table, "insert_many", _insert_per_row)

@@ -310,14 +310,17 @@ def test_partition_store_selects_backend_by_schema():
     assert store.storage_bytes() == store.table("cols").nbytes
 
 
-def test_partition_store_dict_backend_overrides_schema():
-    store = PartitionStore(Environment(), 0, backend="dict")
+def test_partition_store_dict_backend_overrides_schema(dict_tables):
+    """The reference backend is a test fixture now, not a store option."""
+    store = PartitionStore(Environment(), 0)
     assert isinstance(store.create_table("cols", schema=SCHEMA), Table)
 
 
 def test_partition_store_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown storage backend"):
+    """The schema declaration is the only selector: no backend keyword."""
+    with pytest.raises(TypeError, match="backend"):
         PartitionStore(Environment(), 0, backend="mmap")
+    assert not hasattr(PartitionStore(Environment(), 0), "backend")
 
 
 # -- the point of the backend: memory ------------------------------------------
