@@ -75,8 +75,8 @@ from .workloads import (
     YCSBWorkload,
 )
 
-#: Workload names accepted by ``ScenarioSpec.workload`` (live registry view).
-WORKLOADS = WORKLOAD_REGISTRY.names_view()
+#: Workload names accepted by ``ScenarioSpec.workload`` (the registry itself).
+WORKLOADS = WORKLOAD_REGISTRY
 
 __all__ = [
     "ARRIVAL_REGISTRY",

@@ -33,6 +33,8 @@ __all__ = ["FIGURES", "FigureSpec", "run_figure"]
 
 #: Protocols compared in the overall-performance figures (Figs. 4, 5).
 OVERALL_PROTOCOLS = ("2pl_nw", "2pl_wd", "silo", "sundial", "aria", "primo")
+#: The strongest baseline against Primo (Figs. 7, 8, 10, 14).
+SUNDIAL_AND_PRIMO = ("sundial", "primo")
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +146,25 @@ def fig05_render(scale: BenchScale, results: dict) -> dict:
 # Figure 6: contention
 # ---------------------------------------------------------------------------
 
-def fig06_plan(scale: BenchScale,
-               protocols: tuple = ("sundial", "2pl_nw", "primo")) -> list[Cell]:
+FIG06_PROTOCOLS = ("sundial", "2pl_nw", "primo")
+
+
+def fig06_plan(scale: BenchScale) -> list[Cell]:
     skews = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 0.95], scale)
     return [
         make_cell("fig06", f"{protocol}@skew{skew}", protocol, scale,
                   workload="ycsb", workload_overrides={"zipf_theta": skew})
         for skew in skews
-        for protocol in protocols
+        for protocol in FIG06_PROTOCOLS
     ]
 
 
-def fig06_render(scale: BenchScale, results: dict,
-                 protocols: tuple = ("sundial", "2pl_nw", "primo")) -> dict:
+def fig06_render(scale: BenchScale, results: dict) -> dict:
     skews = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 0.95], scale)
-    series: dict[str, list] = {p: [] for p in protocols}
-    aborts: dict[str, list] = {p: [] for p in protocols}
+    series: dict[str, list] = {p: [] for p in FIG06_PROTOCOLS}
+    aborts: dict[str, list] = {p: [] for p in FIG06_PROTOCOLS}
     for skew in skews:
-        for protocol in protocols:
+        for protocol in FIG06_PROTOCOLS:
             result = results[f"{protocol}@skew{skew}"]
             series[protocol].append(result.throughput_ktps)
             aborts[protocol].append(result.abort_rate)
@@ -170,11 +173,11 @@ def fig06_render(scale: BenchScale, results: dict,
         "Primo wins at every skew; margin grows with contention (1.19x -> 2.18x)",
     )
     print_table(
-        ["skew"] + [f"{p} kTPS" for p in protocols] + [f"{p} abort" for p in protocols],
+        ["skew"] + [f"{p} kTPS" for p in FIG06_PROTOCOLS] + [f"{p} abort" for p in FIG06_PROTOCOLS],
         [
             [skews[i]]
-            + [series[p][i] for p in protocols]
-            + [f"{aborts[p][i]:.1%}" for p in protocols]
+            + [series[p][i] for p in FIG06_PROTOCOLS]
+            + [f"{aborts[p][i]:.1%}" for p in FIG06_PROTOCOLS]
             for i in range(len(skews))
         ],
     )
@@ -188,8 +191,7 @@ def fig06_render(scale: BenchScale, results: dict,
 FIG07_CONTENTION_LEVELS = (("low_contention", 0.0), ("high_contention", 0.9))
 
 
-def fig07_plan(scale: BenchScale,
-               protocols: tuple = ("sundial", "primo")) -> list[Cell]:
+def fig07_plan(scale: BenchScale) -> list[Cell]:
     ratios = sweep_values([0.05, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
     return [
         make_cell(
@@ -199,18 +201,17 @@ def fig07_plan(scale: BenchScale,
         )
         for label, skew in FIG07_CONTENTION_LEVELS
         for ratio in ratios
-        for protocol in protocols
+        for protocol in SUNDIAL_AND_PRIMO
     ]
 
 
-def fig07_render(scale: BenchScale, results: dict,
-                 protocols: tuple = ("sundial", "primo")) -> dict:
+def fig07_render(scale: BenchScale, results: dict) -> dict:
     ratios = sweep_values([0.05, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
     out = {}
     for label, skew in FIG07_CONTENTION_LEVELS:
-        series = {p: [] for p in protocols}
+        series = {p: [] for p in SUNDIAL_AND_PRIMO}
         for ratio in ratios:
-            for protocol in protocols:
+            for protocol in SUNDIAL_AND_PRIMO:
                 result = results[f"{protocol}@{label}@r{ratio}"]
                 series[protocol].append(result.throughput_ktps)
         out[label] = series
@@ -219,8 +220,9 @@ def fig07_render(scale: BenchScale, results: dict,
             "low contention: 1.12x -> 1.58x; high contention: 2.46x -> 1.96x",
         )
         print_table(
-            ["% distributed"] + [f"{p} kTPS" for p in protocols],
-            [[f"{ratios[i]:.0%}"] + [series[p][i] for p in protocols] for i in range(len(ratios))],
+            ["% distributed"] + [f"{p} kTPS" for p in SUNDIAL_AND_PRIMO],
+            [[f"{ratios[i]:.0%}"] + [series[p][i] for p in SUNDIAL_AND_PRIMO]
+             for i in range(len(ratios))],
         )
     return {"ratios": ratios, **out}
 
@@ -232,8 +234,7 @@ def fig07_render(scale: BenchScale, results: dict,
 FIG08_DISTRIBUTED_LEVELS = (("20pct_distributed", 0.2), ("80pct_distributed", 0.8))
 
 
-def fig08_plan(scale: BenchScale,
-               protocols: tuple = ("sundial", "primo")) -> list[Cell]:
+def fig08_plan(scale: BenchScale) -> list[Cell]:
     write_ratios = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
     return [
         make_cell(
@@ -243,18 +244,17 @@ def fig08_plan(scale: BenchScale,
         )
         for label, distributed in FIG08_DISTRIBUTED_LEVELS
         for write_pct in write_ratios
-        for protocol in protocols
+        for protocol in SUNDIAL_AND_PRIMO
     ]
 
 
-def fig08_render(scale: BenchScale, results: dict,
-                 protocols: tuple = ("sundial", "primo")) -> dict:
+def fig08_render(scale: BenchScale, results: dict) -> dict:
     write_ratios = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
     out = {}
     for label, _distributed in FIG08_DISTRIBUTED_LEVELS:
-        series = {p: [] for p in protocols}
+        series = {p: [] for p in SUNDIAL_AND_PRIMO}
         for write_pct in write_ratios:
-            for protocol in protocols:
+            for protocol in SUNDIAL_AND_PRIMO:
                 result = results[f"{protocol}@{label}@w{write_pct}"]
                 series[protocol].append(result.throughput_ktps)
         out[label] = series
@@ -263,8 +263,8 @@ def fig08_render(scale: BenchScale, results: dict,
             "Primo stable as writes grow; 0.96x/0.82x at 0% writes up to 2.86x/2.81x at 100%",
         )
         print_table(
-            ["% writes"] + [f"{p} kTPS" for p in protocols],
-            [[f"{write_ratios[i]:.0%}"] + [series[p][i] for p in protocols]
+            ["% writes"] + [f"{p} kTPS" for p in SUNDIAL_AND_PRIMO],
+            [[f"{write_ratios[i]:.0%}"] + [series[p][i] for p in SUNDIAL_AND_PRIMO]
              for i in range(len(write_ratios))],
         )
     return {"write_ratios": write_ratios, **out}
@@ -309,8 +309,7 @@ def fig09_render(scale: BenchScale, results: dict) -> dict:
 # Figure 10: warehouses
 # ---------------------------------------------------------------------------
 
-def fig10_plan(scale: BenchScale,
-               protocols: tuple = ("sundial", "primo")) -> list[Cell]:
+def fig10_plan(scale: BenchScale) -> list[Cell]:
     warehouse_counts = sweep_values([1, 2, 4, 8, 16, 32], scale)
     return [
         make_cell(
@@ -319,16 +318,15 @@ def fig10_plan(scale: BenchScale,
             workload_overrides={"warehouses_per_partition": warehouses},
         )
         for warehouses in warehouse_counts
-        for protocol in protocols
+        for protocol in SUNDIAL_AND_PRIMO
     ]
 
 
-def fig10_render(scale: BenchScale, results: dict,
-                 protocols: tuple = ("sundial", "primo")) -> dict:
+def fig10_render(scale: BenchScale, results: dict) -> dict:
     warehouse_counts = sweep_values([1, 2, 4, 8, 16, 32], scale)
-    series = {p: [] for p in protocols}
+    series = {p: [] for p in SUNDIAL_AND_PRIMO}
     for warehouses in warehouse_counts:
-        for protocol in protocols:
+        for protocol in SUNDIAL_AND_PRIMO:
             series[protocol].append(
                 results[f"{protocol}@w{warehouses}"].throughput_ktps
             )
@@ -337,8 +335,8 @@ def fig10_render(scale: BenchScale, results: dict,
         "Primo wins at every size; improvement larger with fewer warehouses (1.61x -> 1.15x)",
     )
     print_table(
-        ["warehouses/partition"] + [f"{p} kTPS" for p in protocols],
-        [[warehouse_counts[i]] + [series[p][i] for p in protocols]
+        ["warehouses/partition"] + [f"{p} kTPS" for p in SUNDIAL_AND_PRIMO],
+        [[warehouse_counts[i]] + [series[p][i] for p in SUNDIAL_AND_PRIMO]
          for i in range(len(warehouse_counts))],
     )
     return {"warehouses": warehouse_counts, **series}
@@ -349,32 +347,31 @@ def fig10_render(scale: BenchScale, results: dict,
 # ---------------------------------------------------------------------------
 
 FIG11_SCHEMES = ("clv", "coco", "wm")
+FIG11_PROTOCOLS = ("2pl_wd", "sundial", "primo")
 
 
-def fig11_plan(scale: BenchScale, workload: str = "ycsb",
-               protocols: tuple = ("2pl_wd", "sundial", "primo")) -> list[Cell]:
+def fig11_plan(scale: BenchScale) -> list[Cell]:
     return [
         make_cell("fig11", f"{protocol}@{scheme}", protocol, scale,
-                  workload=workload, durability=scheme)
-        for protocol in protocols
+                  workload="ycsb", durability=scheme)
+        for protocol in FIG11_PROTOCOLS
         for scheme in FIG11_SCHEMES
     ]
 
 
-def fig11_render(scale: BenchScale, results: dict, workload: str = "ycsb",
-                 protocols: tuple = ("2pl_wd", "sundial", "primo")) -> dict:
+def fig11_render(scale: BenchScale, results: dict) -> dict:
     table = {}
-    for protocol in protocols:
+    for protocol in FIG11_PROTOCOLS:
         table[protocol] = {}
         for scheme in FIG11_SCHEMES:
             table[protocol][scheme] = results[f"{protocol}@{scheme}"].throughput_ktps
     print_header(
-        f"Figure 11: logging/group-commit schemes on {workload.upper()}",
+        "Figure 11: logging/group-commit schemes on YCSB",
         "WM > COCO > CLV for every concurrency-control scheme",
     )
     print_table(
         ["protocol"] + [s.upper() for s in FIG11_SCHEMES],
-        [[p] + [table[p][s] for s in FIG11_SCHEMES] for p in protocols],
+        [[p] + [table[p][s] for s in FIG11_SCHEMES] for p in FIG11_PROTOCOLS],
     )
     return {"throughput_ktps": table}
 
@@ -504,31 +501,29 @@ def fig13_render(scale: BenchScale, results: dict) -> dict:
 # Figure 14: scalability
 # ---------------------------------------------------------------------------
 
-def fig14_plan(scale: BenchScale, workload: str = "ycsb",
-               protocols: tuple = ("sundial", "primo")) -> list[Cell]:
+def fig14_plan(scale: BenchScale) -> list[Cell]:
     partition_counts = sweep_values([1, 2, 4, 8, 12, 16, 20], scale)
     cells = []
     for n_partitions in partition_counts:
-        for protocol in protocols:
+        for protocol in SUNDIAL_AND_PRIMO:
             cells.append(
                 make_cell("fig14", f"{protocol}@n{n_partitions}", protocol, scale,
-                          workload=workload, n_partitions=n_partitions)
+                          workload="ycsb", n_partitions=n_partitions)
             )
         cells.append(
             make_cell("fig14", f"primo(coco)@n{n_partitions}", "primo", scale,
-                      workload=workload, n_partitions=n_partitions,
+                      workload="ycsb", n_partitions=n_partitions,
                       durability="coco")
         )
     return cells
 
 
-def fig14_render(scale: BenchScale, results: dict, workload: str = "ycsb",
-                 protocols: tuple = ("sundial", "primo")) -> dict:
+def fig14_render(scale: BenchScale, results: dict) -> dict:
     partition_counts = sweep_values([1, 2, 4, 8, 12, 16, 20], scale)
-    series: dict[str, list] = {p: [] for p in protocols}
+    series: dict[str, list] = {p: [] for p in SUNDIAL_AND_PRIMO}
     series["primo(coco)"] = []
     for n_partitions in partition_counts:
-        for protocol in protocols:
+        for protocol in SUNDIAL_AND_PRIMO:
             series[protocol].append(
                 results[f"{protocol}@n{n_partitions}"].throughput_ktps
             )
@@ -536,7 +531,7 @@ def fig14_render(scale: BenchScale, results: dict, workload: str = "ycsb",
             results[f"primo(coco)@n{n_partitions}"].throughput_ktps
         )
     print_header(
-        f"Figure 14: scalability on {workload.upper()}",
+        "Figure 14: scalability on YCSB",
         "Primo scales best (3.2x/1.7x over the best baseline at 20 partitions); COCO flattens past ~12",
     )
     print_table(
@@ -855,10 +850,10 @@ _register_figure("storm", storm_plan, storm_render,
 _register_figure("appendix", appendix_plan, appendix_render,
                  "analytical conflict-rate model")
 
-#: name -> FigureSpec — a live view of the figure registry, used by
+#: name -> FigureSpec — the figure registry itself, used by
 #: ``python -m repro.bench`` and the figures gate.  Figures registered by
 #: external code (``repro.registry.register_figure``) appear here too.
-FIGURES = FIGURE_REGISTRY.as_mapping()
+FIGURES = FIGURE_REGISTRY
 
 
 def run_figure(name: str, scale: BenchScale) -> dict:

@@ -14,12 +14,12 @@ from ..registry import DURABILITY_REGISTRY, PROTOCOL_REGISTRY
 
 __all__ = ["SystemConfig", "PROTOCOLS", "DURABILITY_SCHEMES"]
 
-#: Names accepted by ``SystemConfig.protocol`` — a live view of the protocol
-#: registry, so externally registered protocols are accepted automatically.
-PROTOCOLS = PROTOCOL_REGISTRY.names_view()
+#: Names accepted by ``SystemConfig.protocol`` — the protocol registry itself,
+#: so externally registered protocols are accepted automatically.
+PROTOCOLS = PROTOCOL_REGISTRY
 
 #: Names accepted by ``SystemConfig.durability`` — same, for group-commit schemes.
-DURABILITY_SCHEMES = DURABILITY_REGISTRY.names_view()
+DURABILITY_SCHEMES = DURABILITY_REGISTRY
 
 
 @dataclass

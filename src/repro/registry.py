@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import difflib
 import importlib
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional
 
 __all__ = [
     "ARRIVAL_REGISTRY",
@@ -55,8 +56,6 @@ __all__ = [
     "DuplicateNameError",
     "Registry",
     "RegistryEntry",
-    "RegistryMapping",
-    "RegistryNames",
     "UnknownNameError",
     "register_arrival",
     "register_durability",
@@ -118,13 +117,19 @@ class RegistryEntry:
     metadata: dict = field(default_factory=dict)
 
 
-class Registry:
+class Registry(Mapping):
     """A name -> implementation table with strict, suggestion-bearing lookups.
 
     ``ensure_modules`` are imported (once, lazily) before the first lookup or
     listing so the built-in implementations — which register themselves at
     import time via the decorators below — are always visible without this
     module importing any of them eagerly.
+
+    It is a live read-only :class:`~collections.abc.Mapping` (``PROTOCOLS``,
+    ``WORKLOADS``, ``SCALES``, ``FIGURES`` … *are* the registries): iteration
+    yields the sorted names, and ``registry[name]`` — like ``get(name)`` —
+    raises the suggestion-bearing :class:`UnknownNameError`, never a bare
+    ``KeyError`` and never a default.
     """
 
     def __init__(self, kind: str, ensure_modules: Sequence[str] = ()) -> None:
@@ -180,6 +185,8 @@ class Registry:
     def get(self, name: str) -> Any:
         return self.entry(name).obj
 
+    __getitem__ = get
+
     def check(self, name: str) -> str:
         """Validate that ``name`` is registered (returns it for chaining)."""
         self.entry(name)
@@ -206,75 +213,6 @@ class Registry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Registry({self.kind!r}, {list(self.names())})"
-
-    # -- derived views ----------------------------------------------------------
-    def names_view(self) -> "RegistryNames":
-        return RegistryNames(self)
-
-    def as_mapping(self) -> "RegistryMapping":
-        return RegistryMapping(self)
-
-
-class RegistryNames(Sequence):
-    """A live, tuple-like view of a registry's names.
-
-    ``PROTOCOLS`` and ``DURABILITY_SCHEMES`` are instances: every historical
-    call site (``name in PROTOCOLS``, iteration, indexing, ``len``) keeps
-    working, but the contents track the registry — including names registered
-    by external code after import.
-    """
-
-    def __init__(self, registry: Registry) -> None:
-        self._registry = registry
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __getitem__(self, index):
-        return self._registry.names()[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, list, RegistryNames)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._registry.names()))
-
-    def __repr__(self) -> str:
-        return repr(self._registry.names())
-
-
-class RegistryMapping(Mapping):
-    """A live, dict-like ``name -> implementation`` view of a registry.
-
-    ``FIGURES`` is an instance; ``FIGURES[name]`` raises the registry's
-    suggestion-bearing :class:`UnknownNameError` instead of a bare KeyError.
-    """
-
-    def __init__(self, registry: Registry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> Any:
-        return self._registry.get(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __repr__(self) -> str:
-        return f"{{{', '.join(f'{n!r}: ...' for n in self._registry.names())}}}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ and the population sizing of every registered workload.  The presets are
 (``tiny``/``small``/``medium``/``paper``) self-register below, and extensions
 add their own from one file with :func:`repro.registry.register_scale` — the
 new name is immediately accepted by ``ScenarioSpec.scale``, ``--scale`` and
-``--list scales``.  :data:`SCALES` is a live mapping view of the registry.
+``--list scales``.  :data:`SCALES` is the registry.
 
 This lives outside ``repro.bench`` so ``repro.scenario`` (which every bench
 entry point is built on) can import it without a cycle.
@@ -43,10 +43,9 @@ class BenchScale:
     smallbank_accounts_per_partition: int = 20_000
 
 
-#: Live name -> BenchScale view of the scale registry.  Keeps every
-#: historical call site working (``SCALES["small"]``, ``sorted(SCALES)``,
-#: ``SCALES.values()``) while tracking externally registered presets.
-SCALES = SCALE_REGISTRY.as_mapping()
+#: Name -> BenchScale: the scale registry itself (``SCALES["small"]``,
+#: ``sorted(SCALES)``, ``SCALES.values()``), externally registered presets included.
+SCALES = SCALE_REGISTRY
 
 _PRESETS = {
     "small": BenchScale(

@@ -41,14 +41,16 @@ def test_register_get_and_views():
     assert reg.names() == ("alpha",)
     assert reg.entry("alpha").metadata["colour"] == "red"
 
-    view = reg.names_view()
-    mapping = reg.as_mapping()
+    names, mapping = reg, reg   # what PROTOCOLS / FIGURES are: the registry itself
     reg.register("beta", object())
-    # Views are live: they see registrations made after their creation.
-    assert tuple(view) == ("alpha", "beta")
-    assert view[0] == "alpha" and len(view) == 2 and "beta" in view
-    assert set(mapping) == {"alpha", "beta"}
+    # Live: registrations made after the name was bound are seen.
+    assert tuple(names) == ("alpha", "beta")
+    assert len(names) == 2 and "beta" in names
+    assert set(mapping) == {"alpha", "beta"} == set(mapping.keys())
     assert mapping["beta"] is reg.get("beta")
+    assert dict(mapping.items())["alpha"] is reg.get("alpha")
+    with pytest.raises(UnknownNameError):
+        mapping["gamma"]
 
 
 def test_register_as_decorator_returns_the_class():

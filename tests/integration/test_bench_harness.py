@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import FIGURES, run_cells, run_figure
-from repro.bench.experiments import fig11_plan, fig11_render
 from repro.bench.report import format_ratio, print_header, print_table
 from repro.scales import SCALES, TINY_SCALE, sweep_values
 from repro.scenario import build_workload
@@ -81,10 +80,9 @@ def test_blind_write_experiment_runs_at_test_scale(capsys):
 
 
 def test_logging_scheme_experiment_covers_all_schemes(capsys):
-    cells = fig11_plan(TEST_SCALE, protocols=("primo",))
-    data = fig11_render(TEST_SCALE, run_cells(cells).by_key(cells),
-                        protocols=("primo",))
-    assert set(data["throughput_ktps"]["primo"]) == {"clv", "coco", "wm"}
+    data = run_figure("fig11", TEST_SCALE)
+    for protocol in ("2pl_wd", "sundial", "primo"):
+        assert set(data["throughput_ktps"][protocol]) == {"clv", "coco", "wm"}
 
 
 def test_cli_entry_point_runs_a_single_figure(capsys):
