@@ -25,8 +25,11 @@ times, so recording is kept allocation-free.
   float list indexed by component id — ``add()`` on the commit path is two
   list operations, not a dict hash + resize.
 
-All three merge order-independently (the pool orchestrator merges shards in
-arbitrary completion order); ``tests/sim/test_stats.py`` pins that property.
+All three have an order-independent ``merge`` (``tests/sim/test_stats.py``
+pins that property), but nothing merges results across cells or processes: a
+pool worker returns its cell's whole document, and the only ``merge`` call
+under ``src/`` is ``Cluster.run`` folding its own :class:`Counter` into the
+run's metrics.
 """
 
 from __future__ import annotations
