@@ -41,16 +41,16 @@ def test_register_get_and_views():
     assert reg.names() == ("alpha",)
     assert reg.entry("alpha").metadata["colour"] == "red"
 
-    names, mapping = reg, reg   # what PROTOCOLS / FIGURES are: the registry itself
+    # The registry is its own live view (PROTOCOLS, FIGURES, ... are registries):
+    # a sorted-name iterable and a name -> implementation Mapping.
     reg.register("beta", object())
-    # Live: registrations made after the name was bound are seen.
-    assert tuple(names) == ("alpha", "beta")
-    assert len(names) == 2 and "beta" in names
-    assert set(mapping) == {"alpha", "beta"} == set(mapping.keys())
-    assert mapping["beta"] is reg.get("beta")
-    assert dict(mapping.items())["alpha"] is reg.get("alpha")
+    assert tuple(reg) == ("alpha", "beta")
+    assert len(reg) == 2 and "beta" in reg
+    assert set(reg.keys()) == {"alpha", "beta"}
+    assert reg["beta"] is reg.get("beta")
+    assert dict(reg.items())["alpha"] is reg.get("alpha")
     with pytest.raises(UnknownNameError):
-        mapping["gamma"]
+        reg["gamma"]
 
 
 def test_register_as_decorator_returns_the_class():
