@@ -121,17 +121,16 @@ class Cluster:
         self.recovery = RecoveryCoordinator(self)
         self.fault_plan = FaultPlan.coerce(faults) or FaultPlan()
         self.fault_scheduler = FaultScheduler(self, self.fault_plan)
-        # The logs' full record history exists only for the recovery sweep
-        # after an injected fault (§5.2 rollback, watermark agreement).  A
-        # fault-free run can never call those helpers, so it drops the
-        # history and log memory stays bounded by the unflushed tail — at the
-        # million-key tiers the retained write-sets would otherwise dominate
-        # the heap.  Retention does not affect event timing, so results stay
-        # bit-identical either way.
+        # The logs' full record history — and the undo images and redelivery
+        # payloads in it — exists only for the recovery sweep after an
+        # injected fault (§5.2 rollback, watermark agreement, re-delivery).
+        # A fault-free run can never call those helpers, so its records carry
+        # no payload and are dropped once flushed: log memory stays bounded by
+        # the unflushed tail.  Retention does not affect event timing, so
+        # results stay bit-identical either way.
         if not self.fault_plan.events:
             for server in self.servers.values():
                 server.log.retain_history = False
-                server.replication.retain_entries = False
 
         # Measurement state.
         self.metrics = RunMetrics()

@@ -152,7 +152,9 @@ class RecoveryCoordinator:
             for record in server.log.records(LogRecordKind.COMMIT_DECISION):
                 if record.txn_ts is None or record.txn_ts >= agreed_watermark:
                     continue
-                writes = record.payload.get("remote_writes", {}).get(crashed_partition)
+                if record.payload is None:
+                    continue
+                writes = record.payload["remote_writes"].get(crashed_partition)
                 if not writes:
                     continue
                 for table_name, key, updates, is_insert, is_delete in writes:
@@ -178,7 +180,7 @@ class RecoveryCoordinator:
         records = server.log.writeset_records_at_or_after(agreed_watermark)
         rolled_back = 0
         for record in reversed(records):
-            before_images = record.payload.get("before_images", {})
+            before_images = record.payload["before_images"] if record.payload else {}
             for (table_name, key), image in before_images.items():
                 table = server.store.table(table_name)
                 if image is None:

@@ -1,18 +1,25 @@
 """Per-partition write-ahead log.
 
-Protocols append a redo/undo record per transaction per involved partition
-when they install the write-set; the durability scheme decides *when* the
-buffered tail gets persisted (synchronously, per epoch, per watermark
-interval, or by a background flusher).  Persistence itself is delegated to the
-partition's :class:`~repro.replication.raft.ReplicationGroup` — a quorum ack
-makes a prefix durable.
+Protocols append a record per transaction per involved partition when they
+install the write-set; the durability scheme decides *when* the buffered tail
+gets persisted (synchronously, per epoch, per watermark interval, or by a
+background flusher).  Persistence itself is delegated to the partition's
+:class:`~repro.replication.raft.ReplicationGroup` — a quorum ack makes a
+prefix durable.
+
+A record holds only what recovery reads, and only while the log keeps its
+history (``retain_history``, set from the fault plan): a write-set record
+carries the undo images the §5.2 rollback restores, Primo's commit decision
+the remote write-sets recovery re-delivers.  A fault-free run can never
+recover, so those records carry no payload at all.  No redo copy of a
+write-set is kept: nothing replays one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from dataclasses import dataclass
+from typing import Generator, Optional
 
 from ..sim.engine import Environment, Event
 from ..replication.raft import ReplicationGroup
@@ -21,21 +28,19 @@ __all__ = ["LogRecordKind", "LogRecord", "LogManager"]
 
 
 class LogRecordKind(enum.Enum):
-    WRITESET = "writeset"        # redo (+ undo before-images) of one transaction
+    WRITESET = "writeset"        # one transaction's write-set (+ undo images)
     WATERMARK = "watermark"      # persisted partition watermark (WM scheme)
     EPOCH = "epoch"              # COCO epoch boundary marker
     COMMIT_DECISION = "commit"   # 2PC coordinator commit decision
     PREPARE = "prepare"          # 2PC participant prepare record
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     lsn: int
     kind: LogRecordKind
     txn_ts: Optional[float] = None
-    txn_tid: Any = None
-    payload: dict = field(default_factory=dict)
-    appended_at: float = 0.0
+    payload: Optional[dict] = None
 
 
 class LogManager:
@@ -70,17 +75,9 @@ class LogManager:
         self,
         kind: LogRecordKind,
         txn_ts: Optional[float] = None,
-        txn_tid: Any = None,
         payload: Optional[dict] = None,
     ) -> LogRecord:
-        record = LogRecord(
-            lsn=self._next_lsn,
-            kind=kind,
-            txn_ts=txn_ts,
-            txn_tid=txn_tid,
-            payload=payload or {},
-            appended_at=self.env.now,
-        )
+        record = LogRecord(self._next_lsn, kind, txn_ts, payload)
         self._next_lsn += 1
         self._buffer.append(record)
         if self.retain_history:
@@ -88,24 +85,15 @@ class LogManager:
         self.stats["appends"] += 1
         return record
 
-    def append_writeset(self, txn, entries, before_images: dict) -> LogRecord:
-        """Append the redo/undo record for one transaction on this partition.
+    def append_writeset(self, txn, before_images: Optional[dict]) -> LogRecord:
+        """Append one transaction's write-set record on this partition.
 
-        The record takes ownership of each entry's ``updates`` dict rather
-        than copying it a second time (``TxnContext`` already made it private
-        to the attempt, which ends at commit); storage copies values *out* of
-        it on install, so the payload never aliases a live row.
+        The record holds the undo images (key -> private copy of the row
+        before the install, ``None`` for an insert) when the caller took
+        them, and no payload otherwise.
         """
-        payload = {
-            "writes": [
-                (entry.table, entry.key, entry.updates, entry.is_insert, entry.is_delete)
-                for entry in entries
-            ],
-            "before_images": before_images,
-        }
-        return self.append(
-            LogRecordKind.WRITESET, txn_ts=txn.effective_ts(), txn_tid=txn.tid, payload=payload
-        )
+        payload = None if before_images is None else {"before_images": before_images}
+        return self.append(LogRecordKind.WRITESET, txn.effective_ts(), payload)
 
     # -- flush ------------------------------------------------------------------
     @property

@@ -214,17 +214,15 @@ class PrimoProtocol(BaseProtocol):
         lock_manager.release_all(txn.tid)
         server.note_ts(commit_ts)
 
-        # Log the full write-set (including remote portions) at the
-        # coordinator so recovery can re-deliver writes whose one-way commit
-        # message was lost when a participant crashed (see
-        # RecoveryCoordinator.redeliver_lost_writes).
+        # Log the commit decision at the coordinator.  While the log keeps
+        # its history (a fault plan is set) the record also carries the
+        # remote write-sets, so recovery can re-deliver writes whose one-way
+        # commit message was lost when a participant crashed (see
+        # RecoveryCoordinator._redeliver_lost_writes); nothing else reads it.
         if txn.participants:
-            server.log.append(
-                LogRecordKind.COMMIT_DECISION,
-                txn_ts=commit_ts,
-                txn_tid=txn.tid,
-                payload={
-                    "participants": sorted(txn.participants),
+            payload = None
+            if server.log.retain_history:
+                payload = {
                     "remote_writes": {
                         partition: [
                             (w.table, w.key, w.updates, w.is_insert, w.is_delete)
@@ -232,8 +230,8 @@ class PrimoProtocol(BaseProtocol):
                         ]
                         for partition in txn.participants
                     },
-                },
-            )
+                }
+            server.log.append(LogRecordKind.COMMIT_DECISION, txn_ts=commit_ts, payload=payload)
 
         # Ship the remote write-sets (plus the read keys whose rts must be
         # extended) with one-way messages; no acknowledgement is awaited.

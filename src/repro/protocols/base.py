@@ -20,8 +20,9 @@ Also shared here:
 * routing (which server owns a partition),
 * the abort round (release locally, one-way ABORT to every participant),
 * the write-set installer used by every protocol's commit phase (applies
-  updates/inserts/deletes, bumps TicToc timestamps, collects before-images and
-  appends the partition's redo/undo log record),
+  updates/inserts/deletes, bumps TicToc timestamps and appends the
+  partition's write-set log record, with undo images only when a rollback
+  can read them),
 * the lock-free remote read of the optimistic protocols,
 * commit-phase CPU cost accounting.
 """
@@ -43,19 +44,21 @@ __all__ = ["BaseProtocol", "install_write_entries"]
 
 
 def install_write_entries(server: "Server", txn: Transaction, entries: Iterable[WriteEntry],
-                          commit_ts: float, log: bool = True) -> dict:
+                          commit_ts: float, log: bool = True) -> None:
     """Apply a transaction's buffered writes to one partition's storage.
 
-    Returns the before-images (key -> previous value or ``None`` for inserts)
-    and, when ``log`` is true, appends the partition's redo/undo record so the
-    durability scheme can persist it.
+    When ``log`` is true, appends the partition's write-set record so the
+    durability scheme can persist it.  The record carries undo images (key ->
+    previous value, ``None`` for an insert) only while the log keeps its
+    history for the §5.2 rollback; otherwise no row is copied.
     """
-    before_images: dict = {}
     entries = list(entries)
+    before_images = {} if log and server.log.retain_history else None
     for entry in entries:
         table = server.store.table(entry.table)
         if entry.is_insert:
-            before_images[(entry.table, entry.key)] = None
+            if before_images is not None:
+                before_images[(entry.table, entry.key)] = None
             try:
                 record = table.insert(entry.key, entry.updates)
             except TableError:
@@ -69,15 +72,16 @@ def install_write_entries(server: "Server", txn: Transaction, entries: Iterable[
         elif entry.is_delete:
             record = table.get(entry.key)
             if record is not None:
-                before_images[(entry.table, entry.key)] = record.snapshot()
+                if before_images is not None:
+                    before_images[(entry.table, entry.key)] = record.snapshot()
                 table.delete(entry.key)
         else:
             record = table.require(entry.key)
-            before_images[(entry.table, entry.key)] = record.snapshot()
+            if before_images is not None:
+                before_images[(entry.table, entry.key)] = record.snapshot()
             record.install_fields(entry.updates, commit_ts)
     if log and entries:
-        server.log.append_writeset(txn, entries, before_images)
-    return before_images
+        server.log.append_writeset(txn, before_images)
 
 
 class BaseProtocol:

@@ -109,9 +109,7 @@ class TwoPhaseCommitProtocol(BaseProtocol):
 
         # ---- commit phase ---------------------------------------------------
         commit_start = self.env.now
-        server.log.append(
-            LogRecordKind.COMMIT_DECISION, txn_ts=commit_ts, txn_tid=txn.tid
-        )
+        server.log.append(LogRecordKind.COMMIT_DECISION, txn_ts=commit_ts)
         yield from self._install_and_release(server, txn, local_writes, commit_ts)
         yield from self._round(server, txn, "commit", self._commit_at, commit_ts)
         server.note_ts(commit_ts)
@@ -152,7 +150,7 @@ class TwoPhaseCommitProtocol(BaseProtocol):
             return False
         ok = yield from self.prepare_partition(participant, txn, writes, reads, commit_ts)
         if ok:
-            participant.log.append(LogRecordKind.PREPARE, txn_ts=commit_ts, txn_tid=txn.tid)
+            participant.log.append(LogRecordKind.PREPARE, txn_ts=commit_ts)
         return ok
 
     def _commit_at(self, participant: "Server", txn: Transaction, writes: list,

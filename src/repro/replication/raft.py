@@ -11,10 +11,12 @@ Each partition has a leader (the simulated server) and ``replicas_per_partition
   leader which, per §5.2, is guaranteed to have every log record up to the
   last persisted partition watermark.
 
-Followers are lightweight log stores rather than full servers, but they are
-*fault-targetable*: each :class:`ReplicaState` can lag (``extra_lag_us``
-stretches its acknowledgement round trip) or crash (``crashed`` removes it
-from the quorum until it recovers and catches up) — the ``follower_lag`` /
+Followers are not full servers and keep no copy of the log: a follower is
+its acknowledged LSN (``acked_lsn``, the only follower state the simulation
+acts on) plus its fault state.  They are *fault-targetable*: each
+:class:`ReplicaState` can lag (``extra_lag_us`` stretches its acknowledgement
+round trip) or crash (``crashed`` removes it from the quorum until it
+recovers and catches up) — the ``follower_lag`` /
 ``follower_crash`` / ``follower_recover`` fault kinds in :mod:`repro.faults`
 drive exactly these knobs.  Quorum latency is the *quorum-th fastest* alive
 follower's round trip (not ``followers[0]``'s), so heterogeneous links — a
@@ -28,7 +30,7 @@ tests/replication/test_replication.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator
 
 from ..sim.engine import Environment, Event
@@ -44,11 +46,10 @@ QUORUM_RETRY_US = 1_000.0
 
 @dataclass
 class ReplicaState:
-    """A follower's view of the replicated log (and its fault state)."""
+    """A follower's acknowledged prefix of the replicated log (and its fault state)."""
 
     replica_id: int
     acked_lsn: int = 0
-    log_entries: list = field(default_factory=list)
     #: Extra acknowledgement latency injected by the ``follower_lag`` fault.
     extra_lag_us: float = 0.0
     #: Crashed followers ack nothing and drop out of the quorum math.
@@ -84,11 +85,6 @@ class ReplicationGroup:
         ]
         self.quorum_size = n_replicas // 2 + 1
         self.durable_lsn = 0
-        # Follower-side record retention mirrors LogManager.retain_history:
-        # the cluster turns it off for fault-free runs so replicated entries
-        # don't accumulate per follower for the whole run (acked_lsn alone
-        # carries the durability state the simulation acts on).
-        self.retain_entries = True
         self.stats = {"append_rounds": 0, "entries_replicated": 0, "elections": 0,
                       "quorum_stalls": 0}
 
@@ -155,14 +151,11 @@ class ReplicationGroup:
         roundtrips = sorted(self._ack_roundtrip_us(state) for state in alive)
         quorum_wait = roundtrips[max(acks_needed, 1) - 1]
         yield self.env.timeout(quorum_wait + self.storage_persist_us)
-        retain = self.retain_entries
         # Every alive follower acknowledges this append — the quorum-th
         # fastest bounded the wait, the rest arrive off the critical path.
         # Crashed followers miss the entries and catch up on recovery.
         for state in alive:
             state.acked_lsn = max(state.acked_lsn, up_to_lsn)
-            if retain:
-                state.log_entries.extend(entries)
         self.durable_lsn = max(self.durable_lsn, up_to_lsn)
         return self.durable_lsn
 

@@ -84,12 +84,13 @@ def test_append_writeset_records_undo_images():
     env, log = make_log()
     txn = Transaction(tid=TxnId(1, 0), coordinator=0)
     txn.ts = 7.0
-    entries = [WriteEntry(partition=0, table="kv", key=1, updates={"v": 2})]
-    record = log.append_writeset(txn, entries, before_images={("kv", 1): {"v": 1}})
+    record = log.append_writeset(txn, before_images={("kv", 1): {"v": 1}})
     assert record.kind is LogRecordKind.WRITESET
     assert record.txn_ts == 7.0
-    assert record.payload["before_images"][("kv", 1)] == {"v": 1}
-    assert record.payload["writes"][0][:2] == ("kv", 1)
+    assert record.payload == {"before_images": {("kv", 1): {"v": 1}}}   # no redo copy
+    # Without undo images (no rollback can read them) the record is bare.
+    bare = log.append_writeset(txn, before_images=None)
+    assert bare.payload is None and bare.lsn == record.lsn + 1
 
 
 def test_writeset_records_at_or_after_filters_by_ts():
@@ -121,11 +122,12 @@ def test_single_replica_group_still_persists():
 
 @pytest.mark.parametrize("backend", ["auto", "dict"])
 def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, request):
-    """A log record keeps the attempt's ``updates`` dicts themselves.
+    """A write-set record holds undo images only, private copies of the rows.
 
-    Storage copies values *out* of them on install, so whatever happens to
-    the rows afterwards — later commits, in-place edits — neither the log
-    payload nor the §5.2 rollback it feeds can change.
+    The attempt's ``updates`` dicts die with the attempt: storage copies
+    values *out* of them on install and the record keeps no redo copy.  So
+    whatever happens to the rows afterwards — later commits, in-place edits —
+    neither the log payload nor the §5.2 rollback it feeds can change.
     """
     if backend == "dict":
         request.getfixturevalue("dict_tables")
@@ -145,8 +147,8 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, req
                    is_insert=True),
     ], commit_ts=5.0)
     (record,) = server.log.records(LogRecordKind.WRITESET)
-    writes = record.payload["writes"]
-    assert writes[0][2] is update and writes[1][2] is insert   # owned, not copied
+    assert record.payload == {"before_images": {("usertable", 1): original[1],
+                                                ("usertable", fresh_key): None}}
     payload_then = copy.deepcopy(record.payload)
 
     # A later commit and direct edits of the live rows.

@@ -103,7 +103,6 @@ def test_fault_free_runs_drop_log_history():
     cluster.run()
     for server in cluster.servers.values():
         assert not server.log.retain_history
-        assert not server.replication.retain_entries
         with pytest.raises(RuntimeError, match="log history was not retained"):
             server.log.records()
 
@@ -113,7 +112,6 @@ def test_faulted_runs_keep_log_history_for_recovery():
     cluster = build(spec)
     for server in cluster.servers.values():
         assert server.log.retain_history
-        assert server.replication.retain_entries
     cluster.run()
     # The recovery sweep consumed the retained history without tripping the
     # fault-free guard.
