@@ -4,10 +4,10 @@ A group commit leaves a whole interval of commits in the log until the next
 flush, so whatever a record carries is multiplied by throughput × epoch
 length.  Only the §5.2 recovery sweep reads a payload — undo images for the
 rollback, Primo's shipped write-sets for re-delivery — and it only runs under
-a fault plan.  On a fault-free run no row is copied for the log, no record
-carries a payload, and a record dies once its flush is done.  The collector
-is off and everything here counts objects or calls; nothing depends on the
-machine.
+a fault plan.  On a fault-free run no row is copied for the log, no
+write-set or commit-decision record carries a payload, and a record dies
+once its flush is done.  The collector is off where objects are counted, and
+everything here counts objects or calls; nothing depends on the machine.
 """
 
 import gc
