@@ -154,7 +154,7 @@ class RecoveryCoordinator:
                     continue
                 if record.payload is None:
                     continue
-                writes = record.payload["remote_writes"].get(crashed_partition)
+                writes = record.payload.get(crashed_partition)
                 if not writes:
                     continue
                 for table_name, key, updates, is_insert, is_delete in writes:
@@ -180,8 +180,7 @@ class RecoveryCoordinator:
         records = server.log.writeset_records_at_or_after(agreed_watermark)
         rolled_back = 0
         for record in reversed(records):
-            before_images = record.payload["before_images"] if record.payload else {}
-            for (table_name, key), image in before_images.items():
+            for table_name, key, image in record.undo_images():
                 table = server.store.table(table_name)
                 if image is None:
                     # The write was an insert: remove the record again.
@@ -190,7 +189,7 @@ class RecoveryCoordinator:
                     continue
                 target = table.get(key)
                 if target is not None:
-                    target.value = dict(image)
+                    target.restore(image)
                     target.version += 1
             rolled_back += 1
         return rolled_back

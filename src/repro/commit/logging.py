@@ -7,19 +7,33 @@ background flusher).  Persistence itself is delegated to the partition's
 :class:`~repro.replication.raft.ReplicationGroup` — a quorum ack makes a
 prefix durable.
 
-A record holds only what recovery reads, and only while the log keeps its
-history (``retain_history``, set from the fault plan): a write-set record
-carries the undo images the §5.2 rollback restores, Primo's commit decision
-the remote write-sets recovery re-delivers.  A fault-free run can never
-recover, so those records carry no payload at all.  No redo copy of a
-write-set is kept: nothing replays one.
+A record holds only what recovery reads, in the smallest form that restores
+the same state, and only while the log keeps its history
+(``retain_history``, set from the fault plan).  The payload by record kind:
+
+* ``WRITESET`` — the undo images the §5.2 rollback restores, as one flat
+  tuple ``(table, key, image, table, key, image, ...)`` in write order.  An
+  image is whatever the row's ``undo_image()`` returned (a tuple of column
+  values for a columnar row, a private dict copy for a dict row), ``None``
+  for an insert.  A key written twice by one write-set appears once, at its
+  first write's position, with the last image taken.  Only this module packs
+  and unpacks the layout (:meth:`LogManager.append_writeset`,
+  :meth:`LogRecord.undo_images`).
+* ``COMMIT_DECISION`` (Primo's coordinator) — the remote write-sets
+  recovery re-delivers, ``{partition: ((table, key, updates, is_insert,
+  is_delete), ...)}``; the record owns the shipped ``updates`` dicts.
+* ``WATERMARK`` — ``{"watermark": wp}``; ``EPOCH`` — ``{"epoch": n}``.
+
+A fault-free run can never recover, so its write-set and commit-decision
+records carry no payload at all.  No redo copy of a write-set is kept:
+nothing replays one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional, Union
 
 from ..sim.engine import Environment, Event
 from ..replication.raft import ReplicationGroup
@@ -40,7 +54,16 @@ class LogRecord:
     lsn: int
     kind: LogRecordKind
     txn_ts: Optional[float] = None
-    payload: Optional[dict] = None
+    #: ``WRITESET``: flat ``(table, key, image, ...)`` tuple;
+    #: ``COMMIT_DECISION``: ``{partition: ((table, key, updates, is_insert,
+    #: is_delete), ...)}``; ``WATERMARK`` / ``EPOCH``: ``{"watermark" |
+    #: "epoch": value}``; ``None`` when nothing can read it (module docstring).
+    payload: Union[tuple, dict, None] = None
+
+    def undo_images(self) -> Iterator[tuple]:
+        """A write-set record's ``(table, key, image)`` triples, in write order."""
+        flat = self.payload or ()
+        return zip(flat[0::3], flat[1::3], flat[2::3])
 
 
 class LogManager:
@@ -75,7 +98,7 @@ class LogManager:
         self,
         kind: LogRecordKind,
         txn_ts: Optional[float] = None,
-        payload: Optional[dict] = None,
+        payload: Union[tuple, dict, None] = None,
     ) -> LogRecord:
         record = LogRecord(self._next_lsn, kind, txn_ts, payload)
         self._next_lsn += 1
@@ -85,14 +108,20 @@ class LogManager:
         self.stats["appends"] += 1
         return record
 
-    def append_writeset(self, txn, before_images: Optional[dict]) -> LogRecord:
+    def append_writeset(self, txn, undo_images: Optional[dict]) -> LogRecord:
         """Append one transaction's write-set record on this partition.
 
-        The record holds the undo images (key -> private copy of the row
-        before the install, ``None`` for an insert) when the caller took
-        them, and no payload otherwise.
+        ``undo_images`` maps ``(table, key)`` to the row's image before the
+        install (``None`` for an insert) when the caller took them; the
+        record stores them as the flat tuple the module docstring describes,
+        and no payload when there are none.
         """
-        payload = None if before_images is None else {"before_images": before_images}
+        payload = None
+        if undo_images is not None:
+            flat = []
+            for (table, key), image in undo_images.items():
+                flat += (table, key, image)
+            payload = tuple(flat)
         return self.append(LogRecordKind.WRITESET, txn.effective_ts(), payload)
 
     # -- flush ------------------------------------------------------------------

@@ -223,13 +223,11 @@ class PrimoProtocol(BaseProtocol):
             payload = None
             if server.log.retain_history:
                 payload = {
-                    "remote_writes": {
-                        partition: [
-                            (w.table, w.key, w.updates, w.is_insert, w.is_delete)
-                            for w in txn.writes_for_partition(partition)
-                        ]
-                        for partition in txn.participants
-                    },
+                    partition: tuple([
+                        (w.table, w.key, w.updates, w.is_insert, w.is_delete)
+                        for w in txn.writes_for_partition(partition)
+                    ])
+                    for partition in txn.participants
                 }
             server.log.append(LogRecordKind.COMMIT_DECISION, txn_ts=commit_ts, payload=payload)
 

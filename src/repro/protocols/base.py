@@ -48,17 +48,19 @@ def install_write_entries(server: "Server", txn: Transaction, entries: Iterable[
     """Apply a transaction's buffered writes to one partition's storage.
 
     When ``log`` is true, appends the partition's write-set record so the
-    durability scheme can persist it.  The record carries undo images (key ->
-    previous value, ``None`` for an insert) only while the log keeps its
-    history for the §5.2 rollback; otherwise no row is copied.
+    durability scheme can persist it.  Only while the log keeps its history
+    for the §5.2 rollback does the record carry a payload: the flat tuple
+    ``(table, key, image, ...)`` of the rows' ``undo_image()`` before the
+    install, ``None`` for an insert (layout: :mod:`repro.commit.logging`).
+    Otherwise no row is copied and the record carries nothing.
     """
     entries = list(entries)
-    before_images = {} if log and server.log.retain_history else None
+    undo_images = {} if log and server.log.retain_history else None
     for entry in entries:
         table = server.store.table(entry.table)
         if entry.is_insert:
-            if before_images is not None:
-                before_images[(entry.table, entry.key)] = None
+            if undo_images is not None:
+                undo_images[(entry.table, entry.key)] = None
             try:
                 record = table.insert(entry.key, entry.updates)
             except TableError:
@@ -72,16 +74,16 @@ def install_write_entries(server: "Server", txn: Transaction, entries: Iterable[
         elif entry.is_delete:
             record = table.get(entry.key)
             if record is not None:
-                if before_images is not None:
-                    before_images[(entry.table, entry.key)] = record.snapshot()
+                if undo_images is not None:
+                    undo_images[(entry.table, entry.key)] = record.undo_image()
                 table.delete(entry.key)
         else:
             record = table.require(entry.key)
-            if before_images is not None:
-                before_images[(entry.table, entry.key)] = record.snapshot()
+            if undo_images is not None:
+                undo_images[(entry.table, entry.key)] = record.undo_image()
             record.install_fields(entry.updates, commit_ts)
     if log and entries:
-        server.log.append_writeset(txn, before_images)
+        server.log.append_writeset(txn, undo_images)
 
 
 class BaseProtocol:

@@ -163,6 +163,18 @@ class ColumnarRecord(tuple):
             value[name] = col[row]
         return value, t._wts[row], t._rts[row], t._version[row]
 
+    def undo_image(self) -> tuple:
+        """The row's column values in schema order, as :meth:`restore` takes them."""
+        row = self[1]
+        return tuple([col[row] for _, col in self[0]._columns])
+
+    def restore(self, image: tuple) -> None:
+        """Put back a row taken by :meth:`undo_image`: every column is written,
+        the metadata is untouched."""
+        row = self[1]
+        for (_, col), cell in zip(self[0]._columns, image):
+            col[row] = cell
+
     def get(self, column: str, default: Any = None) -> Any:
         col = self[0]._by_name.get(column)
         if col is None:

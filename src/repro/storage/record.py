@@ -40,6 +40,14 @@ class Record:
         """``(private value copy, wts, rts, version)``: a read entry's fields."""
         return dict(self.value), self.wts, self.rts, self.version
 
+    def undo_image(self) -> dict:
+        """The row as :meth:`restore` puts it back: a private copy of the value."""
+        return dict(self.value)
+
+    def restore(self, image: dict) -> None:
+        """Put back a row taken by :meth:`undo_image`; the metadata is untouched."""
+        self.value = dict(image)
+
     def get(self, column: str, default: Any = None) -> Any:
         return self.value.get(column, default)
 

@@ -24,15 +24,19 @@ from repro.storage.record import Record
 from tests.conftest import tiny_config, tiny_ycsb
 
 
-def count_snapshots(monkeypatch) -> list:
-    """Every row snapshot taken from now on, by record class."""
+def count_row_copies(monkeypatch) -> list:
+    """Every row copy taken from now on, as ``(record class, method name)``.
+
+    Both copying methods are spied on separately, so neither can hide behind
+    the other (an alias of one would escape a spy on the other)."""
     taken = []
     for cls in (Record, ColumnarRecord):
-        def spy(self, _inner=cls.snapshot):
-            taken.append(type(self))
-            return _inner(self)
+        for name in ("snapshot", "undo_image"):
+            def spy(self, _inner=getattr(cls, name), _name=name):
+                taken.append((type(self), _name))
+                return _inner(self)
 
-        monkeypatch.setattr(cls, "snapshot", spy)
+            monkeypatch.setattr(cls, name, spy)
     return taken
 
 
@@ -55,7 +59,7 @@ def test_fault_free_log_records_carry_nothing_and_die_once_flushed(
         protocol, scheme, backend, request, monkeypatch, no_collector):
     if backend == "dict":
         request.getfixturevalue("dict_tables")
-    snapshots = count_snapshots(monkeypatch)
+    copies = count_row_copies(monkeypatch)
     cluster = Cluster(tiny_config(protocol, durability=scheme), tiny_ycsb())
     logs = [server.log for server in cluster.servers.values()]
     cluster.start()
@@ -69,7 +73,7 @@ def test_fault_free_log_records_carry_nothing_and_die_once_flushed(
         assert carrying == 0
         high_water = max(high_water, live)
 
-    assert snapshots == []
+    assert copies == []
     appended = sum(log.stats["appends"] for log in logs)
     assert appended > 0
     if scheme != "none":   # the one scheme that never flushes keeps its tail
@@ -78,7 +82,7 @@ def test_fault_free_log_records_carry_nothing_and_die_once_flushed(
 
 @pytest.mark.parametrize("protocol", ["primo", "sundial"])
 def test_a_crash_plan_keeps_undo_images_and_no_redo_list(protocol, monkeypatch):
-    snapshots = count_snapshots(monkeypatch)
+    copies = count_row_copies(monkeypatch)
     config = tiny_config(protocol, duration_us=20_000.0, heartbeat_interval_us=500.0,
                          heartbeat_timeout_us=2_000.0)
     cluster = Cluster(config, tiny_ycsb(), faults=[fault("crash", at_us=10_000.0, target=1)])
@@ -88,11 +92,21 @@ def test_a_crash_plan_keeps_undo_images_and_no_redo_list(protocol, monkeypatch):
     writesets = [record for server in cluster.servers.values()
                  for record in server.log.records(LogRecordKind.WRITESET)]
     assert writesets
-    assert all(set(record.payload) == {"before_images"} for record in writesets)
-    assert any(record.payload["before_images"] for record in writesets)
-    assert snapshots   # the images are copies of the rows, taken at install
+    # One flat (table, key, image) tuple per record; a ycsb row is columnar,
+    # so its image is a tuple of column values (None: an insert).
+    assert all(type(record.payload) is tuple and len(record.payload) % 3 == 0
+               for record in writesets)
+    images = [image for record in writesets for _, _, image in record.undo_images()]
+    assert any(type(image) is tuple for image in images)
+    assert all(image is None or type(image) is tuple for image in images)
+    # The images are copies of the rows, taken at install by undo_image().
+    assert copies and set(copies) == {(ColumnarRecord, "undo_image")}
     if protocol == "primo":
         decisions = [record for server in cluster.servers.values()
                      for record in server.log.records(LogRecordKind.COMMIT_DECISION)]
         assert decisions
-        assert all(set(record.payload) == {"remote_writes"} for record in decisions)
+        # {partition: tuple of shipped writes}, no wrapper.
+        assert all(type(record.payload) is dict and record.payload
+                   and all(type(partition) is int and type(writes) is tuple
+                           for partition, writes in record.payload.items())
+                   for record in decisions)

@@ -84,13 +84,19 @@ def test_append_writeset_records_undo_images():
     env, log = make_log()
     txn = Transaction(tid=TxnId(1, 0), coordinator=0)
     txn.ts = 7.0
-    record = log.append_writeset(txn, before_images={("kv", 1): {"v": 1}})
+    record = log.append_writeset(txn, {("kv", 1): (1, 2.5), ("kv", 9): None,
+                                       ("orders", (1, 2)): {"v": 1}})
     assert record.kind is LogRecordKind.WRITESET
     assert record.txn_ts == 7.0
-    assert record.payload == {"before_images": {("kv", 1): {"v": 1}}}   # no redo copy
+    # One flat tuple in write order, an image per key (None: an insert), no
+    # redo copy and no wrapper.
+    assert record.payload == ("kv", 1, (1, 2.5), "kv", 9, None, "orders", (1, 2), {"v": 1})
+    assert list(record.undo_images()) == [("kv", 1, (1, 2.5)), ("kv", 9, None),
+                                          ("orders", (1, 2), {"v": 1})]
     # Without undo images (no rollback can read them) the record is bare.
-    bare = log.append_writeset(txn, before_images=None)
+    bare = log.append_writeset(txn, None)
     assert bare.payload is None and bare.lsn == record.lsn + 1
+    assert list(bare.undo_images()) == []
 
 
 def test_writeset_records_at_or_after_filters_by_ts():
@@ -124,10 +130,12 @@ def test_single_replica_group_still_persists():
 def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, request):
     """A write-set record holds undo images only, private copies of the rows.
 
-    The attempt's ``updates`` dicts die with the attempt: storage copies
-    values *out* of them on install and the record keeps no redo copy.  So
-    whatever happens to the rows afterwards — later commits, in-place edits —
-    neither the log payload nor the §5.2 rollback it feeds can change.
+    A columnar row's image is the tuple of its column values in schema
+    order; a dict row's is a copy of its value dict.  The attempt's
+    ``updates`` dicts die with the attempt: storage copies values *out* of
+    them on install and the record keeps no redo copy.  So whatever happens
+    to the rows afterwards — later commits, in-place edits — neither the log
+    payload nor the §5.2 rollback it feeds can change.
     """
     if backend == "dict":
         request.getfixturevalue("dict_tables")
@@ -147,8 +155,10 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, req
                    is_insert=True),
     ], commit_ts=5.0)
     (record,) = server.log.records(LogRecordKind.WRITESET)
-    assert record.payload == {"before_images": {("usertable", 1): original[1],
-                                                ("usertable", fresh_key): None}}
+    image = original[1] if backend == "dict" else tuple(original[1].values())
+    assert record.payload == ("usertable", 1, image, "usertable", fresh_key, None)
+    if backend == "dict":
+        assert record.payload[2] is not table.get(1).value
     payload_then = copy.deepcopy(record.payload)
 
     # A later commit and direct edits of the live rows.
@@ -189,7 +199,11 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, req
     cluster.env.run(until=cluster.env.now + 5_000)
     assert outcome.value is True
     (decision,) = server.log.records(LogRecordKind.COMMIT_DECISION)
-    shipped = decision.payload["remote_writes"][1]
+    assert list(decision.payload) == [1]       # {partition: tuple of writes}, no wrapper
+    shipped = decision.payload[1]
+    assert type(shipped) is tuple
+    assert [w[:2] + w[3:] for w in shipped] == [("usertable", 3, False, False),
+                                                ("usertable", remote_fresh, True, False)]
     assert [w[2] for w in shipped] == [{"field0": 444}, {"field0": 555, "field1": 666}]
     assert all(w[2] is entry.updates for w, entry in zip(shipped, attempt.write_set))
     decision_then = copy.deepcopy(decision.payload)
@@ -204,3 +218,41 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, req
     if backend == "dict":
         redelivered.value["field1"] = -2   # the row's own dict, edited in place
     assert decision.payload == decision_then
+
+
+@pytest.mark.parametrize("backend", ["auto", "dict"])
+def test_a_key_written_twice_keeps_one_image_at_its_first_position(backend, request):
+    """One write-set that touches a key twice logs one image for it, at the
+    key's first position, holding the last image taken."""
+    if backend == "dict":
+        request.getfixturevalue("dict_tables")
+    cluster = Cluster(tiny_config("primo"), tiny_ycsb())
+    server = cluster.servers[0]
+    server.log.retain_history = True   # as under a fault plan
+    table = server.store.table("usertable")
+    row_2 = table.get(2).undo_image()
+
+    def install(ts, *writes):
+        txn = server.new_transaction()
+        txn.ts = ts
+        install_write_entries(server, txn, [
+            WriteEntry(partition=0, table="usertable", key=key, updates=updates,
+                       is_insert=is_insert)
+            for key, updates, is_insert in writes], commit_ts=ts)
+        return server.log.records(LogRecordKind.WRITESET)[-1]
+
+    # An insert after a write (a retried insert lands on the existing row):
+    # the insert's None replaces the write's image, in the write's place.
+    record = install(5.0, (1, {"field0": 111}, False), (2, {"field0": 222}, False),
+                     (1, {"field0": 333}, True))
+    assert record.payload == ("usertable", 1, None, "usertable", 2, row_2)
+    assert table.get(1).get("field0") == 333
+
+    # A write after a write: the image is the row as the first write left it.
+    row_3 = table.get(3).undo_image()
+    record = install(6.0, (3, {"field0": 444}, False), (4, {"field0": 555}, False),
+                     (3, {"field1": 666}, False))
+    assert [key for _, key, _ in record.undo_images()] == [3, 4]
+    assert cluster.recovery._rollback_partition(server, 6.0) == 1
+    assert table.get(3).get("field0") == 444   # the last image taken, not the first
+    assert table.get(3).undo_image() != row_3

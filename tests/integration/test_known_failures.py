@@ -7,6 +7,7 @@ the marker in the same commit, together with the regenerated goldens.
 
 import pytest
 
+from repro.commit.logging import LogRecordKind
 from repro.faults import standard_storm
 from repro.scenario import ScenarioSpec, build
 from repro.storage.table import TableError
@@ -54,3 +55,26 @@ def test_sundial_tpcc_survives_the_standard_storm_at_seed_11():
         config_overrides={**FAST_DETECTOR, "seed": 11},
         faults=standard_storm(2_000.0, 60_000.0)))
     assert cluster.run().committed > 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP 'Found and still open': under a non-WM scheme no partition publishes a "
+    "watermark, so the agreed global watermark is 0.0 and the rollback undoes the whole "
+    "log history, durable writes included (812 durable records of 1,154 rolled back)"))
+def test_a_crash_rolls_back_no_write_that_was_durable_before_it():
+    """sundial / coco / ycsb / tiny, partition 1 down at 15 ms of a 30 ms window."""
+    cluster = build(ScenarioSpec(
+        protocol="sundial", workload="ycsb", scale="tiny",
+        config_overrides={**FAST_DETECTOR, "duration_us": 30_000.0, "durability": "coco"},
+        faults=[{"kind": "crash", "at_us": 15_000.0, "target": 1}]))
+    cluster.start()
+    cluster.env.run(until=14_999.0)
+    durable = [record for server in cluster.servers.values()
+               for record in server.log.records(LogRecordKind.WRITESET)
+               if server.log.is_durable(record.lsn)]
+    assert durable
+    cluster.run()
+    membership = cluster.membership
+    assert cluster.recovery.stats["recoveries"] == 1
+    agreed = membership.agreed_global_watermark(membership.current_term)
+    assert sum(record.txn_ts >= agreed for record in durable) == 0

@@ -211,6 +211,27 @@ def test_record_snapshot_is_a_copy_and_get_defaults():
     assert record.get("nope", "dflt") == "dflt"
 
 
+@pytest.mark.parametrize("backend", ["columnar", "dict"])
+def test_restore_of_an_undo_image_puts_the_row_back_exactly(backend):
+    """The §5.2 rollback's contract: an image taken before a write restores
+    every column — one the write did not touch included — and no metadata."""
+    table = make_table() if backend == "columnar" else Table("t")
+    record = table.insert(0, {"a": 1, "b": 2.5})
+    image = record.undo_image()
+    # Columnar: the column values in schema order; dict: a private copy.
+    expected = (1, 2.5) if backend == "columnar" else {"a": 1, "b": 2.5}
+    assert image == expected and image is not record.value
+    record.install_fields({"a": 7}, ts=3.0)
+    record.install_fields({"b": 9.0}, ts=4.0)     # a column the first write did not touch
+    record.restore(image)
+    assert record.value == {"a": 1, "b": 2.5}
+    assert type(record.get("a")) is int and type(record.get("b")) is float
+    assert (record.wts, record.rts, record.version) == (4.0, 4.0, 2)
+    # Neither side aliases the other afterwards.
+    record.install_fields({"a": 8}, ts=5.0)
+    assert image == expected and record.get("a") == 8
+
+
 def test_views_of_one_row_share_state_and_identity():
     """Two handles of one row are the same record to the lock manager."""
     table, other_table = make_table(), make_table()
