@@ -166,7 +166,10 @@ class ColumnarRecord(tuple):
     def undo_image(self) -> tuple:
         """The row's column values in schema order, as :meth:`restore` takes them."""
         row = self[1]
-        return tuple([col[row] for _, col in self[0]._columns])
+        image = []
+        for _, col in self[0]._columns:
+            image.append(col[row])
+        return tuple(image)
 
     def restore(self, image: tuple) -> None:
         """Put back a row taken by :meth:`undo_image`: every column is written,
