@@ -58,9 +58,10 @@ def test_sundial_tpcc_survives_the_standard_storm_at_seed_11():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP 'Found and still open': under a non-WM scheme no partition publishes a "
-    "watermark, so the agreed global watermark is 0.0 and the rollback undoes the whole "
-    "log history, durable writes included (812 durable records of 1,154 rolled back)"))
+    "ROADMAP 'Found and still open': under a non-WM scheme every partition publishes "
+    "0.0 (only WM sets a partition watermark), so the agreed global watermark is 0.0 and "
+    "the rollback undoes the whole log history, durable writes included (812 durable "
+    "records of 1,154 rolled back)"))
 def test_a_crash_rolls_back_no_write_that_was_durable_before_it():
     """sundial / coco / ycsb / tiny, partition 1 down at 15 ms of a 30 ms window."""
     cluster = build(ScenarioSpec(
