@@ -24,6 +24,7 @@ from repro.arrivals import CLOSED, AdmissionQueue, ArrivalSpec, arrival
 from repro.cluster.cluster import Cluster
 from repro.registry import ARRIVAL_REGISTRY, UnknownNameError
 from repro.scenario import build, sweep
+from repro.workloads.base import TransactionSpec, TxnSource
 from tests.conftest import tiny_config, tiny_ycsb
 
 
@@ -280,6 +281,28 @@ def test_component_rates_drive_a_mixed_workload():
     assert any(name.startswith("tatp") for name in per_type)
 
 
+class RecordingSource(TxnSource):
+    """A transaction source that logs each draw and skew shift it serves.
+
+    Sources given one ``log`` record their events in a single shared order;
+    the n-th draw of source ``"a"`` is logged (and named) ``"a<n>"``.
+    """
+
+    def __init__(self, name: str = "s", log: list | None = None):
+        self.name = name
+        self.log = [] if log is None else log
+        self.draws = 0
+
+    def next(self) -> TransactionSpec:
+        self.draws += 1
+        tag = f"{self.name}{self.draws}"
+        self.log.append(tag)
+        return TransactionSpec(name=tag, logic=None)
+
+    def set_hot_skew(self, theta) -> None:
+        self.log.append(f"{self.name}:skew={theta}")
+
+
 def test_admission_queue_wakes_waiters_in_fifo_order():
     from repro.sim.engine import Environment
 
@@ -293,12 +316,13 @@ def test_admission_queue_wakes_waiters_in_fifo_order():
 
     env.process(waiter("a"), name="a")
     env.process(waiter("b"), name="b")
+    source = RecordingSource()
 
     def feeder():
         yield env.timeout(1.0)
-        assert queue.offer(env.now, "first") is True
-        assert queue.offer(env.now, "second") is True
-        assert queue.offer(env.now, "third") is False  # full -> dropped
+        assert queue.offer(env.now, source) is True
+        assert queue.offer(env.now, source) is True
+        assert queue.offer(env.now, source) is False  # full -> dropped
         yield env.timeout(1.0)
 
     env.process(feeder(), name="feeder")

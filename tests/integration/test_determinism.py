@@ -20,6 +20,7 @@ committed ``BENCH_substrate.json``.
 
 import pytest
 
+import repro
 from repro.arrivals import arrival
 from repro.cluster.cluster import Cluster
 from tests.conftest import run_tiny, tiny_config, tiny_ycsb
@@ -95,6 +96,47 @@ def test_fixed_seed_open_loop_run_matches_golden_counts(protocol):
     assert result.metrics.aborted == aborted
     assert result.metrics.counters.get("arrivals_offered") == offered
     assert cluster.env.now == final_now
+
+
+# The open-loop cases where *when* a transaction is drawn could leak into the
+# result: case -> (committed, aborted, arrivals offered, arrivals dropped,
+# network messages).  An 8-deep admission queue at 400k tps drops most
+# arrivals (each drop draws and discards a transaction); the bursty hot-key
+# shift re-skews a source while arrivals are queued; a component-rate mix
+# interleaves two sources in one queue and drops from both.
+OPENLOOP_HARD_GOLDEN = {
+    "drops_primo": (502, 41, 6958, 6380, 446),
+    "drops_sundial": (250, 16, 6958, 6642, 412),
+    "bursty_hot_theta": (432, 48, 1944, 0, 409),
+    "component_rates": (779, 30, 3272, 2198, 535),
+}
+
+
+def _openloop_hard_result(case):
+    if case.startswith("drops_"):
+        protocol = case.removeprefix("drops_")
+        return Cluster(tiny_config(protocol, admission_queue_depth=8),
+                       tiny_ycsb(), arrival=arrival("poisson", 400_000)).run()
+    if case == "bursty_hot_theta":
+        return Cluster(tiny_config("primo"), tiny_ycsb(),
+                       arrival=arrival("bursty", 60_000, hot_theta=0.95)).run()
+    assert case == "component_rates"
+    return repro.run(repro.ScenarioSpec(
+        protocol="primo", workload="mixed", scale="tiny",
+        workload_overrides={"components": [["ycsb", 0.7], ["tatp", 0.3]]},
+        config_overrides={"admission_queue_depth": 8},
+        arrival={"kind": "poisson",
+                 "component_rates": {"ycsb": 300_000, "tatp": 100_000}},
+    ))
+
+
+@pytest.mark.parametrize("case", sorted(OPENLOOP_HARD_GOLDEN))
+def test_fixed_seed_open_loop_hard_cases_match_golden_counts(case):
+    result = _openloop_hard_result(case)
+    counters = result.metrics.counters
+    assert (result.metrics.committed, result.metrics.aborted,
+            counters.get("arrivals_offered"), counters.get("arrivals_dropped"),
+            result.network_messages) == OPENLOOP_HARD_GOLDEN[case]
 
 
 def test_same_config_is_deterministic_within_a_process():
