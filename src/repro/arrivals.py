@@ -24,20 +24,23 @@ per component — each named component becomes its own arrival stream with its
 own rate.
 
 Runtime shape (see :func:`start_open_loop`): per partition, arrival streams
-draw transactions from the workload at their arrival instants and push them
-into a bounded :class:`AdmissionQueue`; the partition's service fibers (the
-same count the closed loop would run) drain the queue through the ordinary
-protocol/durability path.  Latency is measured from *arrival* time, so every
-reported percentile includes queueing delay, and arrivals beyond a full queue
-are dropped and counted (``arrivals_dropped``) — the cluster sheds load
-instead of queueing unboundedly once offered load exceeds capacity.
+push their arrivals into a bounded :class:`AdmissionQueue`; the partition's
+service fibers (the same count the closed loop would run) drain the queue
+through the ordinary protocol/durability path.  Latency is measured from
+*arrival* time, so every reported percentile includes queueing delay, and
+arrivals beyond a full queue are dropped and counted (``arrivals_dropped``) —
+the cluster sheds load instead of queueing unboundedly once offered load
+exceeds capacity.
 
 Determinism: each stream owns one gap RNG (derived from the run seed, the
 arrival kind, the stream label and the partition via ``stable_hash``) and one
-transaction source whose ``next()`` is drawn exactly once per arrival, at
-enqueue time, in arrival order — the draw-order contract documented on
-:class:`repro.workloads.base.TxnSource`.  Arrival events are plain engine
-timeouts.
+transaction source whose ``next()`` is drawn exactly once per arrival, in
+arrival order — the draw-order contract documented on
+:class:`repro.workloads.base.TxnSource`.  A queued arrival is a timestamp
+and its source; its transaction is drawn when a service fiber dequeues it,
+or earlier, in FIFO order with every other queued arrival, just before a
+drop or a skew shift observes the source.  An arrival still queued at the
+end of the run is never drawn.  Arrival events are plain engine timeouts.
 """
 
 from __future__ import annotations
@@ -267,27 +270,38 @@ class ArrivalContext:
 
     ``interval_us`` is the stream's mean inter-arrival gap on *this* partition
     (the aggregate rate split evenly); ``total_us`` is warmup plus measured
-    duration; ``rng`` is the stream's own gap RNG; ``source`` is the stream's
-    transaction source (for mid-run skew shifts via ``set_hot_skew``).
+    duration; ``rng`` is the stream's own gap RNG.  The stream's transaction
+    source is reachable only through :meth:`set_hot_skew`, which keeps it in
+    step with the admission queue.
     """
 
     __slots__ = ("partition_id", "label", "interval_us", "total_us",
-                 "rng", "source", "params", "_env")
+                 "rng", "params", "_env", "_queue", "_source")
 
     def __init__(self, env, partition_id: int, label: str, interval_us: float,
-                 total_us: float, rng: DeterministicRandom,
-                 source: "TxnSource", params: dict):
+                 total_us: float, rng: DeterministicRandom, params: dict,
+                 queue: "AdmissionQueue", source: "TxnSource"):
         self._env = env
         self.partition_id = partition_id
         self.label = label
         self.interval_us = interval_us
         self.total_us = total_us
         self.rng = rng
-        self.source = source
         self.params = params
+        self._queue = queue
+        self._source = source
 
     def now(self) -> float:
         return self._env._now
+
+    def set_hot_skew(self, theta: Optional[float]) -> None:
+        """Shift the stream's key-popularity skew (``None``: the baseline).
+
+        Arrivals queued before the shift belong to the old skew, so the
+        queue draws them first (:meth:`AdmissionQueue.draw_pending`).
+        """
+        self._queue.draw_pending()
+        self._source.set_hot_skew(theta)
 
 
 @register_arrival(
@@ -391,11 +405,11 @@ class BurstyArrival:
             if in_burst and not shifted:
                 shifted = True
                 if hot_theta is not None:
-                    ctx.source.set_hot_skew(hot_theta)
+                    ctx.set_hot_skew(hot_theta)
             elif shifted and not in_burst:
                 shifted = False
                 if hot_theta is not None:
-                    ctx.source.set_hot_skew(None)
+                    ctx.set_hot_skew(None)
             yield exponential(burst if in_burst else base)
 
 
@@ -406,6 +420,17 @@ class BurstyArrival:
 class AdmissionQueue:
     """Bounded FIFO between a partition's arrival streams and service fibers.
 
+    An arrival waits as ``(arrival_us, source)``: its transaction is drawn
+    from ``source`` when a service fiber takes it, so a backlog costs one
+    tuple per arrival instead of a drawn transaction, and an arrival still
+    queued when the run stops is never drawn.  Every source still draws in
+    arrival order (the draw-order contract of
+    :class:`~repro.workloads.base.TxnSource`): before anything else observes
+    a source — a drop, which draws and discards the dropped arrival's
+    transaction, or a skew shift (:meth:`ArrivalContext.set_hot_skew`) —
+    :meth:`draw_pending` draws every queued arrival in FIFO order.  Drawn
+    arrivals wait in ``_drawn``, which always precedes ``_pending``.
+
     ``offer`` never blocks: past ``capacity`` the arrival is counted dropped
     (load shedding), so a sustained overload shows up as drops plus a full
     queue instead of unbounded memory growth.  ``take``/``wait`` give service
@@ -414,36 +439,55 @@ class AdmissionQueue:
     dequeue order is deterministic.
     """
 
-    __slots__ = ("_env", "capacity", "_items", "_waiters",
+    __slots__ = ("_env", "capacity", "_drawn", "_pending", "_waiters",
                  "offered", "dropped", "peak_depth")
 
     def __init__(self, env, capacity: int):
         self._env = env
         self.capacity = capacity
-        self._items: deque = deque()
+        self._drawn: deque = deque()
+        self._pending: deque = deque()
         self._waiters: deque = deque()
         self.offered = 0
         self.dropped = 0
         self.peak_depth = 0
 
-    def offer(self, arrival_us: float, spec) -> bool:
-        """Enqueue one arrival; ``False`` (and a drop count) when full."""
+    def offer(self, arrival_us: float, source: "TxnSource") -> bool:
+        """Enqueue one arrival of ``source``; ``False`` (and a drop count)
+        when full.  Only a drop draws: the dropped transaction, after every
+        queued one."""
         self.offered += 1
-        items = self._items
-        if len(items) >= self.capacity:
+        pending = self._pending
+        depth = len(self._drawn) + len(pending)
+        if depth >= self.capacity:
+            self.draw_pending()
+            source.next()
             self.dropped += 1
             return False
-        items.append((arrival_us, spec))
-        if len(items) > self.peak_depth:
-            self.peak_depth = len(items)
+        pending.append((arrival_us, source))
+        depth += 1
+        if depth > self.peak_depth:
+            self.peak_depth = depth
         if self._waiters:
             self._waiters.popleft().succeed()
         return True
 
     def take(self):
         """The oldest queued ``(arrival_us, spec)``, or ``None`` when empty."""
-        items = self._items
-        return items.popleft() if items else None
+        if self._drawn:
+            return self._drawn.popleft()
+        if self._pending:
+            arrival_us, source = self._pending.popleft()
+            return arrival_us, source.next()
+        return None
+
+    def draw_pending(self) -> None:
+        """Draw every queued arrival's transaction now, in FIFO order."""
+        pending = self._pending
+        append = self._drawn.append
+        while pending:
+            arrival_us, source = pending.popleft()
+            append((arrival_us, source.next()))
 
     def wait(self):
         """An event triggered when the next arrival is offered."""
@@ -453,22 +497,21 @@ class AdmissionQueue:
 
     @property
     def depth(self) -> int:
-        return len(self._items)
+        return len(self._drawn) + len(self._pending)
 
 
 def _arrival_loop(cluster: "Cluster", queue: AdmissionQueue,
                   source: "TxnSource", gaps) -> Generator:
-    """One arrival stream: draw a gap, sleep, draw a transaction, enqueue."""
+    """One arrival stream: draw a gap, sleep, enqueue an arrival of ``source``."""
     env = cluster.env
     timeout = env.timeout
-    next_spec = source.next
     offer = queue.offer
     for gap_us in gaps:
         if gap_us > 0:
             yield timeout(gap_us)
         if cluster.stopped:
             return
-        offer(env._now, next_spec())
+        offer(env._now, source)
 
 
 def _partition_streams(cluster: "Cluster", spec: ArrivalSpec, partition_id: int):
@@ -519,7 +562,7 @@ def start_open_loop(cluster: "Cluster") -> None:
                 partition_id,
             ))
             ctx = ArrivalContext(env, partition_id, label, interval_us,
-                                 total_us, rng, source, params)
+                                 total_us, rng, params, queue, source)
             cluster.fibers.append(env.process(
                 _arrival_loop(cluster, queue, source, handler.gaps(ctx)),
                 name=f"arrival-p{partition_id}-{label}",

@@ -147,9 +147,11 @@ def open_worker_loop(cluster: "Cluster", server: "Server",
                      queue: "AdmissionQueue") -> Generator:
     """The open-loop service fiber: drain the partition's admission queue.
 
-    Transactions were already drawn at their arrival instants; this fiber only
-    executes them, anchoring latency at the queued arrival time so the
-    reported percentiles include admission-queue delay.
+    ``queue.take()`` hands over the oldest arrival with its transaction,
+    drawn from the arrival's source on dequeue (or earlier, in arrival order,
+    if a drop or a skew shift came first); this fiber executes it, anchoring
+    latency at the queued arrival time so the reported percentiles include
+    admission-queue delay.
     """
     config = cluster.config
     durability = cluster.durability

@@ -40,10 +40,13 @@ class TxnSource(abc.ABC):
     uniform stream in a fixed, documented pattern — nothing else may draw from
     the stream between calls.  Callers in turn pin *when* ``next()`` runs: the
     closed loop draws once per transaction it starts, and the open loop
-    (:mod:`repro.arrivals`) draws exactly once per arrival, at enqueue time,
-    in arrival order.  Both schedules are fully determined by the run seed,
-    so fixed-seed transaction sequences are reproducible across interpreter
-    processes, pool workers and engine backends.
+    (:mod:`repro.arrivals`) draws exactly once per arrival, in arrival order:
+    when a service fiber dequeues the arrival, or earlier — every queued
+    arrival at once, in FIFO order — just before a drop (whose transaction
+    is drawn and discarded) or a :meth:`set_hot_skew` shift.  An arrival
+    still queued when the run stops is never drawn.  Both schedules are fully
+    determined by the run seed, so fixed-seed transaction sequences are
+    reproducible across interpreter processes and pool workers.
     """
 
     @abc.abstractmethod

@@ -11,7 +11,10 @@ open-loop runtime:
 * **JSON round trip** — flat form, ``from_json_dict(to_json_dict(s)) == s``;
 * **runtime semantics** — queueing latency is measured from arrival time,
   full admission queues shed load, bursty skew shifts are deterministic, and
-  per-component rate shaping drives mixed workloads.
+  per-component rate shaping drives mixed workloads;
+* **draw timing** — a queued arrival's transaction is drawn on dequeue, or
+  earlier in FIFO order before a drop or a skew shift, and never if the
+  arrival is still queued at stop.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ import pytest
 
 import repro
 from repro import ScenarioSpec
-from repro.arrivals import CLOSED, AdmissionQueue, ArrivalSpec, arrival
+from repro.arrivals import (
+    CLOSED, AdmissionQueue, ArrivalContext, ArrivalSpec, arrival,
+)
 from repro.cluster.cluster import Cluster
 from repro.registry import ARRIVAL_REGISTRY, UnknownNameError
 from repro.scenario import build, sweep
+from repro.sim.engine import Environment
+from repro.sim.randgen import DeterministicRandom
 from repro.workloads.base import TransactionSpec, TxnSource
 from tests.conftest import tiny_config, tiny_ycsb
 
@@ -304,8 +311,6 @@ class RecordingSource(TxnSource):
 
 
 def test_admission_queue_wakes_waiters_in_fifo_order():
-    from repro.sim.engine import Environment
-
     env = Environment()
     queue = AdmissionQueue(env, capacity=2)
     woken = []
@@ -329,3 +334,83 @@ def test_admission_queue_wakes_waiters_in_fifo_order():
     env.run(until=10.0)
     assert woken == ["a", "b"]
     assert (queue.offered, queue.dropped, queue.peak_depth) == (3, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# When a queued arrival's transaction is drawn
+# ---------------------------------------------------------------------------
+
+def drain(queue) -> list:
+    """Take every queued arrival: ``(arrival_us, spec name)`` in order."""
+    return [(arrival_us, spec.name) for arrival_us, spec in iter(queue.take, None)]
+
+
+def test_offer_draws_nothing_and_take_draws_in_fifo_order():
+    log = []
+    a, b = RecordingSource("a", log), RecordingSource("b", log)
+    queue = AdmissionQueue(Environment(), capacity=8)
+    for arrival_us, source in ((0.0, a), (1.0, b), (2.0, a)):
+        assert queue.offer(arrival_us, source) is True
+    assert log == []
+    assert queue.depth == 3
+    assert drain(queue) == [(0.0, "a1"), (1.0, "b1"), (2.0, "a2")]
+    assert log == ["a1", "b1", "a2"]
+    assert queue.depth == 0
+
+
+def test_a_drop_draws_every_queued_arrival_then_the_dropped_one():
+    log = []
+    a, b = RecordingSource("a", log), RecordingSource("b", log)
+    queue = AdmissionQueue(Environment(), capacity=2)
+    queue.offer(0.0, a)
+    queue.offer(1.0, b)
+    assert queue.offer(2.0, a) is False
+    assert log == ["a1", "b1", "a2"]  # a2 was drawn and discarded
+    assert queue.take() is not None   # a1, drawn before the drop
+    queue.offer(3.0, b)               # queued behind the drawn b1, undrawn
+    assert log == ["a1", "b1", "a2"]
+    assert drain(queue) == [(1.0, "b1"), (3.0, "b2")]
+    assert (queue.offered, queue.dropped, queue.peak_depth) == (4, 1, 2)
+
+
+def test_a_skew_shift_draws_the_queued_arrivals_before_it():
+    log = []
+    source = RecordingSource("s", log)
+    env = Environment()
+    queue = AdmissionQueue(env, capacity=8)
+    ctx = ArrivalContext(env, 0, "all", 10.0, 100.0, DeterministicRandom(1),
+                         {}, queue, source)
+    assert not hasattr(ctx, "source")  # kinds reach the source only via ctx
+    queue.offer(0.0, source)
+    queue.offer(1.0, source)
+    ctx.set_hot_skew(0.9)
+    queue.offer(2.0, source)
+    ctx.set_hot_skew(None)
+    assert log == ["s1", "s2", "s:skew=0.9", "s3", "s:skew=None"]
+    assert drain(queue) == [(0.0, "s1"), (1.0, "s2"), (2.0, "s3")]
+
+
+def test_an_arrival_still_queued_at_stop_is_never_drawn():
+    cluster = Cluster(tiny_config("primo"), tiny_ycsb(),
+                      arrival=arrival("poisson", 400_000))
+    draws = []
+    new_txn_source = cluster.new_txn_source
+
+    def counted_source(partition_id, stream_id):
+        source = new_txn_source(partition_id, stream_id)
+        next_spec = source.next
+
+        def next():
+            draws.append(partition_id)
+            return next_spec()
+
+        source.next = next
+        return source
+
+    cluster.new_txn_source = counted_source
+    result = cluster.run()
+    counters = result.metrics.counters
+    queued = sum(queue.depth for queue in cluster.admission_queues.values())
+    assert counters.get("arrivals_dropped") == 0
+    assert queued > 0  # 400k tps is far past saturation: a backlog remains
+    assert len(draws) == counters.get("arrivals_offered") - queued
