@@ -9,7 +9,7 @@ and therefore runs unchanged under every protocol.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from ..sim.randgen import DeterministicRandom, derive_seed, stable_hash
@@ -28,7 +28,6 @@ class TransactionSpec:
     name: str
     logic: Callable[["TxnContext"], Generator]
     read_only: bool = False
-    metadata: dict = field(default_factory=dict)
 
 
 class TxnSource(abc.ABC):

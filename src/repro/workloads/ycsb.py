@@ -133,7 +133,6 @@ class YCSBSource(TxnSource):
             name="ycsb",
             logic=self.workload.make_logic(operations),
             read_only=read_only,
-            metadata={"distributed": distributed},
         )
 
 

@@ -36,26 +36,58 @@ def test_load_populates_every_partition():
         assert table.get(0).value["field0"] == 0
 
 
+class RecordingContext:
+    """Stands in for a ``TxnContext``: logs every access, reads an empty row."""
+
+    def __init__(self):
+        self.accesses = []
+
+    def read(self, partition, table, key):
+        self.accesses.append((partition, key, "read"))
+        yield from ()
+        return {}
+
+    def update(self, partition, table, key, values):
+        self.accesses.append((partition, key, "update"))
+        yield from ()
+
+
+def accesses(spec) -> list:
+    """The ``(partition, key, kind)`` accesses a transaction makes, in order."""
+    ctx = RecordingContext()
+    for _ in spec.logic(ctx):
+        pass
+    return ctx.accesses
+
+
+def partitions(spec) -> set:
+    return {partition for partition, _, _ in accesses(spec)}
+
+
 def test_source_is_deterministic_per_seed_and_stream():
     cluster, workload = make_cluster()
     first = workload.make_source(cluster, 0, 0)
     second = workload.make_source(cluster, 0, 0)
-    for _ in range(10):
-        spec_a, spec_b = first.next(), second.next()
-        assert spec_a.metadata == spec_b.metadata
+    other_stream = workload.make_source(cluster, 0, 1)
+    firsts = [first.next() for _ in range(10)]
+    seconds = [second.next() for _ in range(10)]
+    assert ([(spec.read_only, accesses(spec)) for spec in firsts]
+            == [(spec.read_only, accesses(spec)) for spec in seconds])
+    assert ([accesses(spec) for spec in firsts]
+            != [accesses(other_stream.next()) for _ in range(10)])
 
 
 def test_distributed_fraction_roughly_matches_configuration():
     cluster, workload = make_cluster(distributed_pct=0.3)
     source = workload.make_source(cluster, 0, 0)
-    distributed = sum(1 for _ in range(500) if source.next().metadata["distributed"])
+    distributed = sum(1 for _ in range(500) if partitions(source.next()) != {0})
     assert 0.2 < distributed / 500 < 0.4
 
 
 def test_zero_distributed_fraction_generates_only_local_transactions():
     cluster, workload = make_cluster(distributed_pct=0.0)
     source = workload.make_source(cluster, 1, 0)
-    assert not any(source.next().metadata["distributed"] for _ in range(200))
+    assert all(partitions(source.next()) == {1} for _ in range(200))
 
 
 def test_read_only_transactions_possible_with_zero_writes():
