@@ -1,13 +1,14 @@
 """Columnar storage backend for fixed-schema tables (the million-key tier).
 
-The dict-backed :class:`~repro.storage.table.Table` pays ~400 bytes of boxed
-Python objects per row (a :class:`~repro.storage.record.Record` instance plus
-a per-row value dict plus boxed column values).  At the ``xlarge``/``web``
+The dict-backed :class:`~repro.storage.table.Table` pays ≈ 230 bytes of
+boxed Python objects per two-field row (a :class:`~repro.storage.record.Record`
+instance, the tuple of its cells, its key and its slot in the key map; the
+column names are one tuple shared by every row).  At the ``xlarge``/``web``
 scale tiers — millions of keys — that overhead, not the event kernel, is what
 exhausts memory.  :class:`ColumnarTable` stores the same rows as parallel
 C-backed ``array`` columns (8 bytes per numeric cell) plus flat metadata
 arrays for the TicToc timestamps, the Silo version counter and the deleted
-flag: ~50 bytes per row for YCSB's two-field schema, an ~8x reduction.
+flag: ≈ 43 bytes per row for YCSB's two-field schema, a ≈ 5x reduction.
 
 The columnar table sits behind the exact ``Table``/``Record`` interface the
 protocols already use: :meth:`ColumnarTable.get` hands back a
@@ -494,15 +495,3 @@ class ColumnarTable:
             for row in range(self._n_rows)
             if not deleted[row]
         )
-
-    def scan(self, predicate: Callable[[dict], bool]) -> list[ColumnarRecord]:
-        """Full scan returning live records whose value satisfies ``predicate``."""
-        out = []
-        deleted = self._deleted
-        columns = self._columns
-        for row in range(self._n_rows):
-            if deleted[row]:
-                continue
-            if predicate({col: arr[row] for col, arr in columns}):
-                out.append(ColumnarRecord((self, row, self._key_of(row))))
-        return out

@@ -107,11 +107,11 @@ class Table:
         existing = self._records.get(key)
         if existing is not None and not existing.deleted:
             raise TableError(f"duplicate key {key!r} in table {self.name!r}")
-        record = Record(key, value)
-        self._records[key] = record
+        record = self._records[key] = Record(key, value)
         self._live_count += 1
-        for index in self._indexes.values():
-            index.add(key, record.value)
+        if self._indexes:
+            for index in self._indexes.values():
+                index.add(key, value)
         return record
 
     def insert_many(self, keys, row: dict) -> None:
@@ -129,14 +129,16 @@ class Table:
         """Insert or overwrite without raising on duplicates (loader use only)."""
         existing = self._records.get(key)
         if existing is not None:
-            for index in self._indexes.values():
-                index.remove(key, existing.value)
-            existing.value = dict(value)
+            if self._indexes:
+                old = existing.value
+                for index in self._indexes.values():
+                    index.remove(key, old)
+            existing.value = value
             if existing.deleted:
                 existing.deleted = False
                 self._live_count += 1
             for index in self._indexes.values():
-                index.add(key, existing.value)
+                index.add(key, value)
             return existing
         return self.insert(key, value)
 
@@ -144,15 +146,13 @@ class Table:
         record = self.require(key)
         record.deleted = True
         self._live_count -= 1
-        for index in self._indexes.values():
-            index.remove(key, record.value)
+        if self._indexes:
+            old = record.value
+            for index in self._indexes.values():
+                index.remove(key, old)
 
     def keys(self) -> Iterator:
         return (k for k, r in self._records.items() if not r.deleted)
 
     def records(self) -> Iterator[Record]:
         return (r for r in self._records.values() if not r.deleted)
-
-    def scan(self, predicate: Callable[[dict], bool]) -> list[Record]:
-        """Full scan returning live records whose value satisfies ``predicate``."""
-        return [r for r in self._records.values() if not r.deleted and predicate(r.value)]

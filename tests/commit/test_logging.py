@@ -84,15 +84,16 @@ def test_append_writeset_records_undo_images():
     env, log = make_log()
     txn = Transaction(tid=TxnId(1, 0), coordinator=0)
     txn.ts = 7.0
+    dict_row = (("v",), (1,))
     record = log.append_writeset(txn, {("kv", 1): (1, 2.5), ("kv", 9): None,
-                                       ("orders", (1, 2)): {"v": 1}})
+                                       ("orders", (1, 2)): dict_row})
     assert record.kind is LogRecordKind.WRITESET
     assert record.txn_ts == 7.0
     # One flat tuple in write order, an image per key (None: an insert), no
     # redo copy and no wrapper.
-    assert record.payload == ("kv", 1, (1, 2.5), "kv", 9, None, "orders", (1, 2), {"v": 1})
+    assert record.payload == ("kv", 1, (1, 2.5), "kv", 9, None, "orders", (1, 2), dict_row)
     assert list(record.undo_images()) == [("kv", 1, (1, 2.5)), ("kv", 9, None),
-                                          ("orders", (1, 2), {"v": 1})]
+                                          ("orders", (1, 2), dict_row)]
     # Without undo images (no rollback can read them) the record is bare.
     bare = log.append_writeset(txn, None)
     assert bare.payload is None and bare.lsn == record.lsn + 1
@@ -128,14 +129,15 @@ def test_single_replica_group_still_persists():
 
 @pytest.mark.parametrize("backend", ["auto", "dict"])
 def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, request):
-    """A write-set record holds undo images only, private copies of the rows.
+    """A write-set record holds undo images only, private to the log.
 
     A columnar row's image is the tuple of its column values in schema
-    order; a dict row's is a copy of its value dict.  The attempt's
-    ``updates`` dicts die with the attempt: storage copies values *out* of
-    them on install and the record keeps no redo copy.  So whatever happens
-    to the rows afterwards — later commits, in-place edits — neither the log
-    payload nor the §5.2 rollback it feeds can change.
+    order; a dict row's is its immutable ``(names, cells)`` pair, which every
+    later write replaces rather than edits.  The attempt's ``updates`` dicts
+    die with the attempt: storage copies values *out* of them on install and
+    the record keeps no redo copy.  So whatever happens to the rows
+    afterwards — later commits, partial and whole-row writes — neither the
+    log payload nor the §5.2 rollback it feeds can change.
     """
     if backend == "dict":
         request.getfixturevalue("dict_tables")
@@ -155,20 +157,18 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, req
                    is_insert=True),
     ], commit_ts=5.0)
     (record,) = server.log.records(LogRecordKind.WRITESET)
-    image = original[1] if backend == "dict" else tuple(original[1].values())
+    cells = tuple(original[1].values())
+    image = (tuple(original[1]), cells) if backend == "dict" else cells
     assert record.payload == ("usertable", 1, image, "usertable", fresh_key, None)
-    if backend == "dict":
-        assert record.payload[2] is not table.get(1).value
     payload_then = copy.deepcopy(record.payload)
 
-    # A later commit and direct edits of the live rows.
+    # Later commits and direct writes of the live rows.
     table.get(1).install_fields({"field0": 999, "field1": 998}, ts=6.0)
     table.get(2).install_fields({"field0": 997}, ts=6.0)
     inserted = table.get(fresh_key)
     inserted.value = {"field0": -1}
-    if backend == "dict":
-        inserted.value["field1"] = -2      # the row's own dict, edited in place
-        table.get(1).value["field0"] = -3
+    inserted.install_fields({"field1": -2}, ts=6.0)
+    table.get(1).install_fields({"field0": -3}, ts=6.0)
     assert record.payload == payload_then
 
     rolled_back = cluster.recovery._rollback_partition(server, 5.0)
@@ -215,8 +215,7 @@ def test_log_record_owns_the_write_dicts_without_aliasing_live_rows(backend, req
     remote.get(3).install_fields({"field0": 1, "field1": 2}, ts=attempt.ts + 2)
     redelivered = remote.get(remote_fresh)
     redelivered.value = {"field0": -1}
-    if backend == "dict":
-        redelivered.value["field1"] = -2   # the row's own dict, edited in place
+    redelivered.install_fields({"field1": -2}, ts=attempt.ts + 2)
     assert decision.payload == decision_then
 
 

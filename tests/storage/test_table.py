@@ -79,14 +79,6 @@ def test_table_delete_hides_record():
     assert table.get(1).value == {"x": 2}
 
 
-def test_table_scan_with_predicate():
-    table = Table("t")
-    for i in range(10):
-        table.insert(i, {"value": i})
-    matches = table.scan(lambda row: row["value"] % 2 == 0)
-    assert sorted(r.key for r in matches) == [0, 2, 4, 6, 8]
-
-
 def test_secondary_index_lookup_and_maintenance():
     table = Table("customer")
     index = table.create_index("by_last", lambda row: row["last"])
@@ -188,6 +180,99 @@ def test_secondary_index_remove_of_absent_key_is_a_noop():
     index.remove(99, {"g": "a"})  # not indexed: must not raise
     index.remove(1, {"g": "zzz"})  # wrong index key: must not raise
     assert index.lookup("a") == [1]
+
+
+def test_rows_with_one_column_order_share_one_names_tuple():
+    """A row is a cell tuple against a shared column layout: the layout is one
+    object per distinct column order, not one per row."""
+    table = Table("t")
+    for key in range(100):
+        table.insert(key, {"a": key, "b": str(key), "c": 0.0})
+    table.get(7).install_fields({"b": "x"}, ts=1.0)
+    table.get(8).install({"a": 1, "b": "y", "c": 2.0}, ts=1.0)
+    table.upsert(9, {"a": 1, "b": "z", "c": 3.0})
+    table.delete(10)
+    table.insert(10, {"a": 10, "b": "w", "c": 4.0})
+    first = table.get(0)._names
+    assert all(record._names is first for record in table.records())
+    # Rows that gain the same column share the longer layout too.
+    for key in (3, 4):
+        table.get(key).install_fields({"d": 1}, ts=2.0)
+    assert table.get(3)._names is table.get(4)._names
+    assert table.get(3)._names == ("a", "b", "c", "d")
+    other = Table("u")
+    assert other.insert(0, {"a": 0, "b": "", "c": 0.0})._names is first
+
+
+def test_row_values_match_a_plain_dict_model_under_random_writes():
+    """Every write path, against the dict-per-row representation it replaced:
+    equal values, the same column order, the same ``get`` answers."""
+    import random
+
+    rng = random.Random(2024)
+    columns = ("a", "b", "c", "d", "e")
+    table, model, images = Table("t"), {}, {}
+
+    def random_row():
+        return {column: rng.randrange(100)
+                for column in rng.sample(columns, rng.randint(1, 4))}
+
+    for step in range(3_000):
+        key = rng.randrange(40)
+        action = rng.randrange(6)
+        record = table.get(key)
+        if action == 0:
+            row = random_row()
+            if record is None:
+                table.insert(key, row)
+                model[key] = dict(row)
+            else:
+                with pytest.raises(TableError):
+                    table.insert(key, row)
+        elif action == 5:
+            row = random_row()
+            table.upsert(key, row)
+            model[key] = dict(row)
+        elif record is None:
+            continue
+        elif action == 1:
+            row = random_row()
+            record.install(row, ts=float(step))
+            model[key] = dict(row)
+        elif action == 2:
+            updates = random_row()   # may name columns the row lacks
+            record.install_fields(updates, ts=float(step))
+            model[key].update(updates)
+        elif action == 3:
+            if key in images and rng.random() < 0.5:
+                image, expected = images.pop(key)
+                record.restore(image)
+                model[key] = expected
+            else:
+                images[key] = (record.undo_image(), dict(model[key]))
+        else:
+            table.delete(key)
+            del model[key]
+        assert set(table.keys()) == set(model)
+        for live_key, expected in model.items():
+            row = table.get(live_key)
+            assert list(row.value.items()) == list(expected.items())
+            assert row.read()[0] == expected
+            assert [row.get(column) for column in columns] == [
+                expected.get(column) for column in columns]
+
+
+def test_value_and_read_return_private_copies():
+    table = Table("t")
+    row = {"a": 1, "b": 2}
+    record = table.insert(1, row)
+    row["a"] = 99                      # the caller's dict is not the row
+    for copy in (record.value, record.read()[0], record.snapshot()):
+        copy["a"] = -1
+        copy["new"] = 0
+    assert record.value == {"a": 1, "b": 2}
+    assert record.value is not record.value
+    assert record.get("new", "absent") == "absent"
 
 
 def test_upsert_moves_record_between_index_keys():
