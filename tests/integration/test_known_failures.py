@@ -57,6 +57,19 @@ def test_sundial_tpcc_survives_the_standard_storm_at_seed_11():
     assert cluster.run().committed > 0
 
 
+@pytest.mark.xfail(strict=True, raises=TableError, reason=(
+    "ROADMAP item 4: silo / tpcc / two rolling leader crashes / seed 7 dies with TableError "
+    "(key (3, 1, 14) not found in 'orders'), the same rolled-back insert under a non-WM scheme"))
+def test_silo_tpcc_survives_rolling_crashes_at_seed_7():
+    cluster = build(ScenarioSpec(
+        protocol="silo", workload="tpcc", scale="tiny",
+        config_overrides={**FAST_DETECTOR, "n_partitions": 3, "duration_us": 40_000.0,
+                          "seed": 7},
+        faults=[{"kind": "crash", "at_us": 8_000.0, "target": 1},
+                {"kind": "crash", "at_us": 24_000.0, "target": 2}]))
+    assert cluster.run().committed > 0
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP 'Found and still open': under a non-WM scheme every partition publishes "
     "0.0 (only WM sets a partition watermark), so the agreed global watermark is 0.0 and "
