@@ -14,7 +14,8 @@ the same state, and only while the log keeps its history
 * ``WRITESET`` — the undo images the §5.2 rollback restores, as one flat
   tuple ``(table, key, image, table, key, image, ...)`` in write order.  An
   image is whatever the row's ``undo_image()`` returned (a tuple of column
-  values for a columnar row, a private dict copy for a dict row), ``None``
+  values for a columnar row, the immutable ``(names, cells)`` pair of a dict
+  row), ``None``
   for an insert.  A key written twice by one write-set appears once, at its
   first write's position, with the last image taken.  Only this module packs
   and unpacks the layout (:meth:`LogManager.append_writeset`,

@@ -92,7 +92,7 @@ _PRESETS = {
     ),
     # Million-key tiers (ROADMAP item 3).  Only feasible on the columnar
     # storage backend (what a fixed workload schema selects):
-    # dict-backed tables need ~8x the memory at these populations.  The
+    # dict-backed tables need ~5x the memory at these populations.  The
     # simulated durations are short — the point of these tiers is *population*
     # (cold caches, deep Zipf tails, hundreds of concurrent clients), not
     # simulated seconds.  Loading a fixed-schema workload (ycsb, smallbank) is
