@@ -5,14 +5,30 @@ boxed Python objects per two-field row (a :class:`~repro.storage.record.Record`
 instance, the tuple of its cells, its key and its slot in the key map; the
 column names are one tuple shared by every row).  At the ``xlarge``/``web``
 scale tiers — millions of keys — that overhead, not the event kernel, is what
-exhausts memory.  :class:`ColumnarTable` stores the same rows as parallel
-C-backed ``array`` columns (8 bytes per numeric cell) plus flat metadata
-arrays for the TicToc timestamps, the Silo version counter and the deleted
-flag: ≈ 43 bytes per row for YCSB's two-field schema, a ≈ 5x reduction.
+exhausts memory.  :class:`ColumnarTable` stores a row as one cell in each of
+parallel C-backed ``array`` columns (8 bytes per numeric cell) plus flat
+metadata arrays for the TicToc timestamps, the Silo version counter and the
+deleted flag, and maps the row to its position in those arrays through a
+4-byte *slot*: ≈ 47 bytes per row inserted one at a time for YCSB's
+two-field schema, a ≈ 4.8x reduction.
+
+A bulk-loaded row costs only its slot until a transaction touches it.  On
+the million-key tiers most rows are never read (a ``ycsb_sundial_1m`` pass
+at seed 42 touches 54,052 of 1,000,000), so a row that was loaded from a
+template and never accessed has no cells of its own: its slot is -1 and
+its values are the template's (see "Loading" below).  The first
+:meth:`ColumnarTable.get` of such a row *materializes* it — appends the
+template's cells and zeroed metadata to the arrays and records the slot —
+and from then on it is an ordinary row.  A template row is never deleted, so
+``delete``, ``upsert`` and a duplicate ``insert`` reach it through the same
+mapping; membership, ``len``, :meth:`~ColumnarTable.keys`,
+:meth:`~ColumnarTable.create_index` and :attr:`~ColumnarTable.nbytes` read
+it without materializing anything.  The price is one array index per
+``get`` and a row append the first time a row is touched.
 
 The columnar table sits behind the exact ``Table``/``Record`` interface the
 protocols already use: :meth:`ColumnarTable.get` hands back a
-:class:`ColumnarRecord` *handle* — the tuple ``(table, row, key)`` — whose
+:class:`ColumnarRecord` *handle* — the tuple ``(table, slot, key)`` — whose
 attribute reads and writes go straight to the backing arrays.  Handles are
 ephemeral (a fresh one per access) and are built, hashed and compared as
 tuples, in C: two handles of one row are equal, which is all the lock
@@ -27,16 +43,17 @@ dynamic-schema workloads (TPC-C's mixed-type rows and secondary-index
 lookups) pass none and keep the dict backend, which remains the bit-identical
 reference (the test suite's ``dict_tables`` fixture forces it everywhere).
 
-Loading is columnar too.  :meth:`ColumnarTable.insert_many` (the loaders'
-entry point, same signature on :class:`~repro.storage.table.Table`) is by
-definition ``for k in keys: insert(k, row)``.  When the call itself shows
-that nothing per-row can happen — ``keys`` is a step-1 ``range`` starting at
-the table's row count, the table is still dense and has no secondary index —
-the template row is checked once and every column and metadata array grows
-by one ``array * n`` extend: O(columns) Python-level operations for any
-number of rows, one column-sized transient alive at a time.  Every other
-input (a list of keys, a stepped or non-contiguous range, a sparse or indexed
-table) runs the per-row loop; there is no switch to choose between them.
+Loading.  :meth:`ColumnarTable.insert_many` (the loaders' entry point, same
+signature on :class:`~repro.storage.table.Table`) is by definition ``for k
+in keys: insert(k, row)``.  When the call itself shows that nothing per-row
+can happen — ``keys`` is a step-1 ``range`` starting at the table's row
+count, the table is still dense and has no secondary index — the template
+row is checked once, its converted cells are recorded with the range's
+first row, and the slot array grows by one ``array * n`` extend of -1: no
+column or metadata array grows at all, and the call makes O(columns)
+Python-level operations for any number of rows.  Every other input (a list
+of keys, a stepped or non-contiguous range, a sparse or indexed table) runs
+the per-row loop; there is no switch to choose between them.
 
 Simulation semantics are backend-independent by construction: the columnar
 path stores the same values, applies the same unique-key/missing-key errors,
@@ -47,6 +64,7 @@ results under either backend (pinned by ``tests/integration``).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Optional
 
@@ -94,10 +112,13 @@ class TableSchema:
 
 
 class ColumnarRecord(tuple):
-    """A handle ``(table, row, key)`` on one columnar row, API-compatible
+    """A handle ``(table, slot, key)`` on one columnar row, API-compatible
     with ``Record``.
 
-    Attribute reads and writes (``wts``/``rts``/``version``/``deleted``/
+    ``slot`` is the row's position in the table's column and metadata
+    arrays; only a materialized row has one, so :meth:`ColumnarTable.get`
+    materializes a template row before handing out its handle.  Attribute
+    reads and writes (``wts``/``rts``/``version``/``deleted``/
     ``value``) go straight to the owning table's arrays, so a handle is safe
     to hold across simulation yields: every handle of a row observes every
     other handle's writes.  Construction, equality and hashing are the
@@ -223,12 +244,16 @@ class ColumnarTable:
     dict at all); out-of-order or non-contiguous integer keys transparently
     fall back to a sparse ``key -> row`` map, so recovery redelivery and
     ad-hoc inserts stay correct — they just pay the map.
+
+    A *row* is a key's logical position (``0..n-1`` in insertion order); a
+    *slot* is where a materialized row's cells sit in the physical arrays.
     """
 
     def __init__(self, name: str, schema: TableSchema):
         self.name = name
         self.schema = schema
-        # One array per column, plus flat metadata arrays indexed by row.
+        # One array per column, plus flat metadata arrays, indexed by slot:
+        # they hold materialized rows only.
         self._by_name: dict[str, array] = {
             col: array(_TYPECODES[kind]) for col, kind in schema.columns
         }
@@ -237,6 +262,11 @@ class ColumnarTable:
         self._rts = array("d")
         self._version = array("q")
         self._deleted = bytearray()
+        # Row -> slot; -1 while a bulk-loaded row is still its template row,
+        # whose cells are the last template starting at or before it.
+        self._slot = array("i")
+        self._template_starts: list[int] = []
+        self._template_cells: list[tuple] = []
         # Dense mode stores *no key objects at all*: keys are exactly the row
         # indices 0..n-1 (what every workload loader produces), which at 1M
         # rows saves ~36 bytes/row of boxed ints + list slots.  The first
@@ -254,12 +284,20 @@ class ColumnarTable:
         return self._live_count
 
     def __contains__(self, key) -> bool:
-        return self.get(key) is not None
+        # Not ``get(key) is not None``: a membership test materializes nothing.
+        row = self._row_of(key)
+        if row < 0:
+            return False
+        slot = self._slot[row]
+        return slot < 0 or not self._deleted[slot]
 
     @property
     def nbytes(self) -> int:
-        """Approximate bytes held by the backing arrays (diagnostics)."""
-        total = len(self._deleted)
+        """Approximate bytes held by the backing arrays (diagnostics).
+
+        The slot array and the materialized rows; a template's cells are
+        O(columns) per bulk load and not counted."""
+        total = len(self._deleted) + len(self._slot) * self._slot.itemsize
         for _, col in self._columns:
             total += len(col) * col.itemsize
         for meta in (self._wts, self._rts, self._version):
@@ -285,15 +323,42 @@ class ColumnarTable:
         self._keys = list(range(self._n_rows))
         self._key_rows = {row: row for row in range(self._n_rows)}
 
+    def _live_rows(self) -> Iterator[int]:
+        """Rows not deleted, in row order; materializes nothing."""
+        deleted = self._deleted
+        return (row for row, slot in enumerate(self._slot)
+                if slot < 0 or not deleted[slot])
+
+    # -- template rows -------------------------------------------------------
+    def _template_of(self, row: int) -> tuple:
+        """The cells of template row ``row``: the last bulk load at or before it."""
+        return self._template_cells[bisect_right(self._template_starts, row) - 1]
+
+    def _materialize(self, row: int) -> int:
+        """Give template row ``row`` cells of its own; returns its new slot."""
+        slot = len(self._deleted)
+        for (_, arr), cell in zip(self._columns, self._template_of(row)):
+            arr.append(cell)
+        self._wts.append(0.0)
+        self._rts.append(0.0)
+        self._version.append(0)
+        self._deleted.append(0)
+        self._slot[row] = slot
+        return slot
+
     # -- index management ---------------------------------------------------
     def create_index(self, name: str, key_func: Callable[[dict], Any]) -> SecondaryIndex:
         if name in self._indexes:
             raise TableError(f"index {name!r} already exists on table {self.name!r}")
         index = SecondaryIndex(name, key_func)
-        columns = self._columns
-        for row in range(self._n_rows):
-            if not self._deleted[row]:
-                index.add(self._key_of(row), {col: arr[row] for col, arr in columns})
+        names, columns, slots = self.schema.names, self._columns, self._slot
+        for row in self._live_rows():
+            slot = slots[row]
+            if slot < 0:
+                cells = self._template_of(row)
+            else:
+                cells = [arr[slot] for _, arr in columns]
+            index.add(self._key_of(row), dict(zip(names, cells)))
         self._indexes[name] = index
         return index
 
@@ -315,9 +380,12 @@ class ColumnarTable:
             row = self._row_of(key)
             if row < 0:
                 return None
-        if self._deleted[row]:
+        slot = self._slot[row]
+        if slot < 0:
+            slot = self._materialize(row)
+        elif self._deleted[slot]:
             return None
-        return ColumnarRecord((self, row, key))
+        return ColumnarRecord((self, slot, key))
 
     def require(self, key) -> ColumnarRecord:
         record = self.get(key)
@@ -344,24 +412,25 @@ class ColumnarTable:
             if col not in by_name:
                 raise self._unknown_column(col)
 
-    def _write_row(self, row: int, values: dict, *, full: bool) -> None:
+    def _write_row(self, slot: int, values: dict, *, full: bool) -> None:
         by_name = self._by_name
         for col, value in values.items():
             arr = by_name.get(col)
             if arr is None:
                 raise self._unknown_column(col)
             try:
-                arr[row] = value
+                arr[slot] = value
             except (TypeError, OverflowError) as exc:
                 raise self._not_numeric(col, value) from exc
         if full:
             for col, arr in self._columns:
                 if col not in values:
-                    arr[row] = 0
+                    arr[slot] = 0
 
     def _append_row(self, key, value: dict) -> int:
+        """Append a new row with cells of its own; returns its slot."""
         self._check_columns(value)
-        row = self._n_rows
+        row, slot = self._n_rows, len(self._deleted)
         if self._dense and not (type(key) is int and key == row):
             self._go_sparse()
         if not self._dense:
@@ -375,7 +444,7 @@ class ColumnarTable:
                 # Roll the half-appended row back before raising so the
                 # arrays stay rectangular.
                 for _, done in self._columns:
-                    if len(done) > row:
+                    if len(done) > slot:
                         done.pop()
                 if not self._dense:
                     self._keys.pop()
@@ -385,25 +454,27 @@ class ColumnarTable:
         self._rts.append(0.0)
         self._version.append(0)
         self._deleted.append(0)
+        self._slot.append(slot)
         self._n_rows = row + 1
-        return row
+        return slot
 
     def insert(self, key, value: dict) -> ColumnarRecord:
         """Insert a new row; duplicate keys are an error (unique-key constraint)."""
         row = self._row_of(key)
         if row >= 0:
-            if not self._deleted[row]:
+            slot = self._slot[row]
+            if slot < 0 or not self._deleted[slot]:
                 raise TableError(f"duplicate key {key!r} in table {self.name!r}")
             # Reuse the tombstoned row in place.
-            self._write_row(row, value, full=True)
-            self._wts[row] = 0.0
-            self._rts[row] = 0.0
-            self._version[row] += 1
-            self._deleted[row] = 0
+            self._write_row(slot, value, full=True)
+            self._wts[slot] = 0.0
+            self._rts[slot] = 0.0
+            self._version[slot] += 1
+            self._deleted[slot] = 0
         else:
-            row = self._append_row(key, value)
+            slot = self._append_row(key, value)
         self._live_count += 1
-        record = ColumnarRecord((self, row, key))
+        record = ColumnarRecord((self, slot, key))
         if self._indexes:
             materialized = record.value
             for index in self._indexes.values():
@@ -414,9 +485,9 @@ class ColumnarTable:
         """Insert one copy of ``row`` per key: ``for k in keys: insert(k, row)``.
 
         A step-1 ``range`` that continues a dense table with no secondary
-        index is appended with whole-array operations — no key can collide
-        and no index needs the materialized rows, so one check of the
-        template stands for all of them.  Anything else is the loop above.
+        index is recorded as template rows — no key can collide and no index
+        needs the materialized rows, so one check of the template stands for
+        all of them.  Anything else is the loop above.
         """
         if (type(keys) is range and keys.step == 1 and self._dense
                 and keys.start == self._n_rows and not self._indexes):
@@ -428,26 +499,21 @@ class ColumnarTable:
             insert(key, row)
 
     def _append_rows(self, n: int, value: dict) -> None:
-        """Append ``n`` dense rows holding ``value`` in O(columns) operations."""
+        """Append ``n`` dense template rows holding ``value`` in O(columns)
+        operations: one slot each, no cells until a row is first accessed."""
         self._check_columns(value)
-        # Check every cell before the first column grows, so a rejected
-        # template appends nothing.
+        # Convert every cell before anything grows, so a rejected template
+        # appends nothing.
         cells = []
         for col, arr in self._columns:
             item = value.get(col, 0)
             try:
-                cells.append(array(arr.typecode, [item]))
+                cells.append(array(arr.typecode, [item])[0])
             except (TypeError, OverflowError) as exc:
                 raise self._not_numeric(col, item) from exc
-        # One column-sized transient alive at a time: the million-key tiers'
-        # memory ceiling is measured across the load.
-        for (_, arr), cell in zip(self._columns, cells):
-            arr.extend(cell * n)
-        self._version.extend(array("q", [0]) * n)
-        self._deleted.extend(bytes(n))
-        zeros = array("d", [0.0]) * n
-        self._wts.extend(zeros)
-        self._rts.extend(zeros)
+        self._template_starts.append(self._n_rows)
+        self._template_cells.append(tuple(cells))
+        self._slot.extend(array("i", [-1]) * n)
         self._n_rows += n
         self._live_count += n
 
@@ -456,15 +522,18 @@ class ColumnarTable:
         row = self._row_of(key)
         if row < 0:
             return self.insert(key, value)
+        slot = self._slot[row]
+        if slot < 0:
+            slot = self._materialize(row)
         if self._indexes:
-            old = {col: arr[row] for col, arr in self._columns}
+            old = {col: arr[slot] for col, arr in self._columns}
             for index in self._indexes.values():
                 index.remove(key, old)
-        self._write_row(row, value, full=True)
-        if self._deleted[row]:
-            self._deleted[row] = 0
+        self._write_row(slot, value, full=True)
+        if self._deleted[slot]:
+            self._deleted[slot] = 0
             self._live_count += 1
-        record = ColumnarRecord((self, row, key))
+        record = ColumnarRecord((self, slot, key))
         if self._indexes:
             materialized = record.value
             for index in self._indexes.values():
@@ -473,25 +542,20 @@ class ColumnarTable:
 
     def delete(self, key) -> None:
         record = self.require(key)
-        row = record[1]
         if self._indexes:
             materialized = record.value
             for index in self._indexes.values():
                 index.remove(key, materialized)
-        self._deleted[row] = 1
+        self._deleted[record[1]] = 1
         self._live_count -= 1
 
     def keys(self) -> Iterator:
-        deleted = self._deleted
         if self._dense:
-            return (row for row in range(self._n_rows) if not deleted[row])
+            return self._live_rows()
         keys = self._keys
-        return (keys[row] for row in range(self._n_rows) if not deleted[row])
+        return (keys[row] for row in self._live_rows())
 
     def records(self) -> Iterator[ColumnarRecord]:
-        deleted = self._deleted
-        return (
-            ColumnarRecord((self, row, self._key_of(row)))
-            for row in range(self._n_rows)
-            if not deleted[row]
-        )
+        """A handle per live row, in row order (each template row is
+        materialized as it is reached)."""
+        return (self.get(key) for key in self.keys())

@@ -1,10 +1,12 @@
 """``insert_many(keys, row)`` is ``for k in keys: insert(k, row)`` on both backends.
 
-The dict-backed table runs exactly that loop.  The columnar table appends a
-step-1 ``range`` that continues a dense, index-free table with whole-array
-operations and takes the loop for everything else; these tests keep the loop
-as the reference and require equal state — and equal behaviour afterwards —
-whichever path a call took.
+The dict-backed table runs exactly that loop.  The columnar table records a
+step-1 ``range`` that continues a dense, index-free table as template rows —
+a 4-byte slot each, cells only once a row is first accessed — and takes the
+loop for everything else; these tests keep the loop as the reference and
+require equal state — and equal behaviour afterwards — whichever path a call
+took.  (``state`` lists the records first, which materializes every row in
+row order, so the raw arrays of both paths are comparable.)
 """
 
 import sys
@@ -171,6 +173,31 @@ def test_secondary_index_is_populated_by_a_bulk_load(backend):
         assert calls == list(range(10))
 
 
+# -- template rows: a slot per row, cells on first access ----------------------
+
+def test_a_bulk_load_costs_at_most_5_bytes_per_row():
+    table = ColumnarTable("t", SCHEMA)
+    table.insert_many(range(100_000), ROW)
+    assert table.nbytes <= 5 * 100_000
+    assert len(table._deleted) == 0 and len(table) == 100_000
+
+
+def test_each_first_get_materializes_exactly_one_row():
+    table = ColumnarTable("t", SCHEMA)
+    table.insert_many(range(1_000), ROW)
+    table.insert_many(range(1_000, 2_000), {"a": 1})
+    assert table.nbytes == table._slot.itemsize * 2_000  # no cells yet
+    for n, key in enumerate((1_999, 0, 500, 1_000, 999), start=1):
+        first = table.get(key)
+        assert len(table._deleted) == n and table._slot[key] == n - 1
+        assert table.get(key) == first and len(table._deleted) == n  # second get: none
+        assert first.value == (ROW if key < 1_000 else {"a": 1, "b": 0.0})
+        assert (first.wts, first.rts, first.version) == (0.0, 0.0, 0)
+    # Each materialized row costs its cells and metadata: 2 columns x 8 B,
+    # wts, rts, version x 8 B and the deleted byte.
+    assert table.nbytes == table._slot.itemsize * 2_000 + 5 * (5 * 8 + 1)
+
+
 # -- rejected input ------------------------------------------------------------
 
 @pytest.mark.parametrize("row, match", [
@@ -207,8 +234,8 @@ def test_empty_range_checks_nothing_like_an_empty_loop():
                          ids=["from_zero", "overlapping", "repeated_in_list"])
 def test_duplicate_key_raises_where_the_loop_would(backend, keys):
     bulk, reference = BACKENDS[backend](), BACKENDS[backend]()
-    for table in (bulk, reference):
-        insert_per_row(table, range(5), ROW)
+    bulk.insert_many(range(5), ROW)  # columnar: untouched template rows
+    insert_per_row(reference, range(5), ROW)
     with pytest.raises(TableError, match="duplicate key"):
         bulk.insert_many(keys, ROW)
     with pytest.raises(TableError, match="duplicate key"):
