@@ -336,14 +336,18 @@ class ColumnarTable:
 
     def _materialize(self, row: int) -> int:
         """Give template row ``row`` cells of its own; returns its new slot."""
+        slot = self._slot[row] = self._append_cells(self._template_of(row))
+        return slot
+
+    def _append_cells(self, cells: tuple) -> int:
+        """Append one physical row, ``cells`` with zeroed metadata; returns its slot."""
         slot = len(self._deleted)
-        for (_, arr), cell in zip(self._columns, self._template_of(row)):
+        for (_, arr), cell in zip(self._columns, cells):
             arr.append(cell)
         self._wts.append(0.0)
         self._rts.append(0.0)
         self._version.append(0)
         self._deleted.append(0)
-        self._slot[row] = slot
         return slot
 
     # -- index management ---------------------------------------------------
@@ -406,11 +410,21 @@ class ColumnarTable:
             f"numeric; got {item!r}"
         )
 
-    def _check_columns(self, value: dict) -> None:
+    def _cells_of(self, value: dict) -> tuple:
+        """``value`` as a row's cells in schema order (a missing column is 0),
+        converted as the arrays store them; raises before anything grows."""
         by_name = self._by_name
         for col in value:
             if col not in by_name:
                 raise self._unknown_column(col)
+        cells = []
+        for col, arr in self._columns:
+            item = value.get(col, 0)
+            try:
+                cells.append(array(arr.typecode, [item])[0])
+            except (TypeError, OverflowError) as exc:
+                raise self._not_numeric(col, item) from exc
+        return tuple(cells)
 
     def _write_row(self, slot: int, values: dict, *, full: bool) -> None:
         by_name = self._by_name
@@ -429,31 +443,14 @@ class ColumnarTable:
 
     def _append_row(self, key, value: dict) -> int:
         """Append a new row with cells of its own; returns its slot."""
-        self._check_columns(value)
-        row, slot = self._n_rows, len(self._deleted)
+        cells = self._cells_of(value)
+        row = self._n_rows
         if self._dense and not (type(key) is int and key == row):
             self._go_sparse()
         if not self._dense:
             self._keys.append(key)
             self._key_rows[key] = row
-        for col, arr in self._columns:
-            item = value.get(col, 0)
-            try:
-                arr.append(item)
-            except (TypeError, OverflowError) as exc:
-                # Roll the half-appended row back before raising so the
-                # arrays stay rectangular.
-                for _, done in self._columns:
-                    if len(done) > slot:
-                        done.pop()
-                if not self._dense:
-                    self._keys.pop()
-                    del self._key_rows[key]
-                raise self._not_numeric(col, item) from exc
-        self._wts.append(0.0)
-        self._rts.append(0.0)
-        self._version.append(0)
-        self._deleted.append(0)
+        slot = self._append_cells(cells)
         self._slot.append(slot)
         self._n_rows = row + 1
         return slot
@@ -501,18 +498,9 @@ class ColumnarTable:
     def _append_rows(self, n: int, value: dict) -> None:
         """Append ``n`` dense template rows holding ``value`` in O(columns)
         operations: one slot each, no cells until a row is first accessed."""
-        self._check_columns(value)
-        # Convert every cell before anything grows, so a rejected template
-        # appends nothing.
-        cells = []
-        for col, arr in self._columns:
-            item = value.get(col, 0)
-            try:
-                cells.append(array(arr.typecode, [item])[0])
-            except (TypeError, OverflowError) as exc:
-                raise self._not_numeric(col, item) from exc
+        cells = self._cells_of(value)
         self._template_starts.append(self._n_rows)
-        self._template_cells.append(tuple(cells))
+        self._template_cells.append(cells)
         self._slot.extend(array("i", [-1]) * n)
         self._n_rows += n
         self._live_count += n

@@ -98,8 +98,7 @@ def test_non_numeric_value_rolls_back_cleanly():
     table.insert(0, {"a": 1, "b": 0.0})
     with pytest.raises(TableError, match="numeric"):
         table.insert(1, {"a": "oops", "b": 0.0})
-    # The half-appended row was rolled back: arrays stay rectangular and the
-    # next insert works.
+    # Nothing was appended: arrays stay rectangular and the next insert works.
     assert table._n_rows == 1
     table.insert(1, {"a": 2, "b": 0.0})
     assert table.get(1).value == {"a": 2, "b": 0.0}
@@ -139,7 +138,7 @@ def rectangular(table):
                          ids=["int_too_large", "int_too_small", "float_overflow"])
 def test_out_of_range_value_is_a_table_error_like_a_non_numeric_one(huge, col):
     """``array`` raises OverflowError, not TypeError, for an int that does not
-    fit the 64-bit cell; it must roll back and report the same way."""
+    fit the 64-bit cell; it must change nothing and report the same way."""
     good = {"a": 1, "b": 0.0}
     bad = {**good, col: huge}
     message = f"column '{col}' of columnar table 't' is numeric; got {huge}"
@@ -147,11 +146,12 @@ def test_out_of_range_value_is_a_table_error_like_a_non_numeric_one(huge, col):
     record = table.insert(0, good)
 
     with pytest.raises(TableError, match=message):
-        table.insert(1, bad)            # append path: rolled back
+        table.insert(1, bad)            # append path: nothing appended
     assert table._n_rows == 1 and rectangular(table) and table._dense
     with pytest.raises(TableError, match=message):
-        table.insert("k", bad)          # sparse append: key map rolled back too
+        table.insert("k", bad)          # sparse append: rejected before the key map
     assert table._n_rows == 1 and rectangular(table) and table.get("k") is None
+    assert table._dense
     with pytest.raises(TableError, match=message):
         table.insert_many([1, 2], bad)  # per-row loop
     assert table._n_rows == 1 and rectangular(table)
