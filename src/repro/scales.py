@@ -91,13 +91,16 @@ _PRESETS = {
         smallbank_accounts_per_partition=20_000,
     ),
     # Million-key tiers (ROADMAP item 3).  Only feasible on the columnar
-    # storage backend (what a fixed workload schema selects):
-    # dict-backed tables need ~5x the memory at these populations.  The
-    # simulated durations are short — the point of these tiers is *population*
-    # (cold caches, deep Zipf tails, hundreds of concurrent clients), not
-    # simulated seconds.  Loading a fixed-schema workload (ycsb, smallbank) is
-    # O(columns) array operations (``ColumnarTable.insert_many``), so host
-    # time at these tiers is the run; tpcc/tatp rows differ and load per row.
+    # storage backend (what a fixed workload schema selects): a bulk-loaded
+    # row holds a 4-byte slot until a transaction first touches it, and
+    # ≈ 47 bytes after, where a dict-backed row needs ≈ 228.  The simulated
+    # durations are short — the point of these tiers is *population* (cold
+    # caches, deep Zipf tails, hundreds of concurrent clients), not simulated
+    # seconds — so most rows are never touched (≈ 5 % of 1M on
+    # ``ycsb_sundial_1m``).  Loading a fixed-schema workload (ycsb,
+    # smallbank) is O(columns) operations (``ColumnarTable.insert_many``), so
+    # host time at these tiers is the run; tpcc/tatp rows differ and load per
+    # row.
     "xlarge": BenchScale(
         name="xlarge",
         duration_us=20_000.0,
