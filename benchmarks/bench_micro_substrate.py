@@ -43,7 +43,7 @@ def test_lock_manager_grant_release(benchmark):
         for sequence in range(2_000):
             tid = TxnId(sequence, 0)
             for record in records[:8]:
-                assert manager.try_acquire(tid, record, LockMode.EXCLUSIVE)
+                assert manager.acquire_nowait(tid, record, LockMode.EXCLUSIVE) is True
             manager.release_all(tid)
         return manager.stats["grants"]
 

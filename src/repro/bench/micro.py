@@ -39,7 +39,7 @@ def bench_engine_dispatch(n: int) -> None:
             yield event
 
     env.process(proc())
-    env.run_all()
+    env.run()
 
 
 def bench_engine_timeout(n: int) -> None:
@@ -51,7 +51,7 @@ def bench_engine_timeout(n: int) -> None:
             yield env.timeout(1.0)
 
     env.process(proc())
-    env.run_all()
+    env.run()
 
 
 def bench_process_spawn(n: int) -> None:
@@ -67,7 +67,7 @@ def bench_process_spawn(n: int) -> None:
             yield env.process(child())
 
     env.process(proc())
-    env.run_all()
+    env.run()
 
 
 def bench_network_rpc(n: int) -> None:
@@ -83,7 +83,7 @@ def bench_network_rpc(n: int) -> None:
             yield from network.rpc(0, 0, handler, i)
 
     env.process(proc())
-    env.run_all()
+    env.run()
 
 
 def bench_network_send(n: int) -> None:
@@ -93,7 +93,7 @@ def bench_network_send(n: int) -> None:
     sink = []
     for i in range(n):
         network.send(0, 1, sink.append, i)
-    env.run_all()
+    env.run()
 
 
 def bench_zipf(n: int) -> None:

@@ -290,9 +290,8 @@ class ResultCache:
         Large results are streamed, not materialized: ``json.dump`` with
         keyword options takes the chunked ``iterencode`` path, so the
         document is written to the tmp file incrementally instead of being
-        built as one in-memory string.  (Result documents are also bounded
-        now — past ``SKETCH_THRESHOLD`` samples the metrics serialize a
-        fixed-size ``latency_sketch`` rather than every raw sample.)
+        built as one in-memory string.  (A document holds every latency
+        sample: ≈ 2.5 MB for a ``web`` cell.)
         """
         self.root.mkdir(parents=True, exist_ok=True)
         entry = {

@@ -15,7 +15,6 @@ __all__ = [
     "format_mean_ci",
     "format_ratio",
     "print_header",
-    "print_series",
     "print_table",
     "sample_mean_std",
     "t_critical_95",
@@ -57,11 +56,6 @@ def print_table(columns: list[str], rows: Iterable[Iterable], indent: int = 2) -
     print(pad + "-" * len(header))
     for row in rows:
         print(pad + "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-
-
-def print_series(name: str, xs: list, ys: list, unit: str = "") -> None:
-    print(f"  {name} {unit}".rstrip())
-    print_table(["x", name], list(zip(xs, ys)), indent=4)
 
 
 # ---------------------------------------------------------------------------

@@ -359,9 +359,10 @@ class Cluster:
             gc.unfreeze()
         for fiber in self.fibers:
             if not fiber._ok:
-                # A bug in a fiber, not a simulated fault (crash interrupts
-                # end a fiber successfully): the run is one client short and
-                # its numbers mean nothing.  (Slots read directly, like
+                # A bug in a fiber, not a simulated fault (a fiber on a
+                # crashed partition idles until fail-over and returns when
+                # the run stops): the run is one client short and its
+                # numbers mean nothing.  (Slots read directly, like
                 # env._now above: no engine call is added to a run.)
                 raise fiber._value
         self.metrics.duration_us = self._measure_end - self._measure_start

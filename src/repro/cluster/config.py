@@ -116,10 +116,6 @@ class SystemConfig:
     def concurrency_per_partition(self) -> int:
         return self.workers_per_partition * self.inflight_per_worker
 
-    @property
-    def total_duration_us(self) -> float:
-        return self.warmup_us + self.duration_us
-
     def with_overrides(self, **overrides) -> "SystemConfig":
         """Return a copy with the given fields replaced (validates the result)."""
         updated = replace(self, **overrides)

@@ -108,14 +108,6 @@ class ConflictRateModel:
         )
         return 1.0 - no_conflict
 
-    def improvement_ratio(self) -> float:
-        """CR_2PC / CR_Primo — above 1.0 means Primo conflicts less."""
-        primo = self.conflict_rate_primo()
-        two_pc = self.conflict_rate_2pc()
-        if primo == 0.0:
-            return float("inf") if two_pc > 0 else 1.0
-        return two_pc / primo
-
     def primo_wins(self) -> bool:
         """Does the model predict fewer conflicts under Primo?"""
         return self.conflict_rate_primo() <= self.conflict_rate_2pc()

@@ -1,12 +1,10 @@
 """Discrete-event simulation substrate (engine, network, RNG, measurement)."""
 
-from .engine import Environment, Event, Interrupt, Process, SimulationError, Timeout, all_of, any_of
+from .engine import Environment, Event, Process, SimulationError, Timeout, all_of
 from .network import Network, NetworkStats, NodeUnreachable
 from .randgen import DeterministicRandom, ZipfGenerator, derive_seed
-from .sketch import LatencySketch
 from .stats import (
     BREAKDOWN_COMPONENTS,
-    SKETCH_THRESHOLD,
     BreakdownTimer,
     Counter,
     LatencyRecorder,
@@ -16,12 +14,10 @@ from .stats import (
 __all__ = [
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
     "all_of",
-    "any_of",
     "Network",
     "NetworkStats",
     "NodeUnreachable",
@@ -29,10 +25,8 @@ __all__ = [
     "ZipfGenerator",
     "derive_seed",
     "BREAKDOWN_COMPONENTS",
-    "SKETCH_THRESHOLD",
     "BreakdownTimer",
     "Counter",
     "LatencyRecorder",
-    "LatencySketch",
     "RunMetrics",
 ]

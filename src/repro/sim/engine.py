@@ -27,9 +27,9 @@ maintained:
 
 * a binary heap of ``(time, seqno, event)`` for events in the future, and
 * a plain FIFO deque of bare events for events triggered with zero delay
-  at the current time — process kick-offs, interrupts, lock grants,
-  ``all_of`` completions and local ``succeed()`` chains all land here and
-  bypass the heap entirely.
+  at the current time — process kick-offs, lock grants, ``all_of``
+  completions and local ``succeed()`` chains all land here and bypass the
+  heap entirely.
 
 Both queues share one monotone sequence counter (fast-lane events carry
 theirs in the ``_seq`` slot), and the dispatcher always runs the entry with
@@ -55,7 +55,6 @@ __all__ = [
     "BatchWakeup",
     "Process",
     "SimulationError",
-    "Interrupt",
 ]
 
 
@@ -78,14 +77,6 @@ if os.environ.get("REPRO_ENGINE") not in (None, "", "py", "auto"):
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation engine (e.g. yielding a non-event)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that has been interrupted (e.g. by a crash)."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event state markers.
@@ -247,7 +238,7 @@ class Process(Event):
     (``result = yield env.process(child())``).
     """
 
-    __slots__ = ("name", "_generator", "_interrupted_by", "_resume_cb", "_target")
+    __slots__ = ("name", "_generator", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         super().__init__(env)
@@ -255,23 +246,11 @@ class Process(Event):
             raise SimulationError("Process requires a generator")
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._interrupted_by: Optional[Interrupt] = None
         # The bound resume method is allocated once and reused for every wait.
         resume = self._resume
         self._resume_cb = resume
         # Kick off the process at the current simulated time (fast lane).
-        self._target = env._immediate(resume)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            return
-        self._interrupted_by = Interrupt(cause)
-        self.env._immediate(self._resume_cb)
+        env._immediate(resume)
 
     def _finish(self) -> None:
         """Drop completion-time references so a finished process is acyclic.
@@ -286,33 +265,18 @@ class Process(Event):
         """
         self._generator = None
         self._resume_cb = None
-        self._target = None
-        self._interrupted_by = None
 
     def _resume(self, event: Event) -> None:
         if self._value is not _PENDING:
             return
         try:
-            if self._interrupted_by is not None:
-                exc, self._interrupted_by = self._interrupted_by, None
-                target = self._generator.throw(exc)
-            elif event is not self._target:
-                # Stale wakeup: an interrupt was scheduled but the awaited
-                # event fired (and consumed the interrupt) in the same tick.
-                # The generator is waiting on a different event now.
-                return
-            elif event._ok:
+            if event._ok:
                 target = self._generator.send(event._value)
             else:
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
             self._finish()
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Process chose not to handle the interrupt: treat as termination.
-            self._finish()
-            self.succeed(None)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to waiters
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -330,7 +294,6 @@ class Process(Event):
             self._finish()
             self.fail(error)
             return
-        self._target = target
         if callbacks is None:
             target.callbacks = self._resume_cb
         elif callbacks is _PROCESSED:
@@ -352,7 +315,6 @@ class Environment:
         "_fast_append",
         "_counter",
         "_next_seq",
-        "_active_processes",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -365,7 +327,6 @@ class Environment:
         self._fast_append = self._fast.append
         self._counter = count()
         self._next_seq = self._counter.__next__
-        self._active_processes = 0
 
     @property
     def now(self) -> float:
@@ -383,19 +344,14 @@ class Environment:
         return Process(self, generator, name=name)
 
     # -- scheduling -----------------------------------------------------
-    def _immediate(self, callback: Callable[[Event], None]) -> Event:
-        """Run ``callback`` at the current time via the fast-dispatch lane.
-
-        The single place that builds a pre-succeeded single-callback event;
-        process kick-off, interrupts and one-way sends all go through here so
-        the lane's scheduling invariants live in one spot.
-        """
+    def _immediate(self, callback: Callable[[Event], None]) -> None:
+        """Run ``callback`` at the current time via the fast-dispatch lane
+        (a pre-succeeded single-callback event; how a process kicks off)."""
         event = Event(self)
         event._value = None
         event.callbacks = callback
         event._seq = self._next_seq()
         self._fast_append(event)
-        return event
 
     def succeed_all(self, events: list, value: Any = None) -> None:
         """Trigger every event in ``events`` with ``value`` at the current time.
@@ -431,49 +387,12 @@ class Environment:
         else:
             heappush(self._queue, (self._now + delay, self._next_seq(), event))
 
-    def _fast_is_next(self) -> bool:
-        """True when the fast lane holds the globally next event.
-
-        The fast lane only contains events at the current time, so it wins
-        unless the heap head is *also* at the current time with a smaller
-        sequence number (i.e. it was scheduled earlier).
-        """
-        queue = self._queue
-        if not queue:
-            return True
-        head = queue[0]
-        return head[0] > self._now or head[1] > self._fast[0]._seq
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        if self._fast:
-            return self._now
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next event in the queue."""
-        if self._fast and self._fast_is_next():
-            event = self._fast.popleft()
-        else:
-            if not self._queue:
-                raise SimulationError("step() on an empty event queue")
-            when, _, event = heappop(self._queue)
-            self._now = when
-        callbacks = event.callbacks
-        event.callbacks = _PROCESSED
-        if callbacks is not None:
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                callbacks(event)
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until simulated time ``until`` (or until the queue drains)."""
         if until is not None and until < self._now:
             raise SimulationError("cannot run into the past")
-        # The dispatch loop is deliberately inlined (no step() call per event):
-        # it is the hottest loop in the repo.
+        # The dispatch loop is deliberately inlined (no method call per
+        # event): it is the hottest loop in the repo.
         fast = self._fast
         queue = self._queue
         popleft = fast.popleft
@@ -509,41 +428,6 @@ class Environment:
             self._now = until
         return self._now
 
-    def run_all(self, max_events: int = 50_000_000) -> float:
-        """Drain the queue entirely (bounded by ``max_events`` as a safety net)."""
-        processed = 0
-        fast = self._fast
-        queue = self._queue
-        popleft = fast.popleft
-        while True:
-            if fast:
-                if queue:
-                    head = queue[0]
-                    if head[0] <= self._now and head[1] < fast[0]._seq:
-                        self._now = head[0]
-                        event = heappop(queue)[2]
-                    else:
-                        event = popleft()
-                else:
-                    event = popleft()
-            elif queue:
-                self._now = queue[0][0]
-                event = heappop(queue)[2]
-            else:
-                break
-            callbacks = event.callbacks
-            event.callbacks = _PROCESSED
-            if callbacks is not None:
-                if type(callbacks) is list:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    callbacks(event)
-            processed += 1
-            if processed > max_events:
-                raise SimulationError("simulation did not terminate (event budget exceeded)")
-        return self._now
-
 
 def all_of(env: Environment, events: Iterable[Event]) -> Event:
     """Return an event that fires after every event in ``events`` has fired."""
@@ -567,21 +451,4 @@ def all_of(env: Environment, events: Iterable[Event]) -> Event:
 
     for i, event in enumerate(events):
         event.add_callback(make_callback(i))
-    return done
-
-
-def any_of(env: Environment, events: Iterable[Event]) -> Event:
-    """Return an event that fires as soon as one event in ``events`` fires."""
-    events = list(events)
-    done = env.event()
-    if not events:
-        done.succeed(None)
-        return done
-
-    def callback(event: Event) -> None:
-        if not done.triggered:
-            done.succeed(event.value if event.ok else event._value)
-
-    for event in events:
-        event.add_callback(callback)
     return done

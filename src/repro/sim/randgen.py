@@ -62,10 +62,6 @@ class DeterministicRandom:
         """Uniform integer in [low, high] inclusive."""
         return self._rng.randint(low, high)
 
-    def sample_without_replacement(self, low: int, high: int, count: int) -> list[int]:
-        """Distinct uniform integers in [low, high]; count must fit the range."""
-        return self._rng.sample(range(low, high + 1), count)
-
     def boolean(self, probability_true: float) -> bool:
         return self._rng.random() < probability_true
 
@@ -87,10 +83,6 @@ class DeterministicRandom:
             + syllables[(number // 10) % 10]
             + syllables[number % 10]
         )
-
-    def alphanumeric(self, length: int) -> str:
-        chars = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-        return "".join(self._rng.choice(chars) for _ in range(length))
 
 
 class ZipfGenerator:

@@ -13,23 +13,16 @@ times, so recording is kept allocation-free.
 * :class:`LatencyRecorder` appends to a C-backed ``array('d')`` and sorts
   on demand: the sorted view is computed once and cached until the next
   append invalidates it, so ``p50``/``p99``/``max`` after a run each cost a
-  cached lookup instead of a fresh full sort.  Above ``SKETCH_THRESHOLD``
-  samples it folds everything into a fixed-memory
-  :class:`~repro.sim.sketch.LatencySketch` and stops retaining raw samples —
-  million-transaction runs (the ``xlarge``/``web`` tiers) keep O(buckets)
-  memory and serialize to bounded JSON.  The threshold sits far above every
-  committed golden run's sample count, so all pre-existing fixed-seed
-  goldens take the exact path bit-identically.
+  cached lookup instead of a fresh full sort.  Every sample is kept (8 bytes
+  each) and serialized, so percentiles are exact at any run length.
 * :class:`BreakdownTimer` interns component names once (module-level id
   table seeded with the paper's components) and accumulates into a flat
   float list indexed by component id — ``add()`` on the commit path is two
   list operations, not a dict hash + resize.
 
-All three have an order-independent ``merge`` (``tests/sim/test_stats.py``
-pins that property), but nothing merges results across cells or processes: a
-pool worker returns its cell's whole document, and the only ``merge`` call
-under ``src/`` is ``Cluster.run`` folding its own :class:`Counter` into the
-run's metrics.
+Nothing merges results across cells or processes: a pool worker returns its
+cell's whole document, and the one ``merge`` is ``Cluster.run`` folding its
+own :class:`Counter` into the run's metrics.
 """
 
 from __future__ import annotations
@@ -38,8 +31,6 @@ from array import array
 from statistics import median
 from typing import Iterable
 
-from .sketch import LatencySketch
-
 __all__ = [
     "Counter",
     "LatencyRecorder",
@@ -47,13 +38,7 @@ __all__ = [
     "RunMetrics",
     "WindowedRecorder",
     "BREAKDOWN_COMPONENTS",
-    "SKETCH_THRESHOLD",
 ]
-
-#: Sample count beyond which a LatencyRecorder folds into a LatencySketch.
-#: Deliberately far above the sample counts of every committed fixed-seed
-#: golden (tiny→paper scales stay exact); only the xlarge/web tiers cross it.
-SKETCH_THRESHOLD = 100_000
 
 # Latency components reported in the paper's breakdown figures.
 BREAKDOWN_COMPONENTS = (
@@ -69,8 +54,7 @@ BREAKDOWN_COMPONENTS = (
 
 # Component name -> slot index, shared by every BreakdownTimer.  Seeded with
 # the paper's components; unknown components are interned on first use (the
-# table only ever grows, so existing indices stay valid and timers merged
-# across processes agree on the seeded prefix).
+# table only ever grows, so existing indices stay valid).
 _COMPONENT_IDS: dict[str, int] = {
     name: i for i, name in enumerate(BREAKDOWN_COMPONENTS)
 }
@@ -116,50 +100,19 @@ class Counter:
 
 
 class LatencyRecorder:
-    """Collects latency samples and reports mean / percentiles.
+    """Collects latency samples and reports mean / nearest-rank percentiles."""
 
-    Exact (every sample retained, nearest-rank percentiles) up to
-    ``SKETCH_THRESHOLD`` samples; beyond that the samples fold into a
-    fixed-memory :class:`LatencySketch` (bucket-resolution-exact percentiles,
-    sample-exact mean/max) so memory and serialized size stop growing with
-    run length.  ``sketched`` reports which regime the recorder is in.
-    """
-
-    __slots__ = ("_samples", "_sorted", "_sketch")
+    __slots__ = ("_samples", "_sorted")
 
     def __init__(self) -> None:
         self._samples: array = array("d")
-        # Cached ascending view; invalidated by every append/extend so the
-        # sort runs once per batch of percentile queries, not once per query.
+        # Cached ascending view; invalidated by every append so the sort runs
+        # once per batch of percentile queries, not once per query.
         self._sorted: array | None = None
-        self._sketch: LatencySketch | None = None
-
-    def _fold_into_sketch(self) -> None:
-        sketch = LatencySketch()
-        sketch.extend(self._samples)
-        self._sketch = sketch
-        self._samples = array("d")
-        self._sorted = None
 
     def record(self, latency: float) -> None:
-        sketch = self._sketch
-        if sketch is not None:
-            sketch.record(latency)
-            return
         self._samples.append(latency)
         self._sorted = None
-        if len(self._samples) > SKETCH_THRESHOLD:
-            self._fold_into_sketch()
-
-    def extend(self, samples: Iterable[float]) -> None:
-        sketch = self._sketch
-        if sketch is not None:
-            sketch.extend(samples)
-            return
-        self._samples.extend(samples)
-        self._sorted = None
-        if len(self._samples) > SKETCH_THRESHOLD:
-            self._fold_into_sketch()
 
     def _ordered(self) -> array:
         ordered = self._sorted
@@ -169,28 +122,17 @@ class LatencyRecorder:
         return ordered
 
     @property
-    def sketched(self) -> bool:
-        """True once the recorder has folded into the fixed-memory sketch."""
-        return self._sketch is not None
-
-    @property
     def count(self) -> int:
-        if self._sketch is not None:
-            return self._sketch.count
         return len(self._samples)
 
     @property
     def mean(self) -> float:
-        if self._sketch is not None:
-            return self._sketch.mean
         if not self._samples:
             return 0.0
         return sum(self._samples) / len(self._samples)
 
     def percentile(self, pct: float) -> float:
         """Nearest-rank percentile (pct in [0, 100])."""
-        if self._sketch is not None:
-            return self._sketch.percentile(pct)
         if not self._samples:
             return 0.0
         ordered = self._ordered()
@@ -216,45 +158,19 @@ class LatencyRecorder:
 
     @property
     def max(self) -> float:
-        if self._sketch is not None:
-            return self._sketch.max
         if not self._samples:
             return 0.0
         return self._ordered()[-1]
 
     @property
     def samples(self) -> list[float]:
-        """The raw samples in recording order (used for serialization).
-
-        Only available in the exact regime; a sketched recorder no longer
-        holds raw samples — serialize via :attr:`sketch` instead.
-        """
-        if self._sketch is not None:
-            raise ValueError(
-                "recorder folded into a sketch; raw samples are gone "
-                "(serialize the sketch instead)"
-            )
+        """The raw samples in recording order (used for serialization)."""
         return list(self._samples)
-
-    @property
-    def sketch(self) -> LatencySketch:
-        """The fixed-memory sketch (only once :attr:`sketched` is True)."""
-        if self._sketch is None:
-            raise ValueError("recorder still holds exact samples, not a sketch")
-        return self._sketch
 
     @classmethod
     def from_samples(cls, samples: Iterable[float]) -> "LatencyRecorder":
         recorder = cls()
         recorder._samples = array("d", (float(s) for s in samples))
-        if len(recorder._samples) > SKETCH_THRESHOLD:
-            recorder._fold_into_sketch()
-        return recorder
-
-    @classmethod
-    def from_sketch(cls, sketch: LatencySketch) -> "LatencyRecorder":
-        recorder = cls()
-        recorder._sketch = sketch
         return recorder
 
 
@@ -283,15 +199,6 @@ class BreakdownTimer:
     def finish_transaction(self) -> None:
         """Mark that one transaction's breakdown has been fully recorded."""
         self._txn_count += 1
-
-    def merge(self, other: "BreakdownTimer") -> None:
-        totals = self._totals
-        other_totals = other._totals
-        if len(other_totals) > len(totals):
-            totals.extend([0.0] * (len(other_totals) - len(totals)))
-        for idx, value in enumerate(other_totals):
-            totals[idx] += value
-        self._txn_count += other._txn_count
 
     def total(self, component: str) -> float:
         idx = _COMPONENT_IDS.get(component)
@@ -486,44 +393,7 @@ class WindowedRecorder:
                 return (index - trough) * self.window_us
         return None
 
-    # -- merge / JSON round trip --------------------------------------------
-    def merge(self, other: "WindowedRecorder") -> None:
-        """Fold another recorder in (same origin; widths that diverged only by
-        the power-of-two coarsening are re-aligned by coarsening the finer)."""
-        if other.origin_us != self.origin_us:
-            raise ValueError(
-                f"cannot merge recorders with different origins "
-                f"({self.origin_us} vs {other.origin_us})"
-            )
-        wide, narrow = (self, other) if self.window_us >= other.window_us else (other, self)
-        ratio = wide.window_us / narrow.window_us
-        if ratio != int(ratio) or (int(ratio) & (int(ratio) - 1)):
-            if ratio != 1.0:
-                raise ValueError(
-                    f"cannot merge recorders with incompatible widths "
-                    f"({self.window_us} vs {other.window_us})"
-                )
-        while self.window_us < other.window_us:
-            self._coarsen()
-        source = other
-        if other.window_us < self.window_us:
-            clone = WindowedRecorder.from_json_dict(other.to_json_dict())
-            while clone.window_us < self.window_us:
-                clone._coarsen()
-            source = clone
-        counts = self._counts
-        latency_counts = self._latency_counts
-        sums = self._latency_sums
-        if len(source._counts) > len(counts):
-            grow = len(source._counts) - len(counts)
-            counts.extend([0] * grow)
-            latency_counts.extend([0] * grow)
-            sums.extend([0.0] * grow)
-        for index, count in enumerate(source._counts):
-            counts[index] += count
-            latency_counts[index] += source._latency_counts[index]
-            sums[index] += source._latency_sums[index]
-
+    # -- JSON round trip ----------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
             "window_us": self.window_us,
@@ -651,9 +521,6 @@ class RunMetrics:
         Unlike :meth:`summary` this keeps the raw latency samples and counter
         values, so a deserialized ``RunMetrics`` reports byte-identical
         statistics — the property the orchestrator's on-disk cache relies on.
-        Sketched recorders (runs past ``SKETCH_THRESHOLD`` samples) serialize
-        the bounded-size sketch under ``latency_sketch`` instead of raw
-        samples, keeping document size independent of transaction count.
         """
         data = {
             "duration_us": self.duration_us,
@@ -662,24 +529,17 @@ class RunMetrics:
             "crash_aborted": self.crash_aborted,
             "counters": self.counters.as_dict(),
             "breakdown": self.breakdown.to_json_dict(),
+            "latency_samples": self.latency.samples,
         }
-        if self.latency.sketched:
-            data["latency_sketch"] = self.latency.sketch.to_json_dict()
-        else:
-            data["latency_samples"] = self.latency.samples
         if self.timeline is not None:
             data["timeline"] = self.timeline.to_json_dict()
         return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunMetrics":
-        sketch_doc = data.get("latency_sketch")
-        if sketch_doc is not None:
-            latency = LatencyRecorder.from_sketch(
-                LatencySketch.from_json_dict(sketch_doc)
-            )
-        else:
-            latency = LatencyRecorder.from_samples(data.get("latency_samples", []))
+        # A missing sample list is a KeyError, not an empty run: the result
+        # cache reads it as a miss and recomputes the cell.
+        latency = LatencyRecorder.from_samples(data["latency_samples"])
         timeline_doc = data.get("timeline")
         return cls(
             duration_us=float(data["duration_us"]),

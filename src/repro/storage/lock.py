@@ -16,14 +16,13 @@ and recycles its state through a free list: lock memory is bounded by
 concurrency, not by the rows ever touched, the steady state allocates
 nothing, records carry no lock field and the queries only look.
 
-Acquisition is two-tier for the hot path: :meth:`LockManager.acquire_nowait`
-resolves the common uncontended case synchronously (``True``/``False``) and
-only returns an :class:`~repro.sim.engine.Event` to wait on when the request
+There is one acquire path, :meth:`LockManager.acquire_nowait`: it resolves
+the common uncontended case synchronously (``True``/``False``) and only
+returns an :class:`~repro.sim.engine.Event` to wait on when the request
 actually queues, so protocols pay no generator frame for an immediately
-granted lock.  :meth:`LockManager.acquire` wraps it as the old simulation
-generator for call sites that prefer ``yield from``.  The manager never
-grants conflicting locks and always wakes waiters in FIFO order subject to
-mode compatibility, which tests verify as an invariant.
+granted lock.  The manager never grants conflicting locks and always wakes
+waiters in FIFO order subject to mode compatibility, which tests verify as
+an invariant.
 
 Hot-path notes: a request for a record with no entry is granted without a
 compatibility check, the wait deque is allocated lazily on first contention,
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import TYPE_CHECKING, Generator, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..sim.engine import Environment, Event
 
@@ -139,21 +138,6 @@ class LockManager:
         return set(self._held.get(txn_id, ()))
 
     # -- acquisition --------------------------------------------------------
-    def try_acquire(self, txn_id, record: "Record", mode: LockMode) -> bool:
-        """Non-blocking acquire; returns ``True`` iff granted immediately."""
-        state = self._table.get(record)
-        if state is None:
-            free = self._free
-            self._table[record] = state = free.pop() if free else LockState()
-        else:
-            held = state.holders.get(txn_id)
-            if held is not None and (held is mode or held is LockMode.EXCLUSIVE):
-                return True
-            if state.waiters or not state.compatible(txn_id, mode):
-                return False
-        self._grant(state, txn_id, record, mode)
-        return True
-
     def acquire_nowait(
         self,
         txn_id,
@@ -208,20 +192,6 @@ class LockManager:
             state.waiters = deque()
         state.waiters.append(request)
         return event
-
-    def acquire(
-        self,
-        txn_id,
-        record: "Record",
-        mode: LockMode,
-        policy: Optional[LockPolicy] = None,
-    ) -> Generator[Event, object, bool]:
-        """Generator form of :meth:`acquire_nowait` (``yield from`` friendly)."""
-        outcome = self.acquire_nowait(txn_id, record, mode, policy)
-        if type(outcome) is bool:
-            return outcome
-        granted = yield outcome
-        return bool(granted)
 
     def _grant(self, state: LockState, txn_id, record: "Record", mode: LockMode) -> None:
         holders = state.holders
@@ -298,7 +268,7 @@ class LockManager:
         """Fail every queued request on a record (crash/rollback path).
 
         The woken requester counts as an abort; the accounting lives here so
-        both the generator and the ``acquire_nowait`` call sites observe it.
+        every ``acquire_nowait`` call site observes it.
         """
         state = self._table.get(record)
         if state is None:

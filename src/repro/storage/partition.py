@@ -18,7 +18,7 @@ reference tables are a test fixture, ``dict_tables`` in ``tests/conftest.py``.)
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from ..sim.engine import Environment
 from .columnar import ColumnarTable, TableSchema
@@ -63,20 +63,3 @@ class PartitionStore:
             raise TableError(
                 f"table {name!r} does not exist on partition {self.partition_id}"
             ) from exc
-
-    def table_names(self) -> Iterable[str]:
-        return self.tables.keys()
-
-    def total_records(self) -> int:
-        return sum(len(t) for t in self.tables.values())
-
-    def storage_bytes(self) -> int:
-        """Approximate array bytes held by columnar tables (diagnostics).
-
-        Dict-backed tables report 0 — their footprint is spread over boxed
-        Python objects the GC owns, which ``tracemalloc`` (the bench gate's
-        memory accounting) measures instead.
-        """
-        return sum(
-            t.nbytes for t in self.tables.values() if isinstance(t, ColumnarTable)
-        )

@@ -84,7 +84,7 @@ def test_gc_never_touches_what_get_would_serve(tmp_path):
         "protocol": "primo", "durability": "coco", "workload": "ycsb",
         "n_partitions": 2, "metrics": {"committed": 1, "aborted": 0,
                                        "crash_aborted": 0, "duration_us": 1.0,
-                                       "latency": [], "breakdown": {},
+                                       "latency_samples": [], "breakdown": {},
                                        "counters": {}},
         "network_messages": 0, "per_txn_type": {}, "abort_reasons": {},
         "extra": {},

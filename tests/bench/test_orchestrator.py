@@ -158,6 +158,23 @@ def test_corrupt_or_mismatched_cache_entries_are_misses(tmp_path):
     assert outcome.executed == 1 and cache.get(c) is not None
 
 
+def test_an_entry_without_latency_samples_is_a_miss_not_an_empty_run(tmp_path):
+    """A document written when large runs stored a latency sketch instead of
+    their samples must be recomputed, not read as a run with p50 = 0."""
+    cache = ResultCache(tmp_path)
+    c = cell()
+    run_cells([c], jobs=1, cache=cache)
+    path = cache.path_for(c.cache_key())
+    entry = json.loads(path.read_text())
+    assert entry["schema"] == CACHE_SCHEMA_VERSION
+    assert entry["substrate_version"] == SUBSTRATE_VERSION
+    metrics = entry["result"]["metrics"]
+    del metrics["latency_samples"]
+    metrics["latency_sketch"] = {"count": metrics["committed"], "buckets": {}}
+    path.write_text(json.dumps(entry))
+    assert cache.get(c) is None
+
+
 def test_null_cache_never_stores():
     c = cell()
     cache = NullCache()

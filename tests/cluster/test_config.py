@@ -70,4 +70,3 @@ def test_derived_quantities():
                           one_way_network_latency_us=80.0)
     assert config.concurrency_per_partition == 6
     assert config.roundtrip_us == 160.0
-    assert config.total_duration_us == config.warmup_us + config.duration_us

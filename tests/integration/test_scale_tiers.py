@@ -55,7 +55,7 @@ def test_fixed_schema_workloads_get_columnar_tables():
 def test_dynamic_schema_workload_keeps_dict_tables():
     cluster = build(tiny("tpcc"))
     for server in cluster.servers.values():
-        for name in server.store.table_names():
+        for name in server.store.tables:
             assert isinstance(server.store.table(name), Table), name
 
 
@@ -74,7 +74,7 @@ def test_columnar_and_dict_backends_are_bit_identical(workload, request):
     cluster = build(tiny(workload))
     for server in cluster.servers.values():
         assert all(isinstance(server.store.table(name), Table)
-                   for name in server.store.table_names())
+                   for name in server.store.tables)
     assert cluster.run().to_json_dict() == auto
 
 

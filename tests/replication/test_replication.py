@@ -16,7 +16,7 @@ def make_group(n_replicas=3):
 
 def drive(env, generator):
     proc = env.process(generator)
-    env.run_all()
+    env.run()
     assert proc.triggered
     return proc.value
 

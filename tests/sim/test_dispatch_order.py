@@ -2,8 +2,8 @@
 
 ``repro/sim/engine.py`` promises that its heap + zero-delay fast lane dispatch
 in "exactly the order a single heap would produce".  This test generates
-randomized schedules — zero-delay events, heap timeouts, interrupts,
-``succeed_all`` batches, delayed succeeds, and one-way network sends
+randomized schedules — zero-delay events, heap timeouts, ``succeed_all``
+batches, delayed succeeds, and one-way network sends
 interleaved across several actor processes — runs each schedule through the
 real ``Environment`` and through a reference whose fast lane *is* the heap,
 and compares the full event traces: same wake orderings, same sequence
@@ -48,7 +48,6 @@ def run_scenario(environment_cls, seed: int) -> list:
     net = Network(env, one_way_latency_us=2.0, local_latency_us=0.5)
     trace: list = []
     pending: list = []  # events waiting for the pump process to trigger them
-    actors: list = []
 
     def deliver(tag):
         trace.append(("deliver", tag, env.now))
@@ -56,42 +55,33 @@ def run_scenario(environment_cls, seed: int) -> list:
     def actor(i: int, actor_seed: int):
         r = random.Random(actor_seed)
         for step in range(OPS_PER_ACTOR):
-            op = r.randrange(6)
-            try:
-                if op == 0:
-                    delay = r.choice(DELAYS)
-                    to = env.timeout(delay)
-                    yield to
-                    # _seq is only defined for fast-lane (zero-delay) events;
-                    # heap entries carry their seq in the queue tuple.
-                    seq = to._seq if delay == 0.0 else None
-                    trace.append(("timeout", i, step, env.now, seq))
-                elif op == 1:
-                    ev = env.event()
-                    pending.append(ev)
-                    got = yield ev
-                    trace.append(("event", i, step, env.now, got))
-                elif op == 2:
-                    net.send(i % 4, r.randrange(4), deliver, (i, step))
-                    trace.append(("sent", i, step, env.now))
-                    yield env.timeout(r.choice(DELAYS))
-                elif op == 3:
-                    evs = [env.event() for _ in range(r.randrange(1, 4))]
-                    pending.extend(evs)
-                    got = yield evs[0]
-                    trace.append(("batch", i, step, env.now, got))
-                elif op == 4:
-                    victim = actors[r.randrange(len(actors))]
-                    if victim.is_alive:
-                        victim.interrupt(("poke", i, step))
-                    yield env.timeout(r.choice(DELAYS))
-                    trace.append(("poked", i, step, env.now))
-                else:
-                    to = env.timeout(0.0)
-                    yield to
-                    trace.append(("zero", i, step, env.now, to._seq))
-            except engine.Interrupt as exc:
-                trace.append(("interrupted", i, step, env.now, exc.cause))
+            op = r.randrange(5)
+            if op == 0:
+                delay = r.choice(DELAYS)
+                to = env.timeout(delay)
+                yield to
+                # _seq is only defined for fast-lane (zero-delay) events;
+                # heap entries carry their seq in the queue tuple.
+                seq = to._seq if delay == 0.0 else None
+                trace.append(("timeout", i, step, env.now, seq))
+            elif op == 1:
+                ev = env.event()
+                pending.append(ev)
+                got = yield ev
+                trace.append(("event", i, step, env.now, got))
+            elif op == 2:
+                net.send(i % 4, r.randrange(4), deliver, (i, step))
+                trace.append(("sent", i, step, env.now))
+                yield env.timeout(r.choice(DELAYS))
+            elif op == 3:
+                evs = [env.event() for _ in range(r.randrange(1, 4))]
+                pending.extend(evs)
+                got = yield evs[0]
+                trace.append(("batch", i, step, env.now, got))
+            else:
+                to = env.timeout(0.0)
+                yield to
+                trace.append(("zero", i, step, env.now, to._seq))
         return ("done", i)
 
     def pump(pump_seed: int):
@@ -115,12 +105,10 @@ def run_scenario(environment_cls, seed: int) -> list:
             else:
                 pending.extend(live)  # stall this round; retrigger later
 
-    for i in range(N_ACTORS):
-        actors.append(env.process(actor(i, rng.randrange(2**30)), name=f"actor{i}"))
+    actors = [env.process(actor(i, rng.randrange(2**30)), name=f"actor{i}")
+              for i in range(N_ACTORS)]
     env.process(pump(rng.randrange(2**30)), name="pump")
-    # run() and run_all() each inline their own copy of the merge loop; odd
-    # seeds drain through one, even seeds through the other.
-    (env.run_all if seed % 2 else env.run)()
+    env.run()
 
     # A stalling pump can leave parked events untriggered; release them so
     # every actor's completion (or lack of one) is part of the trace.
@@ -128,7 +116,7 @@ def run_scenario(environment_cls, seed: int) -> list:
         ev = pending.pop(0)
         if not ev.triggered:
             ev.succeed(("drain", env.now))
-            env.run_all()
+            env.run()
     for proc in actors:
         trace.append(("exit", proc.triggered and proc.value, env.now))
     trace.append(("final", env.now))

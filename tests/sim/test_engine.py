@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import (
-    Environment,
-    Interrupt,
-    SimulationError,
-    all_of,
-    any_of,
-)
+from repro.sim.engine import Environment, SimulationError, all_of
 
 
 def test_clock_starts_at_zero():
@@ -181,38 +175,21 @@ def test_waiting_on_failed_process_reraises():
     assert outcome == ["inner failure"]
 
 
-def test_interrupt_is_delivered():
-    env = Environment()
-    seen = []
-
-    def sleeper():
-        try:
-            yield env.timeout(1000.0)
-        except Interrupt as interrupt:
-            seen.append(interrupt.cause)
-
-    proc = env.process(sleeper())
-
-    def killer():
-        yield env.timeout(5.0)
-        proc.interrupt("crash")
-
-    env.process(killer())
-    env.run(until=50)
-    assert seen == ["crash"]
-
-
 def test_run_until_stops_the_clock_exactly():
     env = Environment()
+    fired = []
 
     def proc():
         while True:
             yield env.timeout(7.0)
+            fired.append(env.now)
 
     env.process(proc())
     env.run(until=100.0)
     assert env.now == 100.0
-    assert env.peek() >= 100.0
+    assert fired[-1] == 98.0  # the wakeup at 105 is still pending
+    env.run(until=110.0)
+    assert fired[-1] == 105.0
 
 
 def test_run_into_the_past_rejected():
@@ -247,24 +224,6 @@ def test_all_of_empty_fires_immediately():
     assert done.triggered and done.value == []
 
 
-def test_any_of_fires_on_first_event():
-    env = Environment()
-    results = []
-
-    def child(delay, value):
-        yield env.timeout(delay)
-        return value
-
-    def parent():
-        procs = [env.process(child(d, d)) for d in (9, 2, 6)]
-        value = yield any_of(env, procs)
-        results.append((env.now, value))
-
-    env.process(parent())
-    env.run(until=100)
-    assert results == [(2.0, 2)]
-
-
 def test_yielding_non_event_is_an_error():
     env = Environment()
 
@@ -274,18 +233,6 @@ def test_yielding_non_event_is_an_error():
     proc = env.process(bad())
     env.run(until=10)
     assert not proc.ok
-
-
-def test_run_all_detects_runaway_simulations():
-    env = Environment()
-
-    def forever():
-        while True:
-            yield env.timeout(1.0)
-
-    env.process(forever())
-    with pytest.raises(SimulationError):
-        env.run_all(max_events=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -345,50 +292,6 @@ def test_zero_delay_chain_preserves_scheduling_order():
     assert order == [2, 0, 4, 1, 3]
 
 
-def test_interrupt_during_zero_delay_chain():
-    """An interrupt lands at the current time even while a fast-dispatch
-    chain of zero-delay events is draining."""
-    env = Environment()
-    seen = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            seen.append((env.now, interrupt.cause))
-
-    victim_proc = env.process(victim())
-
-    def chain(depth):
-        if depth == 2:
-            victim_proc.interrupt("mid-chain")
-        ev = env.event()
-        ev.succeed(depth)
-        value = yield ev
-        if depth < 4:
-            yield env.process(chain(depth + 1))
-        return value
-
-    env.process(chain(0))
-    env.run(until=50)
-    assert seen == [(0.0, "mid-chain")]
-
-
-def test_interrupting_a_finished_process_is_a_noop():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-        return "done"
-
-    proc = env.process(quick())
-    env.run(until=5)
-    assert proc.value == "done"
-    proc.interrupt("too late")  # must not raise or reschedule anything
-    env.run(until=10)
-    assert proc.value == "done"
-
-
 def test_all_of_with_pre_triggered_events():
     env = Environment()
     done = []
@@ -423,22 +326,6 @@ def test_all_of_with_all_events_already_processed():
     assert done.triggered and done.value == [1, 2]
 
 
-def test_any_of_with_pre_triggered_event_wins_immediately():
-    env = Environment()
-    fast = env.event()
-    fast.succeed("fast")
-    slow = env.timeout(50.0, value="slow")
-    result = []
-
-    def parent():
-        value = yield any_of(env, [fast, slow])
-        result.append((env.now, value))
-
-    env.process(parent())
-    env.run(until=100)
-    assert result == [(0.0, "fast")]
-
-
 def test_multiple_waiters_on_one_event_run_in_subscription_order():
     env = Environment()
     order = []
@@ -455,18 +342,7 @@ def test_multiple_waiters_on_one_event_run_in_subscription_order():
     assert order == ["a", "b", "c", "d"]
 
 
-def test_peek_sees_zero_delay_events_at_the_current_time():
-    env = Environment()
-    env.timeout(7.0)
-    assert env.peek() == 7.0
-    ev = env.event()
-    ev.succeed(None)
-    assert env.peek() == 0.0
-    env.step()  # drains the zero-delay event first
-    assert env.peek() == 7.0
-
-
-def test_step_interleaves_fast_and_heap_lanes_in_global_order():
+def test_run_interleaves_fast_and_heap_lanes_in_global_order():
     """A heap event at the current time that was scheduled *earlier* beats a
     zero-delay event scheduled *later*, even while the fast lane is hot."""
     env = Environment()
@@ -493,8 +369,7 @@ def test_step_interleaves_fast_and_heap_lanes_in_global_order():
     env.process(a())
     env.process(b())
     env.process(c())
-    while env.peek() != float("inf"):  # drive via step() to cover its merge path
-        env.step()
+    env.run()
     assert order == ["heap-1", "heap-2", "fast"]
 
 
@@ -506,36 +381,6 @@ def test_succeed_with_delay_goes_through_the_heap():
     ev.add_callback(lambda e: seen.append(env.now))
     env.run(until=10)
     assert seen == [4.0]
-
-
-def test_interrupt_racing_a_same_tick_succeed_does_not_corrupt_the_process():
-    """If the awaited event fires and an interrupt lands in the same tick,
-    the interrupt wins — and the now-stale wakeup must NOT spuriously resume
-    the generator while it waits on its next event."""
-    env = Environment()
-    trace = []
-
-    def victim():
-        first = env.event()
-        env.process(racer(first))
-        try:
-            value = yield first
-            trace.append(("value", value, env.now))
-        except Interrupt as interrupt:
-            trace.append(("interrupt", interrupt.cause, env.now))
-        second = yield env.timeout(50.0, value="T")
-        trace.append(("second", second, env.now))
-
-    def racer(first):
-        yield env.timeout(5.0)
-        first.succeed("E-value")
-        victim_proc.interrupt("boom")
-
-    victim_proc = env.process(victim())
-    env.run(until=1000)
-    # The interrupt is delivered at t=5 and the later timeout still returns
-    # its own value at t=55 (no phantom send(None) from the stale wakeup).
-    assert trace == [("interrupt", "boom", 5.0), ("second", "T", 55.0)]
 
 
 # -- batched wakeups (Environment.succeed_all) ------------------------------
@@ -581,7 +426,7 @@ def _batched_scenario(n_waiters, with_heap_interleave, batched=True):
         env.process(heap_observer(5.0, "same-time"))
         env.process(heap_observer(6.0, "later"))
     env.process(releaser())
-    env.run_all()
+    env.run()
     return order
 
 
@@ -604,7 +449,7 @@ def test_succeed_all_marks_events_triggered_immediately():
     assert all(event.value == "v" for event in events)
     # Callbacks have not run yet: the shared notify is still queued.
     assert not any(event.processed for event in events)
-    env.run_all()
+    env.run()
     assert all(event.processed for event in events)
 
 
@@ -619,7 +464,7 @@ def test_succeed_all_rejects_already_triggered_events():
 def test_succeed_all_empty_batch_is_a_noop():
     env = Environment()
     env.succeed_all([], "unused")
-    env.run_all()  # queue is empty; nothing to dispatch
+    env.run()  # queue is empty; nothing to dispatch
 
 
 def test_succeed_all_waiters_may_subscribe_between_trigger_and_dispatch():
@@ -630,5 +475,5 @@ def test_succeed_all_waiters_may_subscribe_between_trigger_and_dispatch():
     seen = []
     env.succeed_all([event, other], 42)
     event.add_callback(lambda e: seen.append(e.value))
-    env.run_all()
+    env.run()
     assert seen == [42]

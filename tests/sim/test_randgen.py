@@ -49,13 +49,6 @@ def test_last_name_syllables():
     assert len(rng.last_name(999)) > 0
 
 
-def test_sample_without_replacement_unique():
-    rng = DeterministicRandom(3)
-    sample = rng.sample_without_replacement(0, 99, 50)
-    assert len(sample) == len(set(sample)) == 50
-    assert all(0 <= value <= 99 for value in sample)
-
-
 def test_zipf_rejects_bad_parameters():
     rng = DeterministicRandom(1)
     with pytest.raises(ValueError):

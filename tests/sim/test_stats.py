@@ -36,8 +36,7 @@ def test_latency_recorder_empty_is_zero():
 
 
 def test_latency_recorder_mean_and_percentiles():
-    recorder = LatencyRecorder()
-    recorder.extend(float(v) for v in range(1, 101))
+    recorder = LatencyRecorder.from_samples(range(1, 101))
     assert recorder.count == 100
     assert recorder.mean == pytest.approx(50.5)
     assert recorder.p50 == pytest.approx(50.0)
@@ -51,8 +50,7 @@ def test_latency_recorder_mean_and_percentiles():
 @given(samples=st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=1, max_size=200))
 def test_latency_percentiles_are_order_statistics(samples):
     """Property: any percentile is one of the samples and p99 >= p50 >= min."""
-    recorder = LatencyRecorder()
-    recorder.extend(samples)
+    recorder = LatencyRecorder.from_samples(samples)
     assert recorder.p50 in samples
     assert recorder.p99 in samples
     assert recorder.p99 >= recorder.p50 >= min(samples)
@@ -74,16 +72,6 @@ def test_breakdown_timer_average_per_transaction():
 def test_breakdown_timer_rejects_negative_durations():
     with pytest.raises(ValueError):
         BreakdownTimer().add("execute", -1.0)
-
-
-def test_breakdown_timer_merge():
-    a, b = BreakdownTimer(), BreakdownTimer()
-    a.add("commit", 5.0)
-    a.finish_transaction()
-    b.add("commit", 15.0)
-    b.finish_transaction()
-    a.merge(b)
-    assert a.per_transaction()["commit"] == pytest.approx(10.0)
 
 
 def test_run_metrics_throughput_and_rates():
@@ -112,11 +100,11 @@ def test_run_metrics_summary_contains_breakdown():
     assert summary["mean_latency_ms"] == pytest.approx(2.0)
 
 
-# -- merge order independence (pool orchestrator contract) ------------------
+# -- order independence -------------------------------------------------------
 #
-# The orchestrator merges per-worker shards in whatever order the pool
-# completes them; every stats class must therefore report identical values
-# regardless of merge order.
+# ``Cluster.run`` folds its counters into the run's metrics, and a run's
+# commits record their latencies in whatever order the simulation resolves
+# them; neither order may change what is reported.
 
 _counter_shards = st.lists(
     st.dictionaries(
@@ -143,41 +131,6 @@ def test_counter_merge_is_order_independent(shards, seed):
     assert merged(shards) == merged(shuffled)
 
 
-_breakdown_shards = st.lists(
-    st.lists(
-        st.tuples(
-            st.sampled_from(BREAKDOWN_COMPONENTS + ("custom_component",)),
-            st.floats(min_value=0.0, max_value=1e6),
-        ),
-        max_size=6,
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(shards=_breakdown_shards, seed=st.randoms(use_true_random=False))
-def test_breakdown_merge_is_order_independent(shards, seed):
-    def merged(order):
-        total = BreakdownTimer()
-        for shard in order:
-            timer = BreakdownTimer()
-            for component, duration in shard:
-                timer.add(component, duration)
-            timer.finish_transaction()
-            total.merge(timer)
-        return total.per_transaction(), total.total("custom_component")
-
-    shuffled = list(shards)
-    seed.shuffle(shuffled)
-    per_txn, custom = merged(shards)
-    per_txn_shuffled, custom_shuffled = merged(shuffled)
-    # Equal up to float summation order (addition is not associative).
-    assert per_txn == pytest.approx(per_txn_shuffled)
-    assert custom == pytest.approx(custom_shuffled)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     shards=st.lists(
@@ -191,7 +144,8 @@ def test_latency_merge_is_order_independent(shards, seed):
     def merged(order):
         total = LatencyRecorder()
         for shard in order:
-            total.extend(shard)
+            for sample in shard:
+                total.record(sample)
         return (total.count, total.mean, total.p50, total.p99, total.max)
 
     count, mean, p50, p99, peak = merged(shards)
@@ -204,8 +158,7 @@ def test_latency_merge_is_order_independent(shards, seed):
 
 def test_latency_sorted_cache_invalidated_by_append():
     """p50/p99/max reuse one sorted view until a new sample invalidates it."""
-    recorder = LatencyRecorder()
-    recorder.extend([5.0, 1.0, 3.0])
+    recorder = LatencyRecorder.from_samples([5.0, 1.0, 3.0])
     assert recorder.max == 5.0
     assert recorder.p50 == 3.0
     # Appending a new minimum must be visible immediately (no stale cache).
@@ -220,7 +173,8 @@ def test_p999_is_deterministic_and_tracks_appends():
     """The open-loop tail accessor: nearest-rank, cached, append-invalidated."""
     recorder = LatencyRecorder()
     assert recorder.p999 == 0.0
-    recorder.extend(float(v) for v in range(1, 1001))
+    for v in range(1, 1001):
+        recorder.record(float(v))
     assert recorder.p999 == 999.0  # nearest rank of 99.9% over 1000 samples
     assert recorder.p999 == recorder.percentile(99.9)
     assert recorder.p999 >= recorder.p99 >= recorder.p50
@@ -380,46 +334,6 @@ def test_windowed_recorder_round_trip_repairs_missing_latency_windows():
     assert clone.mean_latency_us() == [50.0, 0.0, 0.0]
 
 
-def test_windowed_recorder_merge_sums_aligned_series():
-    from repro.sim.stats import WindowedRecorder
-
-    a = WindowedRecorder(window_us=100.0)
-    b = WindowedRecorder(window_us=100.0)
-    a.record(50.0)
-    a.record_latency(50.0, 100.0)
-    b.record(150.0)
-    b.record(250.0)
-    b.record_latency(150.0, 300.0)
-    a.merge(b)
-    assert a.counts() == [1, 1, 1]
-    assert a.mean_latency_us() == [100.0, 300.0, 0.0]
-
-
-def test_windowed_recorder_merge_realigns_coarsened_widths():
-    from repro.sim.stats import WindowedRecorder
-
-    coarse = WindowedRecorder(window_us=1.0, max_windows=4)
-    for t in range(8):
-        coarse.record(float(t))  # width doubles to 2.0
-    fine = WindowedRecorder(window_us=1.0, max_windows=4)
-    fine.record(0.0)
-    before = fine.to_json_dict()
-    coarse.merge(fine)
-    assert coarse.window_us == 2.0
-    assert coarse.counts() == [3, 2, 2, 2]
-    # Merging does not mutate the finer source.
-    assert fine.to_json_dict() == before
-
-
-def test_windowed_recorder_merge_rejects_mismatched_origins():
-    from repro.sim.stats import WindowedRecorder
-
-    a = WindowedRecorder(window_us=100.0, origin_us=0.0)
-    b = WindowedRecorder(window_us=100.0, origin_us=500.0)
-    with pytest.raises(ValueError, match="different origins"):
-        a.merge(b)
-
-
 def test_windowed_recorder_validates_construction():
     from repro.sim.stats import WindowedRecorder
 
@@ -445,3 +359,15 @@ def test_run_metrics_timeline_round_trips():
     bare = RunMetrics()
     assert "timeline" not in bare.to_json_dict()
     assert RunMetrics.from_json_dict(bare.to_json_dict()).timeline is None
+
+
+def test_run_metrics_keep_every_raw_sample():
+    metrics = RunMetrics(duration_us=1.0, committed=3)
+    for sample in (1.0, 2.0, 3.0):
+        metrics.latency.record(sample)
+    doc = metrics.to_json_dict()
+    assert doc["latency_samples"] == [1.0, 2.0, 3.0]
+    assert RunMetrics.from_json_dict(doc).latency.samples == [1.0, 2.0, 3.0]
+    del doc["latency_samples"]
+    with pytest.raises(KeyError):
+        RunMetrics.from_json_dict(doc)

@@ -17,12 +17,13 @@ def make_manager(policy=LockPolicy.WAIT_DIE):
 
 
 def acquire(env, manager, tid, record, mode, policy=None):
-    """Drive an acquire generator to completion and return its result."""
-    proc = env.process(manager.acquire(tid, record, mode, policy))
+    """Acquire, let a queued request run for a while, and return the grant
+    flag (``None`` while still waiting)."""
+    outcome = manager.acquire_nowait(tid, record, mode, policy)
+    if type(outcome) is bool:
+        return outcome
     env.run(until=env.now + 1_000)
-    if not proc.triggered:
-        return None  # still waiting
-    return proc.value
+    return outcome.value if outcome.triggered else None
 
 
 def test_shared_locks_are_compatible():
@@ -73,7 +74,7 @@ def test_wait_die_older_waits_and_gets_lock_on_release():
     record = Record(1, {})
     young, old = TxnId(10, 0), TxnId(1, 0)
     assert acquire(env, manager, young, record, LockMode.EXCLUSIVE) is True
-    waiter = env.process(manager.acquire(old, record, LockMode.EXCLUSIVE))
+    waiter = manager.acquire_nowait(old, record, LockMode.EXCLUSIVE)
     env.run(until=env.now + 10)
     assert not waiter.triggered  # still waiting
     manager.release_all(young)
@@ -97,7 +98,7 @@ def test_new_requests_do_not_overtake_queued_waiters():
     holder = TxnId(5, 0)
     upgrader = TxnId(1, 0)  # older, so it waits
     assert acquire(env, manager, holder, record, LockMode.SHARED) is True
-    waiter = env.process(manager.acquire(upgrader, record, LockMode.EXCLUSIVE))
+    waiter = manager.acquire_nowait(upgrader, record, LockMode.EXCLUSIVE)
     env.run(until=env.now + 5)
     assert not waiter.triggered
     # A brand-new shared request (even an old one) must not jump the queue.
@@ -115,7 +116,7 @@ def test_wait_die_considers_queued_waiters_for_age_check():
     oldest = TxnId(1, 0)
     middle = TxnId(5, 0)
     assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
-    env.process(manager.acquire(oldest, record, LockMode.EXCLUSIVE))
+    manager.acquire_nowait(oldest, record, LockMode.EXCLUSIVE)
     env.run(until=env.now + 5)
     # ``middle`` is older than the holder but younger than the queued waiter,
     # so it must die (waiting would allow wait-for cycles with parallel 2PC).
@@ -130,7 +131,7 @@ def test_release_wakes_compatible_shared_waiters_together():
     # (waiting only for younger transactions keeps WAIT_DIE deadlock-free).
     readers = [TxnId(2, 0), TxnId(1, 0)]
     assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
-    procs = [env.process(manager.acquire(r, record, LockMode.SHARED)) for r in readers]
+    procs = [manager.acquire_nowait(r, record, LockMode.SHARED) for r in readers]
     env.run(until=env.now + 5)
     manager.release_all(holder)
     env.run(until=env.now + 5)
@@ -162,7 +163,7 @@ def test_abort_waiters_fails_queued_requests():
     record = Record(1, {})
     holder, waiter_tid = TxnId(9, 0), TxnId(1, 0)
     assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
-    waiter = env.process(manager.acquire(waiter_tid, record, LockMode.EXCLUSIVE))
+    waiter = manager.acquire_nowait(waiter_tid, record, LockMode.EXCLUSIVE)
     env.run(until=env.now + 5)
     manager.abort_waiters(record)
     env.run(until=env.now + 5)
@@ -244,7 +245,7 @@ def test_release_wakes_waiters_in_acquisition_order_not_hash_order(release):
     woken = []
 
     def waiter(tid, record):
-        yield from manager.acquire(tid, record, LockMode.EXCLUSIVE)
+        yield manager.acquire_nowait(tid, record, LockMode.EXCLUSIVE)
         woken.append(record.key)
 
     # Older transactions wait (WAIT_DIE); queue them against hash order too.

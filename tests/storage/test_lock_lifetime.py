@@ -28,14 +28,15 @@ def live_states() -> int:
 def record_granted_rows(monkeypatch) -> set:
     """Every (manager, row key) a synchronous acquire has granted so far."""
     granted = set()
-    for name in ("acquire_nowait", "try_acquire"):
-        def spy(self, txn_id, record, *args, _inner=getattr(LockManager, name)):
-            outcome = _inner(self, txn_id, record, *args)
-            if outcome is True:
-                granted.add((id(self), record.key))
-            return outcome
+    inner = LockManager.acquire_nowait
 
-        monkeypatch.setattr(LockManager, name, spy)
+    def spy(self, txn_id, record, *args):
+        outcome = inner(self, txn_id, record, *args)
+        if outcome is True:
+            granted.add((id(self), record.key))
+        return outcome
+
+    monkeypatch.setattr(LockManager, "acquire_nowait", spy)
     return granted
 
 
