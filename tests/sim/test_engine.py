@@ -235,6 +235,129 @@ def test_yielding_non_event_is_an_error():
     assert not proc.ok
 
 
+def test_process_requires_a_generator():
+    env = Environment()
+    with pytest.raises(SimulationError, match="generator"):
+        env.process(lambda: None)  # type: ignore[arg-type]
+
+
+def test_run_without_until_drains_and_returns_the_last_event_time():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(3.0)
+        yield env.timeout(4.5)
+
+    env.process(proc())
+    assert env.run() == 7.5
+    assert env.now == 7.5
+    # An empty queue with a horizon still moves the clock to it.
+    assert env.run(until=20.0) == 20.0
+    assert env.now == 20.0
+
+
+def test_processes_start_at_creation_time_in_creation_order():
+    env = Environment()
+    env.run(until=12.0)
+    started = []
+
+    def proc(label):
+        started.append((label, env.now))
+        yield env.timeout(0.0)
+
+    for label in ("a", "b", "c"):
+        env.process(proc(label))
+    assert started == []  # a process only starts once the loop runs
+    env.run()
+    assert started == [("a", 12.0), ("b", 12.0), ("c", 12.0)]
+
+
+def test_callback_added_after_dispatch_runs_at_once():
+    env = Environment()
+    event = env.event()
+    event.succeed("v")
+    env.run()
+    assert event.processed
+    seen = []
+    event.add_callback(lambda e: seen.append((e.value, env.now)))
+    assert seen == [("v", 0.0)]
+
+
+def test_waiting_on_a_finished_process_resumes_at_the_current_time():
+    env = Environment()
+
+    def child():
+        yield env.timeout(1.0)
+        return "done"
+
+    child_proc = env.process(child())
+    env.run(until=5.0)
+    resumed = []
+
+    def late_waiter():
+        value = yield child_proc
+        resumed.append((value, env.now))
+
+    env.process(late_waiter())
+    env.run(until=9.0)
+    assert resumed == [("done", 5.0)]
+
+
+def test_fail_with_delay_reaches_the_waiter_at_that_time():
+    env = Environment()
+    event = env.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield event
+        except KeyError as exc:
+            caught.append((exc.args[0], env.now))
+
+    env.process(waiter())
+    event.fail(KeyError("late"), delay=6.0)
+    env.run()
+    assert caught == [("late", 6.0)]
+
+
+def test_all_of_puts_a_failed_events_exception_in_its_slot():
+    env = Environment()
+    good = env.timeout(2.0, value="ok")
+    bad = env.event()
+    bad.fail(ValueError("lost"), delay=1.0)
+    done = all_of(env, [good, bad])
+    env.run()
+    first, second = done.value
+    assert first == "ok"
+    assert isinstance(second, ValueError) and str(second) == "lost"
+
+
+def test_a_finished_process_is_freed_without_the_cycle_collector():
+    """Finishing drops the bound resume method that points back at the
+    process, so reference counting alone reclaims it."""
+    import gc
+
+    def drive():
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+
+        for _ in range(10):
+            env.process(proc())
+        env.run()
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        drive()
+        assert gc.collect() == 0  # nothing was left for the collector
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Ordering invariants the zero-delay fast-dispatch lane must preserve.
 # ---------------------------------------------------------------------------

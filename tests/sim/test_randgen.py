@@ -49,6 +49,45 @@ def test_last_name_syllables():
     assert len(rng.last_name(999)) > 0
 
 
+def test_uniform_int_covers_both_inclusive_bounds():
+    rng = DeterministicRandom(4)
+    draws = {rng.uniform_int(3, 6) for _ in range(400)}
+    assert draws == {3, 4, 5, 6}
+
+
+def test_exponential_with_a_non_positive_mean_is_zero():
+    rng = DeterministicRandom(8)
+    assert rng.exponential(0.0) == 0.0
+    assert rng.exponential(-3.0) == 0.0
+
+
+def test_exponential_sample_mean_tracks_the_requested_mean():
+    rng = DeterministicRandom(21)
+    draws = [rng.exponential(250.0) for _ in range(20_000)]
+    assert min(draws) >= 0.0
+    assert sum(draws) / len(draws) == pytest.approx(250.0, rel=0.05)
+
+
+def test_choice_and_shuffle_follow_the_seed():
+    def stream(seed):
+        rng = DeterministicRandom(seed)
+        items = list(range(20))
+        rng.shuffle(items)
+        return [rng.choice("abcdef") for _ in range(10)], items
+
+    assert stream(17) == stream(17)
+    assert stream(17) != stream(18)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    base=st.integers(min_value=0, max_value=2**70),
+    components=st.lists(st.integers(min_value=0, max_value=2**40), max_size=4),
+)
+def test_derive_seed_stays_within_64_bits(base, components):
+    assert 0 <= derive_seed(base, *components) < 2**64
+
+
 def test_zipf_rejects_bad_parameters():
     rng = DeterministicRandom(1)
     with pytest.raises(ValueError):

@@ -74,6 +74,31 @@ def test_breakdown_timer_rejects_negative_durations():
         BreakdownTimer().add("execute", -1.0)
 
 
+def test_breakdown_with_no_transactions_is_all_zero():
+    timer = BreakdownTimer()
+    timer.add("execute", 7.0)  # recorded, but no transaction finished
+    assert timer.per_transaction() == {c: 0.0 for c in BREAKDOWN_COMPONENTS}
+    assert timer.total("execute") == 7.0
+
+
+def test_breakdown_total_of_a_never_recorded_component_is_zero():
+    assert BreakdownTimer().total("component_nobody_recorded") == 0.0
+
+
+def test_breakdown_json_keeps_only_non_zero_components():
+    timer = BreakdownTimer()
+    timer.add("commit", 4.0)
+    timer.add("execute", 0.0)
+    timer.finish_transaction()
+    assert timer.to_json_dict() == {"totals": {"commit": 4.0}, "txn_count": 1}
+
+
+def test_counter_from_dict_coerces_values_to_int():
+    counter = Counter.from_dict({"commits": 3.0, "aborts": "2"})
+    assert counter.as_dict() == {"commits": 3, "aborts": 2}
+    assert all(type(v) is int for v in counter.as_dict().values())
+
+
 def test_run_metrics_throughput_and_rates():
     metrics = RunMetrics(duration_us=1_000_000.0, committed=5_000, aborted=1_000)
     assert metrics.throughput_tps == pytest.approx(5_000.0)
@@ -305,6 +330,17 @@ def test_windowed_recorder_ignores_trailing_silence():
     rec.record_latency(800.0, 50.0)  # grows the count series with zeros
     assert rec.counts()[-1] == 0
     assert rec.degradation_depth() == 0.0
+
+
+def test_windowed_recorder_with_fewer_than_two_windows_reports_no_dip():
+    from repro.sim.stats import WindowedRecorder
+
+    rec = WindowedRecorder(window_us=100.0)
+    assert rec.degradation_depth() == 0.0
+    assert rec.time_to_recovery_us() == 0.0
+    rec.record(10.0)
+    assert rec.degradation_depth() == 0.0
+    assert rec.time_to_recovery_us() == 0.0
 
 
 def test_windowed_recorder_json_round_trip():
