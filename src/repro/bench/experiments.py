@@ -617,7 +617,8 @@ def appendix_render(scale: BenchScale, results: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Open-loop load curves (ROADMAP item 1 — not a paper figure)
+# Open-loop load curves (README "Open-loop load & latency curves" — not a
+# paper figure)
 # ---------------------------------------------------------------------------
 
 #: Protocols compared on the offered-load sweep.

@@ -17,6 +17,14 @@ notification and runs the paper's recovery sequence:
    (their results were never returned to clients) using the undo images in the
    partitions' logs, everything below is acknowledged;
 4. normal processing resumes.
+
+The history these steps read is bounded.  Step 3 reads only write-sets at or
+above the agreed watermark, and no recovery can agree on less than
+:meth:`RecoveryCoordinator.lowest_agreeable_watermark`.  Re-delivery is a
+no-op for a commit decision whose writes every target has installed.  Under
+WM each partition's watermark tick drops both kinds from its own log
+(:meth:`repro.commit.logging.LogManager.forget`), so a faulted run keeps
+about a watermark lag of history, not the whole run.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ class RecoveryCoordinator:
         self.env = cluster.env
         self.stats = {"recoveries": 0, "rolled_back": 0}
         self._in_progress: set[int] = set()
+        # Terms whose watermarks are published and whose rollback has not run.
+        self._agreeing: set[int] = set()
 
     def start(self) -> None:
         self.cluster.membership.on_failure(self._on_failure)
@@ -96,16 +106,12 @@ class RecoveryCoordinator:
 
         # (2) watermark agreement via the membership service (TERM-ID keyed).
         term = cluster.membership.new_recovery_term()
-        for pid, server in cluster.servers.items():
-            if pid == partition_id:
-                watermark = server.log.latest_persisted_watermark()
-            elif isinstance(cluster.durability, WatermarkGroupCommit):
-                watermark = cluster.durability.latest_partition_watermark(pid)
-            else:
-                watermark = server.partition_watermark
+        for pid, watermark in self.watermarks_to_publish(partition_id).items():
             cluster.membership.publish_watermark(term, pid, watermark)
         # Publishing goes through the membership service's consensus: charge a
         # round trip per partition (they run in parallel, so one round trip).
+        # Until the rollback, what this term publishes bounds what logs forget.
+        self._agreeing.add(term)
         yield self.env.timeout(cluster.network.roundtrip_us(0, partition_id))
         agreed = cluster.membership.agreed_global_watermark(term) or 0.0
 
@@ -113,6 +119,7 @@ class RecoveryCoordinator:
         rolled_back = 0
         for server in cluster.servers.values():
             rolled_back += self._rollback_partition(server, agreed)
+        self._agreeing.discard(term)
         self.stats["rolled_back"] += rolled_back
         cluster.counters.increment("recovery_rolled_back", rolled_back)
 
@@ -140,6 +147,42 @@ class RecoveryCoordinator:
         cluster.counters.increment(
             "recovery_time_us", int(round(self.env.now - recovery_started))
         )
+
+    # -- the cut ------------------------------------------------------------------------
+    def watermarks_to_publish(self, failed_partition: int) -> dict[int, float]:
+        """What every partition would publish now if ``failed_partition`` failed.
+
+        The failed partition offers the last watermark its log persisted, the
+        others their partition watermark.  Only WM sets one, so under every
+        other scheme each value is 0.0.  No value ever decreases.
+        """
+        cluster = self.cluster
+        watermarks = {}
+        for pid, server in cluster.servers.items():
+            if pid == failed_partition:
+                watermarks[pid] = server.log.latest_persisted_watermark()
+            elif isinstance(cluster.durability, WatermarkGroupCommit):
+                watermarks[pid] = cluster.durability.latest_partition_watermark(pid)
+            else:
+                watermarks[pid] = server.partition_watermark
+        return watermarks
+
+    def lowest_agreeable_watermark(self) -> float:
+        """The lowest global watermark any recovery can still agree on.
+
+        A recovery agrees on the maximum of what its partitions publish, and
+        no published value decreases.  So a recovery that publishes later
+        agrees on at least the minimum, over the partition that fails, of the
+        maximum :meth:`watermarks_to_publish` gives now.  A recovery that has
+        published but not rolled back yet agrees on what it published.  No
+        rollback can select a write-set below the result.
+        """
+        membership = self.cluster.membership
+        lowest = min(max(self.watermarks_to_publish(pid).values())
+                     for pid in self.cluster.servers)
+        for term in self._agreeing:
+            lowest = min(lowest, membership.agreed_global_watermark(term))
+        return lowest
 
     def _redeliver_lost_writes(self, crashed_partition: int, agreed_watermark: float) -> int:
         """Re-install writes below the agreed watermark that never reached the

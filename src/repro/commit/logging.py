@@ -28,6 +28,14 @@ the same state, and only while the log keeps its history
 A fault-free run can never recover, so its write-set and commit-decision
 records carry no payload at all.  No redo copy of a write-set is kept:
 nothing replays one.
+
+Under a fault plan the history is bounded too.  Each WM watermark tick
+calls :meth:`LogManager.forget`, which drops the records no recovery can
+read any more: write-sets below the lowest watermark a recovery can still
+agree on, commit decisions every target has installed, and watermark records
+older than the newest persisted one.  So the retained history is about one
+watermark lag, not the whole run.  A rollback that asks for history below what
+was forgotten raises, as every helper does on a log that kept no history.
 """
 
 from __future__ import annotations
@@ -89,6 +97,8 @@ class LogManager:
         # so the history is unreachable) to keep log memory bounded by the
         # unflushed tail instead of growing with every committed transaction.
         self.retain_history = True
+        # Every write-set below this was dropped by forget().
+        self.forgotten_below = 0.0
         self.durable_lsn = 0
         self._flush_in_progress = False
         self._flush_waiters: list[Event] = []
@@ -191,6 +201,11 @@ class LogManager:
     def writeset_records_at_or_after(self, ts: float) -> list[LogRecord]:
         """Write-set records with transaction timestamp >= ts (rollback targets)."""
         self._require_history()
+        if ts < self.forgotten_below:
+            raise RuntimeError(
+                f"write-sets below {self.forgotten_below} were forgotten on partition "
+                f"{self.partition_id}; a rollback from {ts} would undo too little"
+            )
         return [
             r
             for r in self._all_records
@@ -198,11 +213,60 @@ class LogManager:
         ]
 
     def latest_persisted_watermark(self) -> float:
-        """The most recent partition watermark known durable (used at fail-over)."""
+        """The most recent partition watermark known durable (used at fail-over).
+
+        A partition watermark never decreases, so the newest replicated
+        ``WATERMARK`` record holds the largest value.
+        """
         self._require_history()
-        persisted = [
-            r.payload.get("watermark", 0.0)
-            for r in self._all_records
-            if r.kind is LogRecordKind.WATERMARK and r.lsn <= self.replication.highest_replicated_lsn()
-        ]
-        return max(persisted) if persisted else 0.0
+        record = self._newest_persisted_watermark()
+        return 0.0 if record is None else record.payload["watermark"]
+
+    def _newest_persisted_watermark(self) -> Optional[LogRecord]:
+        persisted = self.replication.highest_replicated_lsn()
+        for record in reversed(self._all_records):
+            if record.kind is LogRecordKind.WATERMARK and record.lsn <= persisted:
+                return record
+        return None
+
+    def forget(self, writeset_floor: float, decision_floor: float) -> None:
+        """Drop the history no recovery can read any more.
+
+        * A write-set below ``writeset_floor``, the lowest watermark any
+          recovery can still agree on: the rollback selects only write-sets
+          at or above the agreed watermark.
+        * A commit decision below ``decision_floor``, the lowest partition
+          watermark, that ships no insert.  Every target of a non-insert
+          write registered the transaction at its dummy read, which holds
+          the target's watermark at or below the commit timestamp until the
+          write is installed.  Re-delivery would find each row at that
+          timestamp already and skip it.  An insert registers nothing, so a
+          decision that ships one is kept.
+        * Every ``WATERMARK`` record older than the newest persisted one,
+          which is all :meth:`latest_persisted_watermark` reads.
+
+        Records of other kinds are kept.
+        """
+        self.forgotten_below = max(self.forgotten_below, writeset_floor)
+        newest = self._newest_persisted_watermark()
+        newest_watermark = 0 if newest is None else newest.lsn
+        kept = []
+        for record in self._all_records:
+            kind = record.kind
+            if kind is LogRecordKind.WRITESET:
+                if record.txn_ts < writeset_floor:
+                    continue
+            elif kind is LogRecordKind.COMMIT_DECISION:
+                if record.txn_ts < decision_floor and not _ships_an_insert(record.payload):
+                    continue
+            elif kind is LogRecordKind.WATERMARK:
+                if record.lsn < newest_watermark:
+                    continue
+            kept.append(record)
+        self._all_records = kept
+
+
+def _ships_an_insert(payload: Optional[dict]) -> bool:
+    """Whether a commit decision's shipped write-sets hold an insert."""
+    return payload is not None and any(
+        write[3] for writes in payload.values() for write in writes)

@@ -57,6 +57,29 @@ def test_recovery_agrees_on_the_maximum_published_watermark():
     assert agreed == max(published.values())
 
 
+@pytest.mark.parametrize("durability", ["wm", "coco"])
+def test_the_lowest_agreeable_watermark_is_the_least_a_recovery_can_agree_on(durability):
+    cluster = Cluster(crash_config(durability=durability), tiny_ycsb(), faults=CRASH)
+    recovery = cluster.recovery
+    if durability == "coco":
+        # No other scheme sets a partition watermark: nothing is ever below it.
+        assert recovery.lowest_agreeable_watermark() == 0.0
+        return
+    for state, wp in zip(cluster.durability._states.values(), (10.0, 30.0)):
+        state.wp = wp
+    # The failed partition offers what its log persisted (nothing yet).
+    assert recovery.watermarks_to_publish(0) == {0: 0.0, 1: 30.0}
+    assert recovery.watermarks_to_publish(1) == {0: 10.0, 1: 0.0}
+    assert recovery.lowest_agreeable_watermark() == 10.0
+    # A recovery that published and has not rolled back yet agrees on what
+    # it published, however far the watermarks move meanwhile.
+    term = cluster.membership.new_recovery_term()
+    for pid, watermark in {0: 5.0, 1: 7.0}.items():
+        cluster.membership.publish_watermark(term, pid, watermark)
+    recovery._agreeing.add(term)
+    assert recovery.lowest_agreeable_watermark() == 7.0
+
+
 def test_rollback_preserves_the_transfer_invariant():
     """After crash + rollback the total balance must still be conserved."""
     workload = TransferWorkload(accounts_per_partition=100)

@@ -8,16 +8,23 @@ a fault plan.  On a fault-free run no row is copied for the log, no
 write-set or commit-decision record carries a payload, and a record dies
 once its flush is done.  The collector is off where objects are counted, and
 everything here counts objects or calls; nothing depends on the machine.
+
+Under a fault plan the log keeps what a recovery can still read, so a faulted
+run's retained history is bounded too, and forgetting the rest changes no
+result.
 """
 
 import gc
+import json
 
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.recovery import RecoveryCoordinator
 from repro.commit import DURABILITY_REGISTRY
-from repro.commit.logging import LogRecord, LogRecordKind
-from repro.faults import fault
+from repro.commit.logging import LogManager, LogRecord, LogRecordKind
+from repro.faults import fault, standard_storm
+from repro.scenario import ScenarioSpec, build
 from repro.storage.columnar import ColumnarRecord
 from repro.storage.record import Record
 
@@ -86,11 +93,14 @@ def test_a_crash_plan_keeps_undo_images_and_no_redo_list(protocol, monkeypatch):
     config = tiny_config(protocol, duration_us=20_000.0, heartbeat_interval_us=500.0,
                          heartbeat_timeout_us=2_000.0)
     cluster = Cluster(config, tiny_ycsb(), faults=[fault("crash", at_us=10_000.0, target=1)])
-    result = cluster.run()
-    assert cluster.recovery.stats["recoveries"] >= 1 and result.committed > 0
+    # Under WM the watermark ticks forget history from about 5 ms on, and a
+    # drained run has forgotten all of it: look before anything is forgotten.
+    cluster.start()
+    cluster.env.run(until=4_000.0)
+    logs = [server.log for server in cluster.servers.values()]
+    assert all(len(log.records()) == log.stats["appends"] for log in logs)
 
-    writesets = [record for server in cluster.servers.values()
-                 for record in server.log.records(LogRecordKind.WRITESET)]
+    writesets = [record for log in logs for record in log.records(LogRecordKind.WRITESET)]
     assert writesets
     # One flat (table, key, image) tuple per record; a ycsb row is columnar,
     # so its image is a tuple of column values (None: an insert).
@@ -102,11 +112,72 @@ def test_a_crash_plan_keeps_undo_images_and_no_redo_list(protocol, monkeypatch):
     # The images are copies of the rows, taken at install by undo_image().
     assert copies and set(copies) == {(ColumnarRecord, "undo_image")}
     if protocol == "primo":
-        decisions = [record for server in cluster.servers.values()
-                     for record in server.log.records(LogRecordKind.COMMIT_DECISION)]
+        decisions = [record for log in logs
+                     for record in log.records(LogRecordKind.COMMIT_DECISION)]
         assert decisions
         # {partition: tuple of shipped writes}, no wrapper.
         assert all(type(record.payload) is dict and record.payload
                    and all(type(partition) is int and type(writes) is tuple
                            for partition, writes in record.payload.items())
                    for record in decisions)
+
+    result = cluster.run()
+    assert cluster.recovery.stats["recoveries"] >= 1 and result.committed > 0
+
+
+#: primo at ``tiny`` under three fault plans, (workload, plan) -> (config
+#: overrides, faults).  TPC-C runs shorter windows to keep tier-1 fast; each
+#: window is long enough that some recovery finds history already forgotten.
+FAULTED = {
+    ("ycsb", "one_crash"): ({"duration_us": 30_000.0},
+                            [fault("crash", at_us=10_000.0, target=1)]),
+    ("ycsb", "standard_storm"): ({"duration_us": 40_000.0},
+                                 standard_storm(2_000.0, 40_000.0)),
+    ("ycsb", "rolling_crashes"): ({"n_partitions": 3, "duration_us": 40_000.0},
+                                  [fault("crash", at_us=8_000.0, target=1),
+                                   fault("crash", at_us=24_000.0, target=2)]),
+    ("tpcc", "one_crash"): ({"duration_us": 15_000.0},
+                            [fault("crash", at_us=9_000.0, target=1)]),
+    ("tpcc", "standard_storm"): ({"duration_us": 20_000.0},
+                                 standard_storm(2_000.0, 20_000.0)),
+    ("tpcc", "rolling_crashes"): ({"n_partitions": 3, "duration_us": 16_000.0},
+                                  [fault("crash", at_us=4_000.0, target=1),
+                                   fault("crash", at_us=10_000.0, target=2)]),
+}
+
+
+def run_faulted(workload, plan):
+    overrides, faults = FAULTED[workload, plan]
+    cluster = build(ScenarioSpec(
+        protocol="primo", workload=workload, scale="tiny", faults=faults,
+        config_overrides={"heartbeat_interval_us": 500.0, "heartbeat_timeout_us": 2_000.0,
+                          **overrides}))
+    return cluster, cluster.run()
+
+
+@pytest.mark.parametrize("workload, plan", sorted(FAULTED))
+def test_forgetting_log_history_changes_no_result(workload, plan, monkeypatch):
+    """Each result document is byte-identical with the forgetting a no-op."""
+    forgotten = []
+    rollback = RecoveryCoordinator._rollback_partition
+
+    def spy(recovery, server, agreed):
+        forgotten.append(server.log.stats["appends"] - len(server.log.records()))
+        return rollback(recovery, server, agreed)
+
+    monkeypatch.setattr(RecoveryCoordinator, "_rollback_partition", spy)
+    _, bounded = run_faulted(workload, plan)
+    assert max(forgotten) > 0    # some rollback ran on a log that had forgotten records
+    monkeypatch.setattr(LogManager, "forget", lambda log, *floors: None)
+    _, unbounded = run_faulted(workload, plan)
+    assert (json.dumps(bounded.to_json_dict(), sort_keys=True)
+            == json.dumps(unbounded.to_json_dict(), sort_keys=True))
+
+
+def test_a_storm_retains_a_tenth_of_its_log_at_most():
+    cluster, _ = run_faulted("ycsb", "standard_storm")
+    logs = [server.log for server in cluster.servers.values()]
+    retained = sum(len(log.records()) for log in logs)
+    appended = sum(log.stats["appends"] for log in logs)
+    assert cluster.recovery.stats["recoveries"] >= 1
+    assert retained <= 0.1 * appended

@@ -120,6 +120,46 @@ def test_latest_persisted_watermark_requires_replication():
     assert log.latest_persisted_watermark() == 8.0
 
 
+def test_forget_keeps_only_what_a_recovery_can_read():
+    env, log = make_log()
+    for ts in (1.0, 5.0, 9.0):
+        log.append(LogRecordKind.WRITESET, txn_ts=ts)
+    log.append(LogRecordKind.WATERMARK, payload={"watermark": 2.0})
+    log.append(LogRecordKind.WATERMARK, payload={"watermark": 3.0})
+    flush(env, log)
+    log.append(LogRecordKind.WATERMARK, payload={"watermark": 8.0})   # not persisted
+    update = ("kv", 1, {"v": 1}, False, False)
+    insert = ("kv", 2, {"v": 2}, True, False)
+    log.append(LogRecordKind.COMMIT_DECISION, txn_ts=2.0, payload={1: (update,)})
+    log.append(LogRecordKind.COMMIT_DECISION, txn_ts=2.0, payload={1: (update, insert)})
+    log.append(LogRecordKind.COMMIT_DECISION, txn_ts=2.0)
+    log.append(LogRecordKind.COMMIT_DECISION, txn_ts=7.0, payload={1: (update,)})
+    log.append(LogRecordKind.EPOCH, payload={"epoch": 1})
+
+    log.forget(writeset_floor=5.0, decision_floor=4.0)
+    assert [(r.kind.name, r.txn_ts) for r in log.records()] == [
+        ("WRITESET", 5.0), ("WRITESET", 9.0),
+        ("WATERMARK", None), ("WATERMARK", None),   # the newest persisted, and 8.0
+        ("COMMIT_DECISION", 2.0),                   # ships an insert
+        ("COMMIT_DECISION", 7.0), ("EPOCH", None)]
+    assert log.latest_persisted_watermark() == 3.0
+    flush(env, log)
+    assert log.latest_persisted_watermark() == 8.0
+    assert [r.txn_ts for r in log.writeset_records_at_or_after(5.0)] == [5.0, 9.0]
+
+
+def test_a_rollback_below_the_forgotten_history_fails_loudly():
+    env, log = make_log()
+    for ts in (1.0, 5.0, 9.0):
+        log.append(LogRecordKind.WRITESET, txn_ts=ts)
+    log.forget(writeset_floor=5.0, decision_floor=0.0)
+    log.forget(writeset_floor=3.0, decision_floor=0.0)   # a lower floor forgets nothing back
+    assert log.forgotten_below == 5.0
+    with pytest.raises(RuntimeError, match="forgotten"):
+        log.writeset_records_at_or_after(4.0)
+    assert [r.txn_ts for r in log.writeset_records_at_or_after(5.0)] == [5.0, 9.0]
+
+
 def test_single_replica_group_still_persists():
     env, log = make_log(n_replicas=1)
     log.append(LogRecordKind.WRITESET, txn_ts=1.0)
