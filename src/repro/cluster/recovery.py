@@ -22,7 +22,7 @@ The history these steps read is bounded.  Step 3 reads only write-sets at or
 above the agreed watermark, and no recovery can agree on less than
 :meth:`RecoveryCoordinator.lowest_agreeable_watermark`.  Re-delivery is a
 no-op for a commit decision whose writes every target has installed.  Under
-WM each partition's watermark tick drops both kinds from its own log
+WM every watermark tick drops both kinds from every log
 (:meth:`repro.commit.logging.LogManager.forget`), so a faulted run keeps
 about a watermark lag of history, not the whole run.
 """

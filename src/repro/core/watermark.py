@@ -10,8 +10,8 @@ Every partition leader runs an independent loop each ``epoch_length_us``
    (Rule 1 / requirements R1 & R2 of §5.1);
 3. persist a watermark log record and broadcast ``Wp`` to the other
    partitions with one-way messages (no synchronisation);
-4. under a fault plan, drop from its log the history no recovery can read
-   any more (:meth:`repro.commit.logging.LogManager.forget`).
+4. under a fault plan, drop from every log the history no recovery can
+   read any more (:meth:`repro.commit.logging.LogManager.forget`).
 
 Each partition keeps a table of the last watermark heard from every other
 partition; the minimum of that table is the global watermark ``Wg``, and every
