@@ -123,6 +123,8 @@ def test_a_crash_plan_keeps_undo_images_and_no_redo_list(protocol, monkeypatch):
 
     result = cluster.run()
     assert cluster.recovery.stats["recoveries"] >= 1 and result.committed > 0
+    # The crash, the rollback and the re-delivery copied no row either.
+    assert set(copies) == {(ColumnarRecord, "undo_image")}
 
 
 #: primo at ``tiny`` under three fault plans, (workload, plan) -> (config
