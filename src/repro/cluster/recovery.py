@@ -18,13 +18,11 @@ notification and runs the paper's recovery sequence:
    partitions' logs, everything below is acknowledged;
 4. normal processing resumes.
 
-The history these steps read is bounded.  Step 3 reads only write-sets at or
-above the agreed watermark, and no recovery can agree on less than
-:meth:`RecoveryCoordinator.lowest_agreeable_watermark`.  Re-delivery is a
-no-op for a commit decision whose writes every target has installed.  Under
-WM every watermark tick drops both kinds from every log
-(:meth:`repro.commit.logging.LogManager.forget`), so a faulted run keeps
-about a watermark lag of history, not the whole run.
+The history these steps read is bounded, and this module alone decides
+where: :meth:`RecoveryCoordinator.forget_unreadable_history`, which every WM
+watermark tick calls, computes both floors and drops what lies below them
+from every log.  So a faulted run keeps about a watermark lag of history,
+not the whole run.
 """
 
 from __future__ import annotations
@@ -156,16 +154,11 @@ class RecoveryCoordinator:
         others their partition watermark.  Only WM sets one, so under every
         other scheme each value is 0.0.  No value ever decreases.
         """
-        cluster = self.cluster
-        watermarks = {}
-        for pid, server in cluster.servers.items():
-            if pid == failed_partition:
-                watermarks[pid] = server.log.latest_persisted_watermark()
-            elif isinstance(cluster.durability, WatermarkGroupCommit):
-                watermarks[pid] = cluster.durability.latest_partition_watermark(pid)
-            else:
-                watermarks[pid] = server.partition_watermark
-        return watermarks
+        return {
+            pid: (server.log.latest_persisted_watermark() if pid == failed_partition
+                  else self._partition_watermark(pid))
+            for pid, server in self.cluster.servers.items()
+        }
 
     def lowest_agreeable_watermark(self) -> float:
         """The lowest global watermark any recovery can still agree on.
@@ -183,6 +176,40 @@ class RecoveryCoordinator:
         for term in self._agreeing:
             lowest = min(lowest, membership.agreed_global_watermark(term))
         return lowest
+
+    def forget_unreadable_history(self) -> None:
+        """Drop from every log the history no recovery can read any more.
+
+        * Write-sets below :meth:`lowest_agreeable_watermark`: step 3 selects
+          only write-sets at or above the agreed watermark.
+        * Commit decisions below the lowest partition watermark that ship no
+          insert.  Every target of a non-insert write registered the
+          transaction at its dummy read (§4.2 blind-write handling), which
+          holds the target's watermark at or below the commit timestamp until
+          the write is installed.  :meth:`_redeliver_lost_writes` would find
+          each row at that timestamp already and skip it.  An insert
+          registers nothing, so a decision that ships one is kept.
+        * ``WATERMARK`` records older than the newest persisted one, which is
+          all :meth:`watermarks_to_publish` reads of a failed partition.
+
+        The floors move with every partition's watermark, and under WM the
+        partitions tick at the same instants.  Trimming only the ticking
+        partition's log would use the floors from before the later ticks of
+        that instant, so the first partition to tick would keep an extra
+        interval of history: every log is trimmed at once.
+        """
+        servers = self.cluster.servers
+        writeset_floor = self.lowest_agreeable_watermark()
+        decision_floor = min(self._partition_watermark(pid) for pid in servers)
+        for server in servers.values():
+            server.log.forget(writeset_floor, decision_floor)
+
+    def _partition_watermark(self, pid: int) -> float:
+        """A live partition's watermark: only WM sets one, else 0.0."""
+        cluster = self.cluster
+        if isinstance(cluster.durability, WatermarkGroupCommit):
+            return cluster.durability.latest_partition_watermark(pid)
+        return cluster.servers[pid].partition_watermark
 
     def _redeliver_lost_writes(self, crashed_partition: int, agreed_watermark: float) -> int:
         """Re-install writes below the agreed watermark that never reached the

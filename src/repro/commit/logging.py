@@ -29,11 +29,12 @@ A fault-free run can never recover, so its write-set and commit-decision
 records carry no payload at all.  No redo copy of a write-set is kept:
 nothing replays one.
 
-Under a fault plan the history is bounded too.  Each WM watermark tick
-calls :meth:`LogManager.forget`, which drops the records no recovery can
-read any more: write-sets below the lowest watermark a recovery can still
-agree on, commit decisions every target has installed, and watermark records
-older than the newest persisted one.  So the retained history is about one
+Under a fault plan the history is bounded too.  Each WM watermark tick has
+:meth:`repro.cluster.recovery.RecoveryCoordinator.forget_unreadable_history`
+pick the floors and call :meth:`LogManager.forget`, which drops the records
+no recovery can read any more: write-sets below the lowest watermark a
+recovery can still agree on, commit decisions every target has installed,
+and watermark records older than the newest persisted one.  So the retained history is about one
 watermark lag, not the whole run.  A rollback that asks for history below what
 was forgotten raises, as every helper does on a log that kept no history.
 """
@@ -230,22 +231,17 @@ class LogManager:
         return None
 
     def forget(self, writeset_floor: float, decision_floor: float) -> None:
-        """Drop the history no recovery can read any more.
+        """Drop the records below the floors the caller computed.
 
-        * A write-set below ``writeset_floor``, the lowest watermark any
-          recovery can still agree on: the rollback selects only write-sets
-          at or above the agreed watermark.
-        * A commit decision below ``decision_floor``, the lowest partition
-          watermark, that ships no insert.  Every target of a non-insert
-          write registered the transaction at its dummy read, which holds
-          the target's watermark at or below the commit timestamp until the
-          write is installed.  Re-delivery would find each row at that
-          timestamp already and skip it.  An insert registers nothing, so a
-          decision that ships one is kept.
+        * A write-set below ``writeset_floor``.
+        * A commit decision below ``decision_floor`` whose shipped writes
+          hold no insert.
         * Every ``WATERMARK`` record older than the newest persisted one,
           which is all :meth:`latest_persisted_watermark` reads.
 
-        Records of other kinds are kept.
+        Records of other kinds are kept.  The caller picks the floors and
+        says why no recovery reads what they drop:
+        :meth:`repro.cluster.recovery.RecoveryCoordinator.forget_unreadable_history`.
         """
         self.forgotten_below = max(self.forgotten_below, writeset_floor)
         newest = self._newest_persisted_watermark()

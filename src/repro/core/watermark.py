@@ -10,8 +10,9 @@ Every partition leader runs an independent loop each ``epoch_length_us``
    (Rule 1 / requirements R1 & R2 of §5.1);
 3. persist a watermark log record and broadcast ``Wp`` to the other
    partitions with one-way messages (no synchronisation);
-4. under a fault plan, drop from every log the history no recovery can
-   read any more (:meth:`repro.commit.logging.LogManager.forget`).
+4. under a fault plan, have the recovery coordinator drop from every log
+   the history no recovery can read any more
+   (:meth:`repro.cluster.recovery.RecoveryCoordinator.forget_unreadable_history`).
 
 Each partition keeps a table of the last watermark heard from every other
 partition; the minimum of that table is the global watermark ``Wg``, and every
@@ -135,21 +136,7 @@ class WatermarkGroupCommit(DurabilityScheme):
                 )
             # (4) drop the log history no recovery can read any more.
             if server.log.retain_history:
-                self._forget_unreadable_history()
-
-    def _forget_unreadable_history(self) -> None:
-        """Apply the current floors to every partition's log.
-
-        The floors move with every partition's watermark, and the partitions
-        tick at the same instants.  A tick that trimmed only its own log
-        would use the floors from before the later ticks of that instant,
-        so the first partition to tick would keep an extra interval of
-        history.
-        """
-        writeset_floor = self.cluster.recovery.lowest_agreeable_watermark()
-        decision_floor = min(state.wp for state in self._states.values())
-        for server in self.cluster.servers.values():
-            server.log.forget(writeset_floor, decision_floor)
+                self.cluster.recovery.forget_unreadable_history()
 
     def _broadcast(self, source: int, destination: int, wp: float, delay_us: float):
         """Send one watermark message, optionally lagged (Fig. 13a injection)."""

@@ -159,7 +159,10 @@ def run_faulted(workload, plan):
 
 @pytest.mark.parametrize("workload, plan", sorted(FAULTED))
 def test_forgetting_log_history_changes_no_result(workload, plan, monkeypatch):
-    """Each result document is byte-identical with the forgetting a no-op."""
+    """Each result document is byte-identical with the forgetting a no-op.
+
+    On the ycsb storm the forgetting run also retains a tenth of what it
+    appended at most."""
     forgotten = []
     rollback = RecoveryCoordinator._rollback_partition
 
@@ -168,18 +171,13 @@ def test_forgetting_log_history_changes_no_result(workload, plan, monkeypatch):
         return rollback(recovery, server, agreed)
 
     monkeypatch.setattr(RecoveryCoordinator, "_rollback_partition", spy)
-    _, bounded = run_faulted(workload, plan)
+    cluster, bounded = run_faulted(workload, plan)
     assert max(forgotten) > 0    # some rollback ran on a log that had forgotten records
+    if (workload, plan) == ("ycsb", "standard_storm"):
+        logs = [server.log for server in cluster.servers.values()]
+        retained = sum(len(log.records()) for log in logs)
+        assert retained <= 0.1 * sum(log.stats["appends"] for log in logs)
     monkeypatch.setattr(LogManager, "forget", lambda log, *floors: None)
     _, unbounded = run_faulted(workload, plan)
     assert (json.dumps(bounded.to_json_dict(), sort_keys=True)
             == json.dumps(unbounded.to_json_dict(), sort_keys=True))
-
-
-def test_a_storm_retains_a_tenth_of_its_log_at_most():
-    cluster, _ = run_faulted("ycsb", "standard_storm")
-    logs = [server.log for server in cluster.servers.values()]
-    retained = sum(len(log.records()) for log in logs)
-    appended = sum(log.stats["appends"] for log in logs)
-    assert cluster.recovery.stats["recoveries"] >= 1
-    assert retained <= 0.1 * appended
