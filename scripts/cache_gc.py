@@ -8,13 +8,12 @@ reclaims their disk::
 
     python scripts/cache_gc.py .bench-cache
     python scripts/cache_gc.py my-campaign/cache --dry-run
-    python scripts/cache_gc.py my-campaign/cache --claims my-campaign/claims
 
 Removes (per directory): entries whose cache schema or substrate version no
-longer matches the running code, files that do not parse, and ``.tmp-*``
-debris of executors killed mid-write (older than ``--tmp-age``).  With
-``--claims`` it additionally sweeps expired campaign claim files (same rule
-the executors apply).  Exit status 0 always; the summary reports bytes
+longer matches the running code, files that do not parse or whose result does
+not decode, and ``.tmp-*`` debris of executors killed mid-write (older than
+``--tmp-age``).  The cache is the campaign's only coordination, so there is
+nothing else to sweep.  Exit status 0 always; the summary reports bytes
 reclaimed per directory.
 """
 
@@ -40,12 +39,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tmp-age", type=float, default=3600.0, metavar="S",
                         help="age in seconds after which .tmp-* files count "
                              "as orphaned (default: 3600)")
-    parser.add_argument("--claims", action="append", default=[], metavar="DIR",
-                        help="campaign claims directory to sweep expired "
-                             "claims from (repeatable)")
-    parser.add_argument("--claim-ttl", type=float, default=900.0, metavar="S",
-                        help="claim expiry used with --claims (default: 900, "
-                             "matching the executor default)")
     parser.add_argument("--dry-run", action="store_true",
                         help="report what would be removed without deleting")
     args = parser.parse_args(argv)
@@ -56,16 +49,6 @@ def main(argv=None) -> int:
                                        dry_run=args.dry_run)
         total += report.bytes_reclaimed
         print(f"[cache-gc] {report.describe()}")
-    if args.claims:
-        from repro.campaign.executor import sweep_stale_claims  # noqa: E402
-
-        for claims_dir in args.claims:
-            swept, bytes_freed = sweep_stale_claims(
-                claims_dir, claim_ttl_s=args.claim_ttl, dry_run=args.dry_run)
-            total += bytes_freed
-            action = "would sweep" if args.dry_run else "swept"
-            print(f"[cache-gc] {claims_dir}: {action} {swept} expired "
-                  f"claim(s), {bytes_freed:,} bytes")
     action = "would reclaim" if args.dry_run else "reclaimed"
     print(f"[cache-gc] total: {action} {total:,} bytes")
     return 0

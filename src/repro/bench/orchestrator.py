@@ -192,7 +192,7 @@ def execute_cells(
     The one execution loop behind :func:`run_cells` and the campaign
     executor.  ``cells`` is consumed lazily — a cell is pulled only when there
     is room for it — so the caller's iterator decides, just before each cell
-    starts, whether there is more work (claim it, stop after an error, ...).
+    starts, whether there is more work (skip it, stop after an error, ...).
     With ``jobs <= 1`` cells run inline, one at a time; otherwise on a process
     pool with at most ``2 * jobs`` in flight, so a huge plan streams instead
     of being submitted whole.  A cell that raises is yielded with its
@@ -237,13 +237,16 @@ class ResultCache:
     def path_for(self, cache_key: str) -> Path:
         return self.root / f"{cache_key}.json"
 
-    def load_entry(self, path) -> Optional[dict]:
-        """Parse one on-disk entry; ``None`` for corrupt or version-skewed files.
+    def load(self, path) -> Optional[RunResult]:
+        """The result stored at ``path``; ``None`` for an invalid entry.
 
-        The shared validity check behind :meth:`get`, :meth:`contains_key`
+        The one validity check behind :meth:`get_by_key`, :meth:`contains_key`
         and :func:`collect_cache_garbage`: an entry counts only when it
-        parses, carries the current schema and substrate versions, and has a
-        result payload.
+        parses, carries the current schema and substrate versions, and its
+        result decodes.  Corrupt, unreadable or version-skewed entries are
+        therefore misses everywhere — an interrupted or skewed cache degrades
+        to recomputation, never to a crash, a wrong figure, or a cell that
+        counts as done but cannot be read.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -256,29 +259,22 @@ class ResultCache:
             return None
         if entry.get("substrate_version") != SUBSTRATE_VERSION:
             return None
-        if "result" not in entry:
-            return None
-        return entry
-
-    def get_by_key(self, cache_key: str) -> Optional[RunResult]:
-        """The cached result stored under ``cache_key``, or ``None`` on a miss.
-
-        Corrupt, unreadable or schema-mismatched entries count as misses —
-        an interrupted or version-skewed cache degrades to recomputation,
-        never to a crash or a wrong figure.  Campaign executors address the
-        cache by the manifest's precomputed content keys through here.
-        """
-        entry = self.load_entry(self.path_for(cache_key))
-        if entry is None:
-            return None
         try:
             return RunResult.from_json_dict(entry["result"])
         except (KeyError, TypeError, ValueError):
             return None
 
+    def get_by_key(self, cache_key: str) -> Optional[RunResult]:
+        """The cached result stored under ``cache_key``, or ``None`` on a miss.
+
+        Campaign executors address the cache by the manifest's precomputed
+        content keys through here.
+        """
+        return self.load(self.path_for(cache_key))
+
     def contains_key(self, cache_key: str) -> bool:
         """Whether a *valid* entry exists for ``cache_key`` (campaign status)."""
-        return self.load_entry(self.path_for(cache_key)) is not None
+        return self.get_by_key(cache_key) is not None
 
     def get(self, cell: Cell) -> Optional[RunResult]:
         """Return the cached result for ``cell``, or ``None`` on a miss."""
@@ -443,9 +439,10 @@ def collect_cache_garbage(root, tmp_age_s: float = 3600.0,
     substrate upgrades: every version skew turns the previous entries into
     dead weight that ``get`` already ignores but nothing ever deletes.  Removes
 
-    * entries whose schema or substrate version no longer matches (or that
-      do not parse) — exactly the files :meth:`ResultCache.get` treats as
-      misses, so removal can never change what a sweep computes;
+    * entries whose schema or substrate version no longer matches, that do
+      not parse, or whose result does not decode — exactly the files
+      :meth:`ResultCache.get` treats as misses (:meth:`ResultCache.load`),
+      so removal can never change what a sweep computes;
     * ``.tmp-*`` spill files older than ``tmp_age_s`` seconds — debris of
       executors killed mid-:meth:`ResultCache.put` (younger ones are left
       alone: they may belong to a write in flight right now).
@@ -473,7 +470,7 @@ def collect_cache_garbage(root, tmp_age_s: float = 3600.0,
             except OSError:
                 continue
         elif path.suffix == ".json":
-            if cache.load_entry(path) is None:
+            if cache.load(path) is None:
                 remove = True
                 report.stale_entries += 1
             else:

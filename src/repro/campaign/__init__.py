@@ -4,9 +4,9 @@ The repo's third orchestration layer.  Where :mod:`repro.scenario` runs one
 evaluation point and :mod:`repro.bench` sweeps the paper's fixed figures,
 a **campaign** is a user-defined factorial experiment: a base scenario ×
 explicit factor levels × seed repetitions, compiled to an on-disk run table
-that any number of cooperating executors — local processes, CI matrix
-shards, hosts on a shared filesystem — complete together with no
-coordinator, then reduced to a statistical report (mean ± 95% CI per row).
+that any number of executors — local processes, CI matrix shards, hosts on
+a shared filesystem — complete together with no coordinator, then reduced
+to a statistical report (mean ± 95% CI per row).
 
     python -m repro.campaign compile experiment.json --out runs/exp
     python -m repro.campaign run runs/exp --shard 0/2 --jobs 4   # host A
@@ -15,19 +15,14 @@ coordinator, then reduced to a statistical report (mean ± 95% CI per row).
     python -m repro.campaign report runs/exp --out report.md
 
 Crash-safe and idempotent by construction: results live in a content-keyed
-:class:`~repro.bench.orchestrator.ResultCache`, in-flight cells are guarded
-by expiring claim files, and re-running a finished campaign executes zero
-simulations.  See ``examples/campaigns/`` and the README's "Running
-campaigns" section.
+:class:`~repro.bench.orchestrator.ResultCache`, which is the only
+coordination, and re-running a finished campaign executes zero simulations.
+Unsharded executors on one directory may run a cell twice; both publish the
+same bytes (see :mod:`repro.campaign.executor`).  See ``examples/campaigns/``
+and the README's "Running campaigns" section.
 """
 
-from .executor import (
-    DEFAULT_CLAIM_TTL_S,
-    ExecutorStats,
-    parse_shard,
-    run_campaign,
-    sweep_stale_claims,
-)
+from .executor import ExecutorStats, parse_shard, run_campaign
 from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     CampaignDirs,
@@ -47,7 +42,6 @@ from .report import (
 from .spec import CampaignCell, CampaignSpec
 
 __all__ = [
-    "DEFAULT_CLAIM_TTL_S",
     "DEFAULT_METRICS",
     "MANIFEST_SCHEMA_VERSION",
     "REPORT_METRICS",
@@ -65,5 +59,4 @@ __all__ = [
     "parse_shard",
     "render_markdown",
     "run_campaign",
-    "sweep_stale_claims",
 ]

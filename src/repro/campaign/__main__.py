@@ -4,15 +4,16 @@ Four subcommands cover the campaign lifecycle:
 
 ``compile <campaign.json> --out DIR``
     Expand a :class:`~repro.campaign.spec.CampaignSpec` file into an on-disk
-    run table (manifest + cells + empty cache/claims dirs).
+    run table (manifest + cells + empty cache and reports dirs).
 
 ``run DIR [--shard i/n] [--jobs N]``
     Execute (a shard of) the campaign.  Run the same command on as many
-    machines/shards as you like — they cooperate through the shared cache
-    and claim files; rerunning a finished campaign executes nothing.
+    machines/shards as you like — the shared cache is their only
+    coordination, so unsharded executors may run a cell twice (and publish
+    identical bytes); rerunning a finished campaign executes nothing.
 
 ``status DIR [--json]``
-    One line (or JSON) of progress: done / in-flight / pending cells.
+    One line (or JSON) of progress: done / pending cells.
 
 ``report DIR [--metrics m1,m2] [--out FILE] [--json FILE] [--summary FILE]``
     Aggregate the run table: one row per factor assignment, each metric as
@@ -28,12 +29,7 @@ import argparse
 import json
 import sys
 
-from .executor import (
-    DEFAULT_CLAIM_TTL_S,
-    main_progress,
-    parse_shard,
-    run_campaign,
-)
+from .executor import main_progress, parse_shard, run_campaign
 from .manifest import ManifestError, compile_campaign, load_manifest
 from .report import (
     campaign_report,
@@ -63,10 +59,8 @@ def _cmd_run(args, parser) -> int:
         parser.error(str(exc))
     manifest = load_manifest(args.directory)
     progress = None if args.quiet else main_progress()
-    stats = run_campaign(
-        args.directory, shard=shard, jobs=args.jobs,
-        claim_ttl_s=args.claim_ttl, progress=progress, manifest=manifest,
-    )
+    stats = run_campaign(args.directory, shard=shard, jobs=args.jobs,
+                         progress=progress, manifest=manifest)
     print(f"[campaign] {manifest.name}: {stats.describe(shard)}")
     if stats.errors:
         for cell_id, message in stats.errors:
@@ -147,11 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for cell execution "
                             "(default: 1, inline)")
-    p_run.add_argument("--claim-ttl", type=float, default=DEFAULT_CLAIM_TTL_S,
-                       metavar="S",
-                       help="seconds before another executor's claim counts "
-                            f"as abandoned (default: {DEFAULT_CLAIM_TTL_S:g}; "
-                            "must exceed one cell's wall time)")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress lines on stderr")
 

@@ -1,67 +1,41 @@
-"""Coordinator-free campaign execution: claims + content-keyed cache.
+"""Coordinator-free campaign execution over a content-keyed cache.
 
 Any number of executors — processes on one machine (``--jobs``), separate
 hosts on a shared filesystem, CI matrix shards — run the same manifest
-concurrently with **no coordinator process**.  Two pieces make that safe:
+concurrently with **no coordinator process** and no locks.  The shared
+:class:`~repro.bench.orchestrator.ResultCache` is the only result store and
+the only completion record: a cell is *done* iff a valid entry exists under
+its content key.  An executor checks the cache just before each cell starts
+and skips it when it is done, so re-running a finished campaign executes
+**zero** simulations, and an executor killed mid-run loses only its
+in-flight cells (everything it finished is already published).
 
-Claims
-    Before simulating a cell, an executor atomically creates
-    ``claims/<content-key>.claim`` with ``O_CREAT | O_EXCL`` — the filesystem
-    guarantees exactly one winner per key.  Losers skip the cell and move on;
-    the winner releases the claim after publishing its result.  A claim whose
-    mtime is older than the TTL belongs to a **dead executor** (killed
-    mid-cell): reclaim goes through ``os.rename`` to a reclaimer-private
-    tombstone — of N concurrent reclaimers exactly one rename succeeds, the
-    winner re-checks the tombstone's age (a claim refreshed between stat and
-    rename is restored, not reaped), and only that winner retries the
-    ``O_CREAT | O_EXCL`` creation.  Duplicate concurrent execution is thereby
-    confined to vanishing scheduling windows — and is harmless anyway:
-    results are deterministic and cache writes are atomic, so concurrent
-    writers publish identical bytes.  (The same applies if an executor
-    simply outlives the TTL on one cell.)
-
-Results
-    The shared :class:`~repro.bench.orchestrator.ResultCache` is the only
-    result store and the only completion record.  A cell is *done* iff a
-    valid entry exists under its content key; executors check the cache
-    before claiming, so re-running a finished campaign executes **zero**
-    simulations, and a crashed executor loses at most its in-flight cells
-    (their claims expire; their finished cells are already published).
-
-Sharding (``--shard i/n``) is an optional static pre-partition by cell index
-— it removes claim contention entirely when shards are disjoint by
-construction (CI matrix jobs with per-shard caches), while the claim protocol
-alone suffices when executors genuinely share a directory.
+The contract for executors that share a directory: two of them may both
+run the same cell.  That is harmless — a cell's result is a deterministic
+function of its spec, and :meth:`ResultCache.put` publishes through a
+private temp file and ``os.replace``, so both executors write identical
+bytes and a reader never sees a torn entry.  The cost is time: an executor
+skips only what is already published when it reaches a cell, so two
+executors started together over the same cells may duplicate most of them.
+To avoid that, give each executor a disjoint ``--shard i/n`` (a static
+partition by cell index, which is how CI splits a campaign).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import socket
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterator, Optional
 
 from ..bench.orchestrator import Cell, ResultCache, execute_cells
 from .manifest import Manifest, load_manifest
 
 __all__ = [
-    "DEFAULT_CLAIM_TTL_S",
     "ExecutorStats",
     "parse_shard",
     "run_campaign",
-    "sweep_stale_claims",
-    "try_claim",
 ]
-
-#: Default seconds before an unreleased claim counts as abandoned.  Must
-#: comfortably exceed one cell's wall time; tiny/small-scale cells finish in
-#: seconds, so 15 minutes is conservative without stranding cells for long
-#: after a crash.
-DEFAULT_CLAIM_TTL_S = 900.0
 
 
 def parse_shard(text: Optional[str]) -> tuple[int, int]:
@@ -80,122 +54,6 @@ def parse_shard(text: Optional[str]) -> tuple[int, int]:
     return (index, count)
 
 
-def _claim_path(claims_dir: Path, key: str) -> Path:
-    return claims_dir / f"{key}.claim"
-
-
-def try_claim(claims_dir: Path, key: str,
-              claim_ttl_s: float = DEFAULT_CLAIM_TTL_S) -> bool:
-    """Atomically claim one cell; ``True`` iff this executor now owns it.
-
-    A live claim by someone else returns ``False``.  A stale claim (mtime
-    older than ``claim_ttl_s``) is reaped with a single winner: it is
-    renamed to a reclaimer-private tombstone (only one concurrent rename
-    can succeed; the losers back off), the tombstone's age is re-checked —
-    a claim refreshed between the stat and the rename is renamed back, not
-    reaped — and only the reclaimer that removed a genuinely stale claim
-    retries the ``O_CREAT | O_EXCL`` creation.
-    """
-    claims_dir.mkdir(parents=True, exist_ok=True)
-    path = _claim_path(claims_dir, key)
-    payload = json.dumps({
-        "pid": os.getpid(),
-        "host": socket.gethostname(),
-        "claimed_at": time.time(),
-    })
-    for attempt in range(2):
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            if attempt:
-                return False
-            try:
-                age = time.time() - path.stat().st_mtime
-            except OSError:
-                continue  # released between open and stat: retry the claim
-            if age < claim_ttl_s:
-                return False
-            if not _reap_claim(path, claim_ttl_s):
-                return False  # another reclaimer won the race; not our cell
-            continue
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        return True
-    return False
-
-
-def _reap_claim(path: Path, claim_ttl_s: float) -> bool:
-    """Remove one stale claim with a single winner; ``True`` iff we did.
-
-    Plain unlink-then-retry lets two reclaimers both "succeed": B stats the
-    stale claim, A reaps it and ``O_EXCL``-creates a fresh one, then B
-    unlinks A's *fresh* claim and claims too.  Renaming first closes that:
-    exactly one rename of the claim succeeds (everyone else gets ENOENT and
-    backs off), and the winner — now sole owner of the tombstone — re-checks
-    its age, renaming a claim that turned out fresh back into place instead
-    of reaping it.
-    """
-    tombstone = path.with_name(f"{path.name}.reap{os.getpid()}")
-    try:
-        os.rename(path, tombstone)
-    except OSError:
-        return False  # already reaped (or released) by someone else
-    try:
-        stale = time.time() - tombstone.stat().st_mtime >= claim_ttl_s
-    except OSError:
-        return False  # tombstone gone (swept concurrently): treat as lost
-    if not stale:
-        # The stat that sent us here saw a different, older claim file; we
-        # grabbed a live one — put it back untouched and back off.
-        try:
-            os.rename(tombstone, path)
-        except OSError:
-            pass
-        return False
-    try:
-        os.unlink(tombstone)
-    except OSError:
-        pass
-    return True
-
-
-def release_claim(claims_dir: Path, key: str) -> None:
-    try:
-        _claim_path(claims_dir, key).unlink()
-    except OSError:
-        pass
-
-
-def sweep_stale_claims(claims_dir, claim_ttl_s: float = DEFAULT_CLAIM_TTL_S,
-                       dry_run: bool = False) -> tuple[int, int]:
-    """Remove expired claim files; returns ``(count, bytes_reclaimed)``.
-
-    Executors reclaim lazily (only for cells they visit), so a campaign
-    abandoned mid-run can leave dead claims behind; ``scripts/cache_gc.py
-    --claims`` sweeps them eagerly.  Reap tombstones orphaned by a reclaimer
-    killed mid-reap age out the same way.  Live claims are never touched.
-    """
-    claims_dir = Path(claims_dir)
-    swept = 0
-    bytes_reclaimed = 0
-    if not claims_dir.is_dir():
-        return (0, 0)
-    now = time.time()
-    for path in sorted(claims_dir.glob("*.claim")) + \
-            sorted(claims_dir.glob("*.claim.reap*")):
-        try:
-            stat = path.stat()
-            if now - stat.st_mtime < claim_ttl_s:
-                continue
-            if not dry_run:
-                path.unlink()
-            swept += 1
-            bytes_reclaimed += stat.st_size
-        except OSError:
-            continue  # claimed/released concurrently; fine
-    return (swept, bytes_reclaimed)
-
-
 @dataclass
 class ExecutorStats:
     """Accounting for one executor pass over a manifest."""
@@ -203,15 +61,9 @@ class ExecutorStats:
     total_cells: int = 0       # manifest lines visited
     executed: int = 0          # simulations this executor ran
     cache_hits: int = 0        # cells already published when visited
-    skipped_claimed: int = 0   # cells another live executor owned
     skipped_shard: int = 0     # cells outside this executor's shard
-    reclaimed: int = 0         # expired claims this executor reaped
     wall_s: float = 0.0
     errors: list = field(default_factory=list)  # (cell_id, message) pairs
-
-    @property
-    def completed_here(self) -> int:
-        return self.executed + self.cache_hits
 
     def describe(self, shard: tuple[int, int]) -> str:
         parts = [
@@ -221,10 +73,6 @@ class ExecutorStats:
         ]
         if shard != (0, 1):
             parts.append(f"{self.skipped_shard} other-shard")
-        if self.skipped_claimed:
-            parts.append(f"{self.skipped_claimed} claimed elsewhere")
-        if self.reclaimed:
-            parts.append(f"{self.reclaimed} stale claims reclaimed")
         if self.errors:
             parts.append(f"{len(self.errors)} FAILED")
         return f"shard {shard[0]}/{shard[1]}: " + ", ".join(parts) + \
@@ -232,22 +80,21 @@ class ExecutorStats:
 
 
 def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
-                 claim_ttl_s: float = DEFAULT_CLAIM_TTL_S,
                  progress: Optional[Callable[[str], None]] = None,
                  manifest: Optional[Manifest] = None) -> ExecutorStats:
     """Execute (this shard of) a compiled campaign until no work remains.
 
     Streams the manifest once: for each cell in this shard, check the shared
-    cache (done → skip), try to claim (lost → skip; someone live owns it),
-    else simulate — through :func:`~repro.bench.orchestrator.execute_cells`,
-    inline with ``jobs=1`` or on a bounded process pool, which pulls (and so
-    claims) a cell only when it is about to start — publish to the cache,
-    and release the claim.  Everything is idempotent: rerunning a finished
-    campaign streams straight through on cache hits.
+    cache (done → skip), else simulate — through
+    :func:`~repro.bench.orchestrator.execute_cells`, inline with ``jobs=1`` or
+    on a bounded process pool, which pulls (and so cache-checks) a cell only
+    when it is about to start — and publish the result to the cache.
+    Everything is idempotent: rerunning a finished campaign streams straight
+    through on cache hits.
 
-    A cell whose simulation *raises* is recorded in ``stats.errors`` and its
-    claim released so another executor (or a rerun) can retry; the executor
-    keeps going — one poisoned cell must not strand a million-cell campaign.
+    A cell whose simulation *raises* is recorded in ``stats.errors`` and left
+    unpublished, so a rerun retries it; the executor keeps going — one
+    poisoned cell must not strand a million-cell campaign.
     """
     manifest = manifest if manifest is not None else load_manifest(directory)
     manifest.check_substrate()
@@ -257,61 +104,34 @@ def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
                          f"{shard_count} shard(s)")
     notify = progress or (lambda message: None)
     cache = ResultCache(manifest.dirs.cache_dir)
-    claims_dir = manifest.dirs.claims_dir
     stats = ExecutorStats()
     start = time.perf_counter()
-    claimed: dict[Cell, str] = {}  # started, not yet published -> content key
 
-    def claim_next() -> Iterator[Cell]:
+    def next_uncached() -> Iterator[Cell]:
         for manifest_cell in manifest.iter_cells():
             stats.total_cells += 1
             if manifest_cell.index % shard_count != shard_index:
                 stats.skipped_shard += 1
                 continue
-            key = manifest_cell.key
-            if cache.contains_key(key):
+            if cache.contains_key(manifest_cell.key):
                 stats.cache_hits += 1
                 continue
-            claim_existed = _claim_path(claims_dir, key).exists()
-            if not try_claim(claims_dir, key, claim_ttl_s):
-                stats.skipped_claimed += 1
-                notify(f"claimed    {manifest_cell.cell_id} (by another executor)")
-                continue
-            if claim_existed:
-                stats.reclaimed += 1
-            # Claimed after the cache check — but a reclaimed cell may have
-            # been published by its dying owner; recheck before simulating.
-            if cache.contains_key(key):
-                release_claim(claims_dir, key)
-                stats.cache_hits += 1
-                continue
-            try:
-                cell = manifest.derive_cell(manifest_cell)
-            except Exception:
-                release_claim(claims_dir, key)
-                raise  # derivation drift poisons every cell: stop loudly
-            claimed[cell] = key
+            # Derivation drift poisons every cell: it raises and stops loudly.
+            cell = manifest.derive_cell(manifest_cell)
             notify(f"running    {cell.cell_id}")
             yield cell
 
-    try:
-        for cell, result in execute_cells(claim_next(), jobs=jobs):
-            try:
-                if isinstance(result, BaseException):
-                    raise result
-                cache.put(cell, result)
-            except Exception as exc:  # noqa: BLE001 — isolate poisoned cells
-                stats.errors.append((cell.cell_id, f"{type(exc).__name__}: {exc}"))
-                notify(f"FAILED     {cell.cell_id}: {exc}")
-            else:
-                stats.executed += 1
-                notify(f"finished   {cell.cell_id}")
-            release_claim(claims_dir, claimed.pop(cell))
-    finally:
-        # Anything still claimed but never published (torn down by an
-        # exception) goes back to the table.
-        for key in claimed.values():
-            release_claim(claims_dir, key)
+    for cell, result in execute_cells(next_uncached(), jobs=jobs):
+        try:
+            if isinstance(result, BaseException):
+                raise result
+            cache.put(cell, result)
+        except Exception as exc:  # noqa: BLE001 — isolate poisoned cells
+            stats.errors.append((cell.cell_id, f"{type(exc).__name__}: {exc}"))
+            notify(f"FAILED     {cell.cell_id}: {exc}")
+        else:
+            stats.executed += 1
+            notify(f"finished   {cell.cell_id}")
     stats.wall_s = time.perf_counter() - start
     return stats
 

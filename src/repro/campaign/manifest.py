@@ -1,4 +1,4 @@
-"""The on-disk campaign run table shared by every cooperating executor.
+"""The on-disk campaign run table shared by every executor.
 
 Compiling a :class:`~repro.campaign.spec.CampaignSpec` produces a directory::
 
@@ -6,7 +6,6 @@ Compiling a :class:`~repro.campaign.spec.CampaignSpec` produces a directory::
       manifest.json     # campaign spec + shape + substrate version (written last)
       cells.jsonl       # one line per scheduled cell, in manifest order
       cache/            # shared ResultCache — the only result store
-      claims/           # executor claim files (see repro.campaign.executor)
       reports/          # rendered status/report artifacts
 
 ``cells.jsonl`` lines are deliberately *lean* — index, cell id, content key,
@@ -73,18 +72,14 @@ class CampaignDirs:
         return self.root / "cache"
 
     @property
-    def claims_dir(self) -> Path:
-        return self.root / "claims"
-
-    @property
     def reports_dir(self) -> Path:
         return self.root / "reports"
 
 
 @dataclass(frozen=True)
 class ManifestCell:
-    """One ``cells.jsonl`` line: everything needed to claim, find, or group
-    a cell — but not its spec, which is derived on demand.
+    """One ``cells.jsonl`` line: everything needed to find or group a
+    cell — but not its spec, which is derived on demand.
 
     ``factors`` holds plain JSON-shaped values (dicts/lists/scalars, never
     the campaign's internal frozen tuples), so :meth:`Manifest.derive_cell`
@@ -185,8 +180,8 @@ def compile_campaign(spec: CampaignSpec, directory,
     rewrites identical files (content keys are deterministic), and results
     already in ``cache/`` remain valid because they are addressed by content,
     not by position.  Compiling a *different* campaign into a directory that
-    already has a manifest is refused — that would silently orphan the old
-    run table's claims and reports.
+    already has results is refused — that would silently orphan the old run
+    table's cache entries.
     """
     dirs = CampaignDirs(Path(directory))
     notify = progress or (lambda message: None)
@@ -204,7 +199,6 @@ def compile_campaign(spec: CampaignSpec, directory,
             )
     dirs.root.mkdir(parents=True, exist_ok=True)
     dirs.cache_dir.mkdir(exist_ok=True)
-    dirs.claims_dir.mkdir(exist_ok=True)
     dirs.reports_dir.mkdir(exist_ok=True)
 
     total = 0
@@ -259,11 +253,8 @@ def compile_campaign(spec: CampaignSpec, directory,
 
 
 def _has_state(dirs: CampaignDirs) -> bool:
-    """Whether a campaign directory holds anything an overwrite would orphan."""
-    for sub in (dirs.cache_dir, dirs.claims_dir):
-        if sub.is_dir() and any(sub.iterdir()):
-            return True
-    return False
+    """Whether a campaign directory holds results an overwrite would orphan."""
+    return dirs.cache_dir.is_dir() and any(dirs.cache_dir.iterdir())
 
 
 def load_manifest(directory) -> Manifest:

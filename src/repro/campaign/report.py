@@ -1,8 +1,8 @@
 """Campaign status and statistical reports over the shared result cache.
 
 Both commands are **pure readers**: they stream the manifest, look each
-cell's content key up in ``cache/``, and never simulate, claim, or write
-anything outside ``reports/``.  Running them concurrently with executors is
+cell's content key up in ``cache/``, and never simulate or write anything
+outside ``reports/``.  Running them concurrently with executors is
 safe and is how long campaigns are monitored.
 
 The report aggregates the run table by grid point: every row is one factor
@@ -68,13 +68,12 @@ def resolve_metrics(names: Optional[Sequence[str]]) -> tuple[str, ...]:
 
 @dataclass
 class CampaignStatus:
-    """Progress of a campaign: done / claimed / pending cell counts."""
+    """Progress of a campaign: done / pending cell counts."""
 
     name: str = ""
     total_cells: int = 0
     done: int = 0        # valid cache entry exists
-    claimed: int = 0     # live claim file (an executor is on it right now)
-    pending: int = 0     # neither
+    pending: int = 0     # not yet published (possibly running right now)
 
     @property
     def complete(self) -> bool:
@@ -84,8 +83,7 @@ class CampaignStatus:
         pct = 100.0 * self.done / self.total_cells if self.total_cells else 0.0
         return (
             f"campaign {self.name!r}: {self.done}/{self.total_cells} cells "
-            f"done ({pct:.1f}%), {self.claimed} in flight, "
-            f"{self.pending} pending"
+            f"done ({pct:.1f}%), {self.pending} pending"
         )
 
     def to_json_dict(self) -> dict:
@@ -93,24 +91,20 @@ class CampaignStatus:
             "name": self.name,
             "total_cells": self.total_cells,
             "done": self.done,
-            "claimed": self.claimed,
             "pending": self.pending,
             "complete": self.complete,
         }
 
 
 def campaign_status(directory, manifest: Optional[Manifest] = None) -> CampaignStatus:
-    """Count done / in-flight / pending cells without touching anything."""
+    """Count done / pending cells without touching anything."""
     manifest = manifest if manifest is not None else load_manifest(directory)
     cache = ResultCache(manifest.dirs.cache_dir)
-    claims_dir = manifest.dirs.claims_dir
     status = CampaignStatus(name=manifest.name)
     for manifest_cell in manifest.iter_cells():
         status.total_cells += 1
         if cache.contains_key(manifest_cell.key):
             status.done += 1
-        elif (claims_dir / f"{manifest_cell.key}.claim").exists():
-            status.claimed += 1
         else:
             status.pending += 1
     return status

@@ -57,9 +57,9 @@ class CampaignCell:
     """One scheduled simulation of a campaign: a grid point × one seed rep.
 
     ``key`` is the orchestrator content key of ``spec`` — the address of this
-    cell's result in the shared cache and of its claim file, identical no
-    matter which executor computes it.  ``factors`` is the grid point's level
-    assignment (without the seed), the grouping key reports aggregate over.
+    cell's result in the shared cache, identical no matter which executor
+    computes it.  ``factors`` is the grid point's level assignment (without
+    the seed), the grouping key reports aggregate over.
     """
 
     index: int            # position in manifest order (grid-major, reps inner)

@@ -13,13 +13,25 @@ from repro.bench.orchestrator import (
 )
 
 
+#: The smallest result document ``RunResult.from_json_dict`` decodes.
+RESULT = {
+    "protocol": "primo", "durability": "coco", "workload": "ycsb",
+    "n_partitions": 2, "metrics": {"committed": 1, "aborted": 0,
+                                   "crash_aborted": 0, "duration_us": 1.0,
+                                   "latency_samples": [], "breakdown": {},
+                                   "counters": {}},
+    "network_messages": 0, "per_txn_type": {}, "abort_reasons": {},
+    "extra": {},
+}
+
+
 def valid_entry(tmp_path, key="a" * 32) -> None:
     cache = ResultCache(tmp_path)
     cache.root.mkdir(parents=True, exist_ok=True)
     entry = {
         "schema": CACHE_SCHEMA_VERSION,
         "substrate_version": SUBSTRATE_VERSION,
-        "result": {"protocol": "primo"},
+        "result": RESULT,
     }
     (cache.root / f"{key}.json").write_text(json.dumps(entry))
 
@@ -80,15 +92,7 @@ def test_gc_never_touches_what_get_would_serve(tmp_path):
     # removes is already invisible to ResultCache.get.
     cache = ResultCache(tmp_path)
     cell = make_cell("fig", "point", "primo", "tiny")
-    cache.put(cell, {
-        "protocol": "primo", "durability": "coco", "workload": "ycsb",
-        "n_partitions": 2, "metrics": {"committed": 1, "aborted": 0,
-                                       "crash_aborted": 0, "duration_us": 1.0,
-                                       "latency_samples": [], "breakdown": {},
-                                       "counters": {}},
-        "network_messages": 0, "per_txn_type": {}, "abort_reasons": {},
-        "extra": {},
-    })
+    cache.put(cell, RESULT)
     before = cache.get(cell)
     assert before is not None
     collect_cache_garbage(tmp_path)

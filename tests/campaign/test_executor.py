@@ -1,31 +1,33 @@
-"""Cooperative execution: claims, sharding, crash recovery, idempotence.
+"""Cooperative execution: sharding, idempotence, poisoned cells, cache validity.
 
 The acceptance bar from the campaign design: N executors over one manifest
-and one shared cache complete every cell exactly once with results
-byte-identical to a single executor; a claim left by an executor killed
-mid-cell is re-claimed after its TTL; and re-running a finished campaign
-executes zero simulations.
+and one shared cache publish every cell, with results byte-identical to a
+single executor's; a cell is done iff its cache entry decodes; and
+re-running a finished campaign executes zero simulations.
 """
 
 import json
 import os
-import threading
-import time
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.bench.orchestrator import collect_cache_garbage
 from repro.campaign import (
     CampaignSpec,
+    campaign_status,
     compile_campaign,
     load_manifest,
     parse_shard,
     run_campaign,
-    sweep_stale_claims,
 )
-from repro.campaign.executor import release_claim, try_claim
 from repro.campaign.manifest import ManifestError
 from repro.scenario import ScenarioSpec
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def tiny_campaign(name="coop", seed_reps=2) -> CampaignSpec:
@@ -46,110 +48,17 @@ def cache_bytes(directory) -> dict:
     }
 
 
-class TestClaims:
-    def test_exactly_one_winner(self, tmp_path):
-        claims = tmp_path / "claims"
-        assert try_claim(claims, "k1") is True
-        assert try_claim(claims, "k1") is False      # live claim holds
-        release_claim(claims, "k1")
-        assert try_claim(claims, "k1") is True       # released: claimable again
+def run_executor_process(directory) -> subprocess.Popen:
+    """Start ``python -m repro.campaign run DIRECTORY`` in its own process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.campaign", "run", str(directory),
+         "--quiet"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
-    def test_stale_claim_is_reclaimed(self, tmp_path):
-        claims = tmp_path / "claims"
-        assert try_claim(claims, "k1", claim_ttl_s=1000.0)
-        # Age the claim past the TTL, as if its owner died mid-cell.
-        path = claims / "k1.claim"
-        old = time.time() - 2000.0
-        os.utime(path, (old, old))
-        assert try_claim(claims, "k1", claim_ttl_s=1000.0) is True
-        # The reclaim rewrote the file with a fresh mtime: now it holds.
-        assert try_claim(claims, "k1", claim_ttl_s=1000.0) is False
 
-    def test_concurrent_stale_reclaimers_have_one_winner(self, tmp_path):
-        # The reclaim path (rename-to-tombstone, then re-create) must pick a
-        # single winner just like the fresh-claim path does.
-        claims = tmp_path / "claims"
-        assert try_claim(claims, "k1", claim_ttl_s=1000.0)
-        old = time.time() - 2000.0
-        os.utime(claims / "k1.claim", (old, old))
-        wins = []
-        barrier = threading.Barrier(8)
-
-        def contend():
-            barrier.wait()
-            if try_claim(claims, "k1", claim_ttl_s=1000.0):
-                wins.append(1)
-
-        threads = [threading.Thread(target=contend) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(wins) == 1
-        assert (claims / "k1.claim").exists()  # the winner's fresh claim
-        assert len(list(claims.iterdir())) == 1  # no tombstones left behind
-
-    def test_reap_restores_a_claim_that_turned_out_fresh(self, tmp_path):
-        from repro.campaign.executor import _reap_claim
-
-        claims = tmp_path / "claims"
-        assert try_claim(claims, "k1")
-        path = claims / "k1.claim"
-        payload = path.read_bytes()
-        # A reaper whose stat raced a refresh finds a fresh file once it
-        # owns the tombstone: it must rename the claim back, not reap it.
-        assert _reap_claim(path, claim_ttl_s=1000.0) is False
-        assert path.read_bytes() == payload
-        # A genuinely stale claim is reaped, tombstone included.
-        old = time.time() - 2000.0
-        os.utime(path, (old, old))
-        assert _reap_claim(path, claim_ttl_s=1000.0) is True
-        assert not list(claims.iterdir())
-
-    def test_concurrent_claimers_have_one_winner(self, tmp_path):
-        claims = tmp_path / "claims"
-        wins = []
-        barrier = threading.Barrier(8)
-
-        def contend():
-            barrier.wait()
-            if try_claim(claims, "contested"):
-                wins.append(1)
-
-        threads = [threading.Thread(target=contend) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(wins) == 1
-
-    def test_sweep_stale_claims(self, tmp_path):
-        claims = tmp_path / "claims"
-        try_claim(claims, "fresh")
-        try_claim(claims, "dead")
-        old = time.time() - 5000.0
-        os.utime(claims / "dead.claim", (old, old))
-        swept, freed = sweep_stale_claims(claims, claim_ttl_s=1000.0,
-                                          dry_run=True)
-        assert swept == 1 and (claims / "dead.claim").exists()
-        swept, freed = sweep_stale_claims(claims, claim_ttl_s=1000.0)
-        assert swept == 1 and freed > 0
-        assert not (claims / "dead.claim").exists()
-        assert (claims / "fresh.claim").exists()
-
-    def test_sweep_reaps_orphaned_tombstones(self, tmp_path):
-        # A reclaimer killed between rename and unlink leaks a tombstone;
-        # the eager sweep ages it out like any dead claim.
-        claims = tmp_path / "claims"
-        claims.mkdir()
-        tombstone = claims / "k1.claim.reap42"
-        tombstone.write_text("{}")
-        old = time.time() - 5000.0
-        os.utime(tombstone, (old, old))
-        swept, freed = sweep_stale_claims(claims, claim_ttl_s=1000.0)
-        assert swept == 1 and freed > 0
-        assert not tombstone.exists()
-
+class TestShards:
     def test_parse_shard(self):
         assert parse_shard(None) == (0, 1)
         assert parse_shard("1/4") == (1, 4)
@@ -158,9 +67,40 @@ class TestClaims:
         with pytest.raises(ValueError, match="out of range"):
             parse_shard("4/4")
 
+    @pytest.mark.parametrize("text", ["0/0", "-1/2", "1/2/3"])
+    def test_parse_shard_rejects_malformed_shards(self, text):
+        with pytest.raises(ValueError, match="shard"):
+            parse_shard(text)
+
+    def test_run_refuses_a_shard_index_past_the_count(self, tmp_path):
+        directory = tmp_path / "shard-range"
+        compile_campaign(tiny_campaign(), directory)
+        with pytest.raises(ValueError, match="out of range"):
+            run_campaign(directory, shard=(2, 2))
+
+    def test_a_shard_past_the_last_cell_runs_nothing(self, tmp_path):
+        campaign = tiny_campaign()
+        directory = tmp_path / "empty-shard"
+        compile_campaign(campaign, directory)
+        stats = run_campaign(directory, shard=parse_shard("9/10"))
+        assert campaign.total_cells == 8
+        assert (stats.executed, stats.cache_hits) == (0, 0)
+        assert stats.skipped_shard == stats.total_cells == 8
+        assert not stats.errors
+
+    def test_a_shard_runs_exactly_the_cells_its_index_selects(self, tmp_path):
+        directory = tmp_path / "shard-3-of-4"
+        manifest = compile_campaign(tiny_campaign(), directory)
+        stats = run_campaign(directory, shard=(3, 4))
+        assert (stats.executed, stats.skipped_shard) == (2, 6)
+        published = {path.stem for path in (directory / "cache").glob("*.json")}
+        assert published == {cell.key for cell in manifest.iter_cells()
+                             if cell.index in (3, 7)}
+
 
 class TestCooperation:
-    def test_two_executors_complete_exactly_once_and_byte_identical(self, tmp_path):
+    def test_two_executor_processes_publish_every_cell_byte_identical_to_one(
+            self, tmp_path):
         campaign = tiny_campaign()
         solo_dir = tmp_path / "solo"
         coop_dir = tmp_path / "coop"
@@ -170,22 +110,21 @@ class TestCooperation:
         solo_stats = run_campaign(solo_dir)
         assert solo_stats.executed == campaign.total_cells
 
-        # Two concurrent executors race over the SAME manifest and cache;
-        # claims (not sharding) are the only coordination.
-        results = []
+        # Two unsharded executor processes race over the SAME manifest and
+        # cache; the cache is the only coordination, so a cell may run twice.
+        executors = [run_executor_process(coop_dir) for _ in range(2)]
+        try:
+            outputs = [proc.communicate(timeout=300) for proc in executors]
+        finally:
+            for proc in executors:
+                proc.kill()  # a no-op once the process has exited
+        executed = 0
+        for proc, (out, err) in zip(executors, outputs):
+            assert proc.returncode == 0, err
+            executed += int(re.search(r" (\d+) executed,", out).group(1))
 
-        def executor():
-            results.append(run_campaign(coop_dir, claim_ttl_s=600.0))
-
-        threads = [threading.Thread(target=executor) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        executed = sum(stats.executed for stats in results)
-        assert executed == campaign.total_cells  # exactly once, no dupes
-        assert not any(stats.errors for stats in results)
+        assert executed >= campaign.total_cells
+        assert campaign_status(coop_dir).done == campaign.total_cells
         # Byte-for-byte the same result files as the single executor.
         assert cache_bytes(coop_dir) == cache_bytes(solo_dir)
 
@@ -209,28 +148,6 @@ class TestCooperation:
         assert stats.executed == 0
         assert stats.cache_hits == campaign.total_cells
         assert cache_bytes(directory) == before
-
-    def test_killed_executor_claim_is_reclaimed_after_ttl(self, tmp_path):
-        campaign = tiny_campaign(seed_reps=1)
-        directory = tmp_path / "crashy"
-        manifest = compile_campaign(campaign, directory)
-        victim = next(manifest.iter_cells())
-        # Simulate an executor that claimed a cell and died: stale claim, no
-        # cache entry.
-        assert try_claim(manifest.dirs.claims_dir, victim.key,
-                         claim_ttl_s=1000.0)
-        old = time.time() - 5000.0
-        os.utime(manifest.dirs.claims_dir / f"{victim.key}.claim", (old, old))
-
-        # Under a TTL longer than the claim's age the cell is stranded...
-        stats = run_campaign(directory, claim_ttl_s=10_000.0)
-        assert stats.skipped_claimed == 1
-        assert stats.executed == campaign.total_cells - 1
-        # ...and once the claim expires, the next executor reclaims and runs it.
-        stats = run_campaign(directory, claim_ttl_s=1000.0)
-        assert stats.reclaimed == 1
-        assert stats.executed == 1
-        assert not list(manifest.dirs.claims_dir.glob("*.claim"))
 
     def test_dict_valued_factor_levels_survive_compile_then_run(self, tmp_path):
         # Arrival specs (and workload mixes, fault plans) are dict-valued
@@ -266,7 +183,7 @@ class TestCooperation:
         assert cache_bytes(pooled_dir) == cache_bytes(inline_dir)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_raising_cell_is_recorded_released_and_skipped_over(self, tmp_path, jobs):
+    def test_a_raising_cell_is_recorded_and_skipped_over(self, tmp_path, jobs):
         # The base plan targets partition 3, which the two-partition half of
         # the grid does not have: those cells pass spec validation and raise
         # when their cluster starts.
@@ -289,11 +206,37 @@ class TestCooperation:
         assert stats.executed == 2  # the executor kept going past the errors
         assert sorted(cell_id for cell_id, _ in stats.errors) == poisoned
         assert all("targets partition 3" in message for _, message in stats.errors)
-        assert not list(manifest.dirs.claims_dir.iterdir())  # claims released
-        # ...so a rerun retries exactly the failed cells.
+        assert len(list(manifest.dirs.cache_dir.glob("*.json"))) == 2
+        # ...nothing of theirs is published, so a rerun retries exactly them.
         rerun = run_campaign(directory, jobs=jobs)
         assert (rerun.cache_hits, rerun.executed) == (2, 0)
         assert sorted(cell_id for cell_id, _ in rerun.errors) == poisoned
+
+
+class TestCacheValidity:
+    def test_an_entry_whose_result_does_not_decode_is_rerun_and_collected(
+            self, tmp_path):
+        campaign = CampaignSpec(
+            name="undecodable",
+            base=ScenarioSpec(protocol="primo", workload="ycsb", scale="tiny"),
+            factors={"protocol": ["primo", "sundial"]},
+            seed_reps=1,
+        )
+        directory = tmp_path / "undecodable"
+        manifest = compile_campaign(campaign, directory)
+        assert run_campaign(directory).executed == 2
+        # An entry with the current versions whose result no longer decodes:
+        # a document without latency samples is a miss, not a p50 of 0.
+        victim = manifest.dirs.cache_dir / f"{next(manifest.iter_cells()).key}.json"
+        entry = json.loads(victim.read_text())
+        del entry["result"]["metrics"]["latency_samples"]
+        victim.write_text(json.dumps(entry, sort_keys=True))
+
+        report = collect_cache_garbage(manifest.dirs.cache_dir, dry_run=True)
+        assert (report.kept, report.stale_entries) == (1, 1)
+        rerun = run_campaign(directory)
+        assert (rerun.executed, rerun.cache_hits) == (1, 1)
+        assert "latency_samples" in json.loads(victim.read_text())["result"]["metrics"]
 
 
 class TestManifest:

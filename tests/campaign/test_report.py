@@ -20,6 +20,7 @@ from repro.campaign import (
     render_markdown,
     run_campaign,
 )
+from repro.campaign.__main__ import main
 from repro.campaign.report import resolve_metrics
 from repro.scenario import ScenarioSpec
 
@@ -90,9 +91,29 @@ class TestStatusAndReport:
         status = campaign_status(finished_campaign)
         assert status.total_cells == 4
         assert status.done == 4
-        assert status.claimed == status.pending == 0
+        assert status.pending == 0
         assert status.complete
         assert "4/4" in status.describe()
+
+    def test_status_counts_of_a_half_run_campaign(self, tmp_path, capsys):
+        directory = tmp_path / "half"
+        compile_campaign(CampaignSpec(
+            name="half-run",
+            base=ScenarioSpec(protocol="primo", workload="ycsb", scale="tiny"),
+            factors={"protocol": ["primo", "sundial"], "zipf_theta": [0.2, 0.8]},
+            seed_reps=2,
+        ), directory)
+        run_campaign(directory, shard=(0, 2))
+        status = campaign_status(directory)
+        assert (status.total_cells, status.done, status.pending) == (8, 4, 4)
+        assert not status.complete
+        assert "4/8" in status.describe()
+        assert main(["status", str(directory)]) == 2
+        capsys.readouterr()
+        assert main(["status", str(directory), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"name": "half-run", "total_cells": 8, "done": 4,
+                       "pending": 4, "complete": False}
 
     def test_report_shape(self, finished_campaign):
         report = campaign_report(finished_campaign,
