@@ -1,14 +1,16 @@
-"""Figure-level experiments: one plan/render pair per table/figure of the paper.
+"""Figure-level experiments: one plan and one render per table/figure of the paper.
 
 Every figure is split into two halves so the orchestrator can parallelize and
 cache the expensive part:
 
-* a **plan** function declares the figure's simulation *cells* — independent
+* a **plan** declares the figure's simulation *cells* — independent
   (protocol, workload, scale, knobs) points — as :class:`~repro.bench.orchestrator.Cell`
   specs without running anything;
-* a **render** function takes ``{cell.key: RunResult}`` for those cells,
-  prints the readable report and returns the figure's data dictionary.
+* a **render** takes ``{cell.key: RunResult}`` for those cells, prints the
+  readable report and returns the figure's data dictionary.
 
+The regular figures (6-10 and 14) are :class:`AxisSweep` data records, whose
+generic plan and render are the registered pair; the others are hand-written.
 Both halves are reached through the :data:`FIGURES` registry.
 ``python -m repro.bench`` executes the union of every planned cell across
 processes with an on-disk cache (see ``orchestrator.py``);
@@ -19,7 +21,8 @@ call (``benchmarks/bench_figures.py`` times it at the ``small`` scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Optional
 
 from ..core.analysis import AnalysisParameters, ConflictRateModel
 from ..registry import FIGURE_REGISTRY
@@ -27,21 +30,19 @@ from ..scales import SCALES, BenchScale, sweep_values
 from ..scenario import ScenarioSpec, sweep as scenario_sweep
 from ..sim.stats import BREAKDOWN_COMPONENTS
 from .orchestrator import Cell, make_cell, run_cells
-from .report import print_header, print_table
+from .report import format_ratio, print_header, print_table
 
 __all__ = ["FIGURES", "FigureSpec", "run_figure"]
 
 #: Protocols compared in the overall-performance figures (Figs. 4, 5).
 OVERALL_PROTOCOLS = ("2pl_nw", "2pl_wd", "silo", "sundial", "aria", "primo")
-#: The strongest baseline against Primo (Figs. 7, 8, 10, 14).
-SUNDIAL_AND_PRIMO = ("sundial", "primo")
 
 
 # ---------------------------------------------------------------------------
 # Figures 4 and 5: overall performance and breakdowns
 # ---------------------------------------------------------------------------
 
-def _overall_plan(figure: str, scale: BenchScale, workload: str) -> list[Cell]:
+def _overall_plan(figure: str, workload: str, scale: BenchScale) -> list[Cell]:
     cells = [
         make_cell(figure, protocol, protocol, scale, workload=workload)
         for protocol in OVERALL_PROTOCOLS
@@ -54,14 +55,18 @@ def _overall_plan(figure: str, scale: BenchScale, workload: str) -> list[Cell]:
     return cells
 
 
-def _overall_render(results: dict, workload: str, paper_factor: float,
-                    figure: str) -> dict:
+def _overall_render(figure: str, workload: str, paper_factor: float,
+                    scale: BenchScale, results: dict) -> dict:
     """Shared report of Figs. 4 and 5 (a-d)."""
     protocol_results = {name: results[name] for name in OVERALL_PROTOCOLS}
 
     # (b) factor breakdown: Sundial reference, then add WCF, then WM.
     # "Primo w/o WM & WCF" (TicToc locally + 2PL/2PC for distributed txns) is
-    # approximated by 2PL(WD)+COCO — see EXPERIMENTS.md for the substitution.
+    # no registered protocol, so the 2PL(WD) run stands in for it: 2PL(WD)
+    # pairs with COCO, so it keeps both things the row removes from Primo —
+    # a locking prepare round instead of WCF and epoch group commit instead
+    # of WM — but not its TicToc local concurrency control.  ROADMAP item
+    # 1(c) records this row as ``approximates``.
     breakdown = {
         "sundial (reference)": protocol_results["sundial"],
         "primo w/o WM & WCF (2PL+2PC proxy)": protocol_results["2pl_wd"],
@@ -126,220 +131,171 @@ def _overall_render(results: dict, workload: str, paper_factor: float,
     }
 
 
-def fig04_plan(scale: BenchScale) -> list[Cell]:
-    return _overall_plan("fig04", scale, "ycsb")
-
-
-def fig04_render(scale: BenchScale, results: dict) -> dict:
-    return _overall_render(results, "ycsb", paper_factor=1.91, figure="Figure 4")
-
-
-def fig05_plan(scale: BenchScale) -> list[Cell]:
-    return _overall_plan("fig05", scale, "tpcc")
-
-
-def fig05_render(scale: BenchScale, results: dict) -> dict:
-    return _overall_render(results, "tpcc", paper_factor=1.42, figure="Figure 5")
-
-
 # ---------------------------------------------------------------------------
-# Figure 6: contention
+# Figures 6-10 and 14: protocols compared while one scenario axis is swept
 # ---------------------------------------------------------------------------
 
-FIG06_PROTOCOLS = ("sundial", "2pl_nw", "primo")
+@dataclass(frozen=True)
+class Series:
+    """One line of an axis sweep: a protocol, optionally under a pinned
+    durability scheme (Fig. 14's ``primo(coco)``)."""
+
+    protocol: str
+    durability: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        return self.protocol + (f"({self.durability})" if self.durability else "")
 
 
-def fig06_plan(scale: BenchScale) -> list[Cell]:
-    skews = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 0.95], scale)
-    return [
-        make_cell("fig06", f"{protocol}@skew{skew}", protocol, scale,
-                  workload="ycsb", workload_overrides={"zipf_theta": skew})
-        for skew in skews
-        for protocol in FIG06_PROTOCOLS
-    ]
+@dataclass(frozen=True)
+class Metric:
+    """One column per series: a ``RunResult`` attribute, its heading
+    (formatted with the series name) and the format spec of a value (``""``
+    hands the raw number to the table printer)."""
+
+    attr: str
+    heading: str = "{} kTPS"
+    spec: str = ""
 
 
-def fig06_render(scale: BenchScale, results: dict) -> dict:
-    skews = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 0.95], scale)
-    series: dict[str, list] = {p: [] for p in FIG06_PROTOCOLS}
-    aborts: dict[str, list] = {p: [] for p in FIG06_PROTOCOLS}
-    for skew in skews:
-        for protocol in FIG06_PROTOCOLS:
-            result = results[f"{protocol}@skew{skew}"]
-            series[protocol].append(result.throughput_ktps)
-            aborts[protocol].append(result.abort_rate)
-    print_header(
-        "Figure 6: impact of contention (YCSB skew sweep)",
-        "Primo wins at every skew; margin grows with contention (1.19x -> 2.18x)",
-    )
-    print_table(
-        ["skew"] + [f"{p} kTPS" for p in FIG06_PROTOCOLS] + [f"{p} abort" for p in FIG06_PROTOCOLS],
-        [
-            [skews[i]]
-            + [series[p][i] for p in FIG06_PROTOCOLS]
-            + [f"{aborts[p][i]:.1%}" for p in FIG06_PROTOCOLS]
-            for i in range(len(skews))
-        ],
-    )
-    return {"skews": skews, "throughput_ktps": series, "abort_rate": aborts}
+THROUGHPUT = Metric("throughput_ktps")
+ABORT_RATE = Metric("abort_rate", "{} abort", ".1%")
 
 
-# ---------------------------------------------------------------------------
-# Figure 7: fraction of distributed transactions
-# ---------------------------------------------------------------------------
-
-FIG07_CONTENTION_LEVELS = (("low_contention", 0.0), ("high_contention", 0.9))
+def _formatted(value, spec: str):
+    return format(value, spec) if spec else value
 
 
-def fig07_plan(scale: BenchScale) -> list[Cell]:
-    ratios = sweep_values([0.05, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
-    return [
-        make_cell(
-            "fig07", f"{protocol}@{label}@r{ratio}", protocol, scale,
-            workload="ycsb",
-            workload_overrides={"zipf_theta": skew, "distributed_pct": ratio},
-        )
-        for label, skew in FIG07_CONTENTION_LEVELS
-        for ratio in ratios
-        for protocol in SUNDIAL_AND_PRIMO
-    ]
+@dataclass(frozen=True)
+class AxisSweep:
+    """A figure that compares protocols while one scenario axis is swept.
+
+    ``axis`` is any :meth:`ScenarioSpec.derive` axis and ``values`` the
+    paper's full list, thinned per scale by ``sweep_values``.  Each level
+    ``(name, {axis: value})`` pins further axes and prints its own table,
+    headed by ``title`` formatted with ``level=name`` and the pinned axes; a
+    figure without levels has one unnamed level.  ``ratio`` names the
+    (numerator, denominator) series of an extra column over the first metric.
+
+    :meth:`render` returns the figure's data as ``{"axis", "values",
+    "levels": [{"name", "fixed", "metrics": {attr: {series: [...]}}}]}``,
+    every list aligned with ``values``.
+    """
+
+    figure: str
+    workload: str
+    axis: str
+    values: tuple
+    series: tuple
+    title: str
+    claim: str
+    axis_heading: str
+    axis_format: str = ""
+    levels: tuple = ((None, {}),)
+    metrics: tuple = (THROUGHPUT,)
+    ratio: Optional[tuple] = None
+
+    def _key(self, level: Optional[str], series: Series, value) -> str:
+        return "@".join(filter(None, (series.name, level, f"{self.axis}={value}")))
+
+    def plan(self, scale: BenchScale) -> list[Cell]:
+        base = ScenarioSpec(protocol=self.series[0].protocol,
+                            workload=self.workload, scale=scale)
+        return [
+            Cell(self.figure, self._key(level, series, value),
+                 base.derive(protocol=series.protocol, durability=series.durability,
+                             **fixed, **{self.axis: value}))
+            for level, fixed in self.levels
+            for value in sweep_values(self.values, scale)
+            for series in self.series
+        ]
+
+    def render(self, scale: BenchScale, results: dict) -> dict:
+        values = sweep_values(self.values, scale)
+        columns = [(metric, series) for metric in self.metrics for series in self.series]
+        levels = []
+        for level, fixed in self.levels:
+            table = {
+                metric.attr: {
+                    series.name: [getattr(results[self._key(level, series, value)],
+                                          metric.attr) for value in values]
+                    for series in self.series
+                }
+                for metric in self.metrics
+            }
+            headings = [self.axis_heading] + [metric.heading.format(series.name)
+                                              for metric, series in columns]
+            rows = [[_formatted(value, self.axis_format)]
+                    + [_formatted(table[metric.attr][series.name][i], metric.spec)
+                       for metric, series in columns]
+                    for i, value in enumerate(values)]
+            if self.ratio is not None:
+                numerator, denominator = self.ratio
+                first = table[self.metrics[0].attr]
+                headings.append(f"{numerator}/{denominator}")
+                for i, row in enumerate(rows):
+                    row.append(format_ratio(
+                        first[numerator][i] / max(first[denominator][i], 1e-9)))
+            print_header(self.title.format(level=level, **fixed), self.claim)
+            print_table(headings, rows)
+            levels.append({"name": level, "fixed": dict(fixed), "metrics": table})
+        return {"axis": self.axis, "values": values, "levels": levels}
 
 
-def fig07_render(scale: BenchScale, results: dict) -> dict:
-    ratios = sweep_values([0.05, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
-    out = {}
-    for label, skew in FIG07_CONTENTION_LEVELS:
-        series = {p: [] for p in SUNDIAL_AND_PRIMO}
-        for ratio in ratios:
-            for protocol in SUNDIAL_AND_PRIMO:
-                result = results[f"{protocol}@{label}@r{ratio}"]
-                series[protocol].append(result.throughput_ktps)
-        out[label] = series
-        print_header(
-            f"Figure 7 ({label}): impact of % distributed transactions (skew={skew})",
-            "low contention: 1.12x -> 1.58x; high contention: 2.46x -> 1.96x",
-        )
-        print_table(
-            ["% distributed"] + [f"{p} kTPS" for p in SUNDIAL_AND_PRIMO],
-            [[f"{ratios[i]:.0%}"] + [series[p][i] for p in SUNDIAL_AND_PRIMO]
-             for i in range(len(ratios))],
-        )
-    return {"ratios": ratios, **out}
+#: The strongest baseline against Primo (Figs. 7, 8, 10, 14).
+SUNDIAL_AND_PRIMO = (Series("sundial"), Series("primo"))
+#: 0% to 100% in steps of 20% (Figs. 8 and 9).
+FRACTIONS_0_TO_1 = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
-
-# ---------------------------------------------------------------------------
-# Figure 8: read-write ratio
-# ---------------------------------------------------------------------------
-
-FIG08_DISTRIBUTED_LEVELS = (("20pct_distributed", 0.2), ("80pct_distributed", 0.8))
-
-
-def fig08_plan(scale: BenchScale) -> list[Cell]:
-    write_ratios = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
-    return [
-        make_cell(
-            "fig08", f"{protocol}@{label}@w{write_pct}", protocol, scale,
-            workload="ycsb",
-            workload_overrides={"write_pct": write_pct, "distributed_pct": distributed},
-        )
-        for label, distributed in FIG08_DISTRIBUTED_LEVELS
-        for write_pct in write_ratios
-        for protocol in SUNDIAL_AND_PRIMO
-    ]
-
-
-def fig08_render(scale: BenchScale, results: dict) -> dict:
-    write_ratios = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
-    out = {}
-    for label, _distributed in FIG08_DISTRIBUTED_LEVELS:
-        series = {p: [] for p in SUNDIAL_AND_PRIMO}
-        for write_pct in write_ratios:
-            for protocol in SUNDIAL_AND_PRIMO:
-                result = results[f"{protocol}@{label}@w{write_pct}"]
-                series[protocol].append(result.throughput_ktps)
-        out[label] = series
-        print_header(
-            f"Figure 8 ({label}): impact of the read-write ratio",
-            "Primo stable as writes grow; 0.96x/0.82x at 0% writes up to 2.86x/2.81x at 100%",
-        )
-        print_table(
-            ["% writes"] + [f"{p} kTPS" for p in SUNDIAL_AND_PRIMO],
-            [[f"{write_ratios[i]:.0%}"] + [series[p][i] for p in SUNDIAL_AND_PRIMO]
-             for i in range(len(write_ratios))],
-        )
-    return {"write_ratios": write_ratios, **out}
-
-
-# ---------------------------------------------------------------------------
-# Figure 9: blind writes
-# ---------------------------------------------------------------------------
-
-def fig09_plan(scale: BenchScale) -> list[Cell]:
-    ratios = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
-    return [
-        make_cell("fig09", f"{protocol}@b{ratio}", protocol, scale,
-                  workload="ycsb", workload_overrides={"blind_write_pct": ratio})
-        for ratio in ratios
-        for protocol in ("primo", "sundial")
-    ]
-
-
-def fig09_render(scale: BenchScale, results: dict) -> dict:
-    ratios = sweep_values([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], scale)
-    series = {"primo": [], "sundial": []}
-    for ratio in ratios:
-        for protocol in series:
-            series[protocol].append(results[f"{protocol}@b{ratio}"].throughput_ktps)
-    print_header(
-        "Figure 9: impact of the blind-write ratio",
-        "Primo wins while blind writes < ~80%; even at 100% it needs no more roundtrips than 2PC",
-    )
-    print_table(
-        ["blind-write ratio", "primo kTPS", "sundial kTPS", "primo/sundial"],
-        [
-            [f"{ratios[i]:.0%}", series["primo"][i], series["sundial"][i],
-             f"{series['primo'][i] / max(series['sundial'][i], 1e-9):.2f}x"]
-            for i in range(len(ratios))
-        ],
-    )
-    return {"ratios": ratios, **series}
-
-
-# ---------------------------------------------------------------------------
-# Figure 10: warehouses
-# ---------------------------------------------------------------------------
-
-def fig10_plan(scale: BenchScale) -> list[Cell]:
-    warehouse_counts = sweep_values([1, 2, 4, 8, 16, 32], scale)
-    return [
-        make_cell(
-            "fig10", f"{protocol}@w{warehouses}", protocol, scale,
-            workload="tpcc",
-            workload_overrides={"warehouses_per_partition": warehouses},
-        )
-        for warehouses in warehouse_counts
-        for protocol in SUNDIAL_AND_PRIMO
-    ]
-
-
-def fig10_render(scale: BenchScale, results: dict) -> dict:
-    warehouse_counts = sweep_values([1, 2, 4, 8, 16, 32], scale)
-    series = {p: [] for p in SUNDIAL_AND_PRIMO}
-    for warehouses in warehouse_counts:
-        for protocol in SUNDIAL_AND_PRIMO:
-            series[protocol].append(
-                results[f"{protocol}@w{warehouses}"].throughput_ktps
-            )
-    print_header(
-        "Figure 10: impact of the number of warehouses (TPC-C)",
-        "Primo wins at every size; improvement larger with fewer warehouses (1.61x -> 1.15x)",
-    )
-    print_table(
-        ["warehouses/partition"] + [f"{p} kTPS" for p in SUNDIAL_AND_PRIMO],
-        [[warehouse_counts[i]] + [series[p][i] for p in SUNDIAL_AND_PRIMO]
-         for i in range(len(warehouse_counts))],
-    )
-    return {"warehouses": warehouse_counts, **series}
+FIG06 = AxisSweep(
+    "fig06", "ycsb", "zipf_theta", (0.0, 0.2, 0.4, 0.6, 0.8, 0.95),
+    (Series("sundial"), Series("2pl_nw"), Series("primo")),
+    "Figure 6: impact of contention (YCSB skew sweep)",
+    "Primo wins at every skew; margin grows with contention (1.19x -> 2.18x)",
+    axis_heading="skew",
+    metrics=(THROUGHPUT, ABORT_RATE),
+)
+FIG07 = AxisSweep(
+    "fig07", "ycsb", "distributed_pct", (0.05, 0.2, 0.4, 0.6, 0.8, 1.0),
+    SUNDIAL_AND_PRIMO,
+    "Figure 7 ({level}): impact of % distributed transactions (skew={zipf_theta})",
+    "low contention: 1.12x -> 1.58x; high contention: 2.46x -> 1.96x",
+    axis_heading="% distributed", axis_format=".0%",
+    levels=(("low_contention", {"zipf_theta": 0.0}),
+            ("high_contention", {"zipf_theta": 0.9})),
+)
+FIG08 = AxisSweep(
+    "fig08", "ycsb", "write_pct", FRACTIONS_0_TO_1, SUNDIAL_AND_PRIMO,
+    "Figure 8 ({level}): impact of the read-write ratio",
+    "Primo stable as writes grow; 0.96x/0.82x at 0% writes up to 2.86x/2.81x at 100%",
+    axis_heading="% writes", axis_format=".0%",
+    levels=(("20pct_distributed", {"distributed_pct": 0.2}),
+            ("80pct_distributed", {"distributed_pct": 0.8})),
+)
+FIG09 = AxisSweep(
+    "fig09", "ycsb", "blind_write_pct", FRACTIONS_0_TO_1,
+    (Series("primo"), Series("sundial")),
+    "Figure 9: impact of the blind-write ratio",
+    "Primo wins while blind writes < ~80%; even at 100% it needs no more roundtrips than 2PC",
+    axis_heading="blind-write ratio", axis_format=".0%",
+    ratio=("primo", "sundial"),
+)
+FIG10 = AxisSweep(
+    "fig10", "tpcc", "warehouses_per_partition", (1, 2, 4, 8, 16, 32),
+    SUNDIAL_AND_PRIMO,
+    "Figure 10: impact of the number of warehouses (TPC-C)",
+    "Primo wins at every size; improvement larger with fewer warehouses (1.61x -> 1.15x)",
+    axis_heading="warehouses/partition",
+)
+FIG14 = AxisSweep(
+    "fig14", "ycsb", "n_partitions", (1, 2, 4, 8, 12, 16, 20),
+    SUNDIAL_AND_PRIMO + (Series("primo", "coco"),),
+    "Figure 14: scalability on YCSB",
+    "Primo scales best (3.2x/1.7x over the best baseline at 20 partitions); COCO flattens past ~12",
+    axis_heading="partitions",
+    metrics=(Metric("throughput_ktps", "{}"),),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +316,9 @@ def fig11_plan(scale: BenchScale) -> list[Cell]:
 
 
 def fig11_render(scale: BenchScale, results: dict) -> dict:
-    table = {}
-    for protocol in FIG11_PROTOCOLS:
-        table[protocol] = {}
-        for scheme in FIG11_SCHEMES:
-            table[protocol][scheme] = results[f"{protocol}@{scheme}"].throughput_ktps
+    table = {protocol: {scheme: results[f"{protocol}@{scheme}"].throughput_ktps
+                        for scheme in FIG11_SCHEMES}
+             for protocol in FIG11_PROTOCOLS}
     print_header(
         "Figure 11: logging/group-commit schemes on YCSB",
         "WM > COCO > CLV for every concurrency-control scheme",
@@ -380,8 +334,14 @@ def fig11_render(scale: BenchScale, results: dict) -> dict:
 # Figure 12: watermark interval / epoch size
 # ---------------------------------------------------------------------------
 
+#: The two group-commit schemes Figs. 12 and 13 compare.
+WM_AND_COCO = ("wm", "coco")
+#: Fig. 12's watermark intervals / epoch sizes, ms.
+FIG12_INTERVALS_MS = (2.0, 5.0, 10.0, 20.0, 40.0)
+
+
 def fig12_plan(scale: BenchScale) -> list[Cell]:
-    intervals_ms = sweep_values([2.0, 5.0, 10.0, 20.0, 40.0], scale)
+    intervals_ms = sweep_values(FIG12_INTERVALS_MS, scale)
     crash_time = scale.warmup_us + scale.duration_us * 0.6
     return [
         make_cell(
@@ -391,32 +351,29 @@ def fig12_plan(scale: BenchScale) -> list[Cell]:
             faults=[{"kind": "crash", "at_us": crash_time, "target": 1}],
         )
         for interval_ms in intervals_ms
-        for scheme in ("wm", "coco")
+        for scheme in WM_AND_COCO
     ]
 
 
 def fig12_render(scale: BenchScale, results: dict) -> dict:
-    intervals_ms = sweep_values([2.0, 5.0, 10.0, 20.0, 40.0], scale)
-    rows = []
-    data = {"wm": {}, "coco": {}}
-    for interval_ms in intervals_ms:
-        for scheme in ("wm", "coco"):
-            result = results[f"{scheme}@i{interval_ms}"]
-            data[scheme][interval_ms] = result
-            rows.append(
-                (scheme, interval_ms, result.mean_latency_ms,
-                 f"{result.crash_abort_rate:.2%}", result.throughput_ktps)
-            )
+    intervals_ms = sweep_values(FIG12_INTERVALS_MS, scale)
+    runs = {scheme: [results[f"{scheme}@i{interval_ms}"] for interval_ms in intervals_ms]
+            for scheme in WM_AND_COCO}
     print_header(
         "Figure 12: impact of the watermark interval / epoch size",
         "latency and crash-abort rate grow with the interval; WM > COCO throughput at equal interval",
     )
-    print_table(["scheme", "interval ms", "avg latency ms", "crash aborts", "kTPS"], rows)
+    print_table(
+        ["scheme", "interval ms", "avg latency ms", "crash aborts", "kTPS"],
+        [(scheme, interval_ms, runs[scheme][i].mean_latency_ms,
+          f"{runs[scheme][i].crash_abort_rate:.2%}", runs[scheme][i].throughput_ktps)
+         for i, interval_ms in enumerate(intervals_ms) for scheme in WM_AND_COCO],
+    )
     return {
         "intervals_ms": intervals_ms,
-        "latency_ms": {s: [data[s][i].mean_latency_ms for i in intervals_ms] for s in data},
-        "crash_abort_rate": {s: [data[s][i].crash_abort_rate for i in intervals_ms] for s in data},
-        "throughput_ktps": {s: [data[s][i].throughput_ktps for i in intervals_ms] for s in data},
+        "latency_ms": {s: [r.mean_latency_ms for r in runs[s]] for s in runs},
+        "crash_abort_rate": {s: [r.crash_abort_rate for r in runs[s]] for s in runs},
+        "throughput_ktps": {s: [r.throughput_ktps for r in runs[s]] for s in runs},
     }
 
 
@@ -424,13 +381,15 @@ def fig12_render(scale: BenchScale, results: dict) -> dict:
 # Figure 13: lagging watermarks and slow partitions
 # ---------------------------------------------------------------------------
 
+#: Fig. 13a's extra delays of partition 1's watermark/epoch messages, ms.
+FIG13_DELAYS_MS = (0.0, 5.0, 10.0, 20.0, 30.0)
 FIG13_SLOW_VARIANTS = (
     ("wm_force_update", True), ("wm_no_force_update", False), ("coco", None),
 )
 
 
 def fig13_plan(scale: BenchScale) -> list[Cell]:
-    delays_ms = sweep_values([0.0, 5.0, 10.0, 20.0, 30.0], scale)
+    delays_ms = sweep_values(FIG13_DELAYS_MS, scale)
     cells = [
         # (a) delay only the watermark/epoch control messages of partition 1.
         make_cell(
@@ -440,7 +399,7 @@ def fig13_plan(scale: BenchScale) -> list[Cell]:
                      "delay_us": delay_ms * 1000.0}],
         )
         for delay_ms in delays_ms
-        for scheme in ("wm", "coco")
+        for scheme in WM_AND_COCO
     ]
     for label, force_update in FIG13_SLOW_VARIANTS:
         scheme = "coco" if label == "coco" else "wm"
@@ -459,33 +418,26 @@ def fig13_plan(scale: BenchScale) -> list[Cell]:
 
 
 def fig13_render(scale: BenchScale, results: dict) -> dict:
-    delays_ms = sweep_values([0.0, 5.0, 10.0, 20.0, 30.0], scale)
-    message_delay = {"wm": {"throughput": [], "latency": []},
-                     "coco": {"throughput": [], "latency": []}}
-    for delay_ms in delays_ms:
-        for scheme in ("wm", "coco"):
-            result = results[f"{scheme}@d{delay_ms}"]
-            message_delay[scheme]["throughput"].append(result.throughput_ktps)
-            message_delay[scheme]["latency"].append(result.mean_latency_ms)
-
+    delays_ms = sweep_values(FIG13_DELAYS_MS, scale)
+    message_delay = {
+        scheme: {"throughput": [results[f"{scheme}@d{d}"].throughput_ktps for d in delays_ms],
+                 "latency": [results[f"{scheme}@d{d}"].mean_latency_ms for d in delays_ms]}
+        for scheme in WM_AND_COCO
+    }
     print_header(
         "Figure 13a: lagging due to watermark/epoch message delay",
         "WM throughput is unaffected by message delay while COCO's drops; latency rises for both",
     )
     print_table(
         ["delay ms", "WM kTPS", "WM ms", "COCO kTPS", "COCO ms"],
-        [
-            [delays_ms[i], message_delay["wm"]["throughput"][i], message_delay["wm"]["latency"][i],
-             message_delay["coco"]["throughput"][i], message_delay["coco"]["latency"][i]]
-            for i in range(len(delays_ms))
-        ],
+        [[delay_ms] + [message_delay[scheme][column][i]
+                       for scheme in WM_AND_COCO for column in ("throughput", "latency")]
+         for i, delay_ms in enumerate(delays_ms)],
     )
 
-    slow = {}
-    for label, _force_update in FIG13_SLOW_VARIANTS:
-        result = results[f"slow@{label}"]
-        slow[label] = {"throughput_ktps": result.throughput_ktps,
-                       "latency_ms": result.mean_latency_ms}
+    slow = {label: {"throughput_ktps": results[f"slow@{label}"].throughput_ktps,
+                    "latency_ms": results[f"slow@{label}"].mean_latency_ms}
+            for label, _force_update in FIG13_SLOW_VARIANTS}
     print_header(
         "Figure 13b: lagging due to a slow partition",
         "force-updating the slow partition's watermark keeps WM latency close to COCO",
@@ -498,51 +450,6 @@ def fig13_render(scale: BenchScale, results: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Figure 14: scalability
-# ---------------------------------------------------------------------------
-
-def fig14_plan(scale: BenchScale) -> list[Cell]:
-    partition_counts = sweep_values([1, 2, 4, 8, 12, 16, 20], scale)
-    cells = []
-    for n_partitions in partition_counts:
-        for protocol in SUNDIAL_AND_PRIMO:
-            cells.append(
-                make_cell("fig14", f"{protocol}@n{n_partitions}", protocol, scale,
-                          workload="ycsb", n_partitions=n_partitions)
-            )
-        cells.append(
-            make_cell("fig14", f"primo(coco)@n{n_partitions}", "primo", scale,
-                      workload="ycsb", n_partitions=n_partitions,
-                      durability="coco")
-        )
-    return cells
-
-
-def fig14_render(scale: BenchScale, results: dict) -> dict:
-    partition_counts = sweep_values([1, 2, 4, 8, 12, 16, 20], scale)
-    series: dict[str, list] = {p: [] for p in SUNDIAL_AND_PRIMO}
-    series["primo(coco)"] = []
-    for n_partitions in partition_counts:
-        for protocol in SUNDIAL_AND_PRIMO:
-            series[protocol].append(
-                results[f"{protocol}@n{n_partitions}"].throughput_ktps
-            )
-        series["primo(coco)"].append(
-            results[f"primo(coco)@n{n_partitions}"].throughput_ktps
-        )
-    print_header(
-        "Figure 14: scalability on YCSB",
-        "Primo scales best (3.2x/1.7x over the best baseline at 20 partitions); COCO flattens past ~12",
-    )
-    print_table(
-        ["partitions"] + list(series.keys()),
-        [[partition_counts[i]] + [series[name][i] for name in series]
-         for i in range(len(partition_counts))],
-    )
-    return {"partitions": partition_counts, "throughput_ktps": series}
-
-
-# ---------------------------------------------------------------------------
 # Figure 15: TAPIR comparison
 # ---------------------------------------------------------------------------
 
@@ -552,6 +459,7 @@ FIG15_CONDITIONS = (
     ("high_contention_20pct", 0.9, 0.2),
     ("high_contention_80pct", 0.9, 0.8),
 )
+FIG15_PROTOCOLS = ("primo", "tapir")
 
 
 def fig15_plan(scale: BenchScale) -> list[Cell]:
@@ -563,30 +471,23 @@ def fig15_plan(scale: BenchScale) -> list[Cell]:
             workers_per_partition=1, inflight_per_worker=4,
         )
         for label, skew, distributed in FIG15_CONDITIONS
-        for protocol in ("primo", "tapir")
+        for protocol in FIG15_PROTOCOLS
     ]
 
 
 def fig15_render(scale: BenchScale, results: dict) -> dict:
-    rows = []
-    data = {}
-    for label, _skew, _distributed in FIG15_CONDITIONS:
-        entry = {
-            protocol: results[f"{protocol}@{label}"]
-            for protocol in ("primo", "tapir")
-        }
-        data[label] = entry
-        ratio = entry["primo"].throughput_tps / max(entry["tapir"].throughput_tps, 1e-9)
-        rows.append(
-            (label, entry["primo"].throughput_ktps, entry["tapir"].throughput_ktps,
-             f"{ratio:.2f}x", entry["primo"].mean_latency_ms, entry["tapir"].mean_latency_ms)
-        )
+    data = {label: {protocol: results[f"{protocol}@{label}"] for protocol in FIG15_PROTOCOLS}
+            for label, _skew, _distributed in FIG15_CONDITIONS}
     print_header(
         "Figure 15: comparison with TAPIR (one worker per server)",
         "Primo 4.1x-8.3x higher throughput; TAPIR much lower latency (no group commit)",
     )
     print_table(
-        ["condition", "primo kTPS", "tapir kTPS", "ratio", "primo ms", "tapir ms"], rows
+        ["condition", "primo kTPS", "tapir kTPS", "ratio", "primo ms", "tapir ms"],
+        [(label, entry["primo"].throughput_ktps, entry["tapir"].throughput_ktps,
+          format_ratio(entry["primo"].throughput_tps / max(entry["tapir"].throughput_tps, 1e-9)),
+          entry["primo"].mean_latency_ms, entry["tapir"].mean_latency_ms)
+         for label, entry in data.items()],
     )
     return {
         label: {p: r.summary() for p, r in entry.items()} for label, entry in data.items()
@@ -651,11 +552,6 @@ def openloop_saturation_tps(scale: BenchScale) -> float:
     return OPENLOOP_SATURATION_TPS["small"] * width / small_width
 
 
-def _openloop_keys(fractions: list) -> list[str]:
-    return [f"{protocol}@x{fraction:g}"
-            for protocol in OPENLOOP_PROTOCOLS for fraction in fractions]
-
-
 def openloop_plan(scale: BenchScale) -> list[Cell]:
     """One Poisson offered-load point per (protocol, fraction) — a plain
     ``repro.sweep`` over the ``arrival`` axis."""
@@ -668,8 +564,9 @@ def openloop_plan(scale: BenchScale) -> list[Cell]:
         arrival=[{"kind": "poisson", "rate_tps": saturation * fraction}
                  for fraction in fractions],
     )
-    return [Cell("openloop", key, spec)
-            for key, spec in zip(_openloop_keys(fractions), specs)]
+    keys = (f"{protocol}@x{fraction:g}"
+            for protocol in OPENLOOP_PROTOCOLS for fraction in fractions)
+    return [Cell("openloop", key, spec) for key, spec in zip(keys, specs)]
 
 
 def openloop_render(scale: BenchScale, results: dict) -> dict:
@@ -686,31 +583,20 @@ def openloop_render(scale: BenchScale, results: dict) -> dict:
         "protocols": {},
     }
     for protocol in OPENLOOP_PROTOCOLS:
-        series = {"achieved_ktps": [], "p50_ms": [], "p99_ms": [],
-                  "p999_ms": [], "dropped": []}
-        rows = []
-        for fraction in fractions:
-            result = results[f"{protocol}@x{fraction:g}"]
-            dropped = result.metrics.counters.get("arrivals_dropped")
-            series["achieved_ktps"].append(result.throughput_ktps)
-            series["p50_ms"].append(result.p50_latency_ms)
-            series["p99_ms"].append(result.p99_latency_ms)
-            series["p999_ms"].append(result.p999_latency_ms)
-            series["dropped"].append(dropped)
-            rows.append((
-                f"{fraction:g}x",
-                saturation * fraction / 1000.0,
-                result.throughput_ktps,
-                result.p50_latency_ms,
-                result.p99_latency_ms,
-                result.p999_latency_ms,
-                dropped,
-            ))
+        runs = [results[f"{protocol}@x{fraction:g}"] for fraction in fractions]
+        series = {
+            "achieved_ktps": [run.throughput_ktps for run in runs],
+            "p50_ms": [run.p50_latency_ms for run in runs],
+            "p99_ms": [run.p99_latency_ms for run in runs],
+            "p999_ms": [run.p999_latency_ms for run in runs],
+            "dropped": [run.metrics.counters.get("arrivals_dropped") for run in runs],
+        }
         print(f"\n  {protocol}")
         print_table(
             ["offered", "offered kTPS", "kTPS", "p50 ms", "p99 ms", "p999 ms",
              "dropped"],
-            rows,
+            [(f"{fraction:g}x", saturation * fraction / 1000.0, *row)
+             for fraction, row in zip(fractions, zip(*series.values()))],
         )
         data["protocols"][protocol] = series
     return data
@@ -762,10 +648,7 @@ def storm_render(scale: BenchScale, results: dict) -> dict:
         "follower lag, slow partition, follower crash, leader flap, stale reads "
         "— one curated plan, every protocol",
     )
-    data: dict = {
-        "duration_us": storm_duration_us(scale),
-        "protocols": {},
-    }
+    data: dict = {"duration_us": storm_duration_us(scale), "protocols": {}}
     rows = []
     for protocol in PROTOCOL_REGISTRY.names():
         result = results[protocol]
@@ -825,22 +708,24 @@ class FigureSpec:
 
 def _register_figure(name: str, plan: Callable, render: Callable,
                      description: str = "") -> None:
-    FIGURE_REGISTRY.register(
-        name, FigureSpec(name, plan, render), description=description
-    )
+    FIGURE_REGISTRY.register(name, FigureSpec(name, plan, render), description=description)
 
 
-_register_figure("fig04", fig04_plan, fig04_render, "overall performance on YCSB")
-_register_figure("fig05", fig05_plan, fig05_render, "overall performance on TPC-C")
-_register_figure("fig06", fig06_plan, fig06_render, "impact of contention (Zipf skew)")
-_register_figure("fig07", fig07_plan, fig07_render, "% distributed transactions")
-_register_figure("fig08", fig08_plan, fig08_render, "read-write ratio")
-_register_figure("fig09", fig09_plan, fig09_render, "blind-write ratio")
-_register_figure("fig10", fig10_plan, fig10_render, "TPC-C warehouses")
+_register_figure("fig04", partial(_overall_plan, "fig04", "ycsb"),
+                 partial(_overall_render, "Figure 4", "ycsb", 1.91),
+                 "overall performance on YCSB")
+_register_figure("fig05", partial(_overall_plan, "fig05", "tpcc"),
+                 partial(_overall_render, "Figure 5", "tpcc", 1.42),
+                 "overall performance on TPC-C")
+_register_figure("fig06", FIG06.plan, FIG06.render, "impact of contention (Zipf skew)")
+_register_figure("fig07", FIG07.plan, FIG07.render, "% distributed transactions")
+_register_figure("fig08", FIG08.plan, FIG08.render, "read-write ratio")
+_register_figure("fig09", FIG09.plan, FIG09.render, "blind-write ratio")
+_register_figure("fig10", FIG10.plan, FIG10.render, "TPC-C warehouses")
 _register_figure("fig11", fig11_plan, fig11_render, "logging / group-commit schemes")
 _register_figure("fig12", fig12_plan, fig12_render, "watermark interval / epoch size")
 _register_figure("fig13", fig13_plan, fig13_render, "lagging watermarks, slow partition")
-_register_figure("fig14", fig14_plan, fig14_render, "scalability with partitions")
+_register_figure("fig14", FIG14.plan, FIG14.render, "scalability with partitions")
 _register_figure("fig15", fig15_plan, fig15_render, "comparison with TAPIR")
 _register_figure("openloop", openloop_plan, openloop_render,
                  "throughput + p50/p99/p999 latency vs offered load "

@@ -41,7 +41,9 @@ def test_cli_runs_a_single_figure_and_emits_json(tmp_path, capsys):
     assert data["meta"]["cells_executed"] == data["meta"]["cells_total"] > 0
     assert data["meta"]["cells_cached"] == 0
     fig09 = data["figures"]["fig09"]
-    assert len(fig09["primo"]) == len(fig09["ratios"]) == TEST_SCALE.sweep_points
+    [level] = fig09["levels"]
+    primo = level["metrics"]["throughput_ktps"]["primo"]
+    assert len(primo) == len(fig09["values"]) == TEST_SCALE.sweep_points
 
 
 def test_cli_second_invocation_resumes_from_cache(tmp_path):

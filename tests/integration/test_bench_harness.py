@@ -75,8 +75,11 @@ def test_appendix_experiment_matches_paper_conclusion():
 
 def test_blind_write_experiment_runs_at_test_scale(capsys):
     data = run_figure("fig09", TEST_SCALE)
-    assert len(data["primo"]) == len(data["ratios"]) == TEST_SCALE.sweep_points
-    assert all(v >= 0 for v in data["primo"])
+    assert data["axis"] == "blind_write_pct"
+    [level] = data["levels"]
+    primo = level["metrics"]["throughput_ktps"]["primo"]
+    assert len(primo) == len(data["values"]) == TEST_SCALE.sweep_points
+    assert all(v >= 0 for v in primo)
 
 
 def test_logging_scheme_experiment_covers_all_schemes(capsys):
