@@ -206,13 +206,6 @@ class ColumnarRecord(tuple):
             return default
         return col[self[1]]
 
-    def install(self, new_value: dict, ts: float) -> None:
-        t, row, _ = self
-        t._write_row(row, new_value, full=True)
-        t._wts[row] = ts
-        t._rts[row] = ts
-        t._version[row] += 1
-
     def install_fields(self, updates: dict, ts: float) -> None:
         t, row, _ = self
         t._write_row(row, updates, full=False)

@@ -78,16 +78,10 @@ class Record:
         except ValueError:
             return default
 
-    def install(self, new_value: dict, ts: float) -> None:
-        """Install a committed write at logical time ``ts`` (TicToc semantics)."""
-        self.value = new_value
-        self.wts = ts
-        self.rts = ts
-        self.version += 1
-
     def install_fields(self, updates: dict, ts: float) -> None:
-        """Install a partial update (only the listed columns change; a new
-        column is appended, as ``dict.update`` would)."""
+        """Install a committed write at logical time ``ts`` (TicToc
+        semantics): only the listed columns change, and a new column is
+        appended, as ``dict.update`` would."""
         names = self._names
         cells = list(self._cells)
         for column, cell in updates.items():

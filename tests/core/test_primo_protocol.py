@@ -72,7 +72,7 @@ def test_mode_switch_aborts_if_a_read_record_changed():
     def logic(ctx):
         yield from ctx.read(0, "kv", 6)
         # A concurrent commit changes the record before the remote access.
-        server.store.table("kv").get(6).install({"v": 123}, ts=40.0)
+        server.store.table("kv").get(6).install_fields({"v": 123}, ts=40.0)
         yield from ctx.read(1, "kv", 7)
 
     committed, txn = run_txn(cluster, 0, logic)

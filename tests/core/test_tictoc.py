@@ -97,7 +97,7 @@ def test_validation_aborts_when_read_record_changed():
     def logic(ctx):
         yield from ctx.read(0, "kv", 3)
         # Simulate a concurrent writer committing in between: bump wts.
-        record.install({"v": 99}, ts=50.0)
+        record.install_fields({"v": 99}, ts=50.0)
         yield from ctx.update(0, "kv", 3, {"v": 1})
 
     with pytest.raises(Exception):
@@ -112,9 +112,9 @@ def test_validation_extends_rts_when_possible():
     cluster = make_manual_cluster("primo")
     server = cluster.servers[0]
     target = server.store.table("kv").get(7)
-    target.install({"v": 1}, ts=5.0)   # wts = rts = 5
+    target.install_fields({"v": 1}, ts=5.0)   # wts = rts = 5
     other = server.store.table("kv").get(8)
-    other.install({"v": 1}, ts=9.0)    # forces commit_ts >= 10 for writers of 8
+    other.install_fields({"v": 1}, ts=9.0)    # forces commit_ts >= 10 for writers of 8
 
     def logic(ctx):
         yield from ctx.read(0, "kv", 7)

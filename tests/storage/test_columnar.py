@@ -110,8 +110,6 @@ def test_non_numeric_write_to_an_existing_row_raises_table_error():
     record = table.insert(0, {"a": 1, "b": 0.0})
     message = "column 'a' of columnar table 't' is numeric; got 'x'"
     with pytest.raises(TableError, match=message):
-        record.install({"a": "x"}, ts=1.0)
-    with pytest.raises(TableError, match=message):
         record.install_fields({"a": "x"}, ts=1.0)
     with pytest.raises(TableError, match=message):
         record.value = {"a": "x"}
@@ -188,8 +186,8 @@ def test_record_install_updates_timestamps_and_version():
     table = make_table()
     record = table.insert(0, {"a": 1, "b": 0.0})
     assert record.wts == 0.0 and record.rts == 0.0 and record.version == 0
-    record.install({"a": 2}, ts=7.0)
-    assert record.value == {"a": 2, "b": 0.0}  # full install zero-fills b
+    record.install_fields({"a": 2}, ts=7.0)
+    assert record.value == {"a": 2, "b": 0.0}
     assert record.wts == 7.0 and record.rts == 7.0 and record.version == 1
 
 
@@ -204,7 +202,7 @@ def test_record_install_fields_merges_columns():
 def test_record_extend_rts_never_shrinks():
     table = make_table()
     record = table.insert(0, {"a": 0, "b": 0.0})
-    record.install({}, ts=5.0)
+    record.install_fields({}, ts=5.0)
     record.extend_rts(3.0)
     assert record.rts == 5.0
     record.extend_rts(9.0)
@@ -375,11 +373,11 @@ def test_bulk_loaded_table_behaves_like_a_dict_table_under_a_seeded_sequence():
             getattr(reference, op)(key, row)
             version_base[key] = columnar.get(key).version - reference.get(key).version
             continue
-        op = rng.choice(("read", "install", "install_fields", "extend_rts",
+        op = rng.choice(("read", "install_row", "install_fields", "extend_rts",
                          "delete", "upsert", "restore"))
-        if op == "install":
+        if op == "install_row":
             for record in pair:
-                record.install(row, ts)
+                record.install_fields(row, ts)
         elif op == "install_fields":
             column = rng.choice(("a", "b"))
             for record in pair:

@@ -9,7 +9,7 @@ from repro.storage.table import Table, TableError
 def test_record_install_updates_timestamps_and_version():
     record = Record("k", {"v": 1})
     assert record.wts == 0.0 and record.rts == 0.0 and record.version == 0
-    record.install({"v": 2}, ts=7.0)
+    record.install_fields({"v": 2}, ts=7.0)
     assert record.value == {"v": 2}
     assert record.wts == 7.0 and record.rts == 7.0
     assert record.version == 1
@@ -24,7 +24,7 @@ def test_record_install_fields_merges_columns():
 
 def test_record_extend_rts_never_shrinks():
     record = Record("k", {})
-    record.install({}, ts=5.0)
+    record.install_fields({}, ts=5.0)
     record.extend_rts(3.0)
     assert record.rts == 5.0
     record.extend_rts(9.0)
@@ -189,7 +189,9 @@ def test_rows_with_one_column_order_share_one_names_tuple():
     for key in range(100):
         table.insert(key, {"a": key, "b": str(key), "c": 0.0})
     table.get(7).install_fields({"b": "x"}, ts=1.0)
-    table.get(8).install({"a": 1, "b": "y", "c": 2.0}, ts=1.0)
+    image = table.get(8).undo_image()
+    table.get(8).install_fields({"d": 0}, ts=1.0)
+    table.get(8).restore(image)   # back onto the shared layout
     table.upsert(9, {"a": 1, "b": "z", "c": 3.0})
     table.delete(10)
     table.insert(10, {"a": 10, "b": "w", "c": 4.0})
@@ -237,7 +239,7 @@ def test_row_values_match_a_plain_dict_model_under_random_writes():
             continue
         elif action == 1:
             row = random_row()
-            record.install(row, ts=float(step))
+            record.value = row
             model[key] = dict(row)
         elif action == 2:
             updates = random_row()   # may name columns the row lacks
