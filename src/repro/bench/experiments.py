@@ -62,11 +62,11 @@ def _overall_render(figure: str, workload: str, paper_factor: float,
 
     # (b) factor breakdown: Sundial reference, then add WCF, then WM.
     # "Primo w/o WM & WCF" (TicToc locally + 2PL/2PC for distributed txns) is
-    # no registered protocol, so the 2PL(WD) run stands in for it: 2PL(WD)
-    # pairs with COCO, so it keeps both things the row removes from Primo —
-    # a locking prepare round instead of WCF and epoch group commit instead
-    # of WM — but not its TicToc local concurrency control.  ROADMAP item
-    # 1(c) records this row as ``approximates``.
+    # no registered protocol, so the 2PL(WD)+COCO run stands in for it: it
+    # has both things the row takes away from Primo (a locking 2PC prepare
+    # round instead of WCF, COCO epoch group commit instead of WM) but not
+    # the TicToc local concurrency control.  ROADMAP item 1(c) is to record
+    # this row as ``approximates``.
     breakdown = {
         "sundial (reference)": protocol_results["sundial"],
         "primo w/o WM & WCF (2PL+2PC proxy)": protocol_results["2pl_wd"],
@@ -156,15 +156,15 @@ class Metric:
 
     attr: str
     heading: str = "{} kTPS"
-    spec: str = ""
+    value_format: str = ""
 
 
 THROUGHPUT = Metric("throughput_ktps")
 ABORT_RATE = Metric("abort_rate", "{} abort", ".1%")
 
 
-def _formatted(value, spec: str):
-    return format(value, spec) if spec else value
+def _formatted(value, format_spec: str):
+    return format(value, format_spec) if format_spec else value
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ class AxisSweep:
             headings = [self.axis_heading] + [metric.heading.format(series.name)
                                               for metric, series in columns]
             rows = [[_formatted(value, self.axis_format)]
-                    + [_formatted(table[metric.attr][series.name][i], metric.spec)
+                    + [_formatted(table[metric.attr][series.name][i], metric.value_format)
                        for metric, series in columns]
                     for i, value in enumerate(values)]
             if self.ratio is not None:
