@@ -7,27 +7,26 @@ column names are one tuple shared by every row).  At the ``xlarge``/``web``
 scale tiers — millions of keys — that overhead, not the event kernel, is what
 exhausts memory.  :class:`ColumnarTable` stores a row as one cell in each of
 parallel C-backed ``array`` columns (8 bytes per numeric cell) plus flat
-metadata arrays for the TicToc timestamps, the Silo version counter and the
-deleted flag, and maps the row to its position in those arrays through a
-4-byte *slot*: ≈ 47 bytes per row inserted one at a time for YCSB's
-two-field schema, a ≈ 4.8x reduction.
+metadata arrays for the TicToc timestamps and the Silo version counter, and
+maps the row to its position in those arrays through a 4-byte *slot*:
+≈ 46 bytes per touched row for a two-field schema, a ≈ 4.9x reduction.
 
-A bulk-loaded row costs only its slot until a transaction touches it.  On
+A columnar table holds exactly what the fixed-population loaders (YCSB,
+Smallbank) give it: the dense integer keys ``0..n-1``, which transactions
+read and update but never insert or delete (§6.1.2).  The key *is* the row
+number, so there is no key map and ``get`` is one bounds check and one slot
+read.  A loaded row costs only its slot until a transaction touches it.  On
 the million-key tiers most rows are never read (a ``ycsb_sundial_1m`` pass
 at seed 42 touches 54,052 of 1,000,000), so a row that was loaded from a
 template and never accessed has no cells of its own: its slot is -1 and
-its values are the template's (see "Loading" below).  The first
-:meth:`ColumnarTable.get` of such a row *materializes* it — appends the
-template's cells and zeroed metadata to the arrays and records the slot —
-and from then on it is an ordinary row.  A template row is never deleted, so
-``delete``, ``upsert`` and a duplicate ``insert`` reach it through the same
-mapping; membership, ``len``, :meth:`~ColumnarTable.keys`,
-:meth:`~ColumnarTable.create_index` and :attr:`~ColumnarTable.nbytes` read
-it without materializing anything.  The price is one array index per
-``get`` and a row append the first time a row is touched.
+its values are the template's.  The first :meth:`ColumnarTable.get` of such
+a row *materializes* it — appends the template's cells and zeroed metadata
+to the arrays and records the slot — and from then on it is an ordinary
+row.  Membership, ``len``, :meth:`~ColumnarTable.keys` and
+:attr:`~ColumnarTable.nbytes` materialize nothing.
 
-The columnar table sits behind the exact ``Table``/``Record`` interface the
-protocols already use: :meth:`ColumnarTable.get` hands back a
+The columnar table sits behind the ``Table``/``Record`` interface the
+protocols read and update through: :meth:`ColumnarTable.get` hands back a
 :class:`ColumnarRecord` *handle* — the tuple ``(table, slot, key)`` — whose
 attribute reads and writes go straight to the backing arrays.  Handles are
 ephemeral (a fresh one per access) and are built, hashed and compared as
@@ -39,36 +38,34 @@ manager keeps an entry for a row only while it is held or awaited.
 Which backend a table uses is decided at creation time
 (:meth:`repro.storage.partition.PartitionStore.create_table`): workloads with
 a fixed numeric schema (YCSB, Smallbank) pass a :class:`TableSchema`;
-dynamic-schema workloads (TPC-C's mixed-type rows and secondary-index
-lookups) pass none and keep the dict backend, which remains the bit-identical
-reference (the test suite's ``dict_tables`` fixture forces it everywhere).
+dynamic-schema workloads (TPC-C's and TATP's inserts, deletes and
+secondary-index lookups) pass none and keep the dict backend, which remains
+the bit-identical reference (the test suite's ``dict_tables`` fixture forces
+it everywhere).
 
 Loading.  :meth:`ColumnarTable.insert_many` (the loaders' entry point, same
-signature on :class:`~repro.storage.table.Table`) is by definition ``for k
-in keys: insert(k, row)``.  When the call itself shows that nothing per-row
-can happen — ``keys`` is a step-1 ``range`` starting at the table's row
-count, the table is still dense and has no secondary index — the template
-row is checked once, its converted cells are recorded with the range's
-first row, and the slot array grows by one ``array * n`` extend of -1: no
-column or metadata array grows at all, and the call makes O(columns)
-Python-level operations for any number of rows.  Every other input (a list
-of keys, a stepped or non-contiguous range, a sparse or indexed table) runs
-the per-row loop; there is no switch to choose between them.
+signature on :class:`~repro.storage.table.Table`) takes the keys continuing
+the table, ``range(len(table), len(table) + n)``: the template row is checked
+once, its converted cells are recorded with the range's first row, and the
+slot array grows by one ``array * n`` extend of -1.  No column or metadata
+array grows at all, and the call makes O(columns) Python-level operations for
+any number of rows.  Any other key collection raises :class:`TableError`.
 
 Simulation semantics are backend-independent by construction: the columnar
-path stores the same values, applies the same unique-key/missing-key errors,
-and never changes event ordering — fixed-seed runs produce bit-identical
-results under either backend (pinned by ``tests/integration``).
+path stores the same values, applies the same missing-key errors, and never
+changes event ordering — fixed-seed runs produce bit-identical results under
+either backend (pinned by ``tests/integration``).
 """
 
 from __future__ import annotations
 
+import reprlib
 from array import array
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
-from .table import SecondaryIndex, TableError
+from .table import TableError
 
 __all__ = ["TableSchema", "ColumnarTable", "ColumnarRecord"]
 
@@ -113,16 +110,15 @@ class TableSchema:
 
 class ColumnarRecord(tuple):
     """A handle ``(table, slot, key)`` on one columnar row, API-compatible
-    with ``Record``.
+    with ``Record`` for reads and updates.
 
     ``slot`` is the row's position in the table's column and metadata
     arrays; only a materialized row has one, so :meth:`ColumnarTable.get`
     materializes a template row before handing out its handle.  Attribute
-    reads and writes (``wts``/``rts``/``version``/``deleted``/
-    ``value``) go straight to the owning table's arrays, so a handle is safe
-    to hold across simulation yields: every handle of a row observes every
-    other handle's writes.  Construction, equality and hashing are the
-    tuple's own.
+    reads and writes (``wts``/``rts``/``version``) go straight to the owning
+    table's arrays, so a handle is safe to hold across simulation yields:
+    every handle of a row observes every other handle's writes.
+    Construction, equality and hashing are the tuple's own.
     """
 
     __slots__ = ()
@@ -154,14 +150,6 @@ class ColumnarRecord(tuple):
     def version(self, v: int) -> None:
         self[0]._version[self[1]] = v
 
-    @property
-    def deleted(self) -> bool:
-        return bool(self[0]._deleted[self[1]])
-
-    @deleted.setter
-    def deleted(self, flag: bool) -> None:
-        self[0]._deleted[self[1]] = 1 if flag else 0
-
     # -- value access -------------------------------------------------------
     def snapshot(self) -> dict:
         """The row materialized as a column-ordered dict (a private copy)."""
@@ -172,10 +160,6 @@ class ColumnarRecord(tuple):
         return value
 
     value = property(snapshot)
-
-    @value.setter
-    def value(self, new_value: dict) -> None:
-        self[0]._write_row(self[1], new_value, full=True)
 
     def read(self) -> tuple:
         """``(private value copy, wts, rts, version)``: a read entry's fields."""
@@ -208,7 +192,15 @@ class ColumnarRecord(tuple):
 
     def install_fields(self, updates: dict, ts: float) -> None:
         t, row, _ = self
-        t._write_row(row, updates, full=False)
+        by_name = t._by_name
+        for col, value in updates.items():
+            arr = by_name.get(col)
+            if arr is None:
+                raise t._unknown_column(col)
+            try:
+                arr[row] = value
+            except (TypeError, OverflowError) as exc:
+                raise t._not_numeric(col, value) from exc
         t._wts[row] = ts
         t._rts[row] = ts
         t._version[row] += 1
@@ -218,10 +210,6 @@ class ColumnarRecord(tuple):
         if ts > rts[row]:
             rts[row] = ts
 
-    def valid_at(self, ts: float) -> bool:
-        t, row, _ = self
-        return t._wts[row] <= ts <= t._rts[row]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ColumnarRecord(key={self.key!r}, wts={self.wts}, rts={self.rts}, "
@@ -230,16 +218,12 @@ class ColumnarRecord(tuple):
 
 
 class ColumnarTable:
-    """Array-backed fixed-schema table, API-compatible with ``Table``.
+    """Array-backed fixed-schema table over the dense keys ``0..n-1``.
 
-    Primary keys are expected to be the dense integers ``0..n-1`` the
-    workload loaders produce (rows are addressed by key directly, no per-key
-    dict at all); out-of-order or non-contiguous integer keys transparently
-    fall back to a sparse ``key -> row`` map, so recovery redelivery and
-    ad-hoc inserts stay correct — they just pay the map.
-
-    A *row* is a key's logical position (``0..n-1`` in insertion order); a
-    *slot* is where a materialized row's cells sit in the physical arrays.
+    A *row* is a key (``0..n-1`` in load order); a *slot* is where a
+    materialized row's cells sit in the physical arrays.  Rows are loaded by
+    :meth:`insert_many` only, read and updated through :meth:`get`, and never
+    removed.
     """
 
     def __init__(self, name: str, schema: TableSchema):
@@ -254,35 +238,19 @@ class ColumnarTable:
         self._wts = array("d")
         self._rts = array("d")
         self._version = array("q")
-        self._deleted = bytearray()
-        # Row -> slot; -1 while a bulk-loaded row is still its template row,
+        # Row -> slot; -1 while a loaded row is still its template row,
         # whose cells are the last template starting at or before it.
         self._slot = array("i")
         self._template_starts: list[int] = []
         self._template_cells: list[tuple] = []
-        # Dense mode stores *no key objects at all*: keys are exactly the row
-        # indices 0..n-1 (what every workload loader produces), which at 1M
-        # rows saves ~36 bytes/row of boxed ints + list slots.  The first
-        # out-of-order key materializes `_keys` (row -> key) and `_key_rows`
-        # (key -> row) and the table runs sparse from then on.
         self._n_rows = 0
-        self._keys: Optional[list] = None       # row -> key (sparse mode only)
-        self._key_rows: Optional[dict] = None   # key -> row (sparse mode only)
-        self._dense = True
-        self._live_count = 0
-        self._indexes: dict[str, SecondaryIndex] = {}
 
     # -- sizing ------------------------------------------------------------
     def __len__(self) -> int:
-        return self._live_count
+        return self._n_rows
 
     def __contains__(self, key) -> bool:
-        # Not ``get(key) is not None``: a membership test materializes nothing.
-        row = self._row_of(key)
-        if row < 0:
-            return False
-        slot = self._slot[row]
-        return slot < 0 or not self._deleted[slot]
+        return type(key) is int and 0 <= key < self._n_rows
 
     @property
     def nbytes(self) -> int:
@@ -290,99 +258,33 @@ class ColumnarTable:
 
         The slot array and the materialized rows; a template's cells are
         O(columns) per bulk load and not counted."""
-        total = len(self._deleted) + len(self._slot) * self._slot.itemsize
+        total = len(self._slot) * self._slot.itemsize
         for _, col in self._columns:
             total += len(col) * col.itemsize
         for meta in (self._wts, self._rts, self._version):
             total += len(meta) * meta.itemsize
         return total
 
-    # -- key routing ---------------------------------------------------------
-    def _row_of(self, key) -> int:
-        """Row index for ``key``, or -1 when absent."""
-        if self._dense:
-            if type(key) is int and 0 <= key < self._n_rows:
-                return key
-            return -1
-        row = self._key_rows.get(key, -1)
-        return row
-
-    def _key_of(self, row: int):
-        """Primary key of ``row`` (identity in dense mode)."""
-        return row if self._dense else self._keys[row]
-
-    def _go_sparse(self) -> None:
-        self._dense = False
-        self._keys = list(range(self._n_rows))
-        self._key_rows = {row: row for row in range(self._n_rows)}
-
-    def _live_rows(self) -> Iterator[int]:
-        """Rows not deleted, in row order; materializes nothing."""
-        deleted = self._deleted
-        return (row for row, slot in enumerate(self._slot)
-                if slot < 0 or not deleted[slot])
-
     # -- template rows -------------------------------------------------------
-    def _template_of(self, row: int) -> tuple:
-        """The cells of template row ``row``: the last bulk load at or before it."""
-        return self._template_cells[bisect_right(self._template_starts, row) - 1]
-
     def _materialize(self, row: int) -> int:
         """Give template row ``row`` cells of its own; returns its new slot."""
-        slot = self._slot[row] = self._append_cells(self._template_of(row))
-        return slot
-
-    def _append_cells(self, cells: tuple) -> int:
-        """Append one physical row, ``cells`` with zeroed metadata; returns its slot."""
-        slot = len(self._deleted)
+        cells = self._template_cells[bisect_right(self._template_starts, row) - 1]
+        slot = self._slot[row] = len(self._wts)
         for (_, arr), cell in zip(self._columns, cells):
             arr.append(cell)
         self._wts.append(0.0)
         self._rts.append(0.0)
         self._version.append(0)
-        self._deleted.append(0)
         return slot
-
-    # -- index management ---------------------------------------------------
-    def create_index(self, name: str, key_func: Callable[[dict], Any]) -> SecondaryIndex:
-        if name in self._indexes:
-            raise TableError(f"index {name!r} already exists on table {self.name!r}")
-        index = SecondaryIndex(name, key_func)
-        names, columns, slots = self.schema.names, self._columns, self._slot
-        for row in self._live_rows():
-            slot = slots[row]
-            if slot < 0:
-                cells = self._template_of(row)
-            else:
-                cells = [arr[slot] for _, arr in columns]
-            index.add(self._key_of(row), dict(zip(names, cells)))
-        self._indexes[name] = index
-        return index
-
-    def index(self, name: str) -> SecondaryIndex:
-        try:
-            return self._indexes[name]
-        except KeyError as exc:
-            raise TableError(f"no index {name!r} on table {self.name!r}") from exc
-
-    def index_lookup(self, index_name: str, index_key) -> list:
-        return self.index(index_name).lookup(index_key)
 
     # -- record access -------------------------------------------------------
     def get(self, key) -> Optional[ColumnarRecord]:
-        # _row_of's dense test inlined: every record access comes through here.
-        if self._dense and type(key) is int and 0 <= key < self._n_rows:
-            row = key
-        else:
-            row = self._row_of(key)
-            if row < 0:
-                return None
-        slot = self._slot[row]
-        if slot < 0:
-            slot = self._materialize(row)
-        elif self._deleted[slot]:
-            return None
-        return ColumnarRecord((self, slot, key))
+        if type(key) is int and 0 <= key < self._n_rows:
+            slot = self._slot[key]
+            if slot < 0:
+                slot = self._materialize(key)
+            return ColumnarRecord((self, slot, key))
+        return None
 
     def require(self, key) -> ColumnarRecord:
         record = self.get(key)
@@ -419,124 +321,30 @@ class ColumnarTable:
                 raise self._not_numeric(col, item) from exc
         return tuple(cells)
 
-    def _write_row(self, slot: int, values: dict, *, full: bool) -> None:
-        by_name = self._by_name
-        for col, value in values.items():
-            arr = by_name.get(col)
-            if arr is None:
-                raise self._unknown_column(col)
-            try:
-                arr[slot] = value
-            except (TypeError, OverflowError) as exc:
-                raise self._not_numeric(col, value) from exc
-        if full:
-            for col, arr in self._columns:
-                if col not in values:
-                    arr[slot] = 0
-
-    def _append_row(self, key, value: dict) -> int:
-        """Append a new row with cells of its own; returns its slot."""
-        cells = self._cells_of(value)
-        row = self._n_rows
-        if self._dense and not (type(key) is int and key == row):
-            self._go_sparse()
-        if not self._dense:
-            self._keys.append(key)
-            self._key_rows[key] = row
-        slot = self._append_cells(cells)
-        self._slot.append(slot)
-        self._n_rows = row + 1
-        return slot
-
-    def insert(self, key, value: dict) -> ColumnarRecord:
-        """Insert a new row; duplicate keys are an error (unique-key constraint)."""
-        row = self._row_of(key)
-        if row >= 0:
-            slot = self._slot[row]
-            if slot < 0 or not self._deleted[slot]:
-                raise TableError(f"duplicate key {key!r} in table {self.name!r}")
-            # Reuse the tombstoned row in place.
-            self._write_row(slot, value, full=True)
-            self._wts[slot] = 0.0
-            self._rts[slot] = 0.0
-            self._version[slot] += 1
-            self._deleted[slot] = 0
-        else:
-            slot = self._append_row(key, value)
-        self._live_count += 1
-        record = ColumnarRecord((self, slot, key))
-        if self._indexes:
-            materialized = record.value
-            for index in self._indexes.values():
-                index.add(key, materialized)
-        return record
-
     def insert_many(self, keys, row: dict) -> None:
-        """Insert one copy of ``row`` per key: ``for k in keys: insert(k, row)``.
+        """Load one copy of ``row`` per key of ``keys``, which must be the
+        range continuing the table, ``range(len(self), len(self) + n)``.
 
-        A step-1 ``range`` that continues a dense table with no secondary
-        index is recorded as template rows — no key can collide and no index
-        needs the materialized rows, so one check of the template stands for
-        all of them.  Anything else is the loop above.
+        The rows are template rows: one check of ``row`` stands for all of
+        them, and each costs its slot until it is first accessed.  Any other
+        key collection raises :class:`TableError` and loads nothing.
         """
-        if (type(keys) is range and keys.step == 1 and self._dense
-                and keys.start == self._n_rows and not self._indexes):
-            if keys:
-                self._append_rows(len(keys), row)
-            return
-        insert = self.insert
-        for key in keys:
-            insert(key, row)
+        n = self._n_rows
+        if type(keys) is not range or keys != range(n, n + len(keys)):
+            raise TableError(
+                f"columnar table {self.name!r} loads only the keys continuing "
+                f"it, range({n}, {n} + count); got {reprlib.repr(keys)}"
+            )
+        if keys:
+            self._template_cells.append(self._cells_of(row))
+            self._template_starts.append(n)
+            self._slot.extend(array("i", [-1]) * len(keys))
+            self._n_rows = n + len(keys)
 
-    def _append_rows(self, n: int, value: dict) -> None:
-        """Append ``n`` dense template rows holding ``value`` in O(columns)
-        operations: one slot each, no cells until a row is first accessed."""
-        cells = self._cells_of(value)
-        self._template_starts.append(self._n_rows)
-        self._template_cells.append(cells)
-        self._slot.extend(array("i", [-1]) * n)
-        self._n_rows += n
-        self._live_count += n
-
-    def upsert(self, key, value: dict) -> ColumnarRecord:
-        """Insert or overwrite without raising on duplicates (loader use only)."""
-        row = self._row_of(key)
-        if row < 0:
-            return self.insert(key, value)
-        slot = self._slot[row]
-        if slot < 0:
-            slot = self._materialize(row)
-        if self._indexes:
-            old = {col: arr[slot] for col, arr in self._columns}
-            for index in self._indexes.values():
-                index.remove(key, old)
-        self._write_row(slot, value, full=True)
-        if self._deleted[slot]:
-            self._deleted[slot] = 0
-            self._live_count += 1
-        record = ColumnarRecord((self, slot, key))
-        if self._indexes:
-            materialized = record.value
-            for index in self._indexes.values():
-                index.add(key, materialized)
-        return record
-
-    def delete(self, key) -> None:
-        record = self.require(key)
-        if self._indexes:
-            materialized = record.value
-            for index in self._indexes.values():
-                index.remove(key, materialized)
-        self._deleted[record[1]] = 1
-        self._live_count -= 1
-
-    def keys(self) -> Iterator:
-        if self._dense:
-            return self._live_rows()
-        keys = self._keys
-        return (keys[row] for row in self._live_rows())
+    def keys(self) -> Iterator[int]:
+        return iter(range(self._n_rows))
 
     def records(self) -> Iterator[ColumnarRecord]:
-        """A handle per live row, in row order (each template row is
-        materialized as it is reached)."""
-        return (self.get(key) for key in self.keys())
+        """A handle per row, in row order (each template row is materialized
+        as it is reached)."""
+        return (self.get(key) for key in range(self._n_rows))

@@ -11,11 +11,12 @@ import json
 
 import pytest
 
+import repro
 from repro.scales import SCALES, resolve_scale
 from repro.scenario import ScenarioSpec, build, run
 from repro.storage.columnar import ColumnarTable
 from repro.storage.table import Table
-from repro.workloads.ycsb import TABLE as YCSB_TABLE
+from repro.workloads.ycsb import TABLE as YCSB_TABLE, YCSBWorkload
 
 
 def tiny(workload: str, **kwargs) -> ScenarioSpec:
@@ -86,14 +87,34 @@ def _insert_per_row(table, keys, row):
 @pytest.mark.parametrize("backend", ["auto", "dict"])
 @pytest.mark.parametrize("workload", ["ycsb", "smallbank"])
 def test_bulk_load_and_per_row_load_are_byte_identical(workload, backend, monkeypatch, request):
-    """``insert_many`` is only a faster way to run the loaders' insert loop."""
+    """``insert_many`` is only a faster way to run the loaders' insert loop:
+    a bulk load on either backend runs like a per-row load of dict tables,
+    the only tables that take one."""
     if backend == "dict":
         request.getfixturevalue("dict_tables")
     spec = tiny(workload)
     bulk = json.dumps(run(spec).to_json_dict(), sort_keys=True)
-    monkeypatch.setattr(ColumnarTable, "insert_many", _insert_per_row)
+    request.getfixturevalue("dict_tables")
     monkeypatch.setattr(Table, "insert_many", _insert_per_row)
     assert json.dumps(run(spec).to_json_dict(), sort_keys=True) == bulk
+
+
+def _insert_new_key(workload, operations):
+    """YCSB logic that inserts one key past the loaded population."""
+    def logic(ctx):
+        yield from ctx.insert(operations[0][0], YCSB_TABLE, 10**9, {"field0": 1})
+
+    return logic
+
+
+def test_a_run_that_inserts_into_a_schema_table_raises(monkeypatch, request):
+    """A columnar table holds a fixed population: a schema workload that
+    inserts stops the run, where the same workload on dict tables completes."""
+    monkeypatch.setattr(YCSBWorkload, "make_logic", _insert_new_key)
+    with pytest.raises(AttributeError, match="'ColumnarTable' object has no attribute 'insert'"):
+        repro.run(tiny("ycsb"))
+    request.getfixturevalue("dict_tables")
+    assert repro.run(tiny("ycsb")).committed > 0
 
 
 # -- log retention (the other half of the memory budget) -----------------------
