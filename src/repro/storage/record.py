@@ -102,10 +102,6 @@ class Record:
         if ts > self.rts:
             self.rts = ts
 
-    def valid_at(self, ts: float) -> bool:
-        """True if a read at logical time ``ts`` is consistent with this record."""
-        return self.wts <= ts <= self.rts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Record(key={self.key!r}, wts={self.wts}, rts={self.rts}, "

@@ -19,7 +19,7 @@ def test_record_install_fields_merges_columns():
     record = Record("k", {"a": 1, "b": 2})
     record.install_fields({"b": 5}, ts=3.0)
     assert record.value == {"a": 1, "b": 5}
-    assert record.valid_at(3.0)
+    assert record.wts <= 3.0 <= record.rts
 
 
 def test_record_extend_rts_never_shrinks():
@@ -29,8 +29,8 @@ def test_record_extend_rts_never_shrinks():
     assert record.rts == 5.0
     record.extend_rts(9.0)
     assert record.rts == 9.0
-    assert record.valid_at(7.0)
-    assert not record.valid_at(4.0)
+    assert record.wts <= 7.0 <= record.rts
+    assert not record.wts <= 4.0 <= record.rts
 
 
 def test_record_snapshot_is_a_copy():
