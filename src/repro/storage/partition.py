@@ -6,10 +6,13 @@ storage layer only knows about the tables it hosts.
 
 Two table backends coexist (see :mod:`repro.storage.columnar`): the
 dict-backed :class:`~repro.storage.table.Table` (the bit-identical reference,
-required for dynamic schemas like TPC-C) and the array-backed
-:class:`~repro.storage.columnar.ColumnarTable` for fixed numeric schemas
-(YCSB, Smallbank), which costs ~8x less memory per row — the difference
-between the ``xlarge``/``web`` scale tiers fitting in RAM or not.  The schema
+required for dynamic schemas and for any insert, delete or secondary index,
+as in TPC-C and TATP) and the array-backed
+:class:`~repro.storage.columnar.ColumnarTable` for fixed populations of
+dense integer keys with a numeric schema (YCSB, Smallbank), which costs ≈ 5x
+less memory per touched row and a 4-byte slot per untouched one — the
+difference between the ``xlarge``/``web`` scale tiers fitting in RAM or
+not.  The schema
 declaration is the one selector: a table is columnar iff its workload passes a
 :class:`~repro.storage.columnar.TableSchema` to
 :meth:`PartitionStore.create_table`.  (The A/B parity runs against the
