@@ -12,9 +12,8 @@ as in TPC-C and TATP) and the array-backed
 dense integer keys with a numeric schema (YCSB, Smallbank), which costs ≈ 5x
 less memory per touched row and a 4-byte slot per untouched one — the
 difference between the ``xlarge``/``web`` scale tiers fitting in RAM or
-not.  The schema
-declaration is the one selector: a table is columnar iff its workload passes a
-:class:`~repro.storage.columnar.TableSchema` to
+not.  The schema declaration is the one selector: a table is columnar iff
+its workload passes a :class:`~repro.storage.columnar.TableSchema` to
 :meth:`PartitionStore.create_table`.  (The A/B parity runs against the
 reference tables are a test fixture, ``dict_tables`` in ``tests/conftest.py``.)
 """
