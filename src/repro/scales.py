@@ -93,7 +93,7 @@ _PRESETS = {
     # Million-key tiers (README "Scale tiers & memory").  Only feasible on the
     # columnar storage backend (what a fixed workload schema selects): a
     # bulk-loaded row holds a 4-byte slot until a transaction first touches
-    # it, and ≈ 47 bytes after, where a dict-backed row needs ≈ 228.  The simulated
+    # it, and ≈ 46 bytes after, where a dict-backed row needs ≈ 228.  The simulated
     # durations are short — the point of these tiers is *population* (cold
     # caches, deep Zipf tails, hundreds of concurrent clients), not simulated
     # seconds — so most rows are never touched (≈ 5 % of 1M on
