@@ -243,6 +243,7 @@ class ColumnarTable:
         self._slot = array("i")
         self._template_starts: list[int] = []
         self._template_cells: list[tuple] = []
+        # len(self._slot), kept as an attribute: every get reads it.
         self._n_rows = 0
 
     # -- sizing ------------------------------------------------------------
