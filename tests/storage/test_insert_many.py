@@ -103,6 +103,24 @@ def test_columnar_load_reads_like_the_dict_load(shape):
         assert exercise(columnar) == exercise(reference)
 
 
+@pytest.mark.parametrize("shape", KEY_SHAPES)
+def test_only_a_dense_continuing_range_is_vectorised(shape):
+    """Into an empty table only ``range(0, n)`` loads, as template rows with
+    no cells; every other shape raises and leaves the table empty."""
+    keys = KEY_SHAPES[shape]
+    table = ColumnarTable("t", SCHEMA)
+    empty = raw(table)
+    if shape in CONTINUING:
+        table.insert_many(keys, ROW)
+        assert len(table) == len(keys) and len(table._wts) == 0
+        assert table.nbytes == table._slot.itemsize * len(keys)
+        assert table._template_starts == ([0] if keys else [])
+    else:
+        with pytest.raises(TableError, match=r"loads only the keys continuing it, range\(0, 0 \+ count\)"):
+            table.insert_many(keys, ROW)
+        assert raw(table) == empty
+
+
 def test_both_backends_hold_the_same_rows_after_a_bulk_load():
     tables = [make() for make in BACKENDS.values()]
     for table in tables:
