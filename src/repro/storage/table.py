@@ -118,8 +118,9 @@ class Table:
         """Insert one copy of ``row`` per key: ``for k in keys: insert(k, row)``.
 
         The loaders' bulk entry point, shared with
-        :meth:`repro.storage.columnar.ColumnarTable.insert_many` (which can
-        vectorise it); here every row is a boxed object, so it is the loop.
+        :meth:`repro.storage.columnar.ColumnarTable.insert_many`, which takes
+        only ``range(len(t), len(t) + n)`` and raises :class:`TableError` for
+        any other keys; here every row is a boxed object, so it is the loop.
         """
         insert = self.insert
         for key in keys:
