@@ -99,8 +99,8 @@ _PRESETS = {
     # seconds — so most rows are never touched (≈ 5 % of 1M on
     # ``ycsb_sundial_1m``).  Loading a fixed-schema workload (ycsb,
     # smallbank) is O(columns) operations (``ColumnarTable.insert_many``), so
-    # host time at these tiers is the run; tpcc/tatp rows differ and load per
-    # row.
+    # host time at these tiers is the run; tpcc/tatp rows differ, and each
+    # table takes them as cell tuples in one ``Table.load``.
     "xlarge": BenchScale(
         name="xlarge",
         duration_us=20_000.0,

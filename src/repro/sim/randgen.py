@@ -45,6 +45,11 @@ def stable_hash(label: str) -> int:
     return crc32(label.encode("utf-8")) & 0xFFFFFFFF
 
 
+#: TPC-C's last-name syllables (clause 4.3.2.3), indexed by digit.
+_SYLLABLES = ("BAR", "OUGHT", "ABLE", "PRI", "PRES",
+              "ESE", "ANTI", "CALLY", "ATION", "EING")
+
+
 class DeterministicRandom:
     """Seeded random source with the helpers workloads need."""
 
@@ -57,10 +62,19 @@ class DeterministicRandom:
         self.uniform = self._rng.uniform
         self.choice = self._rng.choice
         self.shuffle = self._rng.shuffle
+        self._randbelow = self._rng._randbelow
 
     def uniform_int(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._rng.randint(low, high)
+        """Uniform integer in [low, high] inclusive.
+
+        The draw ``random.Random.randint`` makes (``low + _randbelow(width)``
+        in CPython 3.10-3.12), without its two Python frames; like it, an
+        empty range raises ``ValueError`` (``_randbelow(0)`` never returns).
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise ValueError(f"empty range for uniform_int({low}, {high})")
+        return low + self._randbelow(width)
 
     def boolean(self, probability_true: float) -> bool:
         return self._rng.random() < probability_true
@@ -74,14 +88,10 @@ class DeterministicRandom:
 
     def last_name(self, number: int) -> str:
         """TPC-C customer last-name syllable encoding."""
-        syllables = [
-            "BAR", "OUGHT", "ABLE", "PRI", "PRES",
-            "ESE", "ANTI", "CALLY", "ATION", "EING",
-        ]
         return (
-            syllables[(number // 100) % 10]
-            + syllables[(number // 10) % 10]
-            + syllables[number % 10]
+            _SYLLABLES[(number // 100) % 10]
+            + _SYLLABLES[(number // 10) % 10]
+            + _SYLLABLES[number % 10]
         )
 
 

@@ -44,12 +44,13 @@ the bit-identical reference (the test suite's ``dict_tables`` fixture forces
 it everywhere).
 
 Loading.  :meth:`ColumnarTable.insert_many` (the loaders' entry point, same
-signature on :class:`~repro.storage.table.Table`) takes the keys continuing
-the table, ``range(len(table), len(table) + n)``: the template row is checked
-once, its converted cells are recorded with the range's first row, and the
-slot array grows by one ``array * n`` extend of -1.  No column or metadata
-array grows at all, and the call makes O(columns) Python-level operations for
-any number of rows.  Any other key collection raises :class:`TableError`.
+signature on :class:`~repro.storage.table.Table`) loads a table once, with
+``range(0, n)`` into the empty table: the template row is checked once, its
+converted cells become the table's one template, and the slot array grows by
+one ``array * n`` extend of -1.  No column or metadata array grows at all,
+and the call makes O(columns) Python-level operations for any number of
+rows.  Any other key collection, and any load into a loaded table, raises
+:class:`TableError`.
 
 Simulation semantics are backend-independent by construction: the columnar
 path stores the same values, applies the same missing-key errors, and never
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import reprlib
 from array import array
-from bisect import bisect_right
 from operator import itemgetter
 from typing import Any, Iterator, Optional
 
@@ -220,9 +220,9 @@ class ColumnarRecord(tuple):
 class ColumnarTable:
     """Array-backed fixed-schema table over the dense keys ``0..n-1``.
 
-    A *row* is a key (``0..n-1`` in load order); a *slot* is where a
-    materialized row's cells sit in the physical arrays.  Rows are loaded by
-    :meth:`insert_many` only, read and updated through :meth:`get`, and never
+    A *row* is a key (``0..n-1``); a *slot* is where a materialized row's
+    cells sit in the physical arrays.  Rows are loaded by one
+    :meth:`insert_many`, read and updated through :meth:`get`, and never
     removed.
     """
 
@@ -239,10 +239,9 @@ class ColumnarTable:
         self._rts = array("d")
         self._version = array("q")
         # Row -> slot; -1 while a loaded row is still its template row,
-        # whose cells are the last template starting at or before it.
+        # whose cells are the load's template.
         self._slot = array("i")
-        self._template_starts: list[int] = []
-        self._template_cells: list[tuple] = []
+        self._template: tuple = ()
         # len(self._slot), kept as an attribute: every get reads it.
         self._n_rows = 0
 
@@ -257,8 +256,8 @@ class ColumnarTable:
     def nbytes(self) -> int:
         """Approximate bytes held by the backing arrays (diagnostics).
 
-        The slot array and the materialized rows; a template's cells are
-        O(columns) per bulk load and not counted."""
+        The slot array and the materialized rows; the template's cells are
+        O(columns) and not counted."""
         total = len(self._slot) * self._slot.itemsize
         for _, col in self._columns:
             total += len(col) * col.itemsize
@@ -269,9 +268,8 @@ class ColumnarTable:
     # -- template rows -------------------------------------------------------
     def _materialize(self, row: int) -> int:
         """Give template row ``row`` cells of its own; returns its new slot."""
-        cells = self._template_cells[bisect_right(self._template_starts, row) - 1]
         slot = self._slot[row] = len(self._wts)
-        for (_, arr), cell in zip(self._columns, cells):
+        for (_, arr), cell in zip(self._columns, self._template):
             arr.append(cell)
         self._wts.append(0.0)
         self._rts.append(0.0)
@@ -323,24 +321,24 @@ class ColumnarTable:
         return tuple(cells)
 
     def insert_many(self, keys, row: dict) -> None:
-        """Load one copy of ``row`` per key of ``keys``, which must be the
-        range continuing the table, ``range(len(self), len(self) + n)``.
+        """Load one copy of ``row`` per key of ``keys``, which must be
+        ``range(0, n)``, into the empty table: a table takes one load.
 
         The rows are template rows: one check of ``row`` stands for all of
         them, and each costs its slot until it is first accessed.  Any other
-        key collection raises :class:`TableError` and loads nothing.
+        key collection, or a load into a loaded table, raises
+        :class:`TableError` and loads nothing.
         """
-        n = self._n_rows
-        if type(keys) is not range or keys != range(n, n + len(keys)):
+        if self._n_rows or type(keys) is not range or keys != range(len(keys)):
             raise TableError(
-                f"columnar table {self.name!r} loads only the keys continuing "
-                f"it, range({n}, {n} + count); got {reprlib.repr(keys)}"
+                f"columnar table {self.name!r} takes one load, range(0, count), "
+                f"into the empty table; got {reprlib.repr(keys)} with "
+                f"{self._n_rows} rows loaded"
             )
         if keys:
-            self._template_cells.append(self._cells_of(row))
-            self._template_starts.append(n)
+            self._template = self._cells_of(row)
             self._slot.extend(array("i", [-1]) * len(keys))
-            self._n_rows = n + len(keys)
+            self._n_rows = len(keys)
 
     def keys(self) -> Iterator[int]:
         return iter(range(self._n_rows))

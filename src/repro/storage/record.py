@@ -7,9 +7,12 @@ by the record itself, for as long as the record is held or awaited.
 
 A row is stored as two references, not a dict: ``_cells``, the tuple of its
 column values, and ``_names``, the tuple of its column names in insertion
-order.  ``_names`` is interned once per distinct order and shared by every
-row with that order, so an 8-column row costs its record and one cell tuple,
-≈ 190 bytes, where a private dict made it ≈ 350.  Callers still see
+order.  ``_names`` is interned once per distinct order (:data:`layout`) and
+shared by every row with that order, so an 8-column row costs its record and
+one cell tuple, ≈ 190 bytes, where a private dict made it ≈ 350.  A record is
+built straight from a layout and a cell tuple: the bulk loader
+(:meth:`repro.storage.table.Table.load`) hands over the cells its workload
+produced, so a loaded row never exists as a dict.  Readers still see
 ``{column: value}`` dicts: :attr:`Record.value`, :meth:`read` and
 :meth:`snapshot` build a fresh one per call, in the order ``dict.update``
 would have left the columns.  That dict is the price: building it from the
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["Record"]
+__all__ = ["Record", "layout"]
 
 #: Column-name tuples by themselves: one shared object per distinct order.
 _LAYOUTS: dict[tuple, tuple] = {}
-#: ``_intern(names, names)`` is the shared copy of ``names`` (a builtin call:
-#: every row creation and whole-row write goes through it).
-_intern = _LAYOUTS.setdefault
+#: ``layout(names, names)`` is the shared copy of the column-name tuple
+#: ``names`` (a builtin call: every inserted row, whole-row write and new
+#: column goes through it).
+layout = _LAYOUTS.setdefault
 
 
 class Record:
@@ -34,11 +38,11 @@ class Record:
 
     __slots__ = ("key", "_names", "_cells", "wts", "rts", "version", "deleted")
 
-    def __init__(self, key: Any, value: dict):
+    def __init__(self, key: Any, names: tuple, cells: tuple):
+        """``names`` is a shared :data:`layout`; ``cells`` holds one value per name."""
         self.key = key
-        names = tuple(value)
-        self._names = _intern(names, names)
-        self._cells = tuple(value.values())
+        self._names = names
+        self._cells = cells
         # TicToc valid interval [wts, rts]; fresh records are valid from time 0.
         self.wts: float = 0.0
         self.rts: float = 0.0
@@ -56,7 +60,7 @@ class Record:
     @value.setter
     def value(self, new_value: dict) -> None:
         names = tuple(new_value)
-        self._names = _intern(names, names)
+        self._names = layout(names, names)
         self._cells = tuple(new_value.values())
 
     def read(self) -> tuple:
@@ -91,7 +95,7 @@ class Record:
                 names += (column,)
                 cells.append(cell)
         if names is not self._names:
-            self._names = _intern(names, names)
+            self._names = layout(names, names)
         self._cells = tuple(cells)
         self.wts = ts
         self.rts = ts

@@ -1,16 +1,24 @@
 """In-memory tables with a primary hash index and optional secondary indexes.
 
 A :class:`Table` maps primary keys to :class:`Record` instances.  Secondary
-indexes map an index key (any hashable derived from the row) to the list of
-primary keys having that index key — enough to express the TPC-C lookups
-(customer by last name, orders by customer, new-orders by district, ...).
+indexes map an index key — the values of the index's columns in a row — to
+the list of primary keys having that index key: enough to express the TPC-C
+lookups (customer by last name, orders by customer, new-orders by district,
+...).
+
+Rows arrive two ways.  A workload's loader hands its whole population to
+:meth:`Table.load` in one call, as ``(key, cells)`` tuples against one column
+tuple, so a loaded row never exists as a dict; a committed transaction's
+insert goes through :meth:`Table.insert`, one ``{column: value}`` dict at a
+time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from operator import itemgetter
+from typing import Any, Iterator, Optional
 
-from .record import Record
+from .record import Record, layout
 
 __all__ = ["Table", "SecondaryIndex", "TableError"]
 
@@ -25,21 +33,32 @@ class SecondaryIndex:
     Entries are kept as insertion-ordered dict-backed sets (primary key ->
     ``None``), so :meth:`remove` is O(1) instead of a ``list.remove`` scan
     while :meth:`lookup` still returns keys in insertion order (the TPC-C
-    customer-by-last-name path relies on that ordering).
+    customer-by-last-name path relies on that ordering).  A row's index key
+    is the value of the index's one column, or the tuple of its columns'
+    values when there are several.
     """
 
-    __slots__ = ("name", "key_func", "_entries")
+    __slots__ = ("name", "columns", "_key_of", "_entries")
 
-    def __init__(self, name: str, key_func: Callable[[dict], Any]):
+    def __init__(self, name: str, columns: tuple):
         self.name = name
-        self.key_func = key_func
+        self.columns = tuple(columns)
+        self._key_of = itemgetter(*self.columns)   # a row dict's index key
         self._entries: dict[Any, dict] = {}
 
     def add(self, primary_key, row: dict) -> None:
-        self._entries.setdefault(self.key_func(row), {})[primary_key] = None
+        self._entries.setdefault(self._key_of(row), {})[primary_key] = None
+
+    def add_rows(self, columns: tuple, rows: list) -> None:
+        """Index ``(primary key, cells)`` rows, in order; each row's cells
+        follow ``columns``, which must hold the index's columns."""
+        key_of = itemgetter(*map(columns.index, self.columns))
+        entries = self._entries
+        for primary_key, cells in rows:
+            entries.setdefault(key_of(cells), {})[primary_key] = None
 
     def remove(self, primary_key, row: dict) -> None:
-        index_key = self.key_func(row)
+        index_key = self._key_of(row)
         keys = self._entries.get(index_key)
         if keys is not None and primary_key in keys:
             del keys[primary_key]
@@ -71,10 +90,11 @@ class Table:
         return self.get(key) is not None
 
     # -- index management --------------------------------------------------
-    def create_index(self, name: str, key_func: Callable[[dict], Any]) -> SecondaryIndex:
+    def create_index(self, name: str, columns: tuple) -> SecondaryIndex:
+        """Index the table by ``columns``, a tuple of column names."""
         if name in self._indexes:
             raise TableError(f"index {name!r} already exists on table {self.name!r}")
-        index = SecondaryIndex(name, key_func)
+        index = SecondaryIndex(name, columns)
         for primary_key, record in self._records.items():
             index.add(primary_key, record.value)
         self._indexes[name] = index
@@ -102,29 +122,68 @@ class Table:
             raise TableError(f"key {key!r} not found in table {self.name!r}")
         return record
 
+    def _duplicate(self, key) -> TableError:
+        return TableError(f"duplicate key {key!r} in table {self.name!r}")
+
     def insert(self, key, value: dict) -> Record:
         """Insert a new row; duplicate keys are an error (unique-key constraint)."""
         existing = self._records.get(key)
         if existing is not None and not existing.deleted:
-            raise TableError(f"duplicate key {key!r} in table {self.name!r}")
-        record = self._records[key] = Record(key, value)
+            raise self._duplicate(key)
+        names = tuple(value)
+        record = self._records[key] = Record(key, layout(names, names), tuple(value.values()))
         self._live_count += 1
         if self._indexes:
             for index in self._indexes.values():
                 index.add(key, value)
         return record
 
-    def insert_many(self, keys, row: dict) -> None:
-        """Insert one copy of ``row`` per key: ``for k in keys: insert(k, row)``.
+    def load(self, columns: tuple, rows) -> None:
+        """Load a population: one row per ``(key, cells)`` of ``rows``, its
+        ``cells`` a tuple of values in ``columns`` order.
 
-        The loaders' bulk entry point, shared with
-        :meth:`repro.storage.columnar.ColumnarTable.insert_many`, which takes
-        only ``range(len(t), len(t) + n)`` and raises :class:`TableError` for
-        any other keys; here every row is a boxed object, so it is the loop.
+        The rows end up as a per-row :meth:`insert` of each would leave them —
+        in order, with each secondary index keyed from the cells — but no
+        row is ever a dict.  A key repeated in ``rows`` or already live in the
+        table, or an index column missing from ``columns``, raises
+        :class:`TableError`, and nothing is loaded.
         """
-        insert = self.insert
-        for key in keys:
-            insert(key, row)
+        names = layout(columns, columns)
+        rows = list(rows)
+        for index in self._indexes.values():
+            for column in index.columns:
+                if column not in names:
+                    raise TableError(
+                        f"index {index.name!r} of table {self.name!r} needs "
+                        f"column {column!r}, which the load does not give"
+                    )
+        loaded = {key: Record(key, names, cells) for key, cells in rows}
+        if len(loaded) != len(rows):
+            seen = set()
+            for key, _ in rows:
+                if key in seen:
+                    raise self._duplicate(key)
+                seen.add(key)
+        records = self._records
+        if records:
+            for key in loaded:
+                existing = records.get(key)
+                if existing is not None and not existing.deleted:
+                    raise self._duplicate(key)
+        records.update(loaded)
+        self._live_count += len(loaded)
+        for index in self._indexes.values():
+            index.add_rows(names, rows)
+
+    def insert_many(self, keys, row: dict) -> None:
+        """Load one copy of ``row`` per key: :meth:`load` with a cell tuple of
+        its own per row, as a per-row :meth:`insert` would give it.
+
+        The fixed-population loaders' entry point (YCSB, Smallbank), shared
+        with :meth:`repro.storage.columnar.ColumnarTable.insert_many`, which
+        takes only ``range(0, n)`` into an empty table.
+        """
+        self.load(tuple(row), [(key, tuple(row.values())) for key in keys])
 
     def upsert(self, key, value: dict) -> Record:
         """Insert or overwrite without raising on duplicates (loader use only)."""

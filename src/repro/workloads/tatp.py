@@ -101,18 +101,21 @@ class TATPWorkload(Workload):
         self.config.validate()
 
     def load(self, cluster: "Cluster") -> None:
-        for partition_id, server in cluster.servers.items():
-            subscriber = server.store.create_table("subscriber")
-            access_info = server.store.create_table("access_info")
-            for s_id in range(self.config.subscribers_per_partition):
-                subscriber.insert(s_id, {
-                    "s_id": s_id, "bit_1": s_id % 2, "vlr_location": 0,
-                    "msc_location": 0, "sub_nbr": f"{s_id:015d}",
-                })
-                for ai_type in range(1, 5):
-                    access_info.insert((s_id, ai_type), {
-                        "s_id": s_id, "ai_type": ai_type, "data1": ai_type * 7,
-                    })
+        """Every partition holds the same subscriber ids, so one set of
+        ``(key, cells)`` rows is built and each table loads it."""
+        subscribers = range(self.config.subscribers_per_partition)
+        subscriber_rows = [
+            (s_id, (s_id, s_id % 2, 0, 0, f"{s_id:015d}")) for s_id in subscribers
+        ]
+        access_info_rows = [
+            ((s_id, ai_type), (s_id, ai_type, ai_type * 7))
+            for s_id in subscribers for ai_type in range(1, 5)
+        ]
+        for server in cluster.servers.values():
+            server.store.create_table("subscriber").load(
+                ("s_id", "bit_1", "vlr_location", "msc_location", "sub_nbr"), subscriber_rows)
+            server.store.create_table("access_info").load(
+                ("s_id", "ai_type", "data1"), access_info_rows)
 
     def make_source(self, cluster: "Cluster", partition_id: int, stream_id: int) -> _TATPSource:
         return _TATPSource(self, cluster, partition_id, self.rng(cluster, partition_id, stream_id))

@@ -30,6 +30,28 @@ __all__ = ["TPCCConfig", "TPCCWorkload", "TPCCSource"]
 
 DISTRICTS_PER_WAREHOUSE = 10
 
+#: Every table, in creation order, with its columns: a loaded row's cells
+#: follow them.
+_COLUMNS = {
+    "warehouse": ("w_id", "w_tax", "w_ytd", "w_name"),
+    "district": ("d_w_id", "d_id", "d_tax", "d_ytd", "d_next_o_id"),
+    "customer": ("c_w_id", "c_d_id", "c_id", "c_last", "c_balance",
+                 "c_ytd_payment", "c_payment_cnt", "c_delivery_cnt", "c_data"),
+    "stock": ("s_w_id", "s_i_id", "s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt"),
+    "item": ("i_id", "i_name", "i_price"),
+    "orders": ("o_w_id", "o_d_id", "o_id", "o_c_id", "o_ol_cnt", "o_carrier_id"),
+    "new_order": ("no_w_id", "no_d_id", "no_o_id"),
+    "order_line": ("ol_w_id", "ol_d_id", "ol_o_id", "ol_number", "ol_i_id",
+                   "ol_quantity", "ol_amount", "ol_delivery_d"),
+    "history": ("h_c_id", "h_c_w_id", "h_c_d_id", "h_w_id", "h_d_id", "h_amount"),
+}
+#: table -> (index name, index columns).
+_INDEXES = {
+    "customer": ("by_name", ("c_w_id", "c_d_id", "c_last")),
+    "orders": ("by_customer", ("o_w_id", "o_d_id", "o_c_id")),
+    "new_order": ("by_district", ("no_w_id", "no_d_id")),
+}
+
 
 @dataclass
 class TPCCConfig:
@@ -95,83 +117,50 @@ class TPCCWorkload(Workload):
 
     # -- loading ------------------------------------------------------------------------
     def load(self, cluster: "Cluster") -> None:
+        """Build every partition's rows as ``(key, cells)`` tuples, then hand
+        each table its rows in one :meth:`~repro.storage.table.Table.load`."""
         rng = DeterministicRandom(cluster.config.seed ^ 0xC0FFEE)
+        config = self.config
+        items = range(1, config.items + 1)
+        customers = range(1, config.customers_per_district + 1)
+        orders_per_district = config.initial_orders_per_district
+        last_names = [rng.last_name(c_id % 1000 if c_id > 1000 else c_id - 1)
+                      for c_id in customers]
+        # The item table is read-only and replicated to every partition.
+        item_rows = [(i_id, (i_id, f"item-{i_id}", 1.0 + (i_id % 100) / 10.0))
+                     for i_id in items]
         for partition_id, server in cluster.servers.items():
-            store = server.store
-            warehouse = store.create_table("warehouse")
-            district = store.create_table("district")
-            customer = store.create_table("customer")
-            customer.create_index(
-                "by_name", lambda row: (row["c_w_id"], row["c_d_id"], row["c_last"])
-            )
-            stock = store.create_table("stock")
-            item = store.create_table("item")
-            orders = store.create_table("orders")
-            orders.create_index(
-                "by_customer", lambda row: (row["o_w_id"], row["o_d_id"], row["o_c_id"])
-            )
-            new_order = store.create_table("new_order")
-            new_order.create_index(
-                "by_district", lambda row: (row["no_w_id"], row["no_d_id"])
-            )
-            store.create_table("order_line")
-            store.create_table("history")
-
-            # The item table is read-only and replicated to every partition.
-            for i_id in range(1, self.config.items + 1):
-                item.insert(i_id, {
-                    "i_id": i_id,
-                    "i_name": f"item-{i_id}",
-                    "i_price": 1.0 + (i_id % 100) / 10.0,
-                })
-
+            warehouse, district, customer, stock, orders, new_order, order_line = (
+                [], [], [], [], [], [], [])
             for w_id in self.warehouses_of_partition(partition_id):
-                warehouse.insert(w_id, {
-                    "w_id": w_id, "w_tax": 0.1, "w_ytd": 300_000.0,
-                    "w_name": f"warehouse-{w_id}",
-                })
-                for i_id in range(1, self.config.items + 1):
-                    stock.insert((w_id, i_id), {
-                        "s_w_id": w_id, "s_i_id": i_id,
-                        "s_quantity": 50 + (i_id % 50),
-                        "s_ytd": 0, "s_order_cnt": 0, "s_remote_cnt": 0,
-                    })
+                warehouse.append((w_id, (w_id, 0.1, 300_000.0, f"warehouse-{w_id}")))
+                stock += [((w_id, i_id), (w_id, i_id, 50 + (i_id % 50), 0, 0, 0))
+                          for i_id in items]
                 for d_id in range(1, DISTRICTS_PER_WAREHOUSE + 1):
-                    district.insert((w_id, d_id), {
-                        "d_w_id": w_id, "d_id": d_id, "d_tax": 0.05,
-                        "d_ytd": 30_000.0,
-                        "d_next_o_id": self.config.initial_orders_per_district + 1,
-                    })
-                    for c_id in range(1, self.config.customers_per_district + 1):
-                        last_name = rng.last_name(
-                            c_id % 1000 if c_id > 1000 else c_id - 1
-                        )
-                        customer.insert((w_id, d_id, c_id), {
-                            "c_w_id": w_id, "c_d_id": d_id, "c_id": c_id,
-                            "c_last": last_name, "c_balance": -10.0,
-                            "c_ytd_payment": 10.0, "c_payment_cnt": 1,
-                            "c_delivery_cnt": 0, "c_data": "",
-                        })
-                    for o_id in range(1, self.config.initial_orders_per_district + 1):
-                        c_id = rng.uniform_int(1, self.config.customers_per_district)
+                    district.append(((w_id, d_id),
+                                     (w_id, d_id, 0.05, 30_000.0, orders_per_district + 1)))
+                    customer += [((w_id, d_id, c_id),
+                                  (w_id, d_id, c_id, last_name, -10.0, 10.0, 1, 0, ""))
+                                 for c_id, last_name in zip(customers, last_names)]
+                    for o_id in range(1, orders_per_district + 1):
+                        c_id = rng.uniform_int(1, config.customers_per_district)
                         ol_cnt = rng.uniform_int(5, 15)
-                        orders.insert((w_id, d_id, o_id), {
-                            "o_w_id": w_id, "o_d_id": d_id, "o_id": o_id,
-                            "o_c_id": c_id, "o_ol_cnt": ol_cnt, "o_carrier_id": None,
-                        })
-                        for ol_number in range(1, ol_cnt + 1):
-                            store.table("order_line").insert((w_id, d_id, o_id, ol_number), {
-                                "ol_w_id": w_id, "ol_d_id": d_id, "ol_o_id": o_id,
-                                "ol_number": ol_number,
-                                "ol_i_id": rng.uniform_int(1, self.config.items),
-                                "ol_quantity": 5, "ol_amount": 0.0,
-                                "ol_delivery_d": None,
-                            })
+                        orders.append(((w_id, d_id, o_id), (w_id, d_id, o_id, c_id, ol_cnt, None)))
+                        order_line += [((w_id, d_id, o_id, ol_number),
+                                        (w_id, d_id, o_id, ol_number,
+                                         rng.uniform_int(1, config.items), 5, 0.0, None))
+                                       for ol_number in range(1, ol_cnt + 1)]
                         # The last few orders stay undelivered.
-                        if o_id > self.config.initial_orders_per_district - 5:
-                            new_order.insert((w_id, d_id, o_id), {
-                                "no_w_id": w_id, "no_d_id": d_id, "no_o_id": o_id,
-                            })
+                        if o_id > orders_per_district - 5:
+                            new_order.append(((w_id, d_id, o_id), (w_id, d_id, o_id)))
+            rows = {"warehouse": warehouse, "district": district, "customer": customer,
+                    "stock": stock, "item": item_rows, "orders": orders,
+                    "new_order": new_order, "order_line": order_line, "history": ()}
+            for name, columns in _COLUMNS.items():
+                table = server.store.create_table(name)
+                if name in _INDEXES:
+                    table.create_index(*_INDEXES[name])
+                table.load(columns, rows[name])
 
     # -- transaction streams ----------------------------------------------------------------
     def make_source(self, cluster: "Cluster", partition_id: int, stream_id: int) -> "TPCCSource":

@@ -139,3 +139,39 @@ def test_a_fiber_that_raises_fails_the_run(arrival):
     cluster.new_txn_source = new_txn_source
     with pytest.raises(TypeError, match="planted in the 25th draw"):
         cluster.run()
+
+
+@pytest.mark.parametrize("loader_raises", [False, True], ids=["loads", "loader_raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+def test_build_pauses_the_collector_and_leaves_it_as_it_found_it(
+        enabled, loader_raises, monkeypatch):
+    """The loader runs with the cyclic collector off; the caller's setting is
+    back afterwards, also when the loader raises."""
+    import gc
+
+    import repro
+    from repro.workloads.tpcc import TPCCWorkload
+
+    during = []
+    load = TPCCWorkload.load
+
+    def observed_load(workload, cluster):
+        during.append(gc.isenabled())
+        if loader_raises:
+            raise RuntimeError("loader failed")
+        load(workload, cluster)
+
+    monkeypatch.setattr(TPCCWorkload, "load", observed_load)
+    spec = repro.ScenarioSpec(protocol="primo", workload="tpcc", scale="tiny")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if loader_raises:
+            with pytest.raises(RuntimeError, match="loader failed"):
+                repro.build(spec)
+        else:
+            repro.build(spec)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]

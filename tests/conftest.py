@@ -66,9 +66,8 @@ class TransferWorkload(Workload):
 
     def load(self, cluster) -> None:
         for server in cluster.servers.values():
-            table = server.store.create_table("account")
-            for account in range(self.accounts_per_partition):
-                table.insert(account, {"balance": self.initial_balance})
+            server.store.create_table("account").insert_many(
+                range(self.accounts_per_partition), {"balance": self.initial_balance})
 
     def total_balance(self, cluster) -> float:
         total = 0.0
@@ -154,9 +153,8 @@ class SimpleKVWorkload(Workload):
 
     def load(self, cluster) -> None:
         for server in cluster.servers.values():
-            table = server.store.create_table("kv")
-            for key in range(self.keys_per_partition):
-                table.insert(key, {"v": 0})
+            server.store.create_table("kv").insert_many(
+                range(self.keys_per_partition), {"v": 0})
 
     def make_source(self, cluster, partition_id: int, stream_id: int):
         raise NotImplementedError("SimpleKVWorkload is driven manually by tests")

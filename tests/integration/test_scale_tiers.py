@@ -79,24 +79,53 @@ def test_columnar_and_dict_backends_are_bit_identical(workload, request):
     assert cluster.run().to_json_dict() == auto
 
 
-def _insert_per_row(table, keys, row):
-    for key in keys:
-        table.insert(key, row)
+def _load_per_row(table, columns, rows):
+    """The reference loader: one ``insert`` of a row dict per row."""
+    for key, cells in rows:
+        table.insert(key, dict(zip(columns, cells)))
 
 
 @pytest.mark.parametrize("backend", ["auto", "dict"])
-@pytest.mark.parametrize("workload", ["ycsb", "smallbank"])
+@pytest.mark.parametrize("workload", ["ycsb", "smallbank", "tpcc", "tatp"])
 def test_bulk_load_and_per_row_load_are_byte_identical(workload, backend, monkeypatch, request):
-    """``insert_many`` is only a faster way to run the loaders' insert loop:
-    a bulk load on either backend runs like a per-row load of dict tables,
-    the only tables that take one."""
+    """``Table.load`` (and ``insert_many`` on top of it) is only a faster way
+    to run the loaders' insert loop: a bulk load on either backend runs like
+    a per-row load of dict tables."""
     if backend == "dict":
         request.getfixturevalue("dict_tables")
     spec = tiny(workload)
     bulk = json.dumps(run(spec).to_json_dict(), sort_keys=True)
     request.getfixturevalue("dict_tables")
-    monkeypatch.setattr(Table, "insert_many", _insert_per_row)
+    monkeypatch.setattr(Table, "load", _load_per_row)
     assert json.dumps(run(spec).to_json_dict(), sort_keys=True) == bulk
+
+
+def _table_state(table):
+    """Everything a loaded dict table holds: keys in order, cells, metadata
+    and index buckets."""
+    return {
+        "records": [(key, record._names, record._cells, record.wts, record.rts,
+                     record.version, record.deleted)
+                    for key, record in table._records.items()],
+        "len": len(table),
+        "indexes": {name: (index.columns, {k: list(v) for k, v in index._entries.items()})
+                    for name, index in table._indexes.items()},
+    }
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+@pytest.mark.parametrize("workload", ["tpcc", "tatp"])
+def test_bulk_loaded_tables_equal_per_row_inserts(workload, scale, monkeypatch):
+    spec = ScenarioSpec(protocol="primo", workload=workload, scale=scale)
+    bulk = build(spec)
+    monkeypatch.setattr(Table, "load", _load_per_row)
+    reference = build(spec)
+    for partition_id, server in bulk.servers.items():
+        tables = reference.servers[partition_id].store.tables
+        assert list(server.store.tables) == list(tables)
+        for name, table in server.store.tables.items():
+            assert len(table) > 0 or name == "history"
+            assert _table_state(table) == _table_state(tables[name]), name
 
 
 def _insert_new_key(workload, operations):

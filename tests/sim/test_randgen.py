@@ -55,6 +55,31 @@ def test_uniform_int_covers_both_inclusive_bounds():
     assert draws == {3, 4, 5, 6}
 
 
+#: (low, high) inclusive ranges around _randbelow's bit-length boundaries.
+UNIFORM_INT_RANGES = [(7, 7), (0, 1), (0, 254), (0, 255), (0, 256),
+                      (1, 2**31), (0, 10**12 - 1), (-40, 17)]
+
+
+@pytest.mark.parametrize("low, high", UNIFORM_INT_RANGES,
+                         ids=["width_1", "width_2", "width_255", "width_256", "width_257",
+                              "width_2_31", "width_10_12", "negative_low"])
+def test_uniform_int_is_randint_draw_for_draw(low, high):
+    """uniform_int draws through Random's private _randbelow: the stream must
+    stay randint's, on every interpreter the CI matrix runs."""
+    import random
+
+    ours, reference = DeterministicRandom(2024), random.Random(2024)
+    assert [ours.uniform_int(low, high) for _ in range(300)] == [
+        reference.randint(low, high) for _ in range(300)
+    ]
+    assert ours.random() == reference.random()   # the streams stay aligned
+
+
+def test_uniform_int_of_an_empty_range_raises_like_randint():
+    with pytest.raises(ValueError, match="empty range"):
+        DeterministicRandom(1).uniform_int(5, 4)
+
+
 def test_exponential_with_a_non_positive_mean_is_zero():
     rng = DeterministicRandom(8)
     assert rng.exponential(0.0) == 0.0

@@ -1,13 +1,13 @@
 """``insert_many(keys, row)`` loads one copy of ``row`` per key.
 
-The dict-backed table runs ``for k in keys: insert(k, row)`` and is the
-reference.  The columnar table takes only the keys continuing it,
-``range(len(table), len(table) + n)``, records them as template rows — a
-4-byte slot each, cells only once a row is first accessed — and raises
-:class:`TableError` for any other key collection, loading nothing.  These
-tests require a columnar load to read like the dict load — same rows,
-timestamps, versions and errors — before and after the operations a run
-applies.
+On the dict-backed table it is one ``Table.load`` and reads like the
+reference loop ``for k in keys: insert(k, row)``, except that a duplicate key
+loads nothing.  A columnar table takes one load, ``range(0, n)`` into the
+empty table, records it as template rows — a 4-byte slot each, cells only
+once a row is first accessed — and raises :class:`TableError` for any other
+key collection and for a second load, loading nothing.  These tests require
+a columnar load to read like the dict load — same rows, timestamps, versions
+and errors — before and after the operations a run applies.
 """
 
 import sys
@@ -31,7 +31,9 @@ KEY_SHAPES = {
     "list_of_keys": list(range(50)),
     "tuple_keys": [(1, k) for k in range(50)],
 }
-#: The shapes a columnar table takes: the range continuing it.
+#: What a columnar table says when it refuses a load.
+ONE_LOAD = r"takes one load, range\(0, count\), into the empty table; got .*"
+#: The shapes an empty columnar table takes: ``range(0, n)``.
 CONTINUING = ("dense_range", "empty_range")
 
 
@@ -50,14 +52,14 @@ def observed(table):
 
 
 def raw(table):
-    """A columnar table's physical state: the arrays and the templates."""
+    """A columnar table's physical state: the arrays and the template."""
     return {
         "columns": {name: col.tolist() for name, col in table._columns},
         "wts": table._wts.tolist(),
         "rts": table._rts.tolist(),
         "version": table._version.tolist(),
         "slot": table._slot.tolist(),
-        "templates": (list(table._template_starts), list(table._template_cells)),
+        "template": table._template,
         "len": len(table),
         "nbytes": table.nbytes,
     }
@@ -114,9 +116,9 @@ def test_only_a_dense_continuing_range_is_vectorised(shape):
         table.insert_many(keys, ROW)
         assert len(table) == len(keys) and len(table._wts) == 0
         assert table.nbytes == table._slot.itemsize * len(keys)
-        assert table._template_starts == ([0] if keys else [])
+        assert table._template == ((7, 2.5) if keys else ())
     else:
-        with pytest.raises(TableError, match=r"loads only the keys continuing it, range\(0, 0 \+ count\)"):
+        with pytest.raises(TableError, match=ONE_LOAD + " with 0 rows loaded"):
             table.insert_many(keys, ROW)
         assert raw(table) == empty
 
@@ -145,22 +147,29 @@ def test_missing_columns_default_to_zero():
     assert [r.value for r in table.records()] == [{"a": 0, "b": 1.0}] * 4
 
 
-def test_consecutive_loads_continue_the_table():
+def test_a_loaded_columnar_table_refuses_a_second_load():
+    """An empty load leaves the table empty; after a real one, every further
+    load — the range continuing the table included — raises and loads
+    nothing, where the dict table goes on loading."""
     first, second = {"a": 1, "b": 1.0}, {"a": 8, "b": 0.0}
     columnar, reference = ColumnarTable("t", SCHEMA), Table("t")
     for table in (columnar, reference):
-        table.insert_many(range(0, 1), first)
-        table.insert_many(range(1, 30), ROW)
-        table.insert_many(range(30, 30), second)   # empty: continues nothing
-        table.insert_many(range(30, 60), second)
+        table.insert_many(range(0, 0), second)   # empty: loads nothing
+        table.insert_many(range(0, 30), first)
     assert observed(columnar) == observed(reference)
-    assert columnar._template_starts == [0, 1, 30]
-    assert columnar.get(59).value == second
+    assert columnar._template == (1, 1.0)
+    before = raw(columnar)
+    for keys in (range(30, 60), range(0, 30), range(0, 0)):
+        with pytest.raises(TableError, match=ONE_LOAD + " with 30 rows loaded"):
+            columnar.insert_many(keys, second)
+        assert raw(columnar) == before
+    reference.insert_many(range(30, 60), second)
+    assert len(reference) == 60
 
 
 def test_secondary_index_is_populated_by_a_bulk_load():
     table = Table("t")
-    table.create_index("by_a", lambda row: row["a"])
+    table.create_index("by_a", ("a",))
     table.insert_many(range(10), ROW)
     assert table.index_lookup("by_a", 7) == list(range(10))
 
@@ -176,14 +185,13 @@ def test_a_bulk_load_costs_at_most_5_bytes_per_row():
 
 def test_each_first_get_materializes_exactly_one_row():
     table = ColumnarTable("t", SCHEMA)
-    table.insert_many(range(1_000), ROW)
-    table.insert_many(range(1_000, 2_000), {"a": 1})
+    table.insert_many(range(2_000), ROW)
     assert table.nbytes == table._slot.itemsize * 2_000  # no cells yet
     for n, key in enumerate((1_999, 0, 500, 1_000, 999), start=1):
         first = table.get(key)
         assert len(table._wts) == n and table._slot[key] == n - 1
         assert table.get(key) == first and len(table._wts) == n  # second get: none
-        assert first.value == (ROW if key < 1_000 else {"a": 1, "b": 0.0})
+        assert first.value == ROW
         assert (first.wts, first.rts, first.version) == (0.0, 0.0, 0)
     # Each materialized row costs its cells and metadata: 2 columns x 8 B
     # and wts, rts, version x 8 B.
@@ -201,15 +209,14 @@ def test_each_first_get_materializes_exactly_one_row():
 ])
 def test_rejected_template_raises_like_a_write_and_appends_nothing(row, match):
     table = ColumnarTable("t", SCHEMA)
-    table.insert_many(range(5), ROW)
-    before = raw(table)
+    empty = raw(table)
     with pytest.raises(TableError, match=match):
-        table.insert_many(range(5, 10), row)
-    assert raw(table) == before
+        table.insert_many(range(5), row)
+    assert raw(table) == empty
+    table.insert_many(range(5), ROW)   # the refused load was not the one load
     with pytest.raises(TableError, match=match):
         table.get(0).install_fields(row, ts=1.0)   # a write reports it the same way
-    table.insert_many(range(5, 10), ROW)
-    assert len(table) == 10
+    assert len(table) == 5
 
 
 def test_empty_range_checks_nothing_like_an_empty_loop():
@@ -218,8 +225,9 @@ def test_empty_range_checks_nothing_like_an_empty_loop():
     assert len(table) == 0 and table.nbytes == 0
 
 
-#: Key collections a columnar table holding keys ``0..4`` must refuse.
-NOT_CONTINUING = {
+#: Second loads a columnar table holding keys ``0..4`` must refuse: all of them.
+SECOND_LOADS = {
+    "continuing": range(5, 10),
     "from_zero": range(0, 8),
     "overlapping": range(2, 8),
     "gap": range(6, 10),
@@ -233,13 +241,13 @@ NOT_CONTINUING = {
 }
 
 
-@pytest.mark.parametrize("keys", NOT_CONTINUING.values(), ids=NOT_CONTINUING)
-def test_keys_not_continuing_the_table_raise_and_load_nothing(keys):
+@pytest.mark.parametrize("keys", SECOND_LOADS.values(), ids=SECOND_LOADS)
+def test_a_second_load_raises_and_loads_nothing(keys):
     table = ColumnarTable("t", SCHEMA)
     table.insert_many(range(5), ROW)
     table.get(3).install_fields({"a": 1}, ts=2.0)   # one row with cells of its own
     before = raw(table)
-    with pytest.raises(TableError, match=r"loads only the keys continuing it, range\(5, 5 \+ count\)"):
+    with pytest.raises(TableError, match=ONE_LOAD + " with 5 rows loaded"):
         table.insert_many(keys, ROW)
     assert raw(table) == before
 
@@ -248,18 +256,18 @@ def test_keys_not_continuing_the_table_raise_and_load_nothing(keys):
 @pytest.mark.parametrize("keys", [range(0, 8), range(2, 8), [5, 6, 5, 7]],
                          ids=["from_zero", "overlapping", "repeated_in_list"])
 def test_duplicate_key_raises_where_the_loop_would(backend, keys):
-    """Both backends refuse a key they already hold with a TableError; the
-    dict table has loaded what the loop reached, the columnar table nothing."""
+    """Both backends refuse a key they already hold with a TableError, and
+    load nothing: unlike the loop, a bulk load does not stop half-way."""
     bulk, reference = BACKENDS[backend](), Table("t")
     bulk.insert_many(range(5), ROW)  # columnar: untouched template rows
     insert_per_row(reference, range(5), ROW)
     before = observed(bulk)
-    match = "duplicate key" if backend == "dict" else "loads only the keys continuing it"
+    match = "duplicate key" if backend == "dict" else ONE_LOAD
     with pytest.raises(TableError, match=match):
         bulk.insert_many(keys, ROW)
     with pytest.raises(TableError, match="duplicate key"):
         insert_per_row(reference, keys, ROW)
-    assert observed(bulk) == (before if backend == "columnar" else observed(reference))
+    assert observed(bulk) == before
 
 
 # -- cost: O(columns) Python-level calls, not O(rows) --------------------------
@@ -291,5 +299,5 @@ def test_bulk_load_call_count_does_not_depend_on_the_row_count():
     large = python_level_calls(lambda: bulk_load(100_000))
     assert small == large
     # The same probe does see a per-row loop, so equality above is not vacuous.
-    looped = python_level_calls(lambda: Table("t").insert_many(range(1_000), ROW))
+    looped = python_level_calls(lambda: insert_per_row(Table("t"), range(1_000), ROW))
     assert looped > 3 * 1_000 > small

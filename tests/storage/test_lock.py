@@ -28,7 +28,7 @@ def acquire(env, manager, tid, record, mode, policy=None):
 
 def test_shared_locks_are_compatible():
     env, manager = make_manager()
-    record = Record(1, {})
+    record = Record(1, (), ())
     assert acquire(env, manager, TxnId(1, 0), record, LockMode.SHARED) is True
     assert acquire(env, manager, TxnId(2, 0), record, LockMode.SHARED) is True
     assert len(manager.holders_of(record)) == 2
@@ -36,7 +36,7 @@ def test_shared_locks_are_compatible():
 
 def test_exclusive_lock_blocks_everyone():
     env, manager = make_manager(LockPolicy.NO_WAIT)
-    record = Record(1, {})
+    record = Record(1, (), ())
     assert acquire(env, manager, TxnId(1, 0), record, LockMode.EXCLUSIVE) is True
     assert acquire(env, manager, TxnId(2, 0), record, LockMode.SHARED) is False
     assert acquire(env, manager, TxnId(3, 0), record, LockMode.EXCLUSIVE) is False
@@ -44,7 +44,7 @@ def test_exclusive_lock_blocks_everyone():
 
 def test_reentrant_acquisition_is_a_noop():
     env, manager = make_manager()
-    record = Record(1, {})
+    record = Record(1, (), ())
     tid = TxnId(5, 0)
     assert acquire(env, manager, tid, record, LockMode.EXCLUSIVE) is True
     assert acquire(env, manager, tid, record, LockMode.EXCLUSIVE) is True
@@ -54,7 +54,7 @@ def test_reentrant_acquisition_is_a_noop():
 
 def test_upgrade_by_sole_holder_succeeds():
     env, manager = make_manager()
-    record = Record(1, {})
+    record = Record(1, (), ())
     tid = TxnId(1, 0)
     assert acquire(env, manager, tid, record, LockMode.SHARED) is True
     assert acquire(env, manager, tid, record, LockMode.EXCLUSIVE) is True
@@ -63,7 +63,7 @@ def test_upgrade_by_sole_holder_succeeds():
 
 def test_no_wait_policy_never_waits():
     env, manager = make_manager(LockPolicy.NO_WAIT)
-    record = Record(1, {})
+    record = Record(1, (), ())
     assert acquire(env, manager, TxnId(2, 0), record, LockMode.EXCLUSIVE) is True
     assert acquire(env, manager, TxnId(1, 0), record, LockMode.EXCLUSIVE) is False
     assert manager.stats["waits"] == 0
@@ -71,7 +71,7 @@ def test_no_wait_policy_never_waits():
 
 def test_wait_die_older_waits_and_gets_lock_on_release():
     env, manager = make_manager(LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     young, old = TxnId(10, 0), TxnId(1, 0)
     assert acquire(env, manager, young, record, LockMode.EXCLUSIVE) is True
     waiter = manager.acquire_nowait(old, record, LockMode.EXCLUSIVE)
@@ -85,7 +85,7 @@ def test_wait_die_older_waits_and_gets_lock_on_release():
 
 def test_wait_die_younger_dies():
     env, manager = make_manager(LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     old, young = TxnId(1, 0), TxnId(9, 0)
     assert acquire(env, manager, old, record, LockMode.EXCLUSIVE) is True
     assert acquire(env, manager, young, record, LockMode.EXCLUSIVE) is False
@@ -94,7 +94,7 @@ def test_wait_die_younger_dies():
 def test_new_requests_do_not_overtake_queued_waiters():
     """FIFO fairness: shared readers must not starve a queued upgrade."""
     env, manager = make_manager(LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     holder = TxnId(5, 0)
     upgrader = TxnId(1, 0)  # older, so it waits
     assert acquire(env, manager, holder, record, LockMode.SHARED) is True
@@ -111,7 +111,7 @@ def test_new_requests_do_not_overtake_queued_waiters():
 
 def test_wait_die_considers_queued_waiters_for_age_check():
     env, manager = make_manager(LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     holder = TxnId(10, 0)
     oldest = TxnId(1, 0)
     middle = TxnId(5, 0)
@@ -125,7 +125,7 @@ def test_wait_die_considers_queued_waiters_for_age_check():
 
 def test_release_wakes_compatible_shared_waiters_together():
     env, manager = make_manager(LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     holder = TxnId(50, 0)
     # Enqueue the younger reader first: the older one may queue behind it
     # (waiting only for younger transactions keeps WAIT_DIE deadlock-free).
@@ -141,7 +141,7 @@ def test_release_wakes_compatible_shared_waiters_together():
 
 def test_release_all_clears_every_lock():
     env, manager = make_manager()
-    records = [Record(i, {}) for i in range(5)]
+    records = [Record(i, (), ()) for i in range(5)]
     tid = TxnId(1, 0)
     for record in records:
         assert acquire(env, manager, tid, record, LockMode.EXCLUSIVE) is True
@@ -153,14 +153,14 @@ def test_release_all_clears_every_lock():
 
 def test_release_is_idempotent_for_non_holders():
     env, manager = make_manager()
-    record = Record(1, {})
+    record = Record(1, (), ())
     manager.release(TxnId(1, 0), record)  # no-op, no error
     assert not manager.is_locked(record)
 
 
 def test_abort_waiters_fails_queued_requests():
     env, manager = make_manager(LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     holder, waiter_tid = TxnId(9, 0), TxnId(1, 0)
     assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
     waiter = manager.acquire_nowait(waiter_tid, record, LockMode.EXCLUSIVE)
@@ -172,7 +172,7 @@ def test_abort_waiters_fails_queued_requests():
 
 def test_force_release_everything_clears_state():
     env, manager = make_manager()
-    records = [Record(i, {}) for i in range(3)]
+    records = [Record(i, (), ()) for i in range(3)]
     for i, record in enumerate(records):
         assert acquire(env, manager, TxnId(i + 1, 0), record, LockMode.EXCLUSIVE) is True
     manager.force_release_everything()
@@ -181,7 +181,7 @@ def test_force_release_everything_clears_state():
 
 def _three_records(backend):
     if backend == "dict":
-        return [Record(key, {}) for key in range(3)]
+        return [Record(key, (), ()) for key in range(3)]
     table = ColumnarTable("t", TableSchema((("a", "i"),)))
     table.insert_many(range(3), {"a": 0})
     return [table.get(key) for key in range(3)]
@@ -224,7 +224,7 @@ class _HashedRecord(Record):
     __slots__ = ("_hash",)
 
     def __init__(self, key, hash_value):
-        super().__init__(key, {})
+        super().__init__(key, (), ())
         self._hash = hash_value
 
     def __hash__(self):
@@ -277,7 +277,7 @@ def test_release_wakes_waiters_in_acquisition_order_not_hash_order(release):
 def test_lock_invariants_hold_under_random_schedules(ops):
     """Property: never two exclusive holders; shared/exclusive never coexist."""
     env, manager = make_manager(LockPolicy.NO_WAIT)
-    records = [Record(i, {}) for i in range(4)]
+    records = [Record(i, (), ()) for i in range(4)]
     held_since_release: dict = {}
     for txn_number, record_number, exclusive in ops:
         tid = TxnId(txn_number, 0)

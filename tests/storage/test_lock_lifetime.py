@@ -70,7 +70,7 @@ def test_live_lock_entries_are_bounded_by_the_fibers_not_by_the_rows_touched(
 def test_a_waiter_keeps_the_entry_until_it_is_granted_or_failed(outcome, no_collector):
     env = Environment()
     manager = LockManager(env, LockPolicy.WAIT_DIE)
-    record = Record(1, {})
+    record = Record(1, (), ())
     young, old = TxnId(10, 0), TxnId(1, 0)
     assert manager.acquire_nowait(young, record, X) is True
     waiting = manager.acquire_nowait(old, record, X)
@@ -98,7 +98,7 @@ def test_a_waiter_keeps_the_entry_until_it_is_granted_or_failed(outcome, no_coll
 def test_force_release_everything_leaves_table_and_free_list_consistent(no_collector):
     env = Environment()
     manager = LockManager(env, LockPolicy.WAIT_DIE)
-    exclusive, shared, idle = (Record(key, {}) for key in range(3))
+    exclusive, shared, idle = (Record(key, (), ()) for key in range(3))
     assert manager.acquire_nowait(TxnId(10, 0), exclusive, X) is True
     assert manager.acquire_nowait(TxnId(11, 0), shared, S) is True
     assert manager.acquire_nowait(TxnId(12, 0), shared, S) is True

@@ -1,5 +1,7 @@
 """Tests for tables, records and secondary indexes."""
 
+import re
+
 import pytest
 
 from repro.storage.record import Record
@@ -7,7 +9,7 @@ from repro.storage.table import Table, TableError
 
 
 def test_record_install_updates_timestamps_and_version():
-    record = Record("k", {"v": 1})
+    record = Record("k", ("v",), (1,))
     assert record.wts == 0.0 and record.rts == 0.0 and record.version == 0
     record.install_fields({"v": 2}, ts=7.0)
     assert record.value == {"v": 2}
@@ -16,14 +18,14 @@ def test_record_install_updates_timestamps_and_version():
 
 
 def test_record_install_fields_merges_columns():
-    record = Record("k", {"a": 1, "b": 2})
+    record = Record("k", ("a", "b"), (1, 2))
     record.install_fields({"b": 5}, ts=3.0)
     assert record.value == {"a": 1, "b": 5}
     assert record.wts <= 3.0 <= record.rts
 
 
 def test_record_extend_rts_never_shrinks():
-    record = Record("k", {})
+    record = Record("k", (), ())
     record.install_fields({}, ts=5.0)
     record.extend_rts(3.0)
     assert record.rts == 5.0
@@ -34,7 +36,7 @@ def test_record_extend_rts_never_shrinks():
 
 
 def test_record_snapshot_is_a_copy():
-    record = Record("k", {"v": 1})
+    record = Record("k", ("v",), (1,))
     snapshot = record.snapshot()
     snapshot["v"] = 99
     assert record.value["v"] == 1
@@ -81,7 +83,7 @@ def test_table_delete_hides_record():
 
 def test_secondary_index_lookup_and_maintenance():
     table = Table("customer")
-    index = table.create_index("by_last", lambda row: row["last"])
+    index = table.create_index("by_last", ("last",))
     table.insert(1, {"last": "SMITH"})
     table.insert(2, {"last": "SMITH"})
     table.insert(3, {"last": "JONES"})
@@ -96,15 +98,15 @@ def test_index_created_after_data_is_backfilled():
     table = Table("t")
     table.insert(1, {"group": "a"})
     table.insert(2, {"group": "b"})
-    table.create_index("by_group", lambda row: row["group"])
+    table.create_index("by_group", ("group",))
     assert table.index_lookup("by_group", "a") == [1]
 
 
 def test_duplicate_index_name_rejected():
     table = Table("t")
-    table.create_index("idx", lambda row: row.get("x"))
+    table.create_index("idx", ("x",))
     with pytest.raises(TableError):
-        table.create_index("idx", lambda row: row.get("x"))
+        table.create_index("idx", ("x",))
     with pytest.raises(TableError):
         table.index("missing")
 
@@ -162,7 +164,7 @@ def test_len_agrees_with_scan_under_random_mutation():
 def test_secondary_index_preserves_insertion_order_after_removals():
     """TPC-C customer-by-last-name relies on insertion-ordered lookups."""
     table = Table("customer")
-    table.create_index("by_last", lambda row: row["last"])
+    table.create_index("by_last", ("last",))
     for key in (10, 30, 20, 40, 50):
         table.insert(key, {"last": "BARBARBAR"})
     assert table.index_lookup("by_last", "BARBARBAR") == [10, 30, 20, 40, 50]
@@ -175,7 +177,7 @@ def test_secondary_index_preserves_insertion_order_after_removals():
 
 def test_secondary_index_remove_of_absent_key_is_a_noop():
     table = Table("t")
-    index = table.create_index("by_g", lambda row: row["g"])
+    index = table.create_index("by_g", ("g",))
     table.insert(1, {"g": "a"})
     index.remove(99, {"g": "a"})  # not indexed: must not raise
     index.remove(1, {"g": "zzz"})  # wrong index key: must not raise
@@ -279,9 +281,81 @@ def test_value_and_read_return_private_copies():
 
 def test_upsert_moves_record_between_index_keys():
     table = Table("t")
-    table.create_index("by_g", lambda row: row["g"])
+    table.create_index("by_g", ("g",))
     table.insert(1, {"g": "a"})
     table.insert(2, {"g": "a"})
     table.upsert(1, {"g": "b"})
     assert table.index_lookup("by_g", "a") == [2]
     assert table.index_lookup("by_g", "b") == [1]
+
+
+# -- Table.load: a population in one call --------------------------------------
+
+LOAD_COLUMNS = ("w", "d", "last", "balance")
+#: Keys out of order and index keys repeating, as a loader produces them.
+LOAD_ROWS = [((w, d), (w, d, f"NAME{(w * d) % 3}", -10.0))
+             for w in (2, 1) for d in (3, 1, 2)]
+
+
+def indexed_table():
+    table = Table("t")
+    table.create_index("by_name", ("w", "last"))
+    table.create_index("by_d", ("d",))
+    return table
+
+
+def table_state(table):
+    """Everything a loaded table holds: rows in order, metadata, index buckets."""
+    return {
+        "records": [(key, record._names, record._cells, record.wts, record.rts,
+                     record.version, record.deleted)
+                    for key, record in table._records.items()],
+        "len": len(table),
+        "indexes": {name: {k: list(v) for k, v in index._entries.items()}
+                    for name, index in table._indexes.items()},
+    }
+
+
+def test_load_equals_per_row_inserts_and_keeps_the_cells():
+    loaded, reference = indexed_table(), indexed_table()
+    loaded.load(LOAD_COLUMNS, iter(LOAD_ROWS))       # any iterable of rows
+    for key, cells in LOAD_ROWS:
+        reference.insert(key, dict(zip(LOAD_COLUMNS, cells)))
+    assert table_state(loaded) == table_state(reference)
+    assert loaded.index_lookup("by_name", (1, "NAME0")) == [(1, 3)]
+    assert loaded.index_lookup("by_d", 1) == [(2, 1), (1, 1)]
+    # Built straight from the cells, against one shared column layout.
+    for key, cells in LOAD_ROWS:
+        assert loaded.get(key)._cells is cells
+        assert loaded.get(key)._names is reference.get(key)._names
+
+
+@pytest.mark.parametrize("rows, key", [
+    (LOAD_ROWS + [LOAD_ROWS[2]], (2, 2)),
+    ([((9, 9), (9, 9, "X", 0.0))] + LOAD_ROWS[:1], (2, 3)),
+], ids=["repeated_in_rows", "already_present"])
+def test_load_of_a_duplicate_key_raises_and_loads_nothing(rows, key):
+    table = indexed_table()
+    table.load(LOAD_COLUMNS, LOAD_ROWS[:1])
+    before = table_state(table)
+    with pytest.raises(TableError, match=re.escape(f"duplicate key {key!r} in table 't'")):
+        table.load(LOAD_COLUMNS, rows)
+    assert table_state(table) == before
+
+
+def test_load_over_a_deleted_key_revives_it_like_insert():
+    loaded, reference = indexed_table(), indexed_table()
+    for table in (loaded, reference):
+        table.load(LOAD_COLUMNS, LOAD_ROWS)
+        table.delete((2, 1))
+    loaded.load(LOAD_COLUMNS, [((2, 1), (2, 1, "NEW", 1.0))])
+    reference.insert((2, 1), dict(zip(LOAD_COLUMNS, (2, 1, "NEW", 1.0))))
+    assert table_state(loaded) == table_state(reference)
+    assert len(loaded) == len(LOAD_ROWS)
+
+
+def test_load_without_an_index_column_raises_and_loads_nothing():
+    table = indexed_table()
+    with pytest.raises(TableError, match="index 'by_name' of table 't' needs column 'last'"):
+        table.load(("w", "d"), [((1, 1), (1, 1))])
+    assert len(table) == 0 and not table._records

@@ -24,6 +24,11 @@ def test_tatp_loading_and_mix():
     access_info = cluster.servers[0].store.table("access_info")
     assert len(subscriber) == 100
     assert len(access_info) == 400
+    assert list(subscriber.get(7).value.items()) == [
+        ("s_id", 7), ("bit_1", 1), ("vlr_location", 0), ("msc_location", 0),
+        ("sub_nbr", "000000000000007")]
+    assert list(access_info.get((7, 3)).value.items()) == [
+        ("s_id", 7), ("ai_type", 3), ("data1", 21)]
     source = workload.make_source(cluster, 0, 0)
     names = [source.next().name for _ in range(300)]
     read_share = sum(1 for n in names if n.startswith("tatp_get")) / len(names)

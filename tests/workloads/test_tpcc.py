@@ -37,6 +37,42 @@ def test_loading_creates_the_expected_row_counts():
         assert len(store.table("orders")) == 2 * DISTRICTS_PER_WAREHOUSE * 5
 
 
+def test_loaded_rows_hold_the_specified_columns_and_values():
+    """Every loaded table's rows, as the transactions read them: column
+    order, values and types (w_id 3 is partition 1's first warehouse)."""
+    cluster, _ = make_cluster()
+    store = cluster.servers[1].store
+
+    def row(table, key):
+        return list(store.table(table).get(key).value.items())
+
+    assert row("warehouse", 3) == [
+        ("w_id", 3), ("w_tax", 0.1), ("w_ytd", 300_000.0), ("w_name", "warehouse-3")]
+    assert row("district", (3, 2)) == [
+        ("d_w_id", 3), ("d_id", 2), ("d_tax", 0.05), ("d_ytd", 30_000.0), ("d_next_o_id", 6)]
+    assert row("customer", (3, 2, 5)) == [
+        ("c_w_id", 3), ("c_d_id", 2), ("c_id", 5), ("c_last", "BARBARPRES"),
+        ("c_balance", -10.0), ("c_ytd_payment", 10.0), ("c_payment_cnt", 1),
+        ("c_delivery_cnt", 0), ("c_data", "")]
+    assert row("stock", (3, 7)) == [
+        ("s_w_id", 3), ("s_i_id", 7), ("s_quantity", 57), ("s_ytd", 0),
+        ("s_order_cnt", 0), ("s_remote_cnt", 0)]
+    assert row("item", 7) == [("i_id", 7), ("i_name", "item-7"), ("i_price", 1.7)]
+    assert row("new_order", (3, 2, 5)) == [("no_w_id", 3), ("no_d_id", 2), ("no_o_id", 5)]
+    order = dict(row("orders", (3, 2, 4)))
+    assert list(order) == ["o_w_id", "o_d_id", "o_id", "o_c_id", "o_ol_cnt", "o_carrier_id"]
+    assert (order["o_w_id"], order["o_d_id"], order["o_id"], order["o_carrier_id"]) == (3, 2, 4, None)
+    assert 1 <= order["o_c_id"] <= 10 and 5 <= order["o_ol_cnt"] <= 15
+    line = dict(row("order_line", (3, 2, 4, order["o_ol_cnt"])))
+    assert list(line) == ["ol_w_id", "ol_d_id", "ol_o_id", "ol_number", "ol_i_id",
+                          "ol_quantity", "ol_amount", "ol_delivery_d"]
+    assert 1 <= line.pop("ol_i_id") <= 50
+    assert line == {"ol_w_id": 3, "ol_d_id": 2, "ol_o_id": 4, "ol_number": order["o_ol_cnt"],
+                    "ol_quantity": 5, "ol_amount": 0.0, "ol_delivery_d": None}
+    assert (3, 2, 4, order["o_ol_cnt"] + 1) not in store.table("order_line")
+    assert len(store.table("history")) == 0
+
+
 def test_warehouses_are_partitioned_contiguously():
     cluster, workload = make_cluster()
     assert list(workload.warehouses_of_partition(0)) == [1, 2]
