@@ -37,7 +37,7 @@ def test_lock_manager_grant_release(benchmark):
     """Uncontended exclusive grant + release cycles."""
     env = Environment()
     manager = LockManager(env, LockPolicy.WAIT_DIE)
-    records = [Record(i, {"v": 0}) for i in range(64)]
+    records = [Record(i, ("v",), (0,)) for i in range(64)]
 
     def run():
         for sequence in range(2_000):

@@ -49,10 +49,14 @@ class SecondaryIndex:
     def add(self, primary_key, row: dict) -> None:
         self._entries.setdefault(self._key_of(row), {})[primary_key] = None
 
-    def add_rows(self, columns: tuple, rows: list) -> None:
-        """Index ``(primary key, cells)`` rows, in order; each row's cells
-        follow ``columns``, which must hold the index's columns."""
-        key_of = itemgetter(*map(columns.index, self.columns))
+    def cells_key(self, columns: tuple) -> itemgetter:
+        """The index key of a row's cells laid out in ``columns``; a
+        ``ValueError`` if ``columns`` lacks one of the index's columns."""
+        return itemgetter(*map(columns.index, self.columns))
+
+    def add_rows(self, key_of: itemgetter, rows: list) -> None:
+        """Index ``(primary key, cells)`` rows, in order, by ``key_of``, the
+        :meth:`cells_key` of their column tuple."""
         entries = self._entries
         for primary_key, cells in rows:
             entries.setdefault(key_of(cells), {})[primary_key] = None
@@ -145,18 +149,12 @@ class Table:
         The rows end up as a per-row :meth:`insert` of each would leave them —
         in order, with each secondary index keyed from the cells — but no
         row is ever a dict.  A key repeated in ``rows`` or already live in the
-        table, or an index column missing from ``columns``, raises
-        :class:`TableError`, and nothing is loaded.
+        table raises :class:`TableError`, and an index column missing from
+        ``columns`` raises ``ValueError``; either way nothing is loaded.
         """
         names = layout(columns, columns)
         rows = list(rows)
-        for index in self._indexes.values():
-            for column in index.columns:
-                if column not in names:
-                    raise TableError(
-                        f"index {index.name!r} of table {self.name!r} needs "
-                        f"column {column!r}, which the load does not give"
-                    )
+        indexed = [(index, index.cells_key(names)) for index in self._indexes.values()]
         loaded = {key: Record(key, names, cells) for key, cells in rows}
         if len(loaded) != len(rows):
             seen = set()
@@ -172,8 +170,8 @@ class Table:
                     raise self._duplicate(key)
         records.update(loaded)
         self._live_count += len(loaded)
-        for index in self._indexes.values():
-            index.add_rows(names, rows)
+        for index, key_of in indexed:
+            index.add_rows(key_of, rows)
 
     def insert_many(self, keys, row: dict) -> None:
         """Load one copy of ``row`` per key: :meth:`load` with a cell tuple of
@@ -186,7 +184,7 @@ class Table:
         self.load(tuple(row), [(key, tuple(row.values())) for key in keys])
 
     def upsert(self, key, value: dict) -> Record:
-        """Insert or overwrite without raising on duplicates (loader use only)."""
+        """Insert or overwrite without raising on duplicates (recovery's log replay)."""
         existing = self._records.get(key)
         if existing is not None:
             if self._indexes:
