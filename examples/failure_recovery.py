@@ -14,6 +14,7 @@ Run with:  python examples/failure_recovery.py
 """
 
 import repro
+from repro.sim.stats import COUNTERS
 
 
 def main() -> None:
@@ -47,13 +48,14 @@ def main() -> None:
     print(f"crash-abort rate             : {result.crash_abort_rate:.2%}")
     print(f"throughput                   : {result.throughput_ktps:.1f} kTPS")
     print()
-    counters = result.metrics.counters.as_dict()
+    print("Run counters (whole run; meanings from repro.sim.stats.COUNTERS)")
+    print("-" * 72)
+    for name, value in sorted(result.metrics.counters.as_dict().items()):
+        if value:
+            print(f"{name:<27}: {value:>8}  {COUNTERS[name]}")
+    print()
     print("Recovery protocol trace")
     print("-" * 72)
-    print(f"crashes injected             : {counters.get('crashes_injected', 0)}")
-    print(f"recoveries completed         : {counters.get('recoveries_completed', 0)}")
-    print(f"transactions rolled back     : {counters.get('recovery_rolled_back', 0)}")
-    print(f"writes re-delivered          : {counters.get('recovery_redelivered', 0)}")
     term = cluster.membership.current_term
     print(f"recovery TERM-ID             : {term}")
     print(f"published partition marks    : {cluster.membership.published_watermarks(term)}")

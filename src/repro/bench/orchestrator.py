@@ -75,12 +75,10 @@ __all__ = [
 #: coexist on CI.
 SUBSTRATE_VERSION = _REPRO_VERSION
 
-#: Version of the on-disk cache file format itself.  v7: spec JSON omits every
-#: optional field that is ``None`` (``faults`` joined ``arrival`` and
-#: ``topology``) and lost the two scalar fault knobs, so every content key
-#: changed; entries written under an older schema degrade to misses and
-#: ``scripts/cache_gc.py`` reclaims them.
-CACHE_SCHEMA_VERSION = 7
+#: Version of the on-disk cache file format itself.  v8: the result's
+#: counters carry every run signal (``repro.sim.stats.COUNTERS``).  Entries of
+#: an older schema degrade to misses and ``scripts/cache_gc.py`` reclaims them.
+CACHE_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)

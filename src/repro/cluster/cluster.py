@@ -31,7 +31,7 @@ from ..replication.membership import MembershipService
 from ..sim.engine import Environment, Process
 from ..sim.network import Network
 from ..sim.randgen import DeterministicRandom, derive_seed, stable_hash
-from ..sim.stats import Counter, RunMetrics, WindowedRecorder
+from ..sim.stats import RunMetrics, WindowedRecorder
 from ..sim.topology import RegionTopology
 from ..txn.transaction import Transaction
 from ..workloads.base import Workload
@@ -75,10 +75,14 @@ class Cluster:
         # records the exception on its Process; run() re-raises it.
         self.fibers: list[Process] = []
         self.env = Environment()
+        # The run's one counter: every component increments the metrics' own.
+        self.metrics = RunMetrics()
+        self.counters = self.metrics.counters
         self.network = Network(
             self.env,
             one_way_latency_us=config.one_way_network_latency_us,
             local_latency_us=config.local_message_latency_us,
+            counters=self.counters,
         )
         if self.topology is not None:
             self.network.install_topology(
@@ -97,7 +101,6 @@ class Cluster:
         # Set by the recovery coordinator while it quiesces and rolls back;
         # workers wait on it before starting new transaction attempts.
         self.pause_event = None
-        self.counters = Counter()
 
         # Protocol first (its lock policy configures the partitions' lock managers).
         self.protocol = create_protocol(config.protocol, self)
@@ -133,7 +136,6 @@ class Cluster:
                 server.log.retain_history = False
 
         # Measurement state.
-        self.metrics = RunMetrics()
         self._measure_start = config.warmup_us
         self._measure_end = config.warmup_us + config.duration_us
         if self.fault_plan.events:
@@ -318,6 +320,9 @@ class Cluster:
                         name=f"worker-p{partition_id}-{stream_id}",
                     ))
 
+    def _messages_sent(self) -> int:
+        return self.counters.get("rpc_calls") + self.counters.get("one_way_messages")
+
     def _heartbeat_loop(self, server: Server):
         # Keeps running through the post-measurement drain so the failure
         # detector does not report spurious failures once workers stop.
@@ -353,12 +358,13 @@ class Cluster:
         gc_thresholds = gc.get_threshold()
         gc.freeze()
         gc.set_threshold(10_000, gc_thresholds[1], gc_thresholds[2])
+        warmup_messages = 0
         try:
             if self._measure_start > 0 and self.env.now < self._measure_start:
-                # Drain the warmup phase, then zero the network counters so the
-                # reported message counts cover only the measurement window.
+                # Drain the warmup phase; the reported message count covers
+                # only what is sent from here on.
                 self.env.run(until=self._measure_start)
-                self.network.stats.reset()
+                warmup_messages = self._messages_sent()
             self.env.run(until=self._measure_end)
             self.stopped = True
             # Let in-flight group commits / watermarks drain so latency samples
@@ -386,14 +392,13 @@ class Cluster:
                                     sum(q.dropped for q in queues))
             self.counters.increment("admission_queue_peak_depth",
                                     max(q.peak_depth for q in queues))
-        self.metrics.counters.merge(self.counters)
         return RunResult(
             protocol=self.config.protocol,
             durability=self.config.durability,
             workload=self.workload.name,
             n_partitions=self.config.n_partitions,
             metrics=self.metrics,
-            network_messages=self.network.stats.messages_sent,
+            network_messages=self._messages_sent() - warmup_messages,
             per_txn_type=dict(self._per_txn_type),
             abort_reasons=dict(self._abort_reasons),
             extra={"config": self.config},

@@ -44,7 +44,6 @@ class RecoveryCoordinator:
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
         self.env = cluster.env
-        self.stats = {"recoveries": 0, "rolled_back": 0}
         self._in_progress: set[int] = set()
         # Terms whose watermarks are published and whose rollback has not run.
         self._agreeing: set[int] = set()
@@ -77,7 +76,6 @@ class RecoveryCoordinator:
     def _recover(self, partition_id: int) -> Generator:
         cluster = self.cluster
         failed = cluster.servers[partition_id]
-        self.stats["recoveries"] += 1
         recovery_started = self.env.now
 
         # (1) leader re-election inside the failed partition's replica group.
@@ -118,7 +116,6 @@ class RecoveryCoordinator:
         for server in cluster.servers.values():
             rolled_back += self._rollback_partition(server, agreed)
         self._agreeing.discard(term)
-        self.stats["rolled_back"] += rolled_back
         cluster.counters.increment("recovery_rolled_back", rolled_back)
 
         # (3b) re-deliver remote writes of kept transactions whose one-way

@@ -76,7 +76,7 @@ class Server:
         self.env: Environment = cluster.env
         self.config = cluster.config
         self.partition_id = partition_id
-        self.store = PartitionStore(self.env, partition_id, lock_policy)
+        self.store = PartitionStore(self.env, partition_id, lock_policy, cluster.counters)
         follower_base = follower_node_base(cluster.config.n_partitions, partition_id)
         self.replication = ReplicationGroup(
             self.env,
@@ -85,9 +85,10 @@ class Server:
             cluster.config.replicas_per_partition,
             follower_base,
             cluster.config.storage_persist_us,
+            cluster.counters,
         )
         self.log = LogManager(
-            self.env, partition_id, self.replication, cluster.config.log_write_us
+            self.env, partition_id, self.replication, cluster.config.log_write_us, cluster.counters
         )
         self.active_txns = ActiveTxnRegistry()
         self.crashed = False

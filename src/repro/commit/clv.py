@@ -50,7 +50,6 @@ class ControlledLockViolation(DurabilityScheme):
         super().__init__(cluster)
         self._pending: list[_PendingTxn] = []
         self._crashed: set[int] = set()
-        self.stats = {"flush_rounds": 0, "acks": 0}
 
     def start(self) -> None:
         for partition_id in range(self.config.n_partitions):
@@ -77,7 +76,6 @@ class ControlledLockViolation(DurabilityScheme):
                 continue
             if server.log.unpersisted_count > 0:
                 yield from server.log.flush()
-                self.stats["flush_rounds"] += 1
             self._release_ready()
 
     def _release_ready(self) -> None:
@@ -100,7 +98,6 @@ class ControlledLockViolation(DurabilityScheme):
             )
             if durable_everywhere:
                 released.append(pending.event)
-                self.stats["acks"] += 1
             else:
                 still_pending.append(pending)
         self._pending = still_pending

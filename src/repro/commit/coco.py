@@ -71,7 +71,6 @@ class CocoGroupCommit(DurabilityScheme):
         self._states = {p: _PartitionEpochState(self.env) for p in range(self.config.n_partitions)}
         self._crashed: set[int] = set()
         self._message_delay_us: dict[int, float] = {}
-        self.stats = {"epochs_committed": 0, "epochs_aborted": 0, "barrier_time_us": 0.0}
 
     def set_message_delay(self, partition_id: int, delay_us: float) -> None:
         self._message_delay_us[partition_id] = float(delay_us)
@@ -103,7 +102,6 @@ class CocoGroupCommit(DurabilityScheme):
         rng = self.cluster.rng_for("coco-epoch")
         while True:
             yield self.env.timeout(self.config.epoch_length_us)
-            barrier_start = self.env.now
             committing_epoch = self.epoch
             ready = []
             aborted = False
@@ -127,7 +125,6 @@ class CocoGroupCommit(DurabilityScheme):
                 self._abort_epoch(committing_epoch)
             else:
                 self._commit_epoch(committing_epoch)
-            self.stats["barrier_time_us"] += self.env.now - barrier_start
             self.epoch += 1
             # GROUP-COMMIT / GROUP-ABORT delivery: one-way message, partitions
             # re-open admission when it arrives.
@@ -183,11 +180,11 @@ class CocoGroupCommit(DurabilityScheme):
                 self.env.succeed_all(released, outcome)
 
     def _commit_epoch(self, epoch: int) -> None:
-        self.stats["epochs_committed"] += 1
+        self.cluster.counters.increment("epochs_committed")
         self._resolve_epoch(epoch, DURABLE)
 
     def _abort_epoch(self, epoch: int) -> None:
-        self.stats["epochs_aborted"] += 1
+        self.cluster.counters.increment("epochs_aborted")
         self._resolve_epoch(epoch, CRASH_ABORTED)
 
     # -- failure handling ----------------------------------------------------------

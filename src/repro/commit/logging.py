@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterator, Optional, Union
 
 from ..sim.engine import Environment, Event
+from ..sim.stats import Counter
 from ..replication.raft import ReplicationGroup
 
 __all__ = ["LogRecordKind", "LogRecord", "LogManager"]
@@ -85,6 +86,7 @@ class LogManager:
         partition_id: int,
         replication: ReplicationGroup,
         log_write_us: float = 15.0,
+        counters: Optional[Counter] = None,
     ):
         self.env = env
         self.partition_id = partition_id
@@ -103,7 +105,7 @@ class LogManager:
         self.durable_lsn = 0
         self._flush_in_progress = False
         self._flush_waiters: list[Event] = []
-        self.stats = {"appends": 0, "flushes": 0, "records_flushed": 0}
+        self.counters = counters if counters is not None else Counter()
 
     # -- appends ----------------------------------------------------------------
     def append(
@@ -117,7 +119,6 @@ class LogManager:
         self._buffer.append(record)
         if self.retain_history:
             self._all_records.append(record)
-        self.stats["appends"] += 1
         return record
 
     def append_writeset(self, txn, undo_images: Optional[dict]) -> LogRecord:
@@ -181,8 +182,7 @@ class LogManager:
             for waiter in waiters:
                 waiter.succeed(None)
         self.durable_lsn = max(self.durable_lsn, target_lsn)
-        self.stats["flushes"] += 1
-        self.stats["records_flushed"] += len(batch)
+        self.counters.increment("log_flushes")
         return self.durable_lsn
 
     # -- recovery helpers ----------------------------------------------------------

@@ -70,7 +70,6 @@ class WatermarkGroupCommit(DurabilityScheme):
         }
         self._crashed: set[int] = set()
         self._message_delay_us: dict[int, float] = {}
-        self.stats = {"watermarks_published": 0, "force_updates": 0}
 
     def set_message_delay(self, partition_id: int, delay_us: float) -> None:
         self._message_delay_us[partition_id] = float(delay_us)
@@ -124,7 +123,6 @@ class WatermarkGroupCommit(DurabilityScheme):
                 self._force_update(server, state)
             # (3) persist and broadcast.
             server.log.append(LogRecordKind.WATERMARK, payload={"watermark": state.wp})
-            self.stats["watermarks_published"] += 1
             self._receive_watermark(partition_id, partition_id, state.wp)
             delay = self._message_delay_us.get(partition_id, 0.0)
             for other in range(self.config.n_partitions):
@@ -172,7 +170,7 @@ class WatermarkGroupCommit(DurabilityScheme):
         if state.wp >= average:
             return
         delta = average - state.wp
-        self.stats["force_updates"] += 1
+        self.cluster.counters.increment("watermark_force_updates")
         # Future transactions on this partition must pick timestamps above the
         # average so the next watermark can catch up (R2 + Δ, §5.1).
         server.ts_floor = max(server.ts_floor, state.wp + delta)
@@ -224,7 +222,7 @@ class WatermarkGroupCommit(DurabilityScheme):
 
         Returns counts used by the crash-abort-rate experiment (Fig. 12b).
         """
-        stats = {"durable": 0, "crash_aborted": 0}
+        outcome = {"durable": 0, "crash_aborted": 0}
         for state in self._states.values():
             state.wg = max(state.wg, agreed_wg)
             for p in state.table:
@@ -235,9 +233,9 @@ class WatermarkGroupCommit(DurabilityScheme):
                     continue
                 if ts < agreed_wg:
                     event.succeed(DURABLE)
-                    stats["durable"] += 1
+                    outcome["durable"] += 1
                 else:
                     event.succeed(CRASH_ABORTED)
-                    stats["crash_aborted"] += 1
+                    outcome["crash_aborted"] += 1
             state.pending = remaining
-        return stats
+        return outcome

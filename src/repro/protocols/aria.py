@@ -60,8 +60,6 @@ class AriaProtocol(BaseProtocol):
         super().__init__(cluster)
         # partition -> {(table, key): smallest reserving TID}
         self._write_reservations: dict[int, dict] = {}
-        self._batch_counter = 0
-        self.stats = {"batches": 0, "reexecutions": 0}
 
     def run_transaction(self, server, txn, logic):  # pragma: no cover - not used
         raise NotImplementedError("Aria uses its own batch loop (run_loop)")
@@ -104,8 +102,7 @@ class AriaProtocol(BaseProtocol):
         while not self.cluster.stopped:
             batch_start = self.env.now
             self._write_reservations = {p: {} for p in range(config.n_partitions)}
-            self._batch_counter += 1
-            self.stats["batches"] += 1
+            self.cluster.counters.increment("aria_batches")
 
             # ---- sequencing: assemble the batch -------------------------------
             batch: dict[int, list] = {}
@@ -150,7 +147,6 @@ class AriaProtocol(BaseProtocol):
                 if self._lost_reservation(txn) or self._reads_conflict(txn):
                     txn.abort_reason = AbortReason.RESERVATION
                     self.cluster.record_abort(server, txn)
-                    self.stats["reexecutions"] += 1
                     fresh = server.new_transaction(spec.name)
                     fresh.first_start_time = txn.first_start_time
                     carry_over[server.partition_id].append((spec, fresh))

@@ -31,10 +31,11 @@ tests/replication/test_replication.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Optional
 
 from ..sim.engine import Environment, Event
 from ..sim.network import Network
+from ..sim.stats import Counter
 
 __all__ = ["ReplicaState", "ReplicationGroup", "QUORUM_RETRY_US"]
 
@@ -67,6 +68,7 @@ class ReplicationGroup:
         n_replicas: int,
         follower_node_base: int,
         storage_persist_us: float,
+        counters: Optional[Counter] = None,
     ):
         if n_replicas < 1:
             raise ValueError("a replication group needs at least one replica (the leader)")
@@ -85,8 +87,7 @@ class ReplicationGroup:
         ]
         self.quorum_size = n_replicas // 2 + 1
         self.durable_lsn = 0
-        self.stats = {"append_rounds": 0, "entries_replicated": 0, "elections": 0,
-                      "quorum_stalls": 0}
+        self.counters = counters if counters is not None else Counter()
 
     # -- follower fault surface ---------------------------------------------
     def _follower(self, index: int) -> ReplicaState:
@@ -130,8 +131,6 @@ class ReplicationGroup:
         Returns the new durable LSN.  With a single replica (no followers) the
         persist latency is just the local storage write.
         """
-        self.stats["append_rounds"] += 1
-        self.stats["entries_replicated"] += len(entries)
         if not self.followers:
             yield self.env.timeout(self.storage_persist_us)
             self.durable_lsn = max(self.durable_lsn, up_to_lsn)
@@ -145,7 +144,7 @@ class ReplicationGroup:
         while len(alive) < acks_needed:
             # Too many followers down to form a quorum: durability stalls
             # until a follower recovers (the fixed poll keeps it deterministic).
-            self.stats["quorum_stalls"] += 1
+            self.counters.increment("quorum_stalls")
             yield self.env.timeout(QUORUM_RETRY_US)
             alive = self.alive_followers()
         roundtrips = sorted(self._ack_roundtrip_us(state) for state in alive)
@@ -173,7 +172,6 @@ class ReplicationGroup:
         With homogeneous fault-free links this is exactly the historical
         ``4 × one_way + persist``.
         """
-        self.stats["elections"] += 1
         pool = self.alive_followers() or self.followers
         if not pool:
             # Single-replica group: no votes to gather, just the term persist

@@ -1,7 +1,7 @@
 """Discrete-event simulation substrate (engine, network, RNG, measurement)."""
 
 from .engine import Environment, Event, Process, SimulationError, Timeout, all_of
-from .network import Network, NetworkStats, NodeUnreachable
+from .network import Network, NodeUnreachable
 from .randgen import DeterministicRandom, ZipfGenerator, derive_seed
 from .stats import (
     BREAKDOWN_COMPONENTS,
@@ -19,7 +19,6 @@ __all__ = [
     "Timeout",
     "all_of",
     "Network",
-    "NetworkStats",
     "NodeUnreachable",
     "DeterministicRandom",
     "ZipfGenerator",

@@ -14,6 +14,9 @@ The network also supports targeted fault/latency injection, which the
 benchmark harness uses for the "watermark lagging" experiment (Fig. 13a) and
 for crash experiments (messages to a crashed node are dropped).
 
+Message counts (``rpc_calls``, ``one_way_messages``, ``messages_dropped``) go
+to the :class:`~repro.sim.stats.Counter` it is given; in a cluster, the run's.
+
 Hot-path notes: every transaction sends a handful of messages, so delivery
 avoids per-message allocations where it can.  The latency lookup skips the
 injected-delay dictionaries entirely while no fault injection is configured,
@@ -28,8 +31,6 @@ pair per message, with FIFO delivery order preserved bit-for-bit.
 from __future__ import annotations
 
 import inspect
-from collections import Counter
-from dataclasses import dataclass, field
 from heapq import heappush
 from types import BuiltinFunctionType, GeneratorType, MethodWrapperType
 from typing import Any, Callable, Generator, Optional
@@ -38,8 +39,9 @@ from typing import Any, Callable, Generator, Optional
 _C_CALLABLE_TYPES = (BuiltinFunctionType, MethodWrapperType)
 
 from .engine import Environment, Event, Timeout
+from .stats import Counter
 
-__all__ = ["Network", "NetworkStats", "NodeUnreachable"]
+__all__ = ["Network", "NodeUnreachable"]
 
 
 class NodeUnreachable(Exception):
@@ -48,31 +50,6 @@ class NodeUnreachable(Exception):
     def __init__(self, node_id: int):
         super().__init__(f"node {node_id} is unreachable")
         self.node_id = node_id
-
-
-@dataclass(slots=True)
-class NetworkStats:
-    """Aggregate message counters, used by tests and the bench report.
-
-    Slotted: the per-message counter bumps are plain integer-attribute
-    stores, not instance-dict writes.
-    """
-
-    messages_sent: int = 0
-    rpc_calls: int = 0
-    one_way_messages: int = 0
-    bytes_hint: int = 0
-    dropped: int = 0
-    per_destination: Counter = field(default_factory=Counter)
-
-    def reset(self) -> None:
-        """Zero every counter (the bench harness calls this after warmup)."""
-        self.messages_sent = 0
-        self.rpc_calls = 0
-        self.one_way_messages = 0
-        self.bytes_hint = 0
-        self.dropped = 0
-        self.per_destination.clear()
 
 
 class _OneWaySend(Event):
@@ -143,7 +120,7 @@ def _dispatch_one_way_send(op: "_OneWaySend") -> None:
         return
     # Hop 2: arrival.
     if op._dst in network._unreachable:
-        network.stats.dropped += 1
+        network.counters.increment("messages_dropped")
         op._handler = op._args = op._kwargs = None
         return
     handler, args, kwargs = op._handler, op._args, op._kwargs
@@ -164,11 +141,12 @@ class Network:
         env: Environment,
         one_way_latency_us: float = 50.0,
         local_latency_us: float = 0.2,
+        counters: Optional[Counter] = None,
     ):
         self.env = env
         self.one_way_latency_us = float(one_way_latency_us)
         self.local_latency_us = float(local_latency_us)
-        self.stats = NetworkStats()
+        self.counters = counters if counters is not None else Counter()
         # Extra one-way delay injected on messages *from* a given node
         # (used to lag a partition's watermark/epoch messages, Fig. 13a).
         self._extra_delay_from: dict[int, float] = {}
@@ -309,14 +287,11 @@ class Network:
         **kwargs: Any,
     ) -> Generator[Event, Any, Any]:
         """Request/response round trip; generator to be driven with ``yield from``."""
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.rpc_calls += 1
-        stats.per_destination[dst] += 1
+        self.counters.increment("rpc_calls")
         env = self.env
         unreachable = self._unreachable
         if dst in unreachable:
-            stats.dropped += 1
+            self.counters.increment("messages_dropped")
             # The caller notices the failure after a timeout-ish delay.
             yield Timeout(env, self.latency(src, dst) * 2)
             raise NodeUnreachable(dst)
@@ -326,7 +301,7 @@ class Network:
             result = yield from result
         if dst in unreachable:
             # Crashed while processing: response is lost.
-            stats.dropped += 1
+            self.counters.increment("messages_dropped")
             yield Timeout(env, self.latency(dst, src))
             raise NodeUnreachable(dst)
         yield Timeout(env, self.latency(dst, src))
@@ -341,13 +316,9 @@ class Network:
         **kwargs: Any,
     ) -> None:
         """One-way message: schedule ``handler`` at the destination, don't wait."""
-        stats = self.stats
-        stats.messages_sent += 1
-        stats.one_way_messages += 1
-        stats.per_destination[dst] += 1
-        unreachable = self._unreachable
-        if dst in unreachable:
-            stats.dropped += 1
+        self.counters.increment("one_way_messages")
+        if dst in self._unreachable:
+            self.counters.increment("messages_dropped")
             return
 
         if self._handler_returns_generator(handler):
@@ -365,7 +336,7 @@ class Network:
     def _deliver_generator(self, src, dst, handler, args, kwargs) -> Generator:
         yield Timeout(self.env, self.latency(src, dst))
         if dst in self._unreachable:
-            self.stats.dropped += 1
+            self.counters.increment("messages_dropped")
             return
         yield from handler(*args, **kwargs)
 

@@ -20,9 +20,10 @@ times, so recording is kept allocation-free.
   float list indexed by component id — ``add()`` on the commit path is two
   list operations, not a dict hash + resize.
 
+A run has one :class:`Counter` (``Cluster.counters`` *is* the metrics'),
+incremented directly by every component under the names in :data:`COUNTERS`.
 Nothing merges results across cells or processes: a pool worker returns its
-cell's whole document, and the one ``merge`` is ``Cluster.run`` folding its
-own :class:`Counter` into the run's metrics.
+cell's whole document.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from statistics import median
 from typing import Iterable
 
 __all__ = [
+    "COUNTERS",
     "Counter",
     "LatencyRecorder",
     "BreakdownTimer",
@@ -57,6 +59,35 @@ BREAKDOWN_COMPONENTS = (
 # table only ever grows, so existing indices stay valid).
 _COMPONENT_IDS: dict[str, int] = {
     name: i for i, name in enumerate(BREAKDOWN_COMPONENTS)
+}
+
+
+#: Every run counter, name -> meaning, as README's "Run counters" table lists
+#: them.  Increments are unchecked; tests/api/test_run_counters.py checks runs.
+COUNTERS: dict[str, str] = {
+    "crashes_injected": "partition-leader crashes injected (crash and leader_flap faults)",
+    "leader_flaps": "leader_flap cycles that crashed a live leader",
+    "partitions_isolated": "network_partition faults applied",
+    "follower_crashes_injected": "follower_crash faults applied",
+    "stale_reads": "reads served from the pre-durable follower snapshot in a stale_read window",
+    "arrivals_offered": "open-loop arrivals offered to the admission queues",
+    "arrivals_dropped": "open-loop arrivals shed at a full admission queue",
+    "admission_queue_peak_depth": "deepest any admission queue got (a maximum, not a sum)",
+    "recoveries_completed": "leader recoveries that resumed processing",
+    "recovery_time_us": "simulated time spent in recoveries, election through resume (µs)",
+    "recovery_rolled_back": "write-set log records undone at or above the agreed watermark",
+    "recovery_redelivered": "remote writes of kept transactions re-delivered after a crash",
+    "recovery_durable": "pending WM commits a recovery acknowledged durable",
+    "lock_waits": "lock requests that queued behind a conflicting holder (WAIT_DIE)",
+    "log_flushes": "log flushes completed (one quorum-replicated batch each)",
+    "quorum_stalls": "quorum polls an append spent waiting for enough live followers",
+    "watermark_force_updates": "WM force updates of a lagging partition's timestamp floor",
+    "epochs_committed": "COCO epochs group-committed",
+    "epochs_aborted": "COCO epochs group-aborted (a partition was down or unreachable)",
+    "aria_batches": "Aria batches started",
+    "rpc_calls": "request/response round trips started",
+    "one_way_messages": "one-way messages sent",
+    "messages_dropped": "messages and responses lost to an unreachable node",
 }
 
 

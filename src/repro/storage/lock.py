@@ -38,6 +38,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Optional, Union
 
 from ..sim.engine import Environment, Event
+from ..sim.stats import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .record import Record
@@ -97,9 +98,11 @@ class LockState:
 class LockManager:
     """Grants, queues and releases record locks for one partition."""
 
-    def __init__(self, env: Environment, policy: LockPolicy = LockPolicy.WAIT_DIE):
+    def __init__(self, env: Environment, policy: LockPolicy = LockPolicy.WAIT_DIE,
+                 counters: Optional[Counter] = None):
         self.env = env
         self.policy = policy
+        self.counters = counters if counters is not None else Counter()
         # record -> LockState while the record is held (dict records hash by
         # identity, columnar handles by row).  Every entry has a holder: the
         # head of a queue behind none is granted by the release that emptied it.
@@ -110,7 +113,6 @@ class LockManager:
         # release_all wakes waiters in acquisition order; records hash by
         # address, so a set here would make the run depend on the allocator.
         self._held: dict = {}
-        self.stats = {"grants": 0, "waits": 0, "aborts": 0, "releases": 0}
 
     # -- queries (never create state) ---------------------------------------
     def holders_of(self, record: "Record") -> dict:
@@ -175,7 +177,6 @@ class LockManager:
             self._grant(state, txn_id, record, mode)
             return True
         if (policy or self.policy) is LockPolicy.NO_WAIT:
-            self.stats["aborts"] += 1
             return False
         # WAIT_DIE: wait only if strictly older than every conflicting holder
         # and every transaction already queued ahead of us.
@@ -183,9 +184,8 @@ class LockManager:
         if state.waiters:
             conflicting.extend(request.txn_id for request in state.waiters)
         if any(txn_id >= other for other in conflicting):
-            self.stats["aborts"] += 1
             return False
-        self.stats["waits"] += 1
+        self.counters.increment("lock_waits")
         event = self.env.event()
         request = LockRequest(txn_id, mode, event)
         if state.waiters is None:
@@ -208,7 +208,6 @@ class LockManager:
         if held is None:
             self._held[txn_id] = held = {}
         held[record] = None
-        self.stats["grants"] += 1
 
     # -- release ------------------------------------------------------------
     def release(self, txn_id, record: "Record") -> None:
@@ -226,7 +225,6 @@ class LockManager:
             held.pop(record, None)
             if not held:
                 del self._held[txn_id]
-        self.stats["releases"] += 1
         if state.waiters:
             self._wake_waiters(state, record)
         elif not state.holders:
@@ -265,17 +263,12 @@ class LockManager:
 
     # -- failure handling -----------------------------------------------------
     def abort_waiters(self, record: "Record") -> None:
-        """Fail every queued request on a record (crash/rollback path).
-
-        The woken requester counts as an abort; the accounting lives here so
-        every ``acquire_nowait`` call site observes it.
-        """
+        """Fail every queued request on a record (crash/rollback path)."""
         state = self._table.get(record)
         if state is None:
             return
         waiters = state.waiters
         if waiters:
-            self.stats["aborts"] += len(waiters)
             self.env.succeed_all([request.event for request in waiters], False)
             waiters.clear()
         if not state.holders:

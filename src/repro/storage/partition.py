@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..sim.engine import Environment
+from ..sim.stats import Counter
 from .columnar import ColumnarTable, TableSchema
 from .lock import LockManager, LockPolicy
 from .table import Table, TableError
@@ -38,11 +39,12 @@ class PartitionStore:
         env: Environment,
         partition_id: int,
         lock_policy: LockPolicy = LockPolicy.WAIT_DIE,
+        counters: Optional[Counter] = None,
     ):
         self.env = env
         self.partition_id = partition_id
         self.tables: dict[str, Union[Table, ColumnarTable]] = {}
-        self.lock_manager = LockManager(env, policy=lock_policy)
+        self.lock_manager = LockManager(env, policy=lock_policy, counters=counters)
 
     def create_table(
         self, name: str, schema: Optional[TableSchema] = None

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.faults import fault
 
-from tests.conftest import TransferWorkload, tiny_config, tiny_ycsb
+from tests.conftest import TransferWorkload, elections, tiny_config, tiny_ycsb
 
 
 #: Partition 1's leader dies halfway through the run.
@@ -29,7 +29,7 @@ def test_crash_is_detected_and_recovered():
     cluster = Cluster(crash_config(), tiny_ycsb(), faults=CRASH)
     result = cluster.run()
     assert result.metrics.counters.get("crashes_injected") == 1
-    assert cluster.recovery.stats["recoveries"] >= 1
+    assert elections(cluster) >= 1
     # The failed partition is back as a (new) leader by the end of the run.
     assert not cluster.servers[1].crashed
     assert cluster.membership.is_alive(1)
@@ -102,7 +102,7 @@ def test_coco_crash_aborts_the_epoch():
     cluster = Cluster(crash_config(protocol="sundial", durability="coco"), tiny_ycsb(),
                       faults=CRASH)
     result = cluster.run()
-    assert cluster.durability.stats["epochs_aborted"] >= 1
+    assert cluster.counters.get("epochs_aborted") >= 1
     assert result.metrics.crash_aborted > 0
 
 

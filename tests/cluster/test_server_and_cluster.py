@@ -105,7 +105,7 @@ def test_start_is_idempotent():
 def test_single_partition_cluster_has_no_distributed_transactions():
     cluster, result = run_tiny("primo", n_partitions=1)
     assert result.committed > 0
-    assert cluster.network.stats.rpc_calls == 0  # nothing remote to call
+    assert cluster.counters.get("rpc_calls") == 0  # nothing remote to call
 
 
 class _RaisesOnDraw25:

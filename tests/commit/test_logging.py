@@ -54,7 +54,7 @@ def test_flush_makes_prefix_durable_and_costs_time():
 def test_flush_with_empty_buffer_is_a_noop():
     env, log = make_log()
     assert flush(env, log) == 0
-    assert log.stats["flushes"] == 0
+    assert log.counters.get("log_flushes") == 0
 
 
 def test_unpersisted_min_ts_only_counts_writeset_records():

@@ -47,6 +47,11 @@ def run_tiny(protocol: str = "primo", workload: Workload | None = None, **overri
     return cluster, result
 
 
+def elections(cluster: Cluster) -> int:
+    """Leader elections so far: every recovery elects once, bumping a term."""
+    return sum(server.replication.term - 1 for server in cluster.servers.values())
+
+
 class TransferWorkload(Workload):
     """Money-transfer workload used by the atomicity/consistency tests.
 

@@ -9,7 +9,7 @@ from tests.conftest import make_manual_cluster, run_txn
 
 def test_distributed_transaction_commits_without_prepare_round():
     cluster = make_manual_cluster("primo", n_partitions=2)
-    before_rpcs = cluster.network.stats.rpc_calls
+    before_rpcs = cluster.counters.get("rpc_calls")
 
     def logic(ctx):
         local = yield from ctx.read(0, "kv", 1)
@@ -21,8 +21,8 @@ def test_distributed_transaction_commits_without_prepare_round():
     assert committed is True
     assert txn.is_distributed
     # Exactly one RPC (the remote read); the commit is a one-way message.
-    assert cluster.network.stats.rpc_calls - before_rpcs == 1
-    assert cluster.network.stats.one_way_messages >= 1
+    assert cluster.counters.get("rpc_calls") - before_rpcs == 1
+    assert cluster.counters.get("one_way_messages") >= 1
     # The remote write was installed at the participant with the same ts.
     remote_record = cluster.servers[1].store.table("kv").get(2)
     assert remote_record.value["v"] == 1
@@ -161,7 +161,7 @@ def test_commit_timestamp_exceeds_partition_floor():
 
 def test_primo_fallback_delegates_to_sundial():
     cluster = make_manual_cluster("primo", n_partitions=2, primo_fallback_to_2pc=True)
-    before_rpcs = cluster.network.stats.rpc_calls
+    before_rpcs = cluster.counters.get("rpc_calls")
 
     def logic(ctx):
         local = yield from ctx.read(0, "kv", 1)
@@ -171,4 +171,4 @@ def test_primo_fallback_delegates_to_sundial():
     committed, txn = run_txn(cluster, 0, logic)
     assert committed is True
     # The 2PC fallback needs more than one RPC round (read + prepare + commit).
-    assert cluster.network.stats.rpc_calls - before_rpcs >= 3
+    assert cluster.counters.get("rpc_calls") - before_rpcs >= 3

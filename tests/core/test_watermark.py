@@ -80,7 +80,7 @@ def test_force_update_advances_an_idle_partition():
     state.table.update({1: 200.0})
     state.wp = 10.0
     wm._force_update(server, state)
-    assert wm.stats["force_updates"] == 1
+    assert cluster.counters.get("watermark_force_updates") == 1
     assert server.ts_floor >= 200.0
     # With no active transactions and an empty log buffer the watermark jumps.
     assert state.wp >= 200.0
@@ -93,7 +93,7 @@ def test_force_update_does_not_touch_leading_partitions():
     state.table.update({1: 5.0})
     state.wp = 50.0
     wm._force_update(server, state)
-    assert wm.stats["force_updates"] == 0
+    assert cluster.counters.get("watermark_force_updates") == 0
 
 
 def test_resolve_after_crash_splits_pending_by_agreed_watermark():

@@ -81,7 +81,7 @@ def test_unreachable_destination_raises_for_rpc():
     env.process(caller())
     env.run(until=1000)
     assert errors == [1]
-    assert net.stats.dropped == 1
+    assert net.counters.get("messages_dropped") == 1
 
 
 def test_unreachable_destination_drops_one_way_messages():
@@ -91,7 +91,7 @@ def test_unreachable_destination_drops_one_way_messages():
     net.send(0, 3, delivered.append, "lost")
     env.run(until=1000)
     assert delivered == []
-    assert net.stats.dropped == 1
+    assert net.counters.get("messages_dropped") == 1
 
 
 def test_reachability_can_be_restored():
@@ -124,10 +124,7 @@ def test_message_statistics_are_counted():
 
     env.process(caller())
     env.run(until=1000)
-    assert net.stats.rpc_calls == 1
-    assert net.stats.one_way_messages == 1
-    assert net.stats.messages_sent == 2
-    assert net.stats.per_destination == {1: 1, 2: 1}
+    assert net.counters.as_dict() == {"rpc_calls": 1, "one_way_messages": 1}
 
 
 def test_roundtrip_helper_sums_both_directions():
@@ -137,6 +134,8 @@ def test_roundtrip_helper_sums_both_directions():
 
 
 def test_stats_reset_zeroes_every_counter():
+    """Nothing resets: a window's count is the difference of two readings,
+    which is how Cluster.run reports the measurement window's messages."""
     env, net = make_network()
 
     def caller():
@@ -145,31 +144,34 @@ def test_stats_reset_zeroes_every_counter():
 
     env.process(caller())
     env.run(until=1000)
-    assert net.stats.messages_sent == 2
-    net.stats.reset()
-    assert net.stats.messages_sent == 0
-    assert net.stats.rpc_calls == 0
-    assert net.stats.one_way_messages == 0
-    assert net.stats.dropped == 0
-    assert net.stats.per_destination == {}
+    before = net.counters.as_dict()
+    assert before == {"rpc_calls": 1, "one_way_messages": 1}
 
-    # Counters keep working after a reset.
     def second():
         yield from net.rpc(0, 1, lambda: "y")
 
     env.process(second())
     env.run(until=2000)
-    assert net.stats.rpc_calls == 1
-    assert net.stats.per_destination == {1: 1}
+    after = net.counters.as_dict()
+    assert {name: after[name] - before.get(name, 0) for name in after} == {
+        "rpc_calls": 1, "one_way_messages": 0}
 
 
 def test_per_destination_is_a_counter():
-    from collections import Counter
+    """A network counts into the Counter it is given (a cluster passes its
+    run's), and builds a fresh one when given none."""
+    from repro.sim.stats import Counter
 
-    env, net = make_network()
-    assert isinstance(net.stats.per_destination, Counter)
-    # Counter semantics: missing destinations read as zero.
-    assert net.stats.per_destination[42] == 0
+    env = Environment()
+    counters = Counter()
+    net = Network(env, counters=counters)
+    assert net.counters is counters
+    net.set_unreachable(3)
+    net.send(0, 1, lambda: None)
+    net.send(0, 3, lambda: None)
+    env.run(until=1000)
+    assert counters.as_dict() == {"one_way_messages": 2, "messages_dropped": 1}
+    assert make_network()[1].counters.as_dict() == {}
 
 
 def test_generator_handlers_are_driven_after_classification():
@@ -222,7 +224,7 @@ def test_send_to_node_that_crashes_in_flight_is_dropped():
     env.process(crash_soon())
     env.run(until=1000)
     assert delivered == []
-    assert net.stats.dropped == 1
+    assert net.counters.get("messages_dropped") == 1
 
 
 def test_latency_fast_path_matches_slow_path():

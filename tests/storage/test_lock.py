@@ -66,7 +66,7 @@ def test_no_wait_policy_never_waits():
     record = Record(1, (), ())
     assert acquire(env, manager, TxnId(2, 0), record, LockMode.EXCLUSIVE) is True
     assert acquire(env, manager, TxnId(1, 0), record, LockMode.EXCLUSIVE) is False
-    assert manager.stats["waits"] == 0
+    assert manager.counters.get("lock_waits") == 0
 
 
 def test_wait_die_older_waits_and_gets_lock_on_release():
