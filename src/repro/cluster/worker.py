@@ -20,10 +20,9 @@ transaction, attached straight to the durability event), not the transaction:
 the attempt — read-set, snapshots, write-set, context — dies when
 :func:`_drive` returns.  The receipt records end-to-end latency once the
 result is durable, so latency includes the ``return`` component without
-stalling the execution pipeline.  The durability schemes wake whole batches
-of these callbacks through one shared fast-lane notify
-(:meth:`~repro.sim.engine.Environment.succeed_all`): a group commit releasing
-``k`` transactions costs one scheduled event, not ``k`` process resumptions.
+stalling the execution pipeline.  A group commit releasing ``k``
+transactions succeeds their ``k`` durability events in commit order; each
+runs its receipt's callback directly, with no process to resume.
 """
 
 from __future__ import annotations

@@ -80,10 +80,8 @@ class ControlledLockViolation(DurabilityScheme):
 
     def _release_ready(self) -> None:
         # A flush round typically makes a whole batch of transactions durable
-        # at once; their completion callbacks wake through one shared
-        # fast-lane notify (Environment.succeed_all) instead of one scheduled
-        # event each.  Crash-aborted ones stay individually succeeded in
-        # pending order (the rare path).
+        # at once; they are released after the scan, in pending order, while
+        # crash-aborted ones are succeeded as the scan meets them.
         released = []
         still_pending = []
         for pending in self._pending:
@@ -101,8 +99,8 @@ class ControlledLockViolation(DurabilityScheme):
             else:
                 still_pending.append(pending)
         self._pending = still_pending
-        if released:
-            self.env.succeed_all(released, DURABLE)
+        for event in released:
+            event.succeed(DURABLE)
 
     def notify_crash(self, partition_id: int) -> None:
         self._crashed.add(partition_id)

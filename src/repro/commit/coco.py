@@ -164,20 +164,13 @@ class CocoGroupCommit(DurabilityScheme):
         return result
 
     def _resolve_epoch(self, epoch: int, outcome: str) -> None:
-        """Acknowledge every pending transaction of ``epoch`` (and earlier).
-
-        The whole epoch's completion callbacks wake through one shared
-        fast-lane notify per partition (see ``Environment.succeed_all``)
-        instead of one scheduled event per transaction.
-        """
+        """Acknowledge every pending transaction of ``epoch`` (and earlier),
+        partition by partition, epoch by epoch, in commit order."""
         for state in self._states.values():
-            released = []
             for pending_epoch in [e for e in state.pending if e <= epoch]:
                 for done in state.pending.pop(pending_epoch):
                     if not done.triggered:
-                        released.append(done)
-            if released:
-                self.env.succeed_all(released, outcome)
+                        done.succeed(outcome)
 
     def _commit_epoch(self, epoch: int) -> None:
         self.cluster.counters.increment("epochs_committed")

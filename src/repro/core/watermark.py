@@ -189,23 +189,16 @@ class WatermarkGroupCommit(DurabilityScheme):
             self._release_pending(state)
 
     def _release_pending(self, state: _PartitionWatermarkState) -> None:
-        # Wake every released transaction's completion callback through one
-        # shared fast-lane notify instead of one scheduled event each: a
-        # watermark advance typically acknowledges a whole interval's worth
-        # of transactions at once.
-        released = []
         still_pending = []
         wg = state.wg
         for pending in state.pending:
             if pending[1].triggered:
                 continue
             if pending[0] < wg:
-                released.append(pending[1])
+                pending[1].succeed(DURABLE)
             else:
                 still_pending.append(pending)
         state.pending = still_pending
-        if released:
-            self.env.succeed_all(released, DURABLE)
 
     # -- failure handling -------------------------------------------------------------------
     def notify_crash(self, partition_id: int) -> None:

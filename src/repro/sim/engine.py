@@ -27,9 +27,15 @@ maintained:
 
 * a binary heap of ``(time, seqno, event)`` for events in the future, and
 * a plain FIFO deque of bare events for events triggered with zero delay
-  at the current time — process kick-offs, lock grants, ``all_of``
-  completions and local ``succeed()`` chains all land here and bypass the
-  heap entirely.
+  at the current time — process kick-offs, one-way message departures,
+  lock grants, ``all_of`` completions and local ``succeed()`` chains all
+  land here and bypass the heap entirely.
+
+There is one way to wake a waiter: ``event.succeed(value)``.  Code that
+releases a batch (a group commit acknowledging an epoch, an unlock granting
+a run of shared readers) loops it in batch order; the released events sit
+consecutively in the fast lane, and anything their callbacks schedule lands
+after the whole batch.
 
 Both queues share one monotone sequence counter (fast-lane events carry
 theirs in the ``_seq`` slot), and the dispatcher always runs the entry with
@@ -52,7 +58,6 @@ __all__ = [
     "Environment",
     "Event",
     "Timeout",
-    "BatchWakeup",
     "Process",
     "SimulationError",
 ]
@@ -165,47 +170,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {state} at t={self.env.now:.3f}>"
-
-
-class BatchWakeup(Event):
-    """One fast-lane carrier that fires a batch of already-triggered events.
-
-    Group-commit style code releases whole batches of waiters at once (the
-    watermark/epoch/CLV durability schemes, lock wake-ups).  Scheduling one
-    fast-lane entry per released event costs a sequence draw, a deque append
-    and a dispatcher iteration each; a :class:`BatchWakeup` pays those once
-    for the whole batch and then runs each sub-event's callbacks in batch
-    order.
-
-    Ordering is exactly what individual ``succeed()`` calls would produce:
-    the sub-events are consecutive in the lane either way (the releasing code
-    runs synchronously, so nothing else can interleave sequence numbers), and
-    anything a woken callback schedules lands *after* the whole batch in both
-    schemes.  ``tests/sim/test_engine.py`` pins this equivalence against a
-    reference run.
-    """
-
-    __slots__ = ("_batch",)
-
-    def __init__(self, env: "Environment", batch: list):
-        self.env = env
-        self._value = None
-        self._ok = True
-        self._batch = batch
-        self.callbacks = self._fire
-        self._seq = env._next_seq()
-        env._fast_append(self)
-
-    def _fire(self, _event: Event) -> None:
-        for sub in self._batch:
-            callbacks = sub.callbacks
-            sub.callbacks = _PROCESSED
-            if callbacks is not None:
-                if type(callbacks) is list:
-                    for callback in callbacks:
-                        callback(sub)
-                else:
-                    callbacks(sub)
 
 
 class Timeout(Event):
@@ -352,33 +316,6 @@ class Environment:
         event.callbacks = callback
         event._seq = self._next_seq()
         self._fast_append(event)
-
-    def succeed_all(self, events: list, value: Any = None) -> None:
-        """Trigger every event in ``events`` with ``value`` at the current time.
-
-        The batched equivalent of calling ``event.succeed(value)`` on each in
-        order: every event is marked triggered immediately, and all of their
-        callbacks run from one shared sequence-ordered fast-lane entry (see
-        :class:`BatchWakeup`).  Observable event order is identical to the
-        unbatched loop; only the per-event scheduling overhead disappears.
-        """
-        # Validate the whole batch before mutating anything: a partial batch
-        # (some events marked triggered but never scheduled) would hang their
-        # waiters forever, which the equivalent per-event succeed() loop can
-        # never do to events preceding the bad one.
-        for event in events:
-            if event._value is not _PENDING:
-                raise SimulationError("event already triggered")
-        for event in events:
-            event._value = value
-        if not events:
-            return
-        if len(events) == 1:
-            event = events[0]
-            event._seq = self._next_seq()
-            self._fast_append(event)
-        else:
-            BatchWakeup(self, list(events))
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay == 0.0:

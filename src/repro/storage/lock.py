@@ -243,23 +243,21 @@ class LockManager:
     def _wake_waiters(self, state: LockState, record: "Record") -> None:
         """Grant queued requests that are now compatible (FIFO, no overtaking).
 
-        All waiters granted in one wake-up round share a single fast-lane
-        notify (``Environment.succeed_all``) — a burst of shared readers
-        released by an exclusive unlock costs one scheduled event.
+        A waiter wakes when its grant event is dispatched, after the whole
+        round is recorded: a burst of shared readers released by an
+        exclusive unlock wakes in queue order onto a table that already
+        lists all of them.
         """
         waiters = state.waiters
-        granted: list[Event] = []
         while waiters:
             request = waiters[0]
             if not state.compatible(request.txn_id, request.mode):
                 break
             waiters.popleft()
             self._grant(state, request.txn_id, record, request.mode)
-            granted.append(request.event)
+            request.event.succeed(True)
             if request.mode is LockMode.EXCLUSIVE:
                 break
-        if granted:
-            self.env.succeed_all(granted, True)
 
     # -- failure handling -----------------------------------------------------
     def abort_waiters(self, record: "Record") -> None:
@@ -269,7 +267,8 @@ class LockManager:
             return
         waiters = state.waiters
         if waiters:
-            self.env.succeed_all([request.event for request in waiters], False)
+            for request in waiters:
+                request.event.succeed(False)
             waiters.clear()
         if not state.holders:
             del self._table[record]

@@ -504,99 +504,3 @@ def test_succeed_with_delay_goes_through_the_heap():
     ev.add_callback(lambda e: seen.append(env.now))
     env.run(until=10)
     assert seen == [4.0]
-
-
-# -- batched wakeups (Environment.succeed_all) ------------------------------
-
-
-def _unbatched_reference(n_waiters, with_heap_interleave):
-    """Reference run: the same scenario with individual succeed() calls."""
-    return _batched_scenario(n_waiters, with_heap_interleave, batched=False)
-
-
-def _batched_scenario(n_waiters, with_heap_interleave, batched=True):
-    """Waiters park on events that a releaser triggers mid-simulation.
-
-    Returns the observed wakeup order, including interleaved heap timeouts,
-    so batched and unbatched runs can be compared event for event.
-    """
-    env = Environment()
-    order = []
-    events = [env.event() for _ in range(n_waiters)]
-
-    def waiter(i):
-        value = yield events[i]
-        order.append(("woke", i, value, env.now))
-        yield env.timeout(0.0)
-        order.append(("after", i, env.now))
-
-    def heap_observer(delay, label):
-        yield env.timeout(delay)
-        order.append(("heap", label, env.now))
-
-    def releaser():
-        yield env.timeout(5.0)
-        if batched:
-            env.succeed_all(events, "go")
-        else:
-            for event in events:
-                event.succeed("go")
-        order.append(("released", env.now))
-
-    for i in range(n_waiters):
-        env.process(waiter(i))
-    if with_heap_interleave:
-        env.process(heap_observer(5.0, "same-time"))
-        env.process(heap_observer(6.0, "later"))
-    env.process(releaser())
-    env.run()
-    return order
-
-
-@pytest.mark.parametrize("n_waiters", [1, 2, 7])
-@pytest.mark.parametrize("with_heap_interleave", [False, True])
-def test_succeed_all_matches_individual_succeeds_event_for_event(
-    n_waiters, with_heap_interleave
-):
-    """Golden ordering: one shared notify == n individual fast-lane events."""
-    assert _batched_scenario(n_waiters, with_heap_interleave) == _unbatched_reference(
-        n_waiters, with_heap_interleave
-    )
-
-
-def test_succeed_all_marks_events_triggered_immediately():
-    env = Environment()
-    events = [env.event() for _ in range(3)]
-    env.succeed_all(events, "v")
-    assert all(event.triggered for event in events)
-    assert all(event.value == "v" for event in events)
-    # Callbacks have not run yet: the shared notify is still queued.
-    assert not any(event.processed for event in events)
-    env.run()
-    assert all(event.processed for event in events)
-
-
-def test_succeed_all_rejects_already_triggered_events():
-    env = Environment()
-    event = env.event()
-    event.succeed(None)
-    with pytest.raises(SimulationError):
-        env.succeed_all([event], "again")
-
-
-def test_succeed_all_empty_batch_is_a_noop():
-    env = Environment()
-    env.succeed_all([], "unused")
-    env.run()  # queue is empty; nothing to dispatch
-
-
-def test_succeed_all_waiters_may_subscribe_between_trigger_and_dispatch():
-    """A callback added after succeed_all but before dispatch still fires."""
-    env = Environment()
-    event = env.event()
-    other = env.event()
-    seen = []
-    env.succeed_all([event, other], 42)
-    event.add_callback(lambda e: seen.append(e.value))
-    env.run()
-    assert seen == [42]

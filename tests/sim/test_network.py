@@ -1,5 +1,6 @@
 """Unit tests for the simulated network."""
 
+import pytest
 
 from repro.sim.engine import Environment
 from repro.sim.network import Network, NodeUnreachable
@@ -175,8 +176,8 @@ def test_per_destination_is_a_counter():
 
 
 def test_generator_handlers_are_driven_after_classification():
-    """A generator handler must still be awaited both for rpc and send, and
-    its classification must be stable across repeated deliveries."""
+    """A generator handler is driven to completion for both rpc and send, on
+    every delivery: a handler is classified by what each call returns."""
     env, net = make_network(latency=10.0)
     log = []
 
@@ -199,8 +200,7 @@ def test_generator_handlers_are_driven_after_classification():
     assert results == ["rpc-1", "rpc-2"]
     # Both one-way deliveries complete; the send's delivery timeout draws its
     # sequence number one kick-off hop after rpc-2's arrival timeout, so the
-    # rpc handler runs first at the shared timestamp (matches the pre-fast-path
-    # process-based delivery order).
+    # rpc handler runs first at the shared timestamp.
     assert [tag for _, tag in log] == ["rpc-1", "rpc-2", "send-1"]
 
 
@@ -239,21 +239,22 @@ def test_latency_fast_path_matches_slow_path():
     assert net.latency(0, 1) == 20.0
 
 
-def test_handler_cache_is_bounded_for_per_message_closures():
-    """Protocols pass a fresh closure per message; classification is cached
-    by code object so the cache must stay at one entry (and must not pin
-    every closure's captured state alive)."""
-    env, net = make_network()
-    results = []
+@pytest.mark.parametrize("kind", ["plain", "generator"])
+def test_one_way_handler_that_raises_fails_the_run(kind):
+    """Nobody awaits a one-way delivery, so its handler's exception must
+    surface from env.run rather than die with the delivery."""
+    env, net = make_network(latency=10.0)
 
-    def caller():
-        for i in range(50):
-            def handler(value=i):  # new closure every message
-                return value
-            results.append((yield from net.rpc(0, 1, handler)))
-            net.send(0, 1, handler)
+    class HandlerFailed(Exception):
+        pass
 
-    env.process(caller())
-    env.run(until=100_000)
-    assert results == list(range(50))
-    assert len(net._gen_handlers) == 1
+    def plain():
+        raise HandlerFailed(kind)
+
+    def generator():
+        yield env.timeout(1.0)
+        raise HandlerFailed(kind)
+
+    net.send(0, 1, plain if kind == "plain" else generator)
+    with pytest.raises(HandlerFailed, match=kind):
+        env.run(until=1000)
