@@ -504,3 +504,83 @@ def test_succeed_with_delay_goes_through_the_heap():
     ev.add_callback(lambda e: seen.append(env.now))
     env.run(until=10)
     assert seen == [4.0]
+
+
+# -- batch releases (a loop of event.succeed) --------------------------------
+
+
+def _batch_release_scenario(n_waiters, with_heap_interleave):
+    """Waiters park on events that a releaser succeeds in one loop
+    mid-simulation, the way the durability schemes and the lock manager
+    release a batch.
+
+    Returns the observed wakeup order, including interleaved heap timeouts.
+    """
+    env = Environment()
+    order = []
+    events = [env.event() for _ in range(n_waiters)]
+
+    def waiter(i):
+        value = yield events[i]
+        order.append(("woke", i, value, env.now))
+        yield env.timeout(0.0)
+        order.append(("after", i, env.now))
+
+    def heap_observer(delay, label):
+        yield env.timeout(delay)
+        order.append(("heap", label, env.now))
+
+    def releaser():
+        yield env.timeout(5.0)
+        for event in events:
+            event.succeed("go")
+        order.append(("released", env.now))
+
+    for i in range(n_waiters):
+        env.process(waiter(i))
+    if with_heap_interleave:
+        env.process(heap_observer(5.0, "same-time"))
+        env.process(heap_observer(6.0, "later"))
+    env.process(releaser())
+    env.run()
+    return order
+
+
+@pytest.mark.parametrize("n_waiters", [1, 2, 7])
+@pytest.mark.parametrize("with_heap_interleave", [False, True])
+def test_batch_release_wakes_waiters_in_batch_order(n_waiters, with_heap_interleave):
+    """The releaser finishes its loop first; then every waiter wakes in batch
+    order, and each one's zero-delay continuation runs after the whole batch
+    has woken. A heap timeout at the release time fires before the release."""
+    woke = [("woke", i, "go", 5.0) for i in range(n_waiters)]
+    after = [("after", i, 5.0) for i in range(n_waiters)]
+    expected = [("released", 5.0)] + woke + after
+    if with_heap_interleave:
+        expected = [("heap", "same-time", 5.0)] + expected + [("heap", "later", 6.0)]
+    assert _batch_release_scenario(n_waiters, with_heap_interleave) == expected
+
+
+def test_succeed_marks_the_event_triggered_before_its_callbacks_run():
+    env = Environment()
+    events = [env.event() for _ in range(3)]
+    for event in events:
+        event.succeed("v")
+    assert all(event.triggered for event in events)
+    assert all(event.value == "v" for event in events)
+    # Callbacks have not run yet: each dispatch is still queued.
+    assert not any(event.processed for event in events)
+    env.run()
+    assert all(event.processed for event in events)
+
+
+def test_waiters_may_subscribe_between_succeed_and_dispatch():
+    """A callback added after succeed but before dispatch still fires."""
+    env = Environment()
+    event = env.event()
+    other = env.event()
+    seen = []
+    for each in (event, other):
+        each.succeed(42)
+    event.add_callback(lambda e: seen.append(e.value))
+    env.run()
+    assert seen == [42]

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network."""
 
+import weakref
+
 import pytest
 
 from repro.sim.engine import Environment
@@ -258,3 +260,24 @@ def test_one_way_handler_that_raises_fails_the_run(kind):
     net.send(0, 1, plain if kind == "plain" else generator)
     with pytest.raises(HandlerFailed, match=kind):
         env.run(until=1000)
+
+
+def test_network_does_not_pin_per_message_handler_closures():
+    """Protocols pass a fresh closure per message; once delivered, neither
+    the network nor the engine may keep it (or its captured state) alive."""
+    env, net = make_network()
+    results = []
+    handlers = []
+
+    def caller():
+        for i in range(50):
+            def handler(value=i):  # new closure every message
+                return value
+            handlers.append(weakref.ref(handler))
+            results.append((yield from net.rpc(0, 1, handler)))
+            net.send(0, 1, handler)
+
+    env.process(caller())
+    env.run(until=100_000)
+    assert results == list(range(50))
+    assert [ref() for ref in handlers] == [None] * 50

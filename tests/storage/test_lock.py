@@ -139,6 +139,29 @@ def test_release_wakes_compatible_shared_waiters_together():
     assert len(manager.holders_of(record)) == 2
 
 
+def test_readers_released_together_wake_onto_a_table_listing_all_of_them():
+    """An exclusive unlock grants the whole burst of queued readers before
+    the first of them wakes, so each woken reader sees every other one."""
+    env, manager = make_manager(LockPolicy.WAIT_DIE)
+    record = Record(1, (), ())
+    holder = TxnId(50, 0)
+    readers = [TxnId(3, 0), TxnId(2, 0), TxnId(1, 0)]
+    assert acquire(env, manager, holder, record, LockMode.EXCLUSIVE) is True
+    seen = []
+
+    def reader(tid):
+        granted = yield manager.acquire_nowait(tid, record, LockMode.SHARED)
+        seen.append((tid, granted, set(manager.holders_of(record))))
+
+    for tid in readers:
+        env.process(reader(tid))
+    env.run(until=env.now + 5)
+    assert seen == []
+    manager.release_all(holder)
+    env.run(until=env.now + 5)
+    assert seen == [(tid, True, set(readers)) for tid in readers]
+
+
 def test_release_all_clears_every_lock():
     env, manager = make_manager()
     records = [Record(i, (), ()) for i in range(5)]
