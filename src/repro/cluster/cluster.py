@@ -55,7 +55,7 @@ class Cluster:
     worker pool bit-identically.  ``topology`` is an optional
     :class:`~repro.sim.topology.RegionTopology` (or its JSON form) placing
     partition leaders and their replication followers into regions behind a
-    region×region latency matrix; ``None`` keeps the scalar-latency fast path.
+    region×region latency matrix; ``None`` keeps the scalar base latency.
     """
 
     def __init__(self, config: SystemConfig, workload: Workload,

@@ -22,34 +22,28 @@ Scheduling internals
 --------------------
 
 Regenerating a figure pushes tens of millions of events through this module,
-so the dispatcher is the single hottest code in the repo.  Two queues are
-maintained:
-
-* a binary heap of ``(time, seqno, event)`` for events in the future, and
-* a plain FIFO deque of bare events for events triggered with zero delay
-  at the current time — process kick-offs, one-way message departures,
-  lock grants, ``all_of`` completions and local ``succeed()`` chains all
-  land here and bypass the heap entirely.
+so the dispatcher is the single hottest code in the repo.  There is one
+queue: a binary heap of ``(time, seqno, event)``.  Every event that is
+triggered — a timeout, a ``succeed()`` or ``fail()``, a process kick-off —
+is one push of ``(now + delay, next seqno, event)``, where the sequence
+number comes from one monotone counter, and :meth:`Environment.run` pops the
+smallest pair.  Event order is therefore FIFO among same-timestamp events
+and globally sorted by time.
 
 There is one way to wake a waiter: ``event.succeed(value)``.  Code that
 releases a batch (a group commit acknowledging an epoch, an unlock granting
-a run of shared readers) loops it in batch order; the released events sit
-consecutively in the fast lane, and anything their callbacks schedule lands
+a run of shared readers) loops it in batch order; the released events draw
+consecutive sequence numbers, so anything their callbacks schedule lands
 after the whole batch.
 
-Both queues share one monotone sequence counter (fast-lane events carry
-theirs in the ``_seq`` slot), and the dispatcher always runs the entry with
-the smallest ``(time, seqno)`` pair, so the observable
-event order is exactly the order a single heap would produce: FIFO among
-same-timestamp events, globally sorted by time.  This docstring is the one
-place event ordering is specified; ``tests/sim/test_dispatch_order.py`` pins
-the invariant against a single-heap reference on randomized schedules.
+This docstring is the one place event ordering is specified;
+``tests/sim/test_dispatch_order.py`` pins the wake traces of randomized
+schedules to recorded digests.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -101,7 +95,7 @@ class Event:
     at the current simulated time.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_seq")
+    __slots__ = ("env", "callbacks", "_value", "_ok")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -137,11 +131,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._value = value
         env = self.env
-        if delay == 0.0:
-            self._seq = env._next_seq()
-            env._fast_append(self)
-        else:
-            heappush(env._queue, (env._now + delay, env._next_seq(), self))
+        heappush(env._queue, (env._now + delay, env._next_seq(), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -152,7 +142,8 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay)
+        env = self.env
+        heappush(env._queue, (env._now + delay, env._next_seq(), self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -187,11 +178,7 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.delay = delay
-        if delay == 0.0:
-            self._seq = env._next_seq()
-            env._fast_append(self)
-        else:
-            heappush(env._queue, (env._now + delay, env._next_seq(), self))
+        heappush(env._queue, (env._now + delay, env._next_seq(), self))
 
 
 class Process(Event):
@@ -213,7 +200,7 @@ class Process(Event):
         # The bound resume method is allocated once and reused for every wait.
         resume = self._resume
         self._resume_cb = resume
-        # Kick off the process at the current simulated time (fast lane).
+        # Kick off the process at the current simulated time.
         env._immediate(resume)
 
     def _finish(self) -> None:
@@ -272,25 +259,13 @@ class Process(Event):
 class Environment:
     """The simulation clock and event queue."""
 
-    __slots__ = (
-        "_now",
-        "_queue",
-        "_fast",
-        "_fast_append",
-        "_counter",
-        "_next_seq",
-    )
+    __slots__ = ("_now", "_queue", "_next_seq")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
-        # Zero-delay fast-dispatch lane; see the module docstring.  The
-        # append and sequence-draw callables are bound once: the scheduling
-        # fast path runs them for every zero-delay event.
-        self._fast: deque[Event] = deque()
-        self._fast_append = self._fast.append
-        self._counter = count()
-        self._next_seq = self._counter.__next__
+        # Bound once: every scheduled event draws its sequence number here.
+        self._next_seq = count().__next__
 
     @property
     def now(self) -> float:
@@ -309,20 +284,12 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------
     def _immediate(self, callback: Callable[[Event], None]) -> None:
-        """Run ``callback`` at the current time via the fast-dispatch lane
-        (a pre-succeeded single-callback event; how a process kicks off)."""
+        """Run ``callback`` at the current time (a pre-succeeded
+        single-callback event; how a process kicks off)."""
         event = Event(self)
         event._value = None
         event.callbacks = callback
-        event._seq = self._next_seq()
-        self._fast_append(event)
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay == 0.0:
-            event._seq = self._next_seq()
-            self._fast_append(event)
-        else:
-            heappush(self._queue, (self._now + delay, self._next_seq(), event))
+        heappush(self._queue, (self._now, self._next_seq(), event))
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until simulated time ``until`` (or until the queue drains)."""
@@ -330,29 +297,14 @@ class Environment:
             raise SimulationError("cannot run into the past")
         # The dispatch loop is deliberately inlined (no method call per
         # event): it is the hottest loop in the repo.
-        fast = self._fast
         queue = self._queue
-        popleft = fast.popleft
-        while True:
-            if fast:
-                if queue:
-                    head = queue[0]
-                    if head[0] <= self._now and head[1] < fast[0]._seq:
-                        self._now = head[0]
-                        event = heappop(queue)[2]
-                    else:
-                        event = popleft()
-                else:
-                    event = popleft()
-            elif queue:
-                when = queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    return until
-                self._now = when
-                event = heappop(queue)[2]
-            else:
-                break
+        while queue:
+            when = queue[0][0]
+            if until is not None and when > until:
+                self._now = until
+                return until
+            self._now = when
+            event = heappop(queue)[2]
             callbacks = event.callbacks
             event.callbacks = _PROCESSED
             if callbacks is not None:

@@ -20,11 +20,12 @@ to the :class:`~repro.sim.stats.Counter` it is given; in a cluster, the run's.
 Delivery: a handler is called at the destination after one one-way latency,
 and a generator it returns is driven with ``yield from``.  A one-way message
 is one :class:`~repro.sim.engine.Process`; it reads the latency when it
-starts, one fast-lane hop after :meth:`Network.send`, so a fault injected
-earlier at the same timestamp is observed.  Nobody awaits a one-way delivery,
-so a handler that raises fails :meth:`Environment.run` instead of vanishing.
-The latency lookup skips the injected-delay dictionaries while no fault
-injection or topology is configured.
+starts, at the same timestamp as :meth:`Network.send` but after every event
+already scheduled for that timestamp, so a fault injected earlier at the same
+timestamp is observed.  Nobody awaits a one-way delivery, so a handler that
+raises fails :meth:`Environment.run` instead of vanishing.  The latency is
+the scalar (or topology) base plus the injected delays from the source and
+to the destination, each ``0.0`` when none is configured.
 """
 
 from __future__ import annotations
@@ -72,32 +73,22 @@ class Network:
         # Extra one-way delay on messages *to* a given node.
         self._extra_delay_to: dict[int, float] = {}
         self._unreachable: set[int] = set()
-        # True iff any injection above is configured; the latency fast path
-        # keys off this single flag.
-        self._faults_active = False
         # Optional geo topology (install_topology): node id -> region index
         # plus the region×region one-way latency matrix.  ``None`` keeps the
-        # scalar fast path bit-identical.
+        # scalar base latency.
         self._topology: Optional[tuple] = None
         self._node_region: dict[int, int] = {}
 
     # -- fault / delay injection ----------------------------------------
-    def _refresh_fault_flag(self) -> None:
-        self._faults_active = bool(
-            self._extra_delay_from or self._extra_delay_to or self._unreachable
-        )
-
     def set_extra_delay_from(self, node_id: int, delay_us: float) -> None:
         """Add ``delay_us`` to every message originating at ``node_id``.
 
-        A zero delay clears the injection (fault windows revert through here),
-        so the no-faults latency fast path re-engages once nothing is injected.
+        A zero delay clears the injection: fault windows revert through here.
         """
         if delay_us:
             self._extra_delay_from[node_id] = float(delay_us)
         else:
             self._extra_delay_from.pop(node_id, None)
-        self._refresh_fault_flag()
 
     def set_extra_delay_to(self, node_id: int, delay_us: float) -> None:
         """Add ``delay_us`` to every message destined to ``node_id`` (0 clears)."""
@@ -105,7 +96,6 @@ class Network:
             self._extra_delay_to[node_id] = float(delay_us)
         else:
             self._extra_delay_to.pop(node_id, None)
-        self._refresh_fault_flag()
 
     def set_unreachable(self, node_id: int, unreachable: bool = True) -> None:
         """Mark a node as crashed: messages to it are dropped, RPCs fail."""
@@ -113,7 +103,6 @@ class Network:
             self._unreachable.add(node_id)
         else:
             self._unreachable.discard(node_id)
-        self._refresh_fault_flag()
 
     def is_unreachable(self, node_id: int) -> bool:
         return node_id in self._unreachable
@@ -145,10 +134,6 @@ class Network:
     # -- latency model ---------------------------------------------------
     def latency(self, src: int, dst: int) -> float:
         """One-way latency from ``src`` to ``dst`` including injected delays."""
-        if not self._faults_active:
-            if self._topology is None:
-                return self.local_latency_us if src == dst else self.one_way_latency_us
-            return self._topology_latency(src, dst)
         if self._topology is None:
             base = self.local_latency_us if src == dst else self.one_way_latency_us
         else:

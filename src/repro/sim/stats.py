@@ -15,10 +15,8 @@ times, so recording is kept allocation-free.
   append invalidates it, so ``p50``/``p99``/``max`` after a run each cost a
   cached lookup instead of a fresh full sort.  Every sample is kept (8 bytes
   each) and serialized, so percentiles are exact at any run length.
-* :class:`BreakdownTimer` interns component names once (module-level id
-  table seeded with the paper's components) and accumulates into a flat
-  float list indexed by component id — ``add()`` on the commit path is two
-  list operations, not a dict hash + resize.
+* :class:`BreakdownTimer` keeps one ``{component: total}`` dict per timer;
+  ``add()`` on the commit path is one dict lookup and one store.
 
 A run has one :class:`Counter` (``Cluster.counters`` *is* the metrics'),
 incremented directly by every component under the names in :data:`COUNTERS`.
@@ -29,6 +27,7 @@ cell's whole document.
 from __future__ import annotations
 
 from array import array
+from math import ceil
 from statistics import median
 from typing import Iterable
 
@@ -53,13 +52,6 @@ BREAKDOWN_COMPONENTS = (
     "wait_batch",
     "sequence",
 )
-
-# Component name -> slot index, shared by every BreakdownTimer.  Seeded with
-# the paper's components; unknown components are interned on first use (the
-# table only ever grows, so existing indices stay valid).
-_COMPONENT_IDS: dict[str, int] = {
-    name: i for i, name in enumerate(BREAKDOWN_COMPONENTS)
-}
 
 
 #: Every run counter, name -> meaning, as README's "Run counters" table lists
@@ -89,14 +81,6 @@ COUNTERS: dict[str, str] = {
     "one_way_messages": "one-way messages sent",
     "messages_dropped": "messages and responses lost to an unreachable node",
 }
-
-
-def _component_id(component: str) -> int:
-    ids = _COMPONENT_IDS
-    idx = ids.get(component)
-    if idx is None:
-        ids[component] = idx = len(ids)
-    return idx
 
 
 class Counter:
@@ -171,8 +155,12 @@ class LatencyRecorder:
             return ordered[0]
         if pct >= 100:
             return ordered[-1]
-        rank = max(0, min(len(ordered) - 1, int(round(pct / 100.0 * len(ordered))) - 1))
-        return ordered[rank]
+        # Nearest rank is ceil(pct/100 * n), 1-based.  The guard keeps a
+        # product that lands a rounding error above an integer on that
+        # integer: 99.9 * 41,000 / 100 is 40,959.00000000001, rank 40,959.
+        n = len(ordered)
+        rank = min(n, max(1, ceil(pct * n / 100.0 - 1e-9)))
+        return ordered[rank - 1]
 
     @property
     def p50(self) -> float:
@@ -211,31 +199,21 @@ class BreakdownTimer:
     __slots__ = ("_totals", "_txn_count")
 
     def __init__(self) -> None:
-        # Flat accumulator indexed by the interned component id; grown on
-        # demand when a not-yet-seen component is recorded.
-        self._totals: list[float] = [0.0] * len(BREAKDOWN_COMPONENTS)
+        self._totals: dict[str, float] = {}
         self._txn_count = 0
 
     def add(self, component: str, duration: float) -> None:
         if duration < 0:
             raise ValueError(f"negative duration for {component}: {duration}")
-        idx = _COMPONENT_IDS.get(component)
-        if idx is None:
-            idx = _component_id(component)
         totals = self._totals
-        if idx >= len(totals):
-            totals.extend([0.0] * (idx + 1 - len(totals)))
-        totals[idx] += duration
+        totals[component] = totals.get(component, 0.0) + duration
 
     def finish_transaction(self) -> None:
         """Mark that one transaction's breakdown has been fully recorded."""
         self._txn_count += 1
 
     def total(self, component: str) -> float:
-        idx = _COMPONENT_IDS.get(component)
-        if idx is None or idx >= len(self._totals):
-            return 0.0
-        return self._totals[idx]
+        return self._totals.get(component, 0.0)
 
     def per_transaction(self) -> dict[str, float]:
         """Average time per committed transaction for each component."""
@@ -246,24 +224,17 @@ class BreakdownTimer:
             for component in BREAKDOWN_COMPONENTS
         }
 
-    def _named_totals(self) -> dict[str, float]:
-        """Non-zero totals keyed by component name (serialization view)."""
-        totals = self._totals
-        return {
-            name: totals[idx]
-            for name, idx in _COMPONENT_IDS.items()
-            if idx < len(totals) and totals[idx] != 0.0
-        }
-
     def to_json_dict(self) -> dict:
-        return {"totals": self._named_totals(), "txn_count": self._txn_count}
+        totals = {name: total for name, total in self._totals.items() if total != 0.0}
+        return {"totals": totals, "txn_count": self._txn_count}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BreakdownTimer":
         timer = cls()
-        for component, value in data.get("totals", {}).items():
-            timer.add(component, 0.0)  # intern + size the slot
-            timer._totals[_COMPONENT_IDS[component]] = float(value)
+        timer._totals = {
+            component: float(value)
+            for component, value in data.get("totals", {}).items()
+        }
         timer._txn_count = int(data.get("txn_count", 0))
         return timer
 

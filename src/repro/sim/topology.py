@@ -39,7 +39,7 @@ latency, so a partial map degrades gracefully instead of crashing.
 
 Determinism: a topology only changes the latency values the network hands
 out — no randomness, no new events — and runs without one keep the scalar
-fast path bit-identically (pinned by tests/integration/test_determinism.py).
+base latency bit-identically (pinned by tests/integration/test_determinism.py).
 """
 
 from __future__ import annotations

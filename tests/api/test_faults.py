@@ -162,8 +162,9 @@ def test_windowed_fault_is_applied_and_reverted():
     cluster.run()
     assert cluster.fault_scheduler.applied == 1
     assert cluster.fault_scheduler.reverted == 1
-    # The injection was cleared, so the network's no-fault fast path is back.
-    assert not cluster.network._faults_active
+    # The injection was cleared: the network is back to its base latency.
+    assert cluster.network.latency(0, 1) == cluster.network.one_way_latency_us
+    assert not cluster.network._extra_delay_to
     # And the window left a visible dent versus the permanent variant.
     permanent = repro.run(spec.derive(
         faults=[fault("slow_partition", at_us=2_000.0, target=1, delay_us=300.0)]))

@@ -1,50 +1,81 @@
-"""Differential test: the two-lane dispatcher against a single-heap reference.
+"""Pinned dispatch traces: randomized schedules against recorded digests.
 
-``repro/sim/engine.py`` promises that its heap + zero-delay fast lane dispatch
-in "exactly the order a single heap would produce".  This test generates
-randomized schedules — zero-delay events, heap timeouts, batches of
-``succeed`` calls, delayed succeeds, and one-way network sends
-interleaved across several actor processes — runs each schedule through the
-real ``Environment`` and through a reference whose fast lane *is* the heap,
-and compares the full event traces: same wake orderings, same sequence
-numbers, same simulated clock at every step.
+``repro/sim/engine.py`` dispatches every event from one ``(time, seqno)``
+heap: FIFO among same-timestamp events, globally sorted by time.  This test
+generates randomized schedules — zero-delay events, heap timeouts, batches
+of ``succeed`` calls, delayed succeeds, and one-way network sends
+interleaved across several actor processes — runs each through the real
+``Environment`` and compares the full wake trace (every wakeup, delivery and
+process exit with its simulated time) against a sha256 digest.
+
+The digests in :data:`GOLDEN_TRACES` were recorded with an engine that ran
+zero-delay events through a separate FIFO lane merged with the heap by
+sequence number, and checked there against a reference that pushed them onto
+the heap.  Any change to the order the engine produces moves a digest.
 
 The scenarios are driven by seeded ``random.Random`` streams that live inside
-the simulation generators, so the streams themselves only stay aligned while
-the two dispatchers run events in exactly the same order: any divergence
-compounds and shows up as a trace mismatch, not just a reordered tail.
+the simulation generators, so the streams only stay aligned while events run
+in exactly the recorded order: any divergence compounds and shows up as a
+different trace, not just a reordered tail.
+
+After an intended change to event order, print the new digests with
+``PYTHONPATH=src python tests/sim/test_dispatch_order.py`` and re-pin them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
-from heapq import heappush
 
 import pytest
 
-from repro.sim import engine
+from repro.sim.engine import Environment
 from repro.sim.network import Network
 
-
-class SingleHeapEnvironment(engine.Environment):
-    """The reference: zero-delay events go through the heap like any other."""
-
-    def __init__(self):
-        super().__init__()
-        self._fast_append = lambda event: heappush(
-            self._queue, (self._now, event._seq, event))
-
-
-#: Mix of zero (fast-lane), tie-prone (heap FIFO) and distinct delays.
+#: Mix of zero, tie-prone and distinct delays.
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5, 7.0)
 N_ACTORS = 6
 OPS_PER_ACTOR = 12
 
+#: seed -> sha256 of ``repr(run_scenario(seed))``.
+GOLDEN_TRACES = {
+    0: '42d64623d931e8526c5473952c7b7cb1f5dfd7a7610076f7040810e51f801d03',  # final 116.0
+    1: '4b51aac73805f9c8984701d866c1a1212c06799b380608ba250da9b9210e4265',  # final 92.0
+    2: '1e12ce829643c9ddfaa949da64244a2775f2da57fa83c4b1383723654e6f68fe',  # final 91.0
+    3: 'd5398c41c6b5a527ce09058bed254269bb0ffb2310048cea8ffe4517efd95c7f',  # final 104.0
+    4: '51837bd096a06856b2a68cf9aae02d433e17cdda70c5e9512bbe6d179bf974d3',  # final 94.0
+    5: '79a382c6ae103e52b30c2a1e70dae9ec4fb61937aa0af1062c36d9c0426b2086',  # final 102.0
+    6: 'fdf234227334d76d1220cbd13d27a90799459d36ffed6e97cbab34051551fc80',  # final 78.0
+    7: '80e9dd83851eaa0b07faf2578e36dfcf39defe29738b191eb8e4b793a1b88b2d',  # final 102.0
+    8: 'b40ea47157c493773f65d2c5dc30e941c9b998997921c730c4f0291f6286e7ee',  # final 97.0
+    9: '21f59e9c0d4ccde793e4d4685f787294f57472dd27c5a05d6c08ffcf8f39712b',  # final 98.0
+    10: 'dc4d44090ab52aa93cb0f01f3e616ed109b169160ca351af28e1c9e88d929daa',  # final 109.0
+    11: 'a8a6abe697ff22201c0464c34c3cbd6f06387146a89d065b139ee44b307bbb3b',  # final 98.0
+    12: '4f6c6b89300e71e6a2a12d5010773b620e0a03884ba64bc9c7464b3c223a6320',  # final 92.0
+    13: '182e07360a783d66c1137fc07e70e60177a1c634116c53db6b34ec8c1357ca75',  # final 100.0
+    14: '5c2700c3c2f857cbd0322411f47961d75a6c037c52ea843f4a1c8786c2fffbe4',  # final 97.0
+    15: '5329081bd6059aebe8cf51cfed7c764ed025f8b80130bd1037d285832dc316ab',  # final 102.0
+    16: '1da001981d7b6ab047de84f1b94b0e76117f68a360099b753ba0f96670656b5d',  # final 80.0
+    17: '715b855879870758641e512ca86db59a3eb535f4f0dc37fbc6a4222627fee3e5',  # final 108.0
+    18: '0d08b1b72e7c07a46aac16e089c2f155ae747970391546147ee7c22c81b3bd25',  # final 108.0
+    19: '6fb9117c277563f0ec8147126dd40a409012f42193fc29b3847c1048dc299c8d',  # final 101.0
+    20: '0933f581862856b8ff8f1f2abe2e692b9c49cc72e7e2e6e9c46f221d68945cdd',  # final 109.0
+    21: '298190dca9f5b0a58bc5f36d16d4d436626e8dfad5b03140c6d63606a14b0fae',  # final 70.0
+    22: '2f534224a9aa2e7e5db3ae8b497407582dff4da3af880142c1ea402d1aaf46c0',  # final 109.0
+    23: '3c78dea2b30f6d29dec656b6328246b9aa8c2d919b91bb90467d0d03d460ac16',  # final 80.0
+    24: 'c80921bbac4a30b2b5fadeb421b173204ef7ab03bfd45e3ab98fd6dabd36854a',  # final 90.0
+    101: '3b904f3575e5621197fd547d53b502b53a84389f4896a9a463c70db125c3a392',  # final 91.0
+    202: '0c633695aa5e22519006d423b89b19442190607b499ee000a11bb78ab9793cde',  # final 94.0
+}
 
-def run_scenario(environment_cls, seed: int) -> list:
-    """One randomized schedule on ``environment_cls``; returns the full wake trace."""
+#: Final simulated clock of the two seeds the sequence test checks.
+GOLDEN_FINAL_CLOCK = {101: 91.0, 202: 94.0}
+
+
+def run_scenario(seed: int) -> list:
+    """One randomized schedule; returns the full wake trace."""
     rng = random.Random(seed)
-    env = environment_cls()
+    env = Environment()
     net = Network(env, one_way_latency_us=2.0, local_latency_us=0.5)
     trace: list = []
     pending: list = []  # events waiting for the pump process to trigger them
@@ -57,13 +88,8 @@ def run_scenario(environment_cls, seed: int) -> list:
         for step in range(OPS_PER_ACTOR):
             op = r.randrange(5)
             if op == 0:
-                delay = r.choice(DELAYS)
-                to = env.timeout(delay)
-                yield to
-                # _seq is only defined for fast-lane (zero-delay) events;
-                # heap entries carry their seq in the queue tuple.
-                seq = to._seq if delay == 0.0 else None
-                trace.append(("timeout", i, step, env.now, seq))
+                yield env.timeout(r.choice(DELAYS))
+                trace.append(("timeout", i, step, env.now))
             elif op == 1:
                 ev = env.event()
                 pending.append(ev)
@@ -79,9 +105,8 @@ def run_scenario(environment_cls, seed: int) -> list:
                 got = yield evs[0]
                 trace.append(("batch", i, step, env.now, got))
             else:
-                to = env.timeout(0.0)
-                yield to
-                trace.append(("zero", i, step, env.now, to._seq))
+                yield env.timeout(0.0)
+                trace.append(("zero", i, step, env.now))
         return ("done", i)
 
     def pump(pump_seed: int):
@@ -126,23 +151,26 @@ def run_scenario(environment_cls, seed: int) -> list:
     return trace
 
 
+def trace_digest(trace: list) -> str:
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_randomized_schedules_are_bit_identical(seed):
-    assert (run_scenario(engine.Environment, seed)
-            == run_scenario(SingleHeapEnvironment, seed))
-
-
-def fast_lane_seqs(trace: list) -> list:
-    return [row[4] for row in trace
-            if row[0] in ("timeout", "zero") and row[4] is not None]
+    assert trace_digest(run_scenario(seed)) == GOLDEN_TRACES[seed]
 
 
 def test_sequence_numbers_match_exactly():
-    """Seq numbers, not just orderings: both lanes draw from one counter."""
+    """Same-timestamp order, not just time order: the seeds' traces carry
+    zero-delay wakeups, and a changed tie-break moves the digest."""
     for seed in (101, 202):
-        trace = run_scenario(engine.Environment, seed)
-        reference = run_scenario(SingleHeapEnvironment, seed)
-        seqs = fast_lane_seqs(trace)
-        assert seqs, "no fast-lane wakeups recorded; scenario too tame"
-        assert seqs == fast_lane_seqs(reference)
-        assert trace[-1] == reference[-1]  # final env.now
+        trace = run_scenario(seed)
+        assert any(row[0] == "zero" for row in trace), "scenario too tame"
+        assert trace_digest(trace) == GOLDEN_TRACES[seed]
+        assert trace[-1] == ("final", GOLDEN_FINAL_CLOCK[seed])
+
+
+if __name__ == "__main__":
+    for seed in [*range(25), 101, 202]:
+        trace = run_scenario(seed)
+        print(f"    {seed}: {trace_digest(trace)!r},  # final {trace[-1][1]!r}")

@@ -466,8 +466,9 @@ def test_multiple_waiters_on_one_event_run_in_subscription_order():
 
 
 def test_run_interleaves_fast_and_heap_lanes_in_global_order():
-    """A heap event at the current time that was scheduled *earlier* beats a
-    zero-delay event scheduled *later*, even while the fast lane is hot."""
+    """A timeout due now that was scheduled *earlier* beats a zero-delay
+    event scheduled *later*: same-timestamp events run in scheduling order.
+    (The id names the two queues the engine once merged.)"""
     env = Environment()
     order = []
     first = env.timeout(5.0)
@@ -478,7 +479,7 @@ def test_run_interleaves_fast_and_heap_lanes_in_global_order():
         yield first
         order.append("heap-1")
         # Fired at t=5; `second` (scheduled before this event) is still
-        # pending in the heap at t=5 and must run before the fast lane.
+        # pending at t=5 and must run before the zero-delay event.
         zero_delay.succeed(None)
 
     def b():

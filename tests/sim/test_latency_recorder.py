@@ -8,7 +8,9 @@ fixed-memory histogram.
 """
 
 import json
+from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,13 @@ LARGE_RUN = 120_000
 
 
 def _nearest_rank(pct: float, ordered: list) -> float:
+    """The textbook definition in exact arithmetic: the smallest sample with
+    at least ``pct`` % of the samples at or below it, i.e. 1-based rank
+    ``ceil(pct * n / 100)``.  ``pct`` is read as the decimal it was written
+    as (99.9, not the binary float nearest to it)."""
     n = len(ordered)
-    rank = max(0, min(n - 1, int(round(pct / 100.0 * n)) - 1))
-    return ordered[rank]
+    rank = max(1, ceil(Fraction(str(pct)) * n / 100))
+    return ordered[rank - 1]
 
 
 @lru_cache(maxsize=None)
@@ -77,6 +83,17 @@ def test_every_sample_is_kept_in_recording_order_past_a_hundred_thousand():
     assert recorder.count == LARGE_RUN + 1
     assert recorder.samples[-1] == 5.0
     assert recorder.percentile(0) == 5.0
+
+
+@pytest.mark.parametrize("samples, pct, expected", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0], 50, 3.0),     # rank ceil(2.5) = 3, not round(2.5) = 2
+    ([float(v) for v in range(1, 151)], 99, 149.0),  # ceil(148.5) = 149
+    ([float(v) for v in range(1, 41_001)], 99.9, 40_959.0),  # product 40,959.00000000001
+], ids=["p50-of-5", "p99-of-150", "p99.9-of-41000"])
+def test_percentile_rounds_the_rank_up_not_to_even(samples, pct, expected):
+    recorder = LatencyRecorder.from_samples(samples)
+    assert recorder.percentile(pct) == expected
+    assert _nearest_rank(pct, sorted(samples)) == expected
 
 
 # -- edges ---------------------------------------------------------------------

@@ -230,11 +230,11 @@ def test_send_to_node_that_crashes_in_flight_is_dropped():
 
 
 def test_latency_fast_path_matches_slow_path():
+    """Injected delays stack on the base latency and clearing them restores
+    it exactly.  (The id names a no-fault shortcut the lookup once had.)"""
     env, net = make_network(latency=20.0)
-    # No faults configured: fast path.
     assert net.latency(0, 1) == 20.0
     assert net.latency(3, 3) == net.local_latency_us
-    # Configuring then clearing injection must restore the fast path values.
     net.set_extra_delay_to(1, 5.0)
     assert net.latency(0, 1) == 25.0
     net.set_extra_delay_to(1, 0.0)
