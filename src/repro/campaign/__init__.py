@@ -3,10 +3,11 @@
 The repo's third orchestration layer.  Where :mod:`repro.scenario` runs one
 evaluation point and :mod:`repro.bench` sweeps the paper's fixed figures,
 a **campaign** is a user-defined factorial experiment: a base scenario ×
-explicit factor levels × seed repetitions, compiled to an on-disk run table
-that any number of executors — local processes, CI matrix shards, hosts on
-a shared filesystem — complete together with no coordinator, then reduced
-to a statistical report (mean ± 95% CI per row).
+explicit factor levels × seed repetitions.  A campaign directory is that
+spec and its result cache, nothing else: any number of executors — local
+processes, CI matrix shards, hosts on a shared filesystem — derive the cells
+from the spec and complete them together with no coordinator, and the
+report reduces them to a statistical run table (mean ± 95% CI per row).
 
     python -m repro.campaign compile experiment.json --out runs/exp
     python -m repro.campaign run runs/exp --shard 0/2 --jobs 4   # host A

@@ -3,8 +3,9 @@
 Four subcommands cover the campaign lifecycle:
 
 ``compile <campaign.json> --out DIR``
-    Expand a :class:`~repro.campaign.spec.CampaignSpec` file into an on-disk
-    run table (manifest + cells + empty cache and reports dirs).
+    Derive every cell of a :class:`~repro.campaign.spec.CampaignSpec` file
+    once (a bad factor level fails here), then write the campaign directory:
+    ``manifest.json`` and empty ``cache/`` and ``reports/`` dirs.
 
 ``run DIR [--shard i/n] [--jobs N]``
     Execute (a shard of) the campaign.  Run the same command on as many
@@ -48,7 +49,7 @@ def _cmd_compile(args, parser) -> int:
         parser.error(f"{args.campaign}: {exc}")
     progress = None if args.quiet else main_progress()
     manifest = compile_campaign(spec, args.out, progress=progress)
-    print(f"[campaign] {manifest.total_cells} cells -> {manifest.dirs.root}")
+    print(f"[campaign] {spec.total_cells} cells -> {manifest.dirs.root}")
     return 0
 
 
@@ -125,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compile = sub.add_parser(
-        "compile", help="expand a campaign JSON file into a run-table directory")
+        "compile", help="compile a campaign JSON file into a campaign directory")
     p_compile.add_argument("campaign", help="CampaignSpec JSON file")
     p_compile.add_argument("--out", "-o", required=True, metavar="DIR",
                            help="campaign directory to create/refresh")

@@ -58,7 +58,7 @@ def parse_shard(text: Optional[str]) -> tuple[int, int]:
 class ExecutorStats:
     """Accounting for one executor pass over a manifest."""
 
-    total_cells: int = 0       # manifest lines visited
+    total_cells: int = 0       # campaign cells visited
     executed: int = 0          # simulations this executor ran
     cache_hits: int = 0        # cells already published when visited
     skipped_shard: int = 0     # cells outside this executor's shard
@@ -84,8 +84,8 @@ def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
                  manifest: Optional[Manifest] = None) -> ExecutorStats:
     """Execute (this shard of) a compiled campaign until no work remains.
 
-    Streams the manifest once: for each cell in this shard, check the shared
-    cache (done → skip), else simulate — through
+    Streams the spec's cells once: for each cell in this shard, check the
+    shared cache (done → skip), else simulate — through
     :func:`~repro.bench.orchestrator.execute_cells`, inline with ``jobs=1`` or
     on a bounded process pool, which pulls (and so cache-checks) a cell only
     when it is about to start — and publish the result to the cache.
@@ -108,16 +108,15 @@ def run_campaign(directory, shard: tuple[int, int] = (0, 1), jobs: int = 1,
     start = time.perf_counter()
 
     def next_uncached() -> Iterator[Cell]:
-        for manifest_cell in manifest.iter_cells():
+        for campaign_cell in manifest.spec.cells():
             stats.total_cells += 1
-            if manifest_cell.index % shard_count != shard_index:
+            if campaign_cell.index % shard_count != shard_index:
                 stats.skipped_shard += 1
                 continue
-            if cache.contains_key(manifest_cell.key):
+            if cache.contains_key(campaign_cell.key):
                 stats.cache_hits += 1
                 continue
-            # Derivation drift poisons every cell: it raises and stops loudly.
-            cell = manifest.derive_cell(manifest_cell)
+            cell = campaign_cell.cell(manifest.name)
             notify(f"running    {cell.cell_id}")
             yield cell
 

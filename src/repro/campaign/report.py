@@ -1,8 +1,8 @@
 """Campaign status and statistical reports over the shared result cache.
 
-Both commands are **pure readers**: they stream the manifest, look each
-cell's content key up in ``cache/``, and never simulate or write anything
-outside ``reports/``.  Running them concurrently with executors is
+Both commands are **pure readers**: they stream the campaign spec's cells,
+look each cell's content key up in ``cache/``, and never simulate or write
+anything outside ``reports/``.  Running them concurrently with executors is
 safe and is how long campaigns are monitored.
 
 The report aggregates the run table by grid point: every row is one factor
@@ -101,9 +101,9 @@ def campaign_status(directory, manifest: Optional[Manifest] = None) -> CampaignS
     manifest = manifest if manifest is not None else load_manifest(directory)
     cache = ResultCache(manifest.dirs.cache_dir)
     status = CampaignStatus(name=manifest.name)
-    for manifest_cell in manifest.iter_cells():
+    for cell in manifest.spec.cells():
         status.total_cells += 1
-        if cache.contains_key(manifest_cell.key):
+        if cache.contains_key(cell.key):
             status.done += 1
         else:
             status.pending += 1
@@ -144,19 +144,17 @@ def campaign_report(directory, metrics: Optional[Sequence[str]] = None,
     cache = ResultCache(manifest.dirs.cache_dir)
     spec = manifest.spec
 
-    # Grid order is manifest order with reps innermost, so rows materialize
-    # in order while streaming; keyed by the canonical factor JSON.
-    rows: dict[str, ReportRow] = {}
-    for manifest_cell in manifest.iter_cells():
-        row_key = json.dumps(manifest_cell.factors, sort_keys=True,
-                             separators=(",", ":"))
-        row = rows.get(row_key)
+    # Cells stream grid-major with reps innermost, so rows materialize in
+    # order; keyed by the grid point's frozen factor assignment.
+    rows: dict[tuple, ReportRow] = {}
+    for cell in spec.cells():
+        row = rows.get(cell.factors)
         if row is None:
-            row = rows[row_key] = ReportRow(
-                factors=manifest_cell.factors,
+            row = rows[cell.factors] = ReportRow(
+                factors=cell.factor_json,
                 reps_expected=spec.seed_reps,
             )
-        result = cache.get_by_key(manifest_cell.key)
+        result = cache.get_by_key(cell.key)
         if result is None:
             continue
         row.reps_present += 1

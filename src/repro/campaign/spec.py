@@ -27,12 +27,11 @@ The JSON form mirrors the dataclass::
     }
 
 See ``examples/campaigns/`` for a cookbook and :mod:`repro.campaign.manifest`
-for how a campaign compiles into an on-disk run table executors share.
+for the campaign directory executors share.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from dataclasses import dataclass, fields
@@ -62,7 +61,7 @@ class CampaignCell:
     the seed), the grouping key reports aggregate over.
     """
 
-    index: int            # position in manifest order (grid-major, reps inner)
+    index: int            # position in cell order (grid-major, reps inner)
     cell_id: str          # "g<grid_index>r<rep>" — human-stable within a campaign
     key: str              # content hash (Cell.cache_key) — stable across campaigns
     seed: int
@@ -70,15 +69,11 @@ class CampaignCell:
     spec: ScenarioSpec
 
     @property
-    def factor_dict(self) -> dict:
-        return {name: value for name, value in self.factors}
-
-    @property
     def factor_json(self) -> dict:
         """The assignment with frozen values thawed back to JSON shapes —
-        what manifests serialize and :meth:`ScenarioSpec.derive` accepts
-        (a frozen dict level, e.g. an arrival spec, is a tuple of pairs
-        that ``derive`` would reject)."""
+        what reports print and :meth:`ScenarioSpec.derive` accepts (a frozen
+        dict level, e.g. an arrival spec, is a tuple of pairs that
+        ``derive`` would reject)."""
         return {name: _plain(_unfreeze(value)) for name, value in self.factors}
 
     def cell(self, campaign_name: str) -> Cell:
@@ -216,7 +211,7 @@ class CampaignSpec:
         return self.grid_points * self.seed_reps
 
     def cells(self) -> Iterator[CampaignCell]:
-        """Stream every scheduled cell in manifest order (grid-major).
+        """Stream every scheduled cell in order (grid-major, reps inner).
 
         Derivation is lazy — each yielded cell's spec exists only while the
         consumer holds it — so compiling or scanning a huge campaign is O(1)
@@ -312,13 +307,3 @@ def _unfreeze(value):
             return {name: _unfreeze(item) for name, item in value}
         return [_unfreeze(item) for item in value]
     return value
-
-
-# dataclasses.replace support mirrors ScenarioSpec.derive for campaigns.
-def _replace(self, **changes) -> CampaignSpec:
-    if "factors" in changes and isinstance(changes["factors"], Mapping):
-        changes["factors"] = tuple(sorted(changes["factors"].items()))
-    return dataclasses.replace(self, **changes)
-
-
-CampaignSpec.replace = _replace

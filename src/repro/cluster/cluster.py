@@ -223,45 +223,49 @@ class Cluster:
     def _in_window(self, time_us: float) -> bool:
         return self._measure_start <= time_us < self._measure_end
 
-    def record_commit(self, server: Server, txn: Transaction) -> None:
-        """A transaction finished its commit phase (writes installed)."""
-        if not self._in_window(self.env._now):
-            return
+    def record_commit(self, server: Server, txn: Transaction) -> Optional[float]:
+        """A transaction finished its commit phase (writes installed).
+
+        Returns the instant the commit was counted, or ``None`` outside the
+        measurement window; the caller puts it in the transaction's
+        :class:`CommitReceipt` for :meth:`record_durable` and
+        :meth:`record_crash_abort`.
+        """
+        now = self.env._now
+        if not self._in_window(now):
+            return None
         self.metrics.committed += 1
         self._per_txn_type[txn.name] += 1
-        txn.breakdown["_counted"] = 1.0
         if self.metrics.timeline is not None:
             # The throughput series counts *commits* as they happen: durable
             # notifications resolve in batches (and a crash can swallow them
             # entirely), which would erase the degradation curve the timeline
             # exists to show.  Latency is attributed to the commit window when
             # the durable notification resolves it (see record_durable).
-            self.metrics.timeline.record(self.env._now)
-            txn.breakdown["_commit_time"] = self.env._now
+            self.metrics.timeline.record(now)
+        return now
 
     def record_durable(self, receipt: CommitReceipt) -> None:
         """The transaction's result was returned to the client (now)."""
-        breakdown = receipt.breakdown
-        if "_counted" not in breakdown:
+        counted_at = receipt.counted_at
+        if counted_at is None:
             return
         metrics = self.metrics
         durable_time = self.env.now
         latency = max(0.0, durable_time - receipt.first_start_time)
         metrics.latency.record(latency)
         if metrics.timeline is not None:
-            # Attributed to the commit window (stamped in record_commit); the
+            # Attributed to the commit window (counted in record_commit); the
             # latency itself runs through to durability, so a pre-crash commit
             # that waits out recovery shows up as a latency spike in the
             # window where it committed.
-            metrics.timeline.record_latency(
-                breakdown.get("_commit_time", durable_time), latency
-            )
+            metrics.timeline.record_latency(counted_at, latency)
+        breakdown = receipt.breakdown
         if durable_time > receipt.commit_end_time:
             breakdown["return"] = durable_time - receipt.commit_end_time
         timer = metrics.breakdown
         for component, value in breakdown.items():
-            if not component.startswith("_"):
-                timer.add(component, value)
+            timer.add(component, value)
         timer.finish_transaction()
 
     def record_abort(self, server: Server, txn: Transaction) -> None:
@@ -272,12 +276,12 @@ class Cluster:
         self._abort_reasons[reason] += 1
 
     def record_crash_abort(self, receipt: CommitReceipt) -> None:
-        if "_counted" in receipt.breakdown:
+        if receipt.counted_at is not None:
             # The transaction had been counted committed but its epoch /
             # watermark batch was lost to a crash: undo the count.
             self.metrics.committed -= 1
-            if self.metrics.timeline is not None and "_commit_time" in receipt.breakdown:
-                self.metrics.timeline.unrecord(receipt.breakdown["_commit_time"])
+            if self.metrics.timeline is not None:
+                self.metrics.timeline.unrecord(receipt.counted_at)
         self.metrics.crash_aborted += 1
         self._abort_reasons["crash"] += 1
 

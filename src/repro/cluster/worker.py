@@ -92,9 +92,9 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
             overhead = durability.execution_overhead_us(txn)
             if overhead > 0:
                 yield timeout(overhead)
-            cluster.record_commit(server, txn)
+            counted_at = cluster.record_commit(server, txn)
             durable_event = durability.transaction_executed(server, txn)
-            durable_event.add_callback(CommitReceipt(cluster, txn))
+            durable_event.add_callback(CommitReceipt(cluster, txn, counted_at))
             break
 
         cluster.record_abort(server, txn)

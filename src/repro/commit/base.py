@@ -44,19 +44,24 @@ CRASH_ABORTED = "crash_aborted"
 class CommitReceipt:
     """All that outlives a committed attempt: the durability-event callback.
 
-    Holds the three things the cluster's accounting reads once the outcome
-    is known — the end-to-end latency anchor, the commit instant (the
-    ``return`` component runs from it) and the breakdown dict, *moved* from
-    the transaction, which nothing touches after commit.
+    Holds what the cluster's accounting reads once the outcome is known —
+    the end-to-end latency anchor, the commit instant (the ``return``
+    component runs from it), the breakdown dict, *moved* from the
+    transaction, which nothing touches after commit, and ``counted_at``: the
+    instant :meth:`~repro.cluster.cluster.Cluster.record_commit` counted the
+    commit, or ``None`` when it fell outside the measurement window.
     """
 
-    __slots__ = ("cluster", "first_start_time", "commit_end_time", "breakdown")
+    __slots__ = ("cluster", "first_start_time", "commit_end_time", "breakdown",
+                 "counted_at")
 
-    def __init__(self, cluster: "Cluster", txn: "Transaction"):
+    def __init__(self, cluster: "Cluster", txn: "Transaction",
+                 counted_at: Optional[float]):
         self.cluster = cluster
         self.first_start_time = txn.first_start_time
         self.commit_end_time = txn.commit_end_time
         self.breakdown = txn.breakdown
+        self.counted_at = counted_at
 
     def __call__(self, event: Event) -> None:
         if event._value == DURABLE:

@@ -162,8 +162,9 @@ class AriaProtocol(BaseProtocol):
                 txn.commit_end_time = self.env.now
                 txn.add_breakdown("wait_batch", max(0.0, execution_end - txn.execute_end_time))
                 txn.add_breakdown("sequence", self.config.epoch_length_us / 2.0)
-                self.cluster.record_commit(server, txn)
-                self.cluster.record_durable(CommitReceipt(self.cluster, txn))
+                counted_at = self.cluster.record_commit(server, txn)
+                self.cluster.record_durable(
+                    CommitReceipt(self.cluster, txn, counted_at))
             # Commit ends an attempt's life: hold none across the barrier.
             execution_results.clear()
             batch = entries = partition_processes = txn = None

@@ -108,11 +108,6 @@ class Counter:
             counter._counts[name] = int(value)
         return counter
 
-    def merge(self, other: "Counter") -> None:
-        counts = self._counts
-        for name, value in other._counts.items():
-            counts[name] = counts.get(name, 0) + value
-
 
 class LatencyRecorder:
     """Collects latency samples and reports mean / nearest-rank percentiles."""

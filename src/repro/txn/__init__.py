@@ -1,4 +1,4 @@
-"""Transaction layer: identifiers, read/write sets, status and contexts."""
+"""Transaction layer: identifiers, read/write sets, abort reasons and contexts."""
 
 from .context import TxnContext
 from .transaction import (
@@ -7,7 +7,6 @@ from .transaction import (
     Transaction,
     TxnAborted,
     TxnId,
-    TxnStatus,
     UserAbort,
     WriteEntry,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "TxnAborted",
     "TxnContext",
     "TxnId",
-    "TxnStatus",
     "UserAbort",
     "WriteEntry",
 ]

@@ -1,4 +1,4 @@
-"""Transaction descriptors: identifiers, read/write sets, status and timing.
+"""Transaction descriptors: identifiers, read/write sets, abort reasons and timing.
 
 A transaction is created by the worker loop at its *home* partition (the
 coordinator, §4.1), given a globally-unique TID (coordinator id + local
@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 __all__ = [
     "TxnId",
-    "TxnStatus",
     "ReadEntry",
     "WriteEntry",
     "Transaction",
@@ -64,15 +63,6 @@ class TxnId:
 
     def __repr__(self) -> str:
         return f"TxnId({self.sequence}, p{self.coordinator})"
-
-
-class TxnStatus(enum.Enum):
-    ACTIVE = "active"
-    COMMITTING = "committing"
-    COMMITTED = "committed"          # writes installed, waiting for durability
-    DURABLE = "durable"              # result returned to the client
-    ABORTED = "aborted"
-    CRASH_ABORTED = "crash_aborted"  # rolled back by the recovery protocol
 
 
 class AbortReason(enum.Enum):
@@ -141,7 +131,6 @@ class Transaction:
     tid: TxnId
     coordinator: int
     name: str = "txn"
-    status: TxnStatus = TxnStatus.ACTIVE
     is_distributed: bool = False
     read_only: bool = False
 

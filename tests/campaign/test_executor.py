@@ -20,14 +20,18 @@ from repro.campaign import (
     CampaignSpec,
     campaign_status,
     compile_campaign,
+    executor,
     load_manifest,
     parse_shard,
     run_campaign,
 )
+from repro.campaign.__main__ import main
 from repro.campaign.manifest import ManifestError
+from repro.registry import UnknownNameError
 from repro.scenario import ScenarioSpec
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
+ROOT = Path(__file__).resolve().parents[2]
+SRC = str(ROOT / "src")
 
 
 def tiny_campaign(name="coop", seed_reps=2) -> CampaignSpec:
@@ -94,8 +98,28 @@ class TestShards:
         stats = run_campaign(directory, shard=(3, 4))
         assert (stats.executed, stats.skipped_shard) == (2, 6)
         published = {path.stem for path in (directory / "cache").glob("*.json")}
-        assert published == {cell.key for cell in manifest.iter_cells()
+        assert published == {cell.key for cell in manifest.spec.cells()
                              if cell.index in (3, 7)}
+
+    def test_ci_smoke_shards_select_the_cells_they_always_have(
+            self, tmp_path, monkeypatch):
+        # A shard is the cells whose index is i mod n; pinned as literal ids
+        # so a change to cell order or numbering cannot move work between
+        # CI's two matrix shards unnoticed.  Nothing is simulated.
+        selected = []
+
+        def record_selection(cells, jobs=1):
+            selected.append([cell.key for cell in cells])
+            return iter(())
+
+        monkeypatch.setattr(executor, "execute_cells", record_selection)
+        directory = str(tmp_path / "ci-smoke")
+        assert main(["compile", str(ROOT / "examples/campaigns/ci_smoke.json"),
+                     "--out", directory, "--quiet"]) == 0
+        for shard in ("0/2", "1/2"):
+            assert main(["run", directory, "--shard", shard, "--quiet"]) == 0
+        assert selected == [["g0r0", "g1r0", "g2r0", "g3r0"],
+                            ["g0r1", "g1r1", "g2r1", "g3r1"]]
 
 
 class TestCooperation:
@@ -151,8 +175,8 @@ class TestCooperation:
 
     def test_dict_valued_factor_levels_survive_compile_then_run(self, tmp_path):
         # Arrival specs (and workload mixes, fault plans) are dict-valued
-        # factor levels; they must land in cells.jsonl as plain JSON that
-        # derive() accepts, not as the campaign's frozen tuple-of-pairs.
+        # factor levels; after the manifest's JSON round trip they must thaw
+        # to plain JSON that derive() accepts, not the frozen tuple-of-pairs.
         campaign = CampaignSpec(
             name="open-loop",
             base=ScenarioSpec(protocol="primo", workload="ycsb", scale="tiny"),
@@ -163,7 +187,7 @@ class TestCooperation:
         directory = tmp_path / "open-loop"
         compile_campaign(campaign, directory)
         manifest = load_manifest(directory)  # full JSON round trip
-        assert [cell.factors["arrival"] for cell in manifest.iter_cells()] == [
+        assert [cell.factor_json["arrival"] for cell in manifest.spec.cells()] == [
             {"kind": "poisson", "rate_tps": 40_000},
             {"kind": "poisson", "rate_tps": 80_000},
         ]
@@ -198,8 +222,8 @@ class TestCooperation:
         directory = tmp_path / "poisoned"
         manifest = compile_campaign(campaign, directory)
         poisoned = sorted(f"campaign:poisoned/{cell.cell_id}"
-                          for cell in manifest.iter_cells()
-                          if cell.factors["n_partitions"] == 2)
+                          for cell in manifest.spec.cells()
+                          if dict(cell.factors)["n_partitions"] == 2)
         assert len(poisoned) == 2
 
         stats = run_campaign(directory, jobs=jobs)
@@ -227,7 +251,7 @@ class TestCacheValidity:
         assert run_campaign(directory).executed == 2
         # An entry with the current versions whose result no longer decodes:
         # a document without latency samples is a miss, not a p50 of 0.
-        victim = manifest.dirs.cache_dir / f"{next(manifest.iter_cells()).key}.json"
+        victim = manifest.dirs.cache_dir / f"{next(manifest.spec.cells()).key}.json"
         entry = json.loads(victim.read_text())
         del entry["result"]["metrics"]["latency_samples"]
         victim.write_text(json.dumps(entry, sort_keys=True))
@@ -265,25 +289,64 @@ class TestManifest:
     def test_recompiling_the_same_campaign_is_fine(self, tmp_path):
         campaign = tiny_campaign(seed_reps=1)
         directory = tmp_path / "same"
-        first = compile_campaign(campaign, directory)
+        compile_campaign(campaign, directory)
+        first = (directory / "manifest.json").read_bytes()
         run_campaign(directory)
-        second = compile_campaign(campaign, directory)
-        assert second.total_cells == first.total_cells
+        compile_campaign(campaign, directory)
+        assert (directory / "manifest.json").read_bytes() == first
         # Results are content-addressed: the rerun is still free.
         stats = run_campaign(directory)
         assert stats.executed == 0
 
-    def test_derivation_drift_is_detected(self, tmp_path):
-        campaign = tiny_campaign(seed_reps=1)
-        directory = tmp_path / "drift"
+    def test_a_compiled_directory_is_its_manifest_and_two_empty_dirs(
+            self, tmp_path):
+        campaign = tiny_campaign()
+        directory = tmp_path / "layout"
         compile_campaign(campaign, directory)
-        # Corrupt one manifest line's content key, as if the checkout's
-        # derive() semantics no longer match the compiled table.
-        cells_path = directory / "cells.jsonl"
-        lines = cells_path.read_text().splitlines()
-        doc = json.loads(lines[0])
-        doc["key"] = "0" * 32
-        lines[0] = json.dumps(doc)
-        cells_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ManifestError, match="drifted"):
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "cache", "manifest.json", "reports"]
+        assert not any((directory / "cache").iterdir())
+        assert not any((directory / "reports").iterdir())
+        doc = json.loads((directory / "manifest.json").read_text())
+        assert sorted(doc) == ["campaign", "schema", "substrate_version"]
+        assert doc["schema"] == 2
+        assert doc["campaign"] == campaign.to_json_dict()
+
+    def test_a_schema_1_directory_is_refused_until_recompiled(self, tmp_path):
+        campaign = CampaignSpec(
+            name="old-layout",
+            base=ScenarioSpec(protocol="primo", workload="ycsb", scale="tiny"),
+            factors={"protocol": ["primo", "sundial"]},
+            seed_reps=1,
+        )
+        directory = tmp_path / "old-layout"
+        compile_campaign(campaign, directory)
+        assert run_campaign(directory).executed == 2
+        # The v1 layout: a manifest with the derived shape beside a cell table.
+        manifest_path = directory / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc.update(schema=1, name=campaign.name, total_cells=2, grid_points=2,
+                   seed_reps=1, factor_names=["protocol"])
+        manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        (directory / "cells.jsonl").write_text("")
+        with pytest.raises(ManifestError,
+                           match="unsupported manifest schema 1 .*recompile"):
             run_campaign(directory)
+        assert main(["status", str(directory)]) == 1
+        # Recompiling the same campaign keeps its cache: nothing reruns.
+        compile_campaign(campaign, directory)
+        rerun = run_campaign(directory)
+        assert (rerun.executed, rerun.cache_hits) == (0, 2)
+
+    def test_a_misspelled_level_fails_at_compile(self, tmp_path):
+        # Factor names are checked when the spec is built; levels when each
+        # cell derives, which compile does for every cell before it writes.
+        campaign = CampaignSpec(
+            name="typo",
+            base=ScenarioSpec(protocol="primo", workload="ycsb", scale="tiny"),
+            factors={"protocol": ["primo", "prmo"]},
+        )
+        directory = tmp_path / "typo"
+        with pytest.raises(UnknownNameError, match="'prmo' .*did you mean 'primo'"):
+            compile_campaign(campaign, directory)
+        assert not (directory / "manifest.json").exists()

@@ -150,7 +150,7 @@ class TestStatusAndReport:
         assert "⚠" not in markdown   # nothing incomplete
 
     def test_dict_valued_factors_group_and_render(self, tmp_path):
-        # Dict levels (arrival specs) flow from cells.jsonl through row
+        # Dict levels (arrival specs) flow from the spec's cells through row
         # grouping to Markdown without collapsing rows or crashing.
         campaign = CampaignSpec(
             name="open-report",

@@ -81,11 +81,11 @@ class TestShape:
         assert len(cells) == campaign.total_cells == 8
         assert [cell.index for cell in cells] == list(range(8))
         # Reps are innermost: consecutive cells share a grid point.
-        assert cells[0].factor_dict == cells[1].factor_dict
+        assert dict(cells[0].factors) == dict(cells[1].factors)
         assert cells[0].seed + 1 == cells[1].seed
         # Last factor (zipf_theta, sorted order) varies fastest across points.
-        assert cells[0].factor_dict["zipf_theta"] != cells[2].factor_dict["zipf_theta"]
-        assert cells[0].factor_dict["protocol"] == cells[2].factor_dict["protocol"]
+        assert dict(cells[0].factors)["zipf_theta"] != dict(cells[2].factors)["zipf_theta"]
+        assert dict(cells[0].factors)["protocol"] == dict(cells[2].factors)["protocol"]
 
     def test_seed0_defaults_to_the_base_override(self):
         campaign = two_by_two(base=tiny_base(seed=100))
@@ -99,7 +99,7 @@ class TestShape:
     def test_factorless_campaign_is_just_seed_reps_of_the_base(self):
         campaign = CampaignSpec(name="reps", base=tiny_base(), seed_reps=3)
         cells = list(campaign.cells())
-        assert [cell.factor_dict for cell in cells] == [{}, {}, {}]
+        assert [dict(cell.factors) for cell in cells] == [{}, {}, {}]
         assert len({cell.key for cell in cells}) == 3  # seeds change the key
 
     def test_content_keys_are_seed_and_factor_distinct(self):
