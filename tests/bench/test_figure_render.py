@@ -9,7 +9,9 @@ scales (different thinnings of every sweep list), in a few milliseconds.
 
 The numbers depend on the spec's physics only (protocol, durability,
 overrides, faults — not the scale and not the cell's label), so a cell whose
-spec moved shows up as a moved number.
+spec moved shows up as a moved number.  Like a real run, a result carries a
+windowed timeline only when its spec injects faults; its last two windows
+are silent, as a run's drain after the measurement window is.
 
 Regenerate the goldens after an intended change to a figure's output with
 ``PYTHONPATH=src python tests/bench/test_figure_render.py`` and review the
@@ -32,10 +34,10 @@ from repro.scales import SCALES
 
 GOLDENS = Path(__file__).with_name("figure_render_goldens.json")
 
-#: The axis-sweep figures, plus Figs. 12 and 13 whose sweep lists are shared
-#: between their plan and render.
-PINNED_FIGURES = ("fig06", "fig07", "fig08", "fig09", "fig10", "fig12",
-                  "fig13", "fig14")
+#: Every registered figure that simulates.
+PINNED_FIGURES = ("fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
+                  "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+                  "openloop", "storm")
 PINNED_SCALES = ("tiny", "small")
 
 
@@ -44,21 +46,32 @@ def synthetic_result(spec) -> RunResult:
     physics = {k: v for k, v in spec.to_json_dict().items() if k != "scale"}
     seed = zlib.crc32(json.dumps(physics, sort_keys=True).encode("utf-8"))
     committed = 1_000 + seed % 9_000
+    metrics = {
+        "committed": committed,
+        "aborted": (seed >> 13) % 3_000,
+        "crash_aborted": (seed >> 7) % 50,
+        "duration_us": 1_000_000.0,
+        "latency_samples": [100.0 + seed % 4_000,
+                            200.0 + (seed >> 11) % 4_000],
+        "breakdown": {},
+        "counters": {},
+    }
+    if spec.faults is not None:
+        counts = [50 + (seed >> (3 * i)) % 50 for i in range(6)] + [0, 0]
+        counts[3] = seed % 20
+        metrics["timeline"] = {
+            "window_us": 1_000.0,
+            "counts": counts,
+            "latency_counts": counts,
+            "latency_sums": [count * (100.0 + (seed >> i) % 900)
+                             for i, count in enumerate(counts)],
+        }
     return RunResult.from_json_dict({
         "protocol": spec.protocol,
         "durability": spec.resolved_durability,
         "workload": spec.workload,
         "n_partitions": 2,
-        "metrics": {
-            "committed": committed,
-            "aborted": (seed >> 13) % 3_000,
-            "crash_aborted": (seed >> 7) % 50,
-            "duration_us": 1_000_000.0,
-            "latency_samples": [100.0 + seed % 4_000,
-                                200.0 + (seed >> 11) % 4_000],
-            "breakdown": {},
-            "counters": {},
-        },
+        "metrics": metrics,
     })
 
 
