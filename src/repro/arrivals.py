@@ -49,7 +49,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Mapping, Optional
 
-from .registry import ARRIVAL_REGISTRY, register_arrival, suggestion_hint
+from .registry import (
+    _ARRIVAL_RESERVED_FIELDS,
+    ARRIVAL_REGISTRY,
+    normalize_kind_params,
+    register_arrival,
+    split_kind_json,
+)
 from .sim.randgen import DeterministicRandom, derive_seed, stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,23 +73,6 @@ __all__ = [
 
 #: The default arrival kind: the historical closed-loop worker pool.
 CLOSED = "closed"
-
-#: ArrivalSpec field names; JSON documents flatten the kind's parameters next
-#: to these (mirroring the flat :class:`repro.faults.FaultEvent` form).
-_SPEC_FIELDS = ("kind", "rate_tps", "component_rates")
-
-
-def _normalize_param(name: str, value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        # Ints and floats must hash/serialize identically (4 vs 4.0), or equal
-        # specs would produce different orchestrator cache keys.
-        return float(value)
-    raise TypeError(
-        f"arrival parameter {name!r} must be a scalar, got {type(value).__name__}"
-    )
-
 
 def _normalize_component_rates(rates) -> tuple:
     if not rates:
@@ -140,20 +129,8 @@ class ArrivalSpec:
             object.__setattr__(self, name, value)
 
         entry = ARRIVAL_REGISTRY.entry(self.kind)
-        allowed = entry.metadata.get("params", {})
-        params = dict(self.params or ())
-        for name in params:
-            if name not in allowed:
-                raise ValueError(
-                    f"unknown parameter {name!r} for arrival process "
-                    f"{self.kind!r}{suggestion_hint(str(name), tuple(allowed))}; "
-                    f"expected: {', '.join(allowed) or '<none>'}"
-                )
-        set_field(
-            "params",
-            tuple((name, _normalize_param(name, params[name]))
-                  for name in sorted(params)),
-        )
+        set_field("params", normalize_kind_params(
+            ARRIVAL_REGISTRY, self.kind, self.params, entry.metadata.get("params", {})))
         set_field("component_rates", _normalize_component_rates(self.component_rates))
 
         if not entry.metadata.get("open_loop", True):
@@ -210,16 +187,8 @@ class ArrivalSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ArrivalSpec":
-        if not isinstance(data, Mapping):
-            raise TypeError(
-                f"arrival must be a JSON object, got {type(data).__name__}"
-            )
-        if "kind" not in data:
-            raise ValueError("arrival is missing the required 'kind' field")
-        fields_ = {name: data[name] for name in _SPEC_FIELDS if name in data}
-        params = {name: value for name, value in data.items()
-                  if name not in _SPEC_FIELDS}
-        return cls(params=tuple(sorted(params.items())), **fields_)
+        fields, params = split_kind_json(data, _ARRIVAL_RESERVED_FIELDS, "arrival")
+        return cls(params=params, **fields)
 
     @classmethod
     def coerce(cls, value) -> Optional["ArrivalSpec"]:

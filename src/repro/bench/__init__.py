@@ -1,7 +1,7 @@
 """Benchmark harness regenerating every figure of the paper's evaluation."""
 
 from .experiments import FIGURES, FigureSpec, run_figure
-from .orchestrator import Cell, ResultCache, SweepOutcome, make_cell, run_cells
+from .orchestrator import Cell, ResultCache, SweepOutcome, run_cells
 
 __all__ = [
     "FIGURES",
@@ -9,7 +9,6 @@ __all__ = [
     "Cell",
     "ResultCache",
     "SweepOutcome",
-    "make_cell",
     "run_cells",
     "run_figure",
 ]

@@ -29,7 +29,7 @@ from ..registry import FIGURE_REGISTRY
 from ..scales import SCALES, BenchScale, sweep_values
 from ..scenario import ScenarioSpec, sweep as scenario_sweep
 from ..sim.stats import BREAKDOWN_COMPONENTS
-from .orchestrator import Cell, make_cell, run_cells
+from .orchestrator import Cell, run_cells
 from .report import format_ratio, print_header, print_table
 
 __all__ = ["FIGURES", "FigureSpec", "run_figure"]
@@ -43,15 +43,11 @@ OVERALL_PROTOCOLS = ("2pl_nw", "2pl_wd", "silo", "sundial", "aria", "primo")
 # ---------------------------------------------------------------------------
 
 def _overall_plan(figure: str, workload: str, scale: BenchScale) -> list[Cell]:
-    cells = [
-        make_cell(figure, protocol, protocol, scale, workload=workload)
-        for protocol in OVERALL_PROTOCOLS
-    ]
+    base = ScenarioSpec(protocol="primo", workload=workload, scale=scale)
+    cells = [Cell(figure, protocol, base.derive(protocol=protocol))
+             for protocol in OVERALL_PROTOCOLS]
     # "Primo w/o WM" for the (b) factor breakdown: WCF with COCO group commit.
-    cells.append(
-        make_cell(figure, "primo@coco", "primo", scale, workload=workload,
-                  durability="coco")
-    )
+    cells.append(Cell(figure, "primo@coco", base.derive(durability="coco")))
     return cells
 
 
@@ -307,9 +303,10 @@ FIG11_PROTOCOLS = ("2pl_wd", "sundial", "primo")
 
 
 def fig11_plan(scale: BenchScale) -> list[Cell]:
+    base = ScenarioSpec(protocol="primo", workload="ycsb", scale=scale)
     return [
-        make_cell("fig11", f"{protocol}@{scheme}", protocol, scale,
-                  workload="ycsb", durability=scheme)
+        Cell("fig11", f"{protocol}@{scheme}",
+             base.derive(protocol=protocol, durability=scheme))
         for protocol in FIG11_PROTOCOLS
         for scheme in FIG11_SCHEMES
     ]
@@ -343,13 +340,13 @@ FIG12_INTERVALS_MS = (2.0, 5.0, 10.0, 20.0, 40.0)
 def fig12_plan(scale: BenchScale) -> list[Cell]:
     intervals_ms = sweep_values(FIG12_INTERVALS_MS, scale)
     crash_time = scale.warmup_us + scale.duration_us * 0.6
+    base = ScenarioSpec(
+        protocol="primo", workload="ycsb", scale=scale,
+        faults=[{"kind": "crash", "at_us": crash_time, "target": 1}],
+    )
     return [
-        make_cell(
-            "fig12", f"{scheme}@i{interval_ms}", "primo", scale,
-            workload="ycsb", durability=scheme,
-            epoch_length_us=interval_ms * 1000.0,
-            faults=[{"kind": "crash", "at_us": crash_time, "target": 1}],
-        )
+        Cell("fig12", f"{scheme}@i{interval_ms}",
+             base.derive(durability=scheme, epoch_length_us=interval_ms * 1000.0))
         for interval_ms in intervals_ms
         for scheme in WM_AND_COCO
     ]
@@ -390,30 +387,27 @@ FIG13_SLOW_VARIANTS = (
 
 def fig13_plan(scale: BenchScale) -> list[Cell]:
     delays_ms = sweep_values(FIG13_DELAYS_MS, scale)
+    base = ScenarioSpec(protocol="primo", workload="ycsb", scale=scale)
     cells = [
         # (a) delay only the watermark/epoch control messages of partition 1.
-        make_cell(
-            "fig13", f"{scheme}@d{delay_ms}", "primo", scale,
-            workload="ycsb", durability=scheme,
+        Cell("fig13", f"{scheme}@d{delay_ms}", base.derive(
+            durability=scheme,
             faults=[{"kind": "message_delay", "target": 1,
                      "delay_us": delay_ms * 1000.0}],
-        )
+        ))
         for delay_ms in delays_ms
         for scheme in WM_AND_COCO
     ]
+    # (b) slow down partition 1 by inflating its message latency.
+    slow = base.derive(
+        cpu_record_access_us=0.4,
+        faults=[{"kind": "slow_partition", "target": 1, "delay_us": 200.0}],
+    )
     for label, force_update in FIG13_SLOW_VARIANTS:
-        scheme = "coco" if label == "coco" else "wm"
-        cells.append(
-            make_cell(
-                # (b) slow down partition 1 by inflating its message latency.
-                "fig13", f"slow@{label}", "primo", scale,
-                workload="ycsb", durability=scheme,
-                watermark_force_update=bool(force_update),
-                cpu_record_access_us=0.4,
-                faults=[{"kind": "slow_partition", "target": 1,
-                         "delay_us": 200.0}],
-            )
-        )
+        cells.append(Cell("fig13", f"slow@{label}", slow.derive(
+            durability="coco" if label == "coco" else "wm",
+            watermark_force_update=bool(force_update),
+        )))
     return cells
 
 
@@ -463,13 +457,13 @@ FIG15_PROTOCOLS = ("primo", "tapir")
 
 
 def fig15_plan(scale: BenchScale) -> list[Cell]:
+    base = ScenarioSpec(
+        protocol="primo", workload="ycsb", scale=scale,
+        config_overrides={"workers_per_partition": 1, "inflight_per_worker": 4},
+    )
     return [
-        make_cell(
-            "fig15", f"{protocol}@{label}", protocol, scale,
-            workload="ycsb",
-            workload_overrides={"zipf_theta": skew, "distributed_pct": distributed},
-            workers_per_partition=1, inflight_per_worker=4,
-        )
+        Cell("fig15", f"{protocol}@{label}", base.derive(
+            protocol=protocol, zipf_theta=skew, distributed_pct=distributed))
         for label, skew, distributed in FIG15_CONDITIONS
         for protocol in FIG15_PROTOCOLS
     ]
@@ -623,18 +617,19 @@ def storm_plan(scale: BenchScale) -> list[Cell]:
     from ..registry import PROTOCOL_REGISTRY
 
     duration = storm_duration_us(scale)
-    return [
-        make_cell(
-            "storm", protocol, protocol, scale,
-            faults=standard_storm(scale.warmup_us, duration),
-            duration_us=duration,
+    base = ScenarioSpec(
+        protocol="primo", workload="ycsb", scale=scale,
+        faults=standard_storm(scale.warmup_us, duration),
+        config_overrides={
+            "duration_us": duration,
             # A fast failure detector, so the storm's leader flap is detected
             # and recovered well inside the measurement window.
-            heartbeat_interval_us=500.0,
-            heartbeat_timeout_us=2_000.0,
-        )
-        for protocol in PROTOCOL_REGISTRY.names()
-    ]
+            "heartbeat_interval_us": 500.0,
+            "heartbeat_timeout_us": 2_000.0,
+        },
+    )
+    return [Cell("storm", protocol, base.derive(protocol=protocol))
+            for protocol in PROTOCOL_REGISTRY.names()]
 
 
 def storm_render(scale: BenchScale, results: dict) -> dict:
@@ -654,7 +649,7 @@ def storm_render(scale: BenchScale, results: dict) -> dict:
         result = results[protocol]
         timeline = result.timeline
         tps = timeline.throughput_tps() if timeline is not None else []
-        trimmed = tps[: len(timeline._completed_counts())] if timeline else []
+        trimmed = tps[: len(timeline.completed_counts())] if timeline else []
         baseline = median(trimmed) if trimmed else 0.0
         depth = result.degradation_depth
         t90 = result.time_to_90pct_recovery_us

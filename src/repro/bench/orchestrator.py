@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .. import __version__ as _REPRO_VERSION
 from ..cluster.results import RunResult
-from ..scales import BenchScale
 from ..scenario import ScenarioSpec
 from ..scenario import run as _run_scenario
 
@@ -64,7 +63,6 @@ __all__ = [
     "collect_cache_garbage",
     "execute_cell",
     "execute_cells",
-    "make_cell",
     "run_cells",
 ]
 
@@ -75,10 +73,11 @@ __all__ = [
 #: coexist on CI.
 SUBSTRATE_VERSION = _REPRO_VERSION
 
-#: Version of the on-disk cache file format itself.  v8: the result's
-#: counters carry every run signal (``repro.sim.stats.COUNTERS``).  Entries of
-#: an older schema degrade to misses and ``scripts/cache_gc.py`` reclaims them.
-CACHE_SCHEMA_VERSION = 8
+#: Version of the on-disk cache file format itself.  v9: the result carries
+#: no ``extra`` object (v8 stored the run's whole ``SystemConfig`` there, and
+#: nothing read it).  Entries of an older schema degrade to misses and
+#: ``scripts/cache_gc.py`` reclaims them.
+CACHE_SCHEMA_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -107,40 +106,6 @@ class Cell:
             + ',"substrate":' + json.dumps(SUBSTRATE_VERSION) + "}"
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
-
-
-def make_cell(
-    figure: str,
-    key: str,
-    protocol: str,
-    scale: BenchScale,
-    workload: str = "ycsb",
-    workload_overrides: Optional[dict] = None,
-    faults=None,
-    arrival=None,
-    topology=None,
-    **config_overrides,
-) -> Cell:
-    """Convenience constructor: loose keywords are ``SystemConfig`` overrides.
-
-    Spec validation runs here — a typo'd protocol, workload, override key,
-    fault kind or mix component fails while the figure is being *planned*,
-    before anything simulates.
-    """
-    return Cell(
-        figure=figure,
-        key=key,
-        spec=ScenarioSpec(
-            protocol=protocol,
-            workload=workload,
-            scale=scale,
-            workload_overrides=workload_overrides or {},
-            config_overrides=config_overrides,
-            faults=faults,
-            arrival=arrival,
-            topology=topology,
-        ),
-    )
 
 
 def execute_cell(cell: Cell, profile_dir: Optional[str] = None) -> RunResult:

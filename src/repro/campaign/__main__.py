@@ -48,7 +48,12 @@ def _cmd_compile(args, parser) -> int:
     except (OSError, ValueError, TypeError) as exc:
         parser.error(f"{args.campaign}: {exc}")
     progress = None if args.quiet else main_progress()
-    manifest = compile_campaign(spec, args.out, progress=progress)
+    try:
+        manifest = compile_campaign(spec, args.out, progress=progress)
+    except (ValueError, TypeError) as exc:
+        # A factor level that does not derive (a misspelled protocol, ...)
+        # is a spec error too; compile raises it before writing anything.
+        parser.error(f"{args.campaign}: {exc}")
     print(f"[campaign] {spec.total_cells} cells -> {manifest.dirs.root}")
     return 0
 

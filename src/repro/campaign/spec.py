@@ -32,7 +32,6 @@ for the campaign directory executors share.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Optional
@@ -271,18 +270,6 @@ class CampaignSpec:
         if kwargs.get("seed_reps") is None:
             kwargs["seed_reps"] = 1
         return cls(**kwargs)
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        return cls.from_json_dict(json.loads(text))
-
-    def canonical_json(self) -> str:
-        """Key-sorted minimal JSON — the campaign's stable identity."""
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
 
     def describe(self) -> str:
         axes = ", ".join(f"{name}[{len(levels)}]" for name, levels in self.factors)

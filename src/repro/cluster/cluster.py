@@ -405,5 +405,4 @@ class Cluster:
             network_messages=self._messages_sent() - warmup_messages,
             per_txn_type=dict(self._per_txn_type),
             abort_reasons=dict(self._abort_reasons),
-            extra={"config": self.config},
         )

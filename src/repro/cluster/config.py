@@ -8,7 +8,7 @@ they are deliberately explicit so ablation benches can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..registry import DURABILITY_REGISTRY, PROTOCOL_REGISTRY
 
@@ -115,12 +115,6 @@ class SystemConfig:
     @property
     def concurrency_per_partition(self) -> int:
         return self.workers_per_partition * self.inflight_per_worker
-
-    def with_overrides(self, **overrides) -> "SystemConfig":
-        """Return a copy with the given fields replaced (validates the result)."""
-        updated = replace(self, **overrides)
-        updated.validate()
-        return updated
 
     @classmethod
     def for_protocol(cls, protocol: str, **overrides) -> "SystemConfig":

@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from ..sim.stats import RunMetrics
 
 __all__ = ["RunResult"]
-
-
-def _jsonify(value):
-    """Best-effort conversion of ``extra`` payloads to JSON-safe values."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonify(dataclasses.asdict(value))
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set)):
-        return [_jsonify(v) for v in value]
-    return repr(value)
 
 
 @dataclass
@@ -35,7 +21,6 @@ class RunResult:
     network_messages: int = 0
     per_txn_type: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
 
     # -- convenience passthroughs used everywhere in benches/tests -------------
     @property
@@ -130,8 +115,7 @@ class RunResult:
         """Lossless JSON form used by the orchestrator cache and pool workers.
 
         ``RunResult.from_json_dict(result.to_json_dict())`` reports exactly the
-        same counts, latencies and breakdowns as ``result`` itself; ``extra``
-        is converted best-effort (dataclasses become plain dicts).
+        same counts, latencies and breakdowns as ``result`` itself.
         """
         return {
             "protocol": self.protocol,
@@ -142,7 +126,6 @@ class RunResult:
             "network_messages": self.network_messages,
             "per_txn_type": dict(self.per_txn_type),
             "abort_reasons": dict(self.abort_reasons),
-            "extra": _jsonify(self.extra),
         }
 
     @classmethod
@@ -156,7 +139,6 @@ class RunResult:
             network_messages=int(data.get("network_messages", 0)),
             per_txn_type=dict(data.get("per_txn_type", {})),
             abort_reasons=dict(data.get("abort_reasons", {})),
-            extra=dict(data.get("extra", {})),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

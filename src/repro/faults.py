@@ -40,11 +40,16 @@ single simulation process that draws one timeout per distinct action time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Generator, Iterable, Mapping, Optional, Union
 
-from .registry import FAULT_REGISTRY, register_fault, suggestion_hint
+from .registry import (
+    _FAULT_RESERVED_FIELDS,
+    FAULT_REGISTRY,
+    normalize_kind_params,
+    register_fault,
+    split_kind_json,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster.cluster import Cluster
@@ -59,8 +64,6 @@ __all__ = [
 
 #: Target selector meaning "every partition of the cluster".
 ALL_PARTITIONS = "all"
-
-_EVENT_FIELDS = ("kind", "at_us", "duration_us", "target")
 
 
 def _normalize_target(target) -> Union[int, str, tuple]:
@@ -90,18 +93,6 @@ def _normalize_target(target) -> Union[int, str, tuple]:
     raise TypeError(
         f"fault target must be a partition id, a list of them, or "
         f"{ALL_PARTITIONS!r}, got {type(target).__name__}"
-    )
-
-
-def _normalize_param(name: str, value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        # Ints and floats must hash/serialize identically (5000 vs 5000.0), or
-        # equal plans would produce different orchestrator cache keys.
-        return float(value)
-    raise TypeError(
-        f"fault parameter {name!r} must be a scalar, got {type(value).__name__}"
     )
 
 
@@ -144,26 +135,16 @@ class FaultEvent:
             set_field("duration_us", duration)
         set_field("target", _normalize_target(self.target))
 
-        params = dict(self.params or ())
         required = entry.metadata.get("params", ())
-        for name in params:
-            if name not in required:
-                raise ValueError(
-                    f"unknown parameter {name!r} for fault type {self.kind!r}"
-                    f"{suggestion_hint(str(name), required)}; expected: "
-                    f"{', '.join(required) or '<none>'}"
-                )
-        missing = [name for name in required if name not in params]
+        params = normalize_kind_params(FAULT_REGISTRY, self.kind, self.params, required)
+        given = {name for name, _ in params}
+        missing = [name for name in required if name not in given]
         if missing:
             raise ValueError(
                 f"fault type {self.kind!r} is missing parameter(s) "
                 f"{', '.join(map(repr, missing))}"
             )
-        set_field(
-            "params",
-            tuple((name, _normalize_param(name, params[name]))
-                  for name in sorted(params)),
-        )
+        set_field("params", params)
 
     # -- registry-backed behaviour ------------------------------------------------
     @property
@@ -197,14 +178,8 @@ class FaultEvent:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FaultEvent":
-        if not isinstance(data, Mapping):
-            raise TypeError(f"fault event must be a JSON object, got {type(data).__name__}")
-        if "kind" not in data:
-            raise ValueError("fault event is missing the required 'kind' field")
-        fields = {name: data[name] for name in _EVENT_FIELDS if name in data}
-        params = {name: value for name, value in data.items()
-                  if name not in _EVENT_FIELDS}
-        return cls(params=tuple(sorted(params.items())), **fields)
+        fields, params = split_kind_json(data, _FAULT_RESERVED_FIELDS, "fault event")
+        return cls(params=params, **fields)
 
 
 def fault(kind: str, at_us: float = 0.0, *, target=0,
@@ -287,21 +262,6 @@ class FaultPlan:
     # -- JSON round trip ---------------------------------------------------------
     def to_json_list(self) -> list:
         return [event.to_json_dict() for event in self.events]
-
-    @classmethod
-    def from_json_list(cls, data: Sequence) -> "FaultPlan":
-        if isinstance(data, Mapping):
-            data = [data]
-        if not isinstance(data, Sequence) or isinstance(data, str):
-            raise TypeError(f"fault plan must be a JSON array, got {type(data).__name__}")
-        return cls(events=tuple(data))
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json_list(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_json_list(json.loads(text))
 
 
 class FaultScheduler:

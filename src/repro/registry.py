@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import difflib
 import importlib
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -297,9 +297,76 @@ def register_figure(name: str, *, description: str = "",
     return FIGURE_REGISTRY.register(name, replace=replace, description=description)
 
 
+# ---------------------------------------------------------------------------
+# Kind+params specs: one codec for FaultEvent and ArrivalSpec
+# ---------------------------------------------------------------------------
+
 #: FaultEvent field names a fault type's parameters must not collide with
 #: (event JSON documents flatten parameters next to these).
 _FAULT_RESERVED_FIELDS = frozenset({"kind", "at_us", "duration_us", "target"})
+
+#: ArrivalSpec field names an arrival kind's parameters must not collide with
+#: (spec JSON documents flatten parameters next to these).
+_ARRIVAL_RESERVED_FIELDS = frozenset({"kind", "rate_tps", "component_rates"})
+
+
+def _check_reserved(registry: Registry, name: str, params: Iterable[str],
+                    reserved: frozenset) -> None:
+    collisions = reserved.intersection(params)
+    if collisions:
+        raise ValueError(
+            f"{registry.kind} {name!r} declares reserved parameter name(s) "
+            f"{', '.join(sorted(map(repr, collisions)))}"
+        )
+
+
+def normalize_kind_params(registry: Registry, kind: str, params,
+                          allowed: Iterable[str]) -> tuple:
+    """A registered kind's parameters as sorted ``(name, value)`` pairs.
+
+    A name outside ``allowed`` fails with a did-you-mean hint.  Values must
+    be scalars; ints become floats, because equal specs must hash and
+    serialize identically (5000 vs 5000.0) or they would get different
+    orchestrator cache keys.
+    """
+    allowed = tuple(allowed)
+    params = dict(params or ())
+    for name in params:
+        if name not in allowed:
+            raise ValueError(
+                f"unknown parameter {name!r} for {registry.kind} {kind!r}"
+                f"{suggestion_hint(str(name), allowed)}; "
+                f"expected: {', '.join(allowed) or '<none>'}"
+            )
+    normalized = []
+    for name in sorted(params):
+        value = params[name]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = float(value)
+        elif not (value is None or isinstance(value, (bool, str))):
+            raise TypeError(
+                f"{registry.kind} parameter {name!r} must be a scalar, got "
+                f"{type(value).__name__}"
+            )
+        normalized.append((name, value))
+    return tuple(normalized)
+
+
+def split_kind_json(data: Any, reserved: frozenset, what: str) -> tuple[dict, tuple]:
+    """Split a flat JSON object into its spec fields and its kind's params.
+
+    Parameters sit next to the ``reserved`` field names in the flat form;
+    they come back as sorted ``(name, value)`` pairs.  ``what`` names the
+    document in errors ("fault event", "arrival").
+    """
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if "kind" not in data:
+        raise ValueError(f"{what} is missing the required 'kind' field")
+    fields = {name: value for name, value in data.items() if name in reserved}
+    params = tuple(sorted((name, value) for name, value in data.items()
+                          if name not in reserved))
+    return fields, params
 
 
 def register_fault(name: str, *, params: Sequence[str] = (),
@@ -314,22 +381,12 @@ def register_fault(name: str, *, params: Sequence[str] = (),
     constructed.  ``requires_membership`` marks fault types (crashes) whose
     resolution relies on the cluster's heartbeat-based failure detector.
     """
-    collisions = _FAULT_RESERVED_FIELDS.intersection(params)
-    if collisions:
-        raise ValueError(
-            f"fault type {name!r} declares reserved parameter name(s) "
-            f"{', '.join(sorted(map(repr, collisions)))}"
-        )
+    _check_reserved(FAULT_REGISTRY, name, params, _FAULT_RESERVED_FIELDS)
     return FAULT_REGISTRY.register(
         name, replace=replace,
         params=tuple(params), windowed=bool(windowed),
         requires_membership=bool(requires_membership), description=description,
     )
-
-
-#: ArrivalSpec field names an arrival kind's parameters must not collide with
-#: (spec JSON documents flatten parameters next to these).
-_ARRIVAL_RESERVED_FIELDS = frozenset({"kind", "rate_tps", "component_rates"})
 
 
 def register_arrival(name: str, *, params: Optional[Mapping[str, Any]] = None,
@@ -346,12 +403,7 @@ def register_arrival(name: str, *, params: Optional[Mapping[str, Any]] = None,
     parameters against them at construction, with did-you-mean hints.
     """
     params = dict(params or {})
-    collisions = _ARRIVAL_RESERVED_FIELDS.intersection(params)
-    if collisions:
-        raise ValueError(
-            f"arrival process {name!r} declares reserved parameter name(s) "
-            f"{', '.join(sorted(map(repr, collisions)))}"
-        )
+    _check_reserved(ARRIVAL_REGISTRY, name, params, _ARRIVAL_RESERVED_FIELDS)
     return ARRIVAL_REGISTRY.register(
         name, replace=replace,
         params=params, open_loop=bool(open_loop), description=description,

@@ -111,7 +111,9 @@ class ScenarioSpec:
     """One evaluation point, validated at construction and JSON-round-trippable.
 
     ``durability=None`` means "the protocol's default pairing" (registration
-    metadata, §6.1.3).  ``scale`` accepts a preset name (``"small"``,
+    metadata, §6.1.3); the field is the only place a scheme is named, and
+    ``config_overrides`` takes every other ``SystemConfig`` field but
+    ``protocol``.  ``scale`` accepts a preset name (``"small"``,
     ``"tiny"``, …), a :class:`BenchScale`, or its dict form.  ``workload``
     accepts a registered name or a ``{name: weight}`` mapping — sugar for the
     ``"mixed"`` composite workload.  ``faults`` is a declarative
@@ -161,23 +163,11 @@ class ScenarioSpec:
         workload_entry = WORKLOAD_REGISTRY.entry(self.workload)
         set_field("scale", resolve_scale(self.scale))
 
-        config_overrides = dict(self.config_overrides or ())
-        # ``durability`` is a first-class axis; accept it in the override dict
-        # (``make_cell(..., durability=...)``) but store it on the field.
-        hoisted = config_overrides.pop("durability", None)
-        if hoisted is not None:
-            if self.durability is not None and self.durability != hoisted:
-                raise ValueError(
-                    f"durability given twice: field {self.durability!r} vs "
-                    f"config override {hoisted!r}"
-                )
-            set_field("durability", hoisted)
         if self.durability is not None:
             DURABILITY_REGISTRY.check(self.durability)
-
         set_field(
             "config_overrides",
-            _freeze_overrides(config_overrides, kind="config",
+            _freeze_overrides(self.config_overrides, kind="config",
                               valid=_CONFIG_FIELD_NAMES),
         )
         workload_fields = tuple(

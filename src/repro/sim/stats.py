@@ -349,7 +349,7 @@ class WindowedRecorder:
         ]
 
     # -- recovery analysis -------------------------------------------------
-    def _completed_counts(self) -> list[int]:
+    def completed_counts(self) -> list[int]:
         """Windows up to the last one that saw traffic (the final window is a
         partial slice of the post-measurement drain; trailing silence after
         it is not a 'dip', it is the end of the run)."""
@@ -361,7 +361,7 @@ class WindowedRecorder:
 
     def degradation_depth(self) -> float:
         """``1 - min/median`` over completed windows, clamped to [0, 1]."""
-        counts = self._completed_counts()
+        counts = self.completed_counts()
         if len(counts) < 2:
             return 0.0
         baseline = median(counts)
@@ -375,7 +375,7 @@ class WindowedRecorder:
         0.0 when the run never dipped below the threshold; ``None`` when it
         dipped and never came back within the recorded windows.
         """
-        counts = self._completed_counts()
+        counts = self.completed_counts()
         if len(counts) < 2:
             return 0.0
         baseline = median(counts)

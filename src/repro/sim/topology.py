@@ -44,7 +44,6 @@ base latency bit-identically (pinned by tests/integration/test_determinism.py).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -177,13 +176,6 @@ class RegionTopology:
             partition_regions=tuple(data.get("partition_regions", ())),
             follower_regions=tuple(data.get("follower_regions", ())),
         )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RegionTopology":
-        return cls.from_json_dict(json.loads(text))
 
     @classmethod
     def coerce(cls, value) -> Optional["RegionTopology"]:

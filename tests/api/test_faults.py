@@ -108,7 +108,6 @@ def test_fault_plan_json_round_trip_is_lossless():
         fault("crash", at_us=4_000.0, target=1),
         fault("network_partition", at_us=2_000.0, duration_us=500.0, target="all"),
     ))
-    assert FaultPlan.from_json(plan.to_json()) == plan
     spec = ScenarioSpec(protocol="primo", scale="tiny", faults=plan)
     assert ScenarioSpec.from_json(spec.to_json()) == spec
 

@@ -12,15 +12,21 @@ import pytest
 
 from repro.bench.__main__ import main as bench_main
 from repro.cluster.config import DURABILITY_SCHEMES, PROTOCOLS, SystemConfig
+from repro.arrivals import ArrivalSpec, arrival
+from repro.faults import FaultEvent, fault
 from repro.protocols import SiloProtocol, create_protocol
 from repro.registry import (
+    ARRIVAL_REGISTRY,
     DURABILITY_REGISTRY,
+    FAULT_REGISTRY,
     FIGURE_REGISTRY,
     PROTOCOL_REGISTRY,
     WORKLOAD_REGISTRY,
     DuplicateNameError,
     Registry,
     UnknownNameError,
+    register_arrival,
+    register_fault,
     register_protocol,
     register_workload,
 )
@@ -187,11 +193,11 @@ def test_workload_registered_here_works_end_to_end(capsys):
 
 def test_figure_registered_here_appears_in_cli_and_sweeps(capsys):
     from repro.bench.experiments import FIGURES, FigureSpec
-    from repro.bench.orchestrator import make_cell, run_cells
+    from repro.bench.orchestrator import Cell, run_cells
     from repro.scales import TINY_SCALE
 
     def plan(scale):
-        return [make_cell("figtest", "primo", "primo", scale)]
+        return [Cell("figtest", "primo", ScenarioSpec(protocol="primo", scale=scale))]
 
     def render(scale, results):
         return {"committed": results["primo"].committed}
@@ -207,3 +213,62 @@ def test_figure_registered_here_appears_in_cli_and_sweeps(capsys):
         assert "figtest" in capsys.readouterr().out
     finally:
         FIGURE_REGISTRY.unregister("figtest")
+
+
+# ---------------------------------------------------------------------------
+# Kind+params specs (fault events, arrival processes): one codec
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: fault("message_delay", target=1, delay_ms=5.0),
+     "unknown parameter 'delay_ms' for fault type 'message_delay' "
+     "(did you mean 'delay_us'?); expected: delay_us"),
+    (lambda: arrival("bursty", 1000.0, burst_facter=2.0),
+     "unknown parameter 'burst_facter' for arrival process 'bursty' "
+     "(did you mean 'burst_factor' or 'burst_end_frac'?); expected: "
+     "burst_start_frac, burst_end_frac, burst_factor, hot_theta"),
+    (lambda: arrival("poisson", 1000.0, burstiness=2.0),
+     "unknown parameter 'burstiness' for arrival process 'poisson'; expected: <none>"),
+], ids=["fault", "arrival", "arrival-without-params"])
+def test_unknown_parameter_messages_name_the_registry_kind(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("register, message", [
+    (lambda: register_fault("test_bad_fault", params=("delay_us", "target")),
+     "fault type 'test_bad_fault' declares reserved parameter name(s) 'target'"),
+    (lambda: register_arrival("test_bad_arrival", params={"rate_tps": 1.0, "kind": 0}),
+     "arrival process 'test_bad_arrival' declares reserved parameter name(s) "
+     "'kind', 'rate_tps'"),
+], ids=["fault", "arrival"])
+def test_parameters_may_not_shadow_a_spec_field(register, message):
+    with pytest.raises(ValueError) as info:
+        register()
+    assert str(info.value) == message
+    assert "test_bad_fault" not in FAULT_REGISTRY
+    assert "test_bad_arrival" not in ARRIVAL_REGISTRY
+
+
+@pytest.mark.parametrize("cls, doc, what", [
+    (FaultEvent, {"kind": "follower_lag", "target": [0, 1], "at_us": 5,
+                  "delay_us": 200, "follower": 1}, "fault event"),
+    (ArrivalSpec, {"kind": "bursty", "rate_tps": 1000, "hot_theta": 0.9,
+                   "burst_factor": 3}, "arrival"),
+], ids=["fault", "arrival"])
+def test_flat_json_splits_into_fields_and_float_params(cls, doc, what):
+    spec = cls.from_json_dict(doc)
+    params = {name: value for name, value in doc.items()
+              if name not in ("kind", "target", "at_us", "rate_tps")}
+    # Sorted by name; ints become floats so equal specs key identically.
+    assert spec.params == tuple(sorted((n, float(v)) for n, v in params.items()))
+    assert all(type(value) is float for _, value in spec.params)
+    assert cls.from_json_dict(spec.to_json_dict()) == spec
+    with pytest.raises(TypeError, match=f"^{what} must be a JSON object, got list$"):
+        cls.from_json_dict([doc])
+    with pytest.raises(ValueError, match=f"^{what} is missing the required 'kind' field$"):
+        cls.from_json_dict({n: v for n, v in doc.items() if n != "kind"})
+    name = next(iter(params))
+    with pytest.raises(TypeError, match=f"parameter '{name}' must be a scalar, got list"):
+        cls.from_json_dict({**doc, name: [1.0]})

@@ -71,12 +71,12 @@ def test_unknown_scale_name_fails_with_suggestion():
         ScenarioSpec(protocol="primo", scale="samll")
 
 
-def test_durability_accepted_as_config_override_but_not_twice():
-    spec = ScenarioSpec(protocol="primo", config_overrides={"durability": "coco"})
-    assert spec.durability == "coco"
-    assert dict(spec.config_overrides) == {}
-    with pytest.raises(ValueError, match="durability given twice"):
-        ScenarioSpec(protocol="primo", durability="wm",
+def test_durability_is_set_only_through_its_field():
+    assert ScenarioSpec(protocol="primo", durability="coco").durability == "coco"
+    with pytest.raises(ValueError, match="unknown config override 'durability'"):
+        ScenarioSpec(protocol="primo", config_overrides={"durability": "coco"})
+    with pytest.raises(ValueError, match="unknown config override 'durability'"):
+        ScenarioSpec(protocol="primo", durability="coco",
                      config_overrides={"durability": "coco"})
 
 

@@ -7,10 +7,11 @@ import time
 from repro.bench.orchestrator import (
     CACHE_SCHEMA_VERSION,
     SUBSTRATE_VERSION,
+    Cell,
     ResultCache,
     collect_cache_garbage,
-    make_cell,
 )
+from repro.scenario import ScenarioSpec
 
 
 #: The smallest result document ``RunResult.from_json_dict`` decodes.
@@ -21,7 +22,6 @@ RESULT = {
                                    "latency_samples": [], "breakdown": {},
                                    "counters": {}},
     "network_messages": 0, "per_txn_type": {}, "abort_reasons": {},
-    "extra": {},
 }
 
 
@@ -91,7 +91,7 @@ def test_gc_never_touches_what_get_would_serve(tmp_path):
     # The invariant that makes GC safe to run during a sweep: everything GC
     # removes is already invisible to ResultCache.get.
     cache = ResultCache(tmp_path)
-    cell = make_cell("fig", "point", "primo", "tiny")
+    cell = Cell("fig", "point", ScenarioSpec(protocol="primo", scale="tiny"))
     cache.put(cell, RESULT)
     before = cache.get(cell)
     assert before is not None

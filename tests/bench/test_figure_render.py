@@ -1,4 +1,4 @@
-"""Rendered-text goldens of the swept figures.
+"""Rendered-text goldens of every figure that simulates.
 
 Each pinned figure's ``render`` runs on synthetic results: one
 :class:`~repro.cluster.results.RunResult` per planned cell, decoded with

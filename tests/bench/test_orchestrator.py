@@ -17,17 +17,18 @@ from repro.bench.orchestrator import (
     ResultCache,
     SUBSTRATE_VERSION,
     execute_cell,
-    make_cell,
     run_cells,
 )
 from repro.cluster.results import RunResult
 from repro.scales import TINY_SCALE
+from repro.scenario import ScenarioSpec
 
 TEST_SCALE = TINY_SCALE
+BASE = ScenarioSpec(protocol="primo", workload="ycsb", scale=TEST_SCALE)
 
 
-def cell(figure="figX", key="primo", protocol="primo", **kwargs) -> Cell:
-    return make_cell(figure, key, protocol, TEST_SCALE, **kwargs)
+def cell(figure="figX", key="primo", **changes) -> Cell:
+    return Cell(figure, key, BASE.derive(**changes))
 
 
 def fingerprint(result: RunResult) -> tuple:
@@ -254,11 +255,13 @@ def test_cache_keys_are_stable_across_processes():
     randomization, registration order): a warm cache written by one process
     has to hit in the next."""
     script = (
-        "from repro.bench.orchestrator import make_cell\n"
+        "from repro.bench.orchestrator import Cell\n"
         "from repro.scales import TINY_SCALE\n"
-        "print(make_cell('figX', 'k', 'primo', TINY_SCALE,\n"
-        "                workload_overrides={'zipf_theta': 0.9, 'write_pct': 0.2},\n"
-        "                durability='coco', n_partitions=2).cache_key())\n"
+        "from repro.scenario import ScenarioSpec\n"
+        "print(Cell('figX', 'k', ScenarioSpec(\n"
+        "    protocol='primo', scale=TINY_SCALE, durability='coco',\n"
+        "    workload_overrides={'zipf_theta': 0.9, 'write_pct': 0.2},\n"
+        "    config_overrides={'n_partitions': 2})).cache_key())\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
@@ -271,10 +274,9 @@ def test_cache_keys_are_stable_across_processes():
         ).stdout.strip()
         for seed in ("0", "12345")
     }
-    local = make_cell(
-        "figX", "k", "primo", TEST_SCALE,
+    local = cell(
+        key="k", durability="coco", n_partitions=2,
         workload_overrides={"write_pct": 0.2, "zipf_theta": 0.9},
-        durability="coco", n_partitions=2,
     ).cache_key()
     assert keys == {local}
 

@@ -350,3 +350,19 @@ class TestManifest:
         with pytest.raises(UnknownNameError, match="'prmo' .*did you mean 'primo'"):
             compile_campaign(campaign, directory)
         assert not (directory / "manifest.json").exists()
+
+    def test_the_cli_reports_a_misspelled_level_as_a_usage_error(self, tmp_path, capsys):
+        campaign_file = tmp_path / "typo.json"
+        campaign_file.write_text(json.dumps({
+            "name": "typo",
+            "base": {"protocol": "primo", "workload": "ycsb", "scale": "tiny"},
+            "factors": {"protocol": ["primo", "prmo"]},
+        }))
+        directory = tmp_path / "typo"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compile", str(campaign_file), "--out", str(directory), "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'prmo' (did you mean 'primo'?)" in err
+        assert "Traceback" not in err
+        assert not directory.exists()

@@ -55,16 +55,6 @@ def test_for_protocol_picks_the_papers_durability_pairings():
     assert SystemConfig.for_protocol("silo", durability="clv").durability == "clv"
 
 
-def test_with_overrides_returns_a_validated_copy():
-    base = SystemConfig()
-    changed = base.with_overrides(n_partitions=8, protocol="silo")
-    assert changed.n_partitions == 8
-    assert changed.protocol == "silo"
-    assert base.n_partitions == 4  # original untouched
-    with pytest.raises(ValueError):
-        base.with_overrides(n_partitions=-1)
-
-
 def test_derived_quantities():
     config = SystemConfig(workers_per_partition=3, inflight_per_worker=2,
                           one_way_network_latency_us=80.0)

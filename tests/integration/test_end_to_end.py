@@ -5,6 +5,8 @@ These are scaled-down versions of the evaluation: they assert *directions*
 to the small configurations used in CI.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.cluster import Cluster
@@ -107,7 +109,7 @@ def test_wm_throughput_is_insensitive_to_watermark_message_delay():
     baseline_cluster = Cluster(config, workload)
     baseline = baseline_cluster.run()
 
-    delayed_cluster = Cluster(config.with_overrides(), YCSBWorkload(YCSBConfig(keys_per_partition=5_000)))
+    delayed_cluster = Cluster(replace(config), YCSBWorkload(YCSBConfig(keys_per_partition=5_000)))
     delayed_cluster.durability.set_message_delay(1, 10_000.0)
     delayed = delayed_cluster.run()
     assert delayed.throughput_tps > baseline.throughput_tps * 0.7

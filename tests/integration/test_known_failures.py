@@ -94,8 +94,8 @@ def test_silo_tpcc_survives_rolling_crashes_at_seed_7():
 def test_a_crash_rolls_back_no_write_that_was_durable_before_it():
     """sundial / coco / ycsb / tiny, partition 1 down at 15 ms of a 30 ms window."""
     cluster = build(ScenarioSpec(
-        protocol="sundial", workload="ycsb", scale="tiny",
-        config_overrides={**FAST_DETECTOR, "duration_us": 30_000.0, "durability": "coco"},
+        protocol="sundial", workload="ycsb", scale="tiny", durability="coco",
+        config_overrides={**FAST_DETECTOR, "duration_us": 30_000.0},
         faults=[{"kind": "crash", "at_us": 15_000.0, "target": 1}]))
     cluster.start()
     cluster.env.run(until=14_999.0)
@@ -124,9 +124,8 @@ def test_a_crash_rolls_back_no_write_that_was_durable_before_it():
 def test_tpcc_survives_a_single_crash(protocol, crash_at_us, durability):
     """tpcc / tiny / seed 42, partition 1 down at ``crash_at_us`` of a 20 ms window."""
     cluster = build(ScenarioSpec(
-        protocol=protocol, workload="tpcc", scale="tiny",
-        config_overrides={**FAST_DETECTOR, "duration_us": 20_000.0, "seed": 42,
-                          "durability": durability},
+        protocol=protocol, workload="tpcc", scale="tiny", durability=durability,
+        config_overrides={**FAST_DETECTOR, "duration_us": 20_000.0, "seed": 42},
         faults=[{"kind": "crash", "at_us": crash_at_us, "target": 1}]))
     assert cluster.run().committed > 0
 

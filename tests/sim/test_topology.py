@@ -1,5 +1,7 @@
 """Tests for RegionTopology and the network's region-matrix latency path."""
 
+import json
+
 import pytest
 
 from repro.sim.engine import Environment
@@ -90,7 +92,8 @@ def test_follower_rings_wrap_per_partition_and_per_follower():
 
 def test_topology_json_round_trip():
     topo = make_topology(follower_regions=(("east", "west"), ("west",)))
-    assert RegionTopology.from_json(topo.to_json()) == topo
+    text = json.dumps(topo.to_json_dict())
+    assert RegionTopology.from_json_dict(json.loads(text)) == topo
 
 
 def test_topology_json_omits_empty_follower_regions():
