@@ -15,7 +15,7 @@ Both halves are reached through the :data:`FIGURES` registry.
 ``python -m repro.bench`` executes the union of every planned cell across
 processes with an on-disk cache (see ``orchestrator.py``);
 :func:`run_figure` plans, executes inline and renders one figure in a single
-call (``benchmarks/bench_figures.py`` times it at the ``small`` scale).
+call.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from ..bench.orchestrator import ResultCache
 from ..bench.report import confidence_interval_95, format_mean_ci
-from ..cluster.results import RunResult
 from ..registry import suggestion_hint
 from .manifest import Manifest, load_manifest
 
@@ -34,19 +33,12 @@ __all__ = [
     "render_markdown",
 ]
 
-#: Metric name -> how to read it off a RunResult.  The report's vocabulary;
-#: ``--metrics`` validates against it with did-you-mean hints.
-REPORT_METRICS = {
-    "throughput_ktps": lambda r: r.throughput_ktps,
-    "committed": lambda r: float(r.committed),
-    "aborted": lambda r: float(r.aborted),
-    "abort_rate": lambda r: r.abort_rate,
-    "mean_latency_ms": lambda r: r.mean_latency_ms,
-    "p50_latency_ms": lambda r: r.p50_latency_ms,
-    "p99_latency_ms": lambda r: r.p99_latency_ms,
-    "p999_latency_ms": lambda r: r.p999_latency_ms,
-    "network_messages": lambda r: float(r.network_messages),
-}
+#: The report's vocabulary: ``RunResult`` attribute names, read with
+#: ``getattr``.  ``--metrics`` validates against it with did-you-mean hints.
+REPORT_METRICS = (
+    "throughput_ktps", "committed", "aborted", "abort_rate", "mean_latency_ms",
+    "p50_latency_ms", "p99_latency_ms", "p999_latency_ms", "network_messages",
+)
 
 DEFAULT_METRICS = ("throughput_ktps", "abort_rate", "p99_latency_ms")
 
@@ -59,7 +51,7 @@ def resolve_metrics(names: Optional[Sequence[str]]) -> tuple[str, ...]:
         if name not in REPORT_METRICS:
             raise ValueError(
                 f"unknown report metric {name!r}"
-                f"{suggestion_hint(name, tuple(REPORT_METRICS))}; metrics: "
+                f"{suggestion_hint(name, REPORT_METRICS)}; metrics: "
                 f"{', '.join(REPORT_METRICS)}"
             )
         resolved.append(name)
@@ -159,7 +151,7 @@ def campaign_report(directory, metrics: Optional[Sequence[str]] = None,
             continue
         row.reps_present += 1
         for name in metric_names:
-            row.metrics.setdefault(name, []).append(_metric(result, name))
+            row.metrics.setdefault(name, []).append(float(getattr(result, name)))
 
     report_rows = []
     for row in rows.values():
@@ -191,10 +183,6 @@ def campaign_report(directory, metrics: Optional[Sequence[str]] = None,
         "complete": complete_rows == len(report_rows) and bool(report_rows),
         "rows": report_rows,
     }
-
-
-def _metric(result: RunResult, name: str) -> float:
-    return float(REPORT_METRICS[name](result))
 
 
 def render_markdown(report: dict) -> str:

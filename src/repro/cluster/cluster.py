@@ -1,13 +1,12 @@
 """The public entry point: a simulated shared-nothing cluster.
 
-Typical use (see ``examples/quickstart.py``)::
+Typical use builds it from a scenario (see ``examples/quickstart.py``)::
 
-    from repro import Cluster, SystemConfig
-    from repro.workloads import YCSBWorkload, YCSBConfig
+    import repro
 
-    config = SystemConfig.for_protocol("primo", n_partitions=4)
-    workload = YCSBWorkload(YCSBConfig(zipf_theta=0.6))
-    result = Cluster(config, workload).run()
+    spec = repro.ScenarioSpec(protocol="primo", config_overrides={"n_partitions": 4},
+                              workload_overrides={"zipf_theta": 0.6})
+    result = repro.build(spec).run()   # repro.build returns the Cluster
     print(result.throughput_ktps, result.mean_latency_ms)
 
 ``Cluster`` wires together the simulation environment, the network, one

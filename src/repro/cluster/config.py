@@ -109,25 +109,5 @@ class SystemConfig:
 
     # -- derived quantities ----------------------------------------------------
     @property
-    def roundtrip_us(self) -> float:
-        return 2.0 * self.one_way_network_latency_us
-
-    @property
     def concurrency_per_partition(self) -> int:
         return self.workers_per_partition * self.inflight_per_worker
-
-    @classmethod
-    def for_protocol(cls, protocol: str, **overrides) -> "SystemConfig":
-        """Config with the paper's default durability pairing for a protocol.
-
-        Primo uses the watermark scheme; 2PL/Silo/Sundial baselines are paired
-        with COCO group commit (§6.1.3); Aria's sequencing layer and TAPIR's
-        replication handle their own durability.  The pairing is read from the
-        protocol registry (``default_durability`` registration metadata), so
-        registered extensions get the same treatment.
-        """
-        durability = overrides.pop("durability", None)
-        if durability is None:
-            entry = PROTOCOL_REGISTRY.entry(protocol)
-            durability = entry.metadata.get("default_durability", "coco")
-        return cls(protocol=protocol, durability=durability, **overrides)

@@ -11,7 +11,11 @@ __all__ = ["RunResult"]
 
 @dataclass
 class RunResult:
-    """Everything a single simulated run reports."""
+    """Everything a single simulated run reports.
+
+    ``metrics`` is the raw record the cluster accumulated into; every number
+    derived from it is defined here, once.
+    """
 
     protocol: str
     durability: str
@@ -22,14 +26,11 @@ class RunResult:
     per_txn_type: dict = field(default_factory=dict)
     abort_reasons: dict = field(default_factory=dict)
 
-    # -- convenience passthroughs used everywhere in benches/tests -------------
-    @property
-    def throughput_tps(self) -> float:
-        return self.metrics.throughput_tps
-
-    @property
-    def throughput_ktps(self) -> float:
-        return self.metrics.throughput_ktps
+    #: The attributes :meth:`summary` reports by name, in its key order.
+    _SUMMARY = ("throughput_ktps", "committed", "aborted", "abort_rate",
+                "crash_abort_rate", "mean_latency_ms", "p99_latency_ms",
+                "breakdown_us", "protocol", "durability", "workload",
+                "n_partitions", "network_messages")
 
     @property
     def committed(self) -> int:
@@ -40,28 +41,46 @@ class RunResult:
         return self.metrics.aborted
 
     @property
+    def throughput_tps(self) -> float:
+        """Committed transactions per (simulated) second."""
+        if self.metrics.duration_us <= 0:
+            return 0.0
+        return self.metrics.committed / (self.metrics.duration_us / 1_000_000.0)
+
+    @property
+    def throughput_ktps(self) -> float:
+        return self.throughput_tps / 1000.0
+
+    @property
     def abort_rate(self) -> float:
-        return self.metrics.abort_rate
+        """Fraction of transaction *attempts* that aborted."""
+        attempts = self.metrics.committed + self.metrics.aborted
+        if attempts == 0:
+            return 0.0
+        return self.metrics.aborted / attempts
 
     @property
     def crash_abort_rate(self) -> float:
-        return self.metrics.crash_abort_rate
+        total = self.metrics.committed + self.metrics.crash_aborted
+        if total == 0:
+            return 0.0
+        return self.metrics.crash_aborted / total
 
     @property
     def mean_latency_ms(self) -> float:
-        return self.metrics.mean_latency_ms
+        return self.metrics.latency.mean / 1000.0
 
     @property
     def p50_latency_ms(self) -> float:
-        return self.metrics.p50_latency_ms
+        return self.metrics.latency.p50 / 1000.0
 
     @property
     def p99_latency_ms(self) -> float:
-        return self.metrics.p99_latency_ms
+        return self.metrics.latency.p99 / 1000.0
 
     @property
     def p999_latency_ms(self) -> float:
-        return self.metrics.p999_latency_ms
+        return self.metrics.latency.p999 / 1000.0
 
     @property
     def breakdown_us(self) -> dict:
@@ -82,30 +101,19 @@ class RunResult:
             return None
         return self.metrics.timeline.degradation_depth()
 
-    def time_to_recovery_us(self, threshold: float = 0.9):
-        """Time from the deepest dip back to ``threshold`` × median window
+    @property
+    def time_to_90pct_recovery_us(self):
+        """Time from the deepest dip back to 90 % of the median window
         throughput; ``None`` without a timeline or when the run ends degraded."""
         if self.metrics.timeline is None:
             return None
-        return self.metrics.timeline.time_to_recovery_us(threshold)
-
-    @property
-    def time_to_90pct_recovery_us(self):
-        return self.time_to_recovery_us(0.9)
+        return self.metrics.timeline.time_to_recovery_us(0.9)
 
     def summary(self) -> dict:
-        data = self.metrics.summary()
-        data.update(
-            {
-                "protocol": self.protocol,
-                "durability": self.durability,
-                "workload": self.workload,
-                "n_partitions": self.n_partitions,
-                "network_messages": self.network_messages,
-                "per_txn_type": dict(self.per_txn_type),
-                "abort_reasons": dict(self.abort_reasons),
-            }
-        )
+        """Flat dictionary used by the bench report printers."""
+        data = {name: getattr(self, name) for name in self._SUMMARY}
+        data["per_txn_type"] = dict(self.per_txn_type)
+        data["abort_reasons"] = dict(self.abort_reasons)
         if self.metrics.timeline is not None:
             data["degradation_depth"] = self.degradation_depth
             data["time_to_90pct_recovery_us"] = self.time_to_90pct_recovery_us

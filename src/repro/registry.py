@@ -220,8 +220,8 @@ class Registry(Mapping):
 # ---------------------------------------------------------------------------
 
 #: Concurrency-control protocols.  Entry: the protocol class (``cls(cluster)``);
-#: metadata: ``default_durability`` — the paper's §6.1.3 pairing used by
-#: ``SystemConfig.for_protocol`` — and ``description``.
+#: metadata: ``default_durability`` — the paper's §6.1.3 pairing, read by
+#: ``ScenarioSpec.resolved_durability`` — and ``description``.
 PROTOCOL_REGISTRY = Registry(
     "protocol", ensure_modules=("repro.core.primo", "repro.protocols")
 )

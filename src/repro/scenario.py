@@ -484,9 +484,8 @@ def build(spec: ScenarioSpec) -> Cluster:
     overrides.setdefault("warmup_us", scale.warmup_us)
     overrides.setdefault("workers_per_partition", scale.workers_per_partition)
     overrides.setdefault("inflight_per_worker", scale.inflight_per_worker)
-    if spec.durability is not None:
-        overrides["durability"] = spec.durability
-    config = SystemConfig.for_protocol(spec.protocol, **overrides)
+    config = SystemConfig(protocol=spec.protocol,
+                          durability=spec.resolved_durability, **overrides)
     workload = build_workload(scale, spec.workload, **dict(spec.workload_overrides))
     return Cluster(config, workload, faults=spec.faults, arrival=spec.arrival,
                    topology=spec.topology)

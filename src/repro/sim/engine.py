@@ -261,8 +261,8 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_next_seq")
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         # Bound once: every scheduled event draws its sequence number here.
         self._next_seq = count().__next__

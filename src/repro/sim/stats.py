@@ -421,7 +421,8 @@ class WindowedRecorder:
 
 
 class RunMetrics:
-    """Everything a single simulated run reports back to the harness."""
+    """The raw record a run accumulates into.  It derives nothing:
+    :class:`~repro.cluster.results.RunResult` defines every reported number."""
 
     __slots__ = (
         "duration_us",
@@ -457,67 +458,12 @@ class RunMetrics:
         # byte-identical to their pre-timeline form.
         self.timeline = timeline
 
-    @property
-    def throughput_tps(self) -> float:
-        """Committed transactions per (simulated) second."""
-        if self.duration_us <= 0:
-            return 0.0
-        return self.committed / (self.duration_us / 1_000_000.0)
-
-    @property
-    def throughput_ktps(self) -> float:
-        return self.throughput_tps / 1000.0
-
-    @property
-    def abort_rate(self) -> float:
-        """Fraction of transaction *attempts* that aborted."""
-        attempts = self.committed + self.aborted
-        if attempts == 0:
-            return 0.0
-        return self.aborted / attempts
-
-    @property
-    def crash_abort_rate(self) -> float:
-        total = self.committed + self.crash_aborted
-        if total == 0:
-            return 0.0
-        return self.crash_aborted / total
-
-    @property
-    def mean_latency_ms(self) -> float:
-        return self.latency.mean / 1000.0
-
-    @property
-    def p50_latency_ms(self) -> float:
-        return self.latency.p50 / 1000.0
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return self.latency.p99 / 1000.0
-
-    @property
-    def p999_latency_ms(self) -> float:
-        return self.latency.p999 / 1000.0
-
-    def summary(self) -> dict:
-        """Flat dictionary used by the bench report printers."""
-        return {
-            "throughput_ktps": self.throughput_ktps,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "abort_rate": self.abort_rate,
-            "crash_abort_rate": self.crash_abort_rate,
-            "mean_latency_ms": self.mean_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "breakdown_us": self.breakdown.per_transaction(),
-        }
-
     def to_json_dict(self) -> dict:
         """Lossless JSON form (inverse of :meth:`from_json_dict`).
 
-        Unlike :meth:`summary` this keeps the raw latency samples and counter
-        values, so a deserialized ``RunMetrics`` reports byte-identical
-        statistics — the property the orchestrator's on-disk cache relies on.
+        It keeps the raw latency samples and counter values, so a deserialized
+        ``RunMetrics`` yields byte-identical statistics — the property the
+        orchestrator's on-disk cache relies on.
         """
         data = {
             "duration_us": self.duration_us,

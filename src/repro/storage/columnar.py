@@ -46,11 +46,11 @@ it everywhere).
 Loading.  :meth:`ColumnarTable.insert_many` (the loaders' entry point, same
 signature on :class:`~repro.storage.table.Table`) loads a table once, with
 ``range(0, n)`` into the empty table: the template row is checked once, its
-converted cells become the table's one template, and the slot array grows by
-one ``array * n`` extend of -1.  No column or metadata array grows at all,
-and the call makes O(columns) Python-level operations for any number of
-rows.  Any other key collection, and any load into a loaded table, raises
-:class:`TableError`.
+converted cells become the table's one template, and the slot array is one
+``array * n`` of -1, built once and not copied.  No column or metadata array
+grows at all, and the call makes O(columns) Python-level operations for any
+number of rows.  Any other key collection, and any load into a loaded
+table, raises :class:`TableError`.
 
 Simulation semantics are backend-independent by construction: the columnar
 path stores the same values, applies the same missing-key errors, and never
@@ -337,7 +337,7 @@ class ColumnarTable:
             )
         if keys:
             self._template = self._cells_of(row)
-            self._slot.extend(array("i", [-1]) * len(keys))
+            self._slot = array("i", [-1]) * len(keys)
             self._n_rows = len(keys)
 
     def keys(self) -> Iterator[int]:

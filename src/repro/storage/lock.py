@@ -141,11 +141,7 @@ class LockManager:
 
     # -- acquisition --------------------------------------------------------
     def acquire_nowait(
-        self,
-        txn_id,
-        record: "Record",
-        mode: LockMode,
-        policy: Optional[LockPolicy] = None,
+        self, txn_id, record: "Record", mode: LockMode
     ) -> Union[bool, Event]:
         """Uncontended-first acquire: bool when resolved synchronously.
 
@@ -176,7 +172,7 @@ class LockManager:
         if not state.waiters and state.compatible(txn_id, mode):
             self._grant(state, txn_id, record, mode)
             return True
-        if (policy or self.policy) is LockPolicy.NO_WAIT:
+        if self.policy is LockPolicy.NO_WAIT:
             return False
         # WAIT_DIE: wait only if strictly older than every conflicting holder
         # and every transaction already queued ahead of us.

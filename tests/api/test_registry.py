@@ -153,9 +153,10 @@ def test_protocol_registered_here_works_end_to_end(capsys):
 
     try:
         assert "silo_test_variant" in PROTOCOLS
-        # SystemConfig accepts it and picks up the registered pairing.
-        config = SystemConfig.for_protocol("silo_test_variant")
-        assert config.durability == "coco"
+        # A spec picks up the registered pairing, and SystemConfig accepts it.
+        spec = ScenarioSpec(protocol="silo_test_variant")
+        assert spec.resolved_durability == "coco"
+        SystemConfig(protocol="silo_test_variant", durability=spec.resolved_durability)
         # The CLI lists it.
         assert bench_main(["--list", "protocols"]) == 0
         assert "silo_test_variant" in capsys.readouterr().out

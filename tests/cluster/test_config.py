@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro
 from repro.cluster.config import DURABILITY_SCHEMES, PROTOCOLS, SystemConfig
+from repro.scenario import ScenarioSpec
 
 
 def test_defaults_follow_the_paper_setup():
@@ -46,17 +48,20 @@ def test_every_listed_protocol_and_scheme_is_accepted():
             SystemConfig(protocol=protocol, durability=durability)
 
 
-def test_for_protocol_picks_the_papers_durability_pairings():
-    assert SystemConfig.for_protocol("primo").durability == "wm"
-    assert SystemConfig.for_protocol("sundial").durability == "coco"
-    assert SystemConfig.for_protocol("2pl_nw").durability == "coco"
-    assert SystemConfig.for_protocol("tapir").durability == "sync"
-    assert SystemConfig.for_protocol("aria").durability == "none"
-    assert SystemConfig.for_protocol("silo", durability="clv").durability == "clv"
+def test_specs_pick_the_papers_durability_pairings():
+    for protocol, durability, expected in [
+        ("primo", None, "wm"),
+        ("sundial", None, "coco"),
+        ("2pl_nw", None, "coco"),
+        ("tapir", None, "sync"),
+        ("aria", None, "none"),
+        ("silo", "clv", "clv"),
+    ]:
+        spec = ScenarioSpec(protocol=protocol, durability=durability, scale="tiny")
+        assert spec.resolved_durability == expected
+        assert repro.build(spec).config.durability == expected
 
 
 def test_derived_quantities():
-    config = SystemConfig(workers_per_partition=3, inflight_per_worker=2,
-                          one_way_network_latency_us=80.0)
+    config = SystemConfig(workers_per_partition=3, inflight_per_worker=2)
     assert config.concurrency_per_partition == 6
-    assert config.roundtrip_us == 160.0

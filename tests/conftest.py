@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import SystemConfig
+from repro.scenario import ScenarioSpec
 from repro.storage.partition import PartitionStore
 from repro.workloads.base import TransactionSpec, TxnSource, Workload
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
@@ -22,6 +23,7 @@ from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 def tiny_config(protocol: str = "primo", **overrides) -> SystemConfig:
     """A small, fast configuration for integration-style tests."""
     defaults = dict(
+        durability=ScenarioSpec(protocol=protocol).resolved_durability,
         n_partitions=2,
         workers_per_partition=2,
         inflight_per_worker=1,
@@ -31,7 +33,7 @@ def tiny_config(protocol: str = "primo", **overrides) -> SystemConfig:
         seed=7,
     )
     defaults.update(overrides)
-    return SystemConfig.for_protocol(protocol, **defaults)
+    return SystemConfig(protocol=protocol, **defaults)
 
 
 def tiny_ycsb(**overrides) -> YCSBWorkload:

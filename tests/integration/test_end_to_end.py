@@ -11,13 +11,14 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.config import SystemConfig
+from repro.scenario import ScenarioSpec
 from repro.workloads.ycsb import YCSBConfig, YCSBWorkload
 
 
 def run(protocol, durability=None, ycsb=None, **overrides):
-    config = SystemConfig.for_protocol(
-        protocol,
-        **({"durability": durability} if durability else {}),
+    config = SystemConfig(
+        protocol=protocol,
+        durability=ScenarioSpec(protocol=protocol, durability=durability).resolved_durability,
         n_partitions=overrides.pop("n_partitions", 4),
         workers_per_partition=overrides.pop("workers_per_partition", 2),
         inflight_per_worker=overrides.pop("inflight_per_worker", 2),
@@ -101,9 +102,9 @@ def test_wm_scales_better_than_coco_with_many_partitions():
 
 def test_wm_throughput_is_insensitive_to_watermark_message_delay():
     """Fig. 13a: delaying one partition's watermark broadcasts leaves throughput intact."""
-    config = SystemConfig.for_protocol(
-        "primo", n_partitions=4, workers_per_partition=2, inflight_per_worker=2,
-        duration_us=20_000.0, warmup_us=5_000.0, seed=11,
+    config = SystemConfig(
+        protocol="primo", durability="wm", n_partitions=4, workers_per_partition=2,
+        inflight_per_worker=2, duration_us=20_000.0, warmup_us=5_000.0, seed=11,
     )
     workload = YCSBWorkload(YCSBConfig(keys_per_partition=5_000))
     baseline_cluster = Cluster(config, workload)

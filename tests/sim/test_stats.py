@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.results import RunResult
 from repro.sim.stats import (
     BREAKDOWN_COMPONENTS,
     BreakdownTimer,
@@ -102,19 +103,25 @@ def test_counter_from_dict_coerces_values_to_int():
     assert all(type(v) is int for v in counter.as_dict().values())
 
 
+def as_result(metrics: RunMetrics) -> RunResult:
+    """The run result that derives the reported numbers from ``metrics``."""
+    return RunResult(protocol="primo", durability="wm", workload="ycsb",
+                     n_partitions=1, metrics=metrics)
+
+
 def test_run_metrics_throughput_and_rates():
-    metrics = RunMetrics(duration_us=1_000_000.0, committed=5_000, aborted=1_000)
-    assert metrics.throughput_tps == pytest.approx(5_000.0)
-    assert metrics.throughput_ktps == pytest.approx(5.0)
-    assert metrics.abort_rate == pytest.approx(1_000 / 6_000)
-    assert metrics.crash_abort_rate == 0.0
+    result = as_result(RunMetrics(duration_us=1_000_000.0, committed=5_000, aborted=1_000))
+    assert result.throughput_tps == pytest.approx(5_000.0)
+    assert result.throughput_ktps == pytest.approx(5.0)
+    assert result.abort_rate == pytest.approx(1_000 / 6_000)
+    assert result.crash_abort_rate == 0.0
 
 
 def test_run_metrics_zero_duration_is_safe():
-    metrics = RunMetrics()
-    assert metrics.throughput_tps == 0.0
-    assert metrics.abort_rate == 0.0
-    assert metrics.crash_abort_rate == 0.0
+    result = as_result(RunMetrics())
+    assert result.throughput_tps == 0.0
+    assert result.abort_rate == 0.0
+    assert result.crash_abort_rate == 0.0
 
 
 def test_run_metrics_summary_contains_breakdown():
@@ -122,7 +129,7 @@ def test_run_metrics_summary_contains_breakdown():
     metrics.latency.record(2_000.0)
     metrics.breakdown.add("execute", 10.0)
     metrics.breakdown.finish_transaction()
-    summary = metrics.summary()
+    summary = as_result(metrics).summary()
     assert summary["committed"] == 1
     assert summary["breakdown_us"]["execute"] == pytest.approx(10.0)
     assert summary["mean_latency_ms"] == pytest.approx(2.0)

@@ -16,10 +16,10 @@ def make_manager(policy=LockPolicy.WAIT_DIE):
     return env, LockManager(env, policy)
 
 
-def acquire(env, manager, tid, record, mode, policy=None):
+def acquire(env, manager, tid, record, mode):
     """Acquire, let a queued request run for a while, and return the grant
     flag (``None`` while still waiting)."""
-    outcome = manager.acquire_nowait(tid, record, mode, policy)
+    outcome = manager.acquire_nowait(tid, record, mode)
     if type(outcome) is bool:
         return outcome
     env.run(until=env.now + 1_000)
