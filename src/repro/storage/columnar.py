@@ -18,12 +18,13 @@ number, so there is no key map and ``get`` is one bounds check and one slot
 read.  A loaded row costs only its slot until a transaction touches it.  On
 the million-key tiers most rows are never read (a ``ycsb_sundial_1m`` pass
 at seed 42 touches 54,052 of 1,000,000), so a row that was loaded from a
-template and never accessed has no cells of its own: its slot is -1 and
-its values are the template's.  The first :meth:`ColumnarTable.get` of such
-a row *materializes* it — appends the template's cells and zeroed metadata
-to the arrays and records the slot — and from then on it is an ordinary
-row.  Membership, ``len``, :meth:`~ColumnarTable.keys` and
-:attr:`~ColumnarTable.nbytes` materialize nothing.
+template and never accessed has no cells of its own: its slot is 0, which
+names the *template row*, physical row 0 of the arrays.  The first
+:meth:`ColumnarTable.get` of such a row *materializes* it — appends a copy of
+row 0's cells and zeroed metadata to the arrays and records the slot — and
+from then on it is an ordinary row.  Membership, ``len``,
+:meth:`~ColumnarTable.keys` and :attr:`~ColumnarTable.nbytes` materialize
+nothing.
 
 The columnar table sits behind the ``Table``/``Record`` interface the
 protocols read and update through: :meth:`ColumnarTable.get` hands back a
@@ -45,12 +46,13 @@ it everywhere).
 
 Loading.  :meth:`ColumnarTable.insert_many` (the loaders' entry point, same
 signature on :class:`~repro.storage.table.Table`) loads a table once, with
-``range(0, n)`` into the empty table: the template row is checked once, its
-converted cells become the table's one template, and the slot array is one
-``array * n`` of -1, built once and not copied.  No column or metadata array
-grows at all, and the call makes O(columns) Python-level operations for any
-number of rows.  Any other key collection, and any load into a loaded
-table, raises :class:`TableError`.
+``range(0, n)`` into the empty table: the row is checked once and written as
+row 0, and the slot array is a private anonymous mapping of ``n`` slots.  The
+kernel hands out a zero page on a page's first touch, so the load writes no
+slot and makes O(columns) Python-level operations for any number of rows;
+``MAP_PRIVATE`` keeps a forked worker's writes its own.  tracemalloc does not
+see the mapping (RSS and :attr:`~ColumnarTable.nbytes` do).  Any other key
+collection, and any load into a loaded table, raises :class:`TableError`.
 
 Simulation semantics are backend-independent by construction: the columnar
 path stores the same values, applies the same missing-key errors, and never
@@ -60,6 +62,7 @@ either backend (pinned by ``tests/integration``).
 
 from __future__ import annotations
 
+import mmap
 import reprlib
 from array import array
 from operator import itemgetter
@@ -220,8 +223,8 @@ class ColumnarRecord(tuple):
 class ColumnarTable:
     """Array-backed fixed-schema table over the dense keys ``0..n-1``.
 
-    A *row* is a key (``0..n-1``); a *slot* is where a materialized row's
-    cells sit in the physical arrays.  Rows are loaded by one
+    A *row* is a key (``0..n-1``); a *slot* is where a row's cells sit in
+    the physical arrays, slot 0 being the template row.  Rows are loaded by one
     :meth:`insert_many`, read and updated through :meth:`get`, and never
     removed.
     """
@@ -230,7 +233,7 @@ class ColumnarTable:
         self.name = name
         self.schema = schema
         # One array per column, plus flat metadata arrays, indexed by slot:
-        # they hold materialized rows only.
+        # slot 0 is a loaded table's template row, the rest materialized rows.
         self._by_name: dict[str, array] = {
             col: array(_TYPECODES[kind]) for col, kind in schema.columns
         }
@@ -238,10 +241,9 @@ class ColumnarTable:
         self._wts = array("d")
         self._rts = array("d")
         self._version = array("q")
-        # Row -> slot; -1 while a loaded row is still its template row,
-        # whose cells are the load's template.
-        self._slot = array("i")
-        self._template: tuple = ()
+        self._arrays = (*self._by_name.values(), self._wts, self._rts, self._version)
+        # Row -> slot; 0 while a loaded row is still the template row.
+        self._slot = memoryview(b"").cast("i")
         # len(self._slot), kept as an attribute: every get reads it.
         self._n_rows = 0
 
@@ -256,31 +258,24 @@ class ColumnarTable:
     def nbytes(self) -> int:
         """Approximate bytes held by the backing arrays (diagnostics).
 
-        The slot array and the materialized rows; the template's cells are
-        O(columns) and not counted."""
-        total = len(self._slot) * self._slot.itemsize
-        for _, col in self._columns:
-            total += len(col) * col.itemsize
-        for meta in (self._wts, self._rts, self._version):
-            total += len(meta) * meta.itemsize
-        return total
+        The slot mapping (all of it, touched or not) and the materialized
+        rows; the template row is O(columns) and not counted."""
+        rows = max(len(self._wts) - 1, 0)
+        return self._slot.nbytes + rows * sum(arr.itemsize for arr in self._arrays)
 
     # -- template rows -------------------------------------------------------
     def _materialize(self, row: int) -> int:
-        """Give template row ``row`` cells of its own; returns its new slot."""
+        """Give template row ``row`` a copy of slot 0; returns its new slot."""
         slot = self._slot[row] = len(self._wts)
-        for (_, arr), cell in zip(self._columns, self._template):
-            arr.append(cell)
-        self._wts.append(0.0)
-        self._rts.append(0.0)
-        self._version.append(0)
+        for arr in self._arrays:
+            arr.append(arr[0])
         return slot
 
     # -- record access -------------------------------------------------------
     def get(self, key) -> Optional[ColumnarRecord]:
         if type(key) is int and 0 <= key < self._n_rows:
             slot = self._slot[key]
-            if slot < 0:
+            if not slot:
                 slot = self._materialize(key)
             return ColumnarRecord((self, slot, key))
         return None
@@ -336,8 +331,10 @@ class ColumnarTable:
                 f"{self._n_rows} rows loaded"
             )
         if keys:
-            self._template = self._cells_of(row)
-            self._slot = array("i", [-1]) * len(keys)
+            for arr, cell in zip(self._arrays, self._cells_of(row) + (0.0, 0.0, 0)):
+                arr.append(cell)
+            self._slot = memoryview(
+                mmap.mmap(-1, 4 * len(keys), flags=mmap.MAP_PRIVATE)).cast("i")
             self._n_rows = len(keys)
 
     def keys(self) -> Iterator[int]:

@@ -119,25 +119,25 @@ def test_empty_fault_plans_normalize_to_none():
 
 
 # ---------------------------------------------------------------------------
-# Pre-plan golden pins (each test is named after the retired knob its golden
-# was captured from)
+# Pre-plan golden pins (each golden was captured from the retired scalar knob
+# its fault kind replaced)
 # ---------------------------------------------------------------------------
 
-def test_legacy_message_delay_knob_matches_pre_plan_golden():
+def test_message_delay_fault_matches_its_pre_plan_golden():
     spec = ScenarioSpec(
         protocol="primo", scale="tiny",
         faults=[fault("message_delay", target=1, delay_us=5_000.0)])
     assert counts(repro.run(spec)) == LEGACY_GOLDENS["message_delay"]
 
 
-def test_legacy_slow_partition_knob_matches_pre_plan_golden():
+def test_slow_partition_fault_matches_its_pre_plan_golden():
     spec = ScenarioSpec(
         protocol="primo", scale="tiny",
         faults=[fault("slow_partition", target=1, delay_us=200.0)])
     assert counts(repro.run(spec)) == LEGACY_GOLDENS["slow_partition"]
 
 
-def test_legacy_crash_config_matches_pre_plan_golden():
+def test_crash_fault_matches_its_pre_plan_golden():
     spec = ScenarioSpec(
         protocol="primo", scale="tiny",
         faults=[fault("crash", at_us=4_000.0, target=1)],

@@ -259,11 +259,9 @@ _PAIR_OVERRIDES = {"mixed": {"components": [["ycsb", 0.7], ["tatp", 0.3]]}}
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY.names()))
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_REGISTRY.names()))
-def test_run_spec_matches_run_config_bit_identically(protocol, workload):
+def test_run_drives_every_protocol_workload_pair(protocol, workload):
     """``repro.run`` drives every registered (protocol × workload) pair at
-    TINY_SCALE.  (The name predates the removal of the second entry point it
-    was compared with; it is kept because the test-floor list pins its 35
-    ids.)"""
+    TINY_SCALE, and the config override reaches the cluster."""
     spec = ScenarioSpec(protocol=protocol, workload=workload, scale=TINY_SCALE,
                         workload_overrides=_PAIR_OVERRIDES.get(workload, {}),
                         config_overrides={"n_partitions": 2})

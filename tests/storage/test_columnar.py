@@ -98,8 +98,8 @@ def test_non_numeric_write_to_an_existing_row_raises_table_error():
 
 
 def rectangular(table):
-    """The physical arrays hold one cell per materialized row each, and the
-    slot array one entry per row."""
+    """The physical arrays hold one cell per materialized row each (plus a
+    loaded table's template row, slot 0), and the slot array one entry per row."""
     lengths = {len(arr) for _, arr in table._columns}
     lengths |= {len(table._wts), len(table._rts), len(table._version)}
     return len(lengths) == 1 and len(table._slot) == len(table)
@@ -123,7 +123,7 @@ def test_out_of_range_value_is_a_table_error_like_a_non_numeric_one(huge, col):
     with pytest.raises(TableError, match=message):
         dense.insert_many(range(4), bad)     # nothing loaded
     assert len(dense) == 0 and rectangular(dense)
-    assert not dense._template
+    assert len(dense._wts) == 0  # no template row was written
     dense.insert_many(range(4), good)
     assert len(dense) == 4 and rectangular(dense)
     # A template row takes the same errors once materialized.
@@ -232,7 +232,7 @@ def test_a_key_outside_the_dense_range_is_absent(key):
     assert key not in table and table.get(key) is None
     with pytest.raises(TableError, match="not found"):
         table.require(key)
-    assert len(table._wts) == 0  # nothing was materialized
+    assert len(table._wts) - 1 == 0  # nothing was materialized beside the template row
 
 
 # -- template rows: bulk-loaded, materialized on first access ------------------
@@ -244,7 +244,7 @@ def test_membership_length_and_keys_materialize_nothing():
     assert 0 in table and 99 in table and 100 not in table and "x" not in table
     assert len(table) == 100
     assert list(table.keys()) == list(range(100))
-    assert table.nbytes == before and len(table._wts) == 0
+    assert table.nbytes == before and len(table._wts) - 1 == 0
 
 
 def test_bulk_loaded_table_behaves_like_a_dict_table_under_a_seeded_sequence():
@@ -295,8 +295,8 @@ def test_bulk_loaded_table_behaves_like_a_dict_table_under_a_seeded_sequence():
         assert mine.read() == theirs.read()
         assert len(columnar) == len(reference)
         assert list(columnar.keys()) == list(reference.keys())
-    # The rows never operated on still cost only their slot.
-    assert [row for row, slot in enumerate(columnar._slot) if slot < 0] == sorted(
+    # The rows never operated on still cost only their slot, which names slot 0.
+    assert [row for row, slot in enumerate(columnar._slot) if slot == 0] == sorted(
         set(range(80)) - set(touched))
     assert rectangular(columnar)
     for key in reference.keys():

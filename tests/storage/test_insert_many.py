@@ -3,13 +3,16 @@
 On the dict-backed table it is one ``Table.load`` and reads like the
 reference loop ``for k in keys: insert(k, row)``, except that a duplicate key
 loads nothing.  A columnar table takes one load, ``range(0, n)`` into the
-empty table, records it as template rows — a 4-byte slot each, cells only
-once a row is first accessed — and raises :class:`TableError` for any other
+empty table, records it as template rows — a 4-byte slot each, 0 naming the
+template row written once at slot 0, cells of its own only once a row is
+first accessed — and raises :class:`TableError` for any other
 key collection and for a second load, loading nothing.  These tests require
 a columnar load to read like the dict load — same rows, timestamps, versions
 and errors — before and after the operations a run applies.
 """
 
+import os
+import resource
 import sys
 
 import pytest
@@ -51,6 +54,11 @@ def observed(table):
     }
 
 
+def template(table):
+    """Row 0's cells: a loaded columnar table's template row, () when empty."""
+    return tuple(cell for _, col in table._columns for cell in col[:1])
+
+
 def raw(table):
     """A columnar table's physical state: the arrays and the template."""
     return {
@@ -59,7 +67,7 @@ def raw(table):
         "rts": table._rts.tolist(),
         "version": table._version.tolist(),
         "slot": table._slot.tolist(),
-        "template": table._template,
+        "template": template(table),
         "len": len(table),
         "nbytes": table.nbytes,
     }
@@ -114,9 +122,10 @@ def test_only_a_dense_continuing_range_is_vectorised(shape):
     empty = raw(table)
     if shape in CONTINUING:
         table.insert_many(keys, ROW)
-        assert len(table) == len(keys) and len(table._wts) == 0
+        # Nothing is materialized: the metadata holds the template row alone.
+        assert len(table) == len(keys) and table._wts.tolist() == ([0.0] if keys else [])
         assert table.nbytes == table._slot.itemsize * len(keys)
-        assert table._template == ((7, 2.5) if keys else ())
+        assert template(table) == ((7, 2.5) if keys else ())
     else:
         with pytest.raises(TableError, match=ONE_LOAD + " with 0 rows loaded"):
             table.insert_many(keys, ROW)
@@ -157,7 +166,7 @@ def test_a_loaded_columnar_table_refuses_a_second_load():
         table.insert_many(range(0, 0), second)   # empty: loads nothing
         table.insert_many(range(0, 30), first)
     assert observed(columnar) == observed(reference)
-    assert columnar._template == (1, 1.0)
+    assert template(columnar) == (1, 1.0)
     before = raw(columnar)
     for keys in (range(30, 60), range(0, 30), range(0, 0)):
         with pytest.raises(TableError, match=ONE_LOAD + " with 30 rows loaded"):
@@ -180,7 +189,7 @@ def test_a_bulk_load_costs_at_most_5_bytes_per_row():
     table = ColumnarTable("t", SCHEMA)
     table.insert_many(range(100_000), ROW)
     assert table.nbytes <= 5 * 100_000
-    assert len(table._wts) == 0 and len(table) == 100_000
+    assert len(table._wts) - 1 == 0 and len(table) == 100_000
 
 
 def test_each_first_get_materializes_exactly_one_row():
@@ -189,13 +198,53 @@ def test_each_first_get_materializes_exactly_one_row():
     assert table.nbytes == table._slot.itemsize * 2_000  # no cells yet
     for n, key in enumerate((1_999, 0, 500, 1_000, 999), start=1):
         first = table.get(key)
-        assert len(table._wts) == n and table._slot[key] == n - 1
-        assert table.get(key) == first and len(table._wts) == n  # second get: none
+        assert len(table._wts) - 1 == n and table._slot[key] == n
+        assert table.get(key) == first and len(table._wts) - 1 == n  # second get: none
         assert first.value == ROW
         assert (first.wts, first.rts, first.version) == (0.0, 0.0, 0)
     # Each materialized row costs its cells and metadata: 2 columns x 8 B
     # and wts, rts, version x 8 B.
     assert table.nbytes == table._slot.itemsize * 2_000 + 5 * (5 * 8)
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def test_a_load_touches_no_slot_page():
+    """A million-row load maps ≈ 980 pages of slots and writes none of them:
+    the kernel supplies each page zeroed on its first touch.  ``nbytes`` still
+    counts the whole mapping."""
+    table, row = ColumnarTable("t", SCHEMA), dict(ROW)
+    before = minor_faults()
+    table.insert_many(range(1_000_000), row)
+    faults = minor_faults() - before
+    assert faults < 32, f"a load took {faults} minor page faults"
+    assert table.nbytes == 4 * 1_000_000
+    assert table.get(999_999).value == ROW and table._slot[999_999] == 1
+
+
+def test_slot_memory_is_private_across_fork():
+    """A forked worker materializes and writes rows of a table its parent
+    loaded; the parent's slots still name the template row, and its arrays
+    are unchanged."""
+    table = ColumnarTable("t", SCHEMA)
+    table.insert_many(range(5_000), ROW)
+    before = raw(table)
+    pid = os.fork()
+    if pid == 0:   # the child: never returns into the test runner
+        status = 1
+        try:
+            for key in (0, 1_234, 4_999):
+                record = table.get(key)
+                record.wts, record.version = 5.0, 3
+            status = 0 if table._slot[4_999] == 3 else 2
+        finally:
+            os._exit(status)
+    _, wait_status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(wait_status) == 0
+    assert not any(table._slot) and len(table._wts) == 1
+    assert raw(table) == before
 
 
 # -- rejected input ------------------------------------------------------------
