@@ -14,7 +14,7 @@ throughput and the latency tail at 0.5x / 0.8x / 1.0x / 1.2x of saturation::
 
 Arrival kinds are registered through :func:`repro.registry.register_arrival`
 exactly like protocols and workloads; the built-ins are ``closed`` (the
-default — bit-identical to the historical worker loop, with an optional
+default — every service fiber draws from its own stream, with an optional
 ``think_time_us`` pause turning it into the classic N-interactive-clients
 model), ``poisson`` (memoryless arrivals), ``deterministic`` (evenly
 spaced), and ``bursty`` (a flash crowd: a mid-run rate burst with an
@@ -25,12 +25,13 @@ own rate.
 
 Runtime shape (see :func:`start_open_loop`): per partition, arrival streams
 push their arrivals into a bounded :class:`AdmissionQueue`; the partition's
-service fibers (the same count the closed loop would run) drain the queue
-through the ordinary protocol/durability path.  Latency is measured from
-*arrival* time, so every reported percentile includes queueing delay, and
-arrivals beyond a full queue are dropped and counted (``arrivals_dropped``) —
-the cluster sheds load instead of queueing unboundedly once offered load
-exceeds capacity.
+``concurrency_per_partition`` service fibers — the closed loop's
+:func:`~repro.cluster.worker.service_loop`, taking from the queue instead of
+their own stream — drain it through the ordinary protocol/durability path.
+Latency is measured from *arrival* time, so every reported percentile
+includes queueing delay, and arrivals beyond a full queue are dropped and
+counted (``arrivals_dropped``) — the cluster sheds load instead of queueing
+unboundedly once offered load exceeds capacity.
 
 Determinism: each stream owns one gap RNG (derived from the run seed, the
 arrival kind, the stream label and the partition via ``stable_hash``) and one
@@ -281,12 +282,12 @@ class ArrivalContext:
                 "interactive pause between a response and the next request",
 )
 class ClosedLoop:
-    """The closed loop runs through the historical worker path.
+    """The closed loop: each service fiber takes from its own stream.
 
     With the default ``think_time_us=0`` this is exactly the legacy
     back-to-back worker pool (:meth:`ArrivalSpec.coerce` normalizes the spec
     to ``None``, so results, JSON and orchestrator cache keys are untouched).
-    A positive think time turns each worker fiber into the classic
+    A positive think time turns each service fiber into the classic
     interactive-client model: after a transaction completes, the client
     "thinks" for the fixed pause before issuing its next request, so offered
     load scales with the client count *and* per-client latency
@@ -509,7 +510,7 @@ def start_open_loop(cluster: "Cluster") -> None:
     ``concurrency_per_partition`` service fibers — the same execution width
     the closed loop would run, so saturation is comparable across modes.
     """
-    from .cluster.worker import open_worker_loop  # cluster package import cycle
+    from .cluster.worker import service_loop  # cluster package import cycle
 
     spec = cluster.arrival
     config = cluster.config
@@ -538,6 +539,6 @@ def start_open_loop(cluster: "Cluster") -> None:
             ))
         for fiber_id in range(config.concurrency_per_partition):
             cluster.fibers.append(env.process(
-                open_worker_loop(cluster, server, queue),
+                service_loop(cluster, server, queue.take, queue.wait),
                 name=f"service-p{partition_id}-{fiber_id}",
             ))

@@ -21,7 +21,7 @@ import gc
 from collections import defaultdict
 from typing import Optional
 
-from ..arrivals import AdmissionQueue, ArrivalSpec, start_open_loop
+from ..arrivals import AdmissionQueue, ArrivalSpec, ClosedLoop, start_open_loop
 from ..commit import create_durability_scheme
 from ..commit.base import CommitReceipt
 from ..faults import FaultPlan, FaultScheduler
@@ -38,7 +38,7 @@ from .config import SystemConfig
 from .recovery import RecoveryCoordinator
 from .results import RunResult
 from .server import Server, follower_node_base
-from .worker import worker_loop
+from .worker import service_loop
 
 __all__ = ["Cluster"]
 
@@ -307,21 +307,19 @@ class Cluster:
             return
         # Closed loop; a non-None arrival here is "closed" with think time
         # (ArrivalSpec.coerce normalizes the trivial think_time_us=0 form to
-        # None, so this branch cost exists only for genuinely thinking runs).
-        think_time_us = 0.0
-        if self.arrival is not None:
-            think_time_us = float(
-                self.arrival.effective_params().get("think_time_us", 0.0))
+        # None).
+        think_time_us = (0.0 if self.arrival is None
+                         else ClosedLoop.think_time_us(self.arrival))
+        env = self.env
         for partition_id, server in self.servers.items():
-            for worker_id in range(self.config.workers_per_partition):
-                for fiber_id in range(self.config.inflight_per_worker):
-                    stream_id = worker_id * self.config.inflight_per_worker + fiber_id
-                    source = self.new_txn_source(partition_id, stream_id)
-                    self.fibers.append(self.env.process(
-                        worker_loop(self, server, source,
-                                    think_time_us=think_time_us),
-                        name=f"worker-p{partition_id}-{stream_id}",
-                    ))
+            for stream_id in range(self.config.concurrency_per_partition):
+                next_spec = self.new_txn_source(partition_id, stream_id).next
+                self.fibers.append(env.process(
+                    service_loop(self, server,
+                                 lambda next_spec=next_spec: (env._now, next_spec()),
+                                 None, think_time_us),
+                    name=f"worker-p{partition_id}-{stream_id}",
+                ))
 
     def _messages_sent(self) -> int:
         return self.counters.get("rpc_calls") + self.counters.get("one_way_messages")

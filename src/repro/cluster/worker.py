@@ -1,15 +1,16 @@
-"""Worker fibers: the transaction drivers on every partition.
+"""Service fibers: the transaction drivers on every partition.
 
-Each partition runs ``workers_per_partition × inflight_per_worker`` fibers in
-one of two modes sharing a single retry body (:func:`_drive`):
+Each partition runs ``concurrency_per_partition`` fibers of one loop,
+:func:`service_loop`, which differs between modes only in where a fiber takes
+its next transaction from:
 
-* **closed loop** (:func:`worker_loop`, the default): a fiber repeatedly
-  takes the next transaction from its own workload stream and drives it
-  back-to-back — offered load is whatever the system sustains.
-* **open loop** (:func:`open_worker_loop`, :mod:`repro.arrivals`): fibers
-  drain the partition's bounded admission queue, fed by schedulable arrival
-  processes.  Latency is measured from *arrival* time, so queueing delay is
-  part of every reported percentile — the offered-load methodology.
+* **closed loop** (the default): from its own workload stream, back-to-back
+  (or after a fixed think time) — offered load is whatever the system
+  sustains.
+* **open loop** (:mod:`repro.arrivals`): from the partition's bounded
+  admission queue, fed by schedulable arrival processes.  Latency is
+  measured from *arrival* time, so queueing delay is part of every reported
+  percentile — the offered-load methodology.
 
 A fiber drives each transaction through the cluster's protocol with
 exponential back-off on aborts (§6.1.3), hands the committed transaction to
@@ -36,22 +37,19 @@ from ..txn.transaction import AbortReason
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
     from .server import Server
-    from ..arrivals import AdmissionQueue
-    from ..workloads.base import TxnSource
 
-__all__ = ["open_worker_loop", "worker_loop"]
+__all__ = ["service_loop"]
 
 
-def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
-           queue_wait_us=None) -> Generator:
+def _drive(cluster: "Cluster", server: "Server", spec,
+           arrival_us: float) -> Generator:
     """Drive one transaction spec to completion with retry/back-off.
 
-    The shared body of both fiber modes.  ``first_start`` anchors the
-    end-to-end latency measurement: the draw instant in the closed loop, the
-    *arrival* instant in the open loop (where ``queue_wait_us`` additionally
-    surfaces the admission-queue delay as a breakdown component; the closed
-    loop passes ``None`` so its breakdowns stay byte-identical to before the
-    open loop existed).
+    ``arrival_us`` anchors the end-to-end latency measurement: the draw
+    instant in the closed loop, the queued *arrival* instant in the open
+    loop.  The time from it to now is the ``queue`` breakdown component —
+    exactly 0 in the closed loop, which :meth:`Transaction.add_breakdown`
+    does not record.
     """
     config = cluster.config
     protocol = cluster.protocol
@@ -63,6 +61,7 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
     timeout = env.timeout
     backoff_us = config.backoff_initial_us
     total_backoff = 0.0
+    queue_us = env._now - arrival_us
 
     for _attempt in range(config.max_retries):
         if cluster.stopped or server.crashed:
@@ -70,7 +69,7 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
         if cluster.pause_event is not None and not cluster.pause_event.triggered:
             yield cluster.pause_event
         txn = new_transaction(spec.name)
-        txn.first_start_time = first_start
+        txn.first_start_time = arrival_us
         txn.read_only = spec.read_only
         txn.start_time = env._now
         durability.transaction_begin(server)
@@ -87,8 +86,7 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
         if committed:
             txn.add_breakdown("execute", txn.execute_end_time - txn.start_time)
             txn.add_breakdown("backoff", total_backoff)
-            if queue_wait_us is not None:
-                txn.add_breakdown("queue", queue_wait_us)
+            txn.add_breakdown("queue", queue_us)
             overhead = durability.execution_overhead_us(txn)
             if overhead > 0:
                 yield timeout(overhead)
@@ -106,25 +104,32 @@ def _drive(cluster: "Cluster", server: "Server", spec, first_start: float,
         backoff_us = min(backoff_us * config.backoff_multiplier, config.backoff_max_us)
 
 
-def worker_loop(cluster: "Cluster", server: "Server", source: "TxnSource",
-                think_time_us: float = 0.0) -> Generator:
-    """The closed-loop driver for one worker fiber.
+def service_loop(cluster: "Cluster", server: "Server", take, wait,
+                 think_time_us: float = 0.0) -> Generator:
+    """One service fiber: take a transaction, drive it, repeat.
+
+    ``take()`` returns ``(arrival_us, spec)``, or ``None`` when there is
+    nothing to do, in which case the fiber yields the event ``wait()``
+    returns.  The closed loop's ``take`` draws from the fiber's own stream
+    at the current instant and never returns ``None`` (its ``wait`` is
+    unused); the open loop's pair is :meth:`AdmissionQueue.take` /
+    :meth:`AdmissionQueue.wait`.
 
     ``think_time_us`` is the interactive-client pause (``arrival={"kind":
     "closed", "think_time_us": ...}``): after each transaction completes the
-    fiber sleeps that long before drawing its next request, the classic
+    fiber sleeps that long before taking its next request, the classic
     N-clients model where offered load is governed by the client count and
-    the think time.  The default 0 takes no extra branch on the hot path, so
-    the historical back-to-back loop stays bit-identical.
+    the think time.
     """
     config = cluster.config
     durability = cluster.durability
     env = cluster.env
-    next_spec = source.next
 
     while not cluster.stopped:
         if server.crashed:
-            # The partition leader is down: idle until fail-over completes.
+            # The partition leader is down: idle until fail-over completes
+            # (open-loop arrivals keep queueing — and dropping once the
+            # queue fills).
             yield env.timeout(config.heartbeat_interval_us)
             continue
         if cluster.pause_event is not None and not cluster.pause_event.triggered:
@@ -136,44 +141,11 @@ def worker_loop(cluster: "Cluster", server: "Server", source: "TxnSource",
             yield gate
             continue
 
-        spec = next_spec()
-        yield from _drive(cluster, server, spec, env._now)
-        if think_time_us > 0.0:
-            yield env.timeout(think_time_us)
-
-
-def open_worker_loop(cluster: "Cluster", server: "Server",
-                     queue: "AdmissionQueue") -> Generator:
-    """The open-loop service fiber: drain the partition's admission queue.
-
-    ``queue.take()`` hands over the oldest arrival with its transaction,
-    drawn from the arrival's source on dequeue (or earlier, in arrival order,
-    if a drop or a skew shift came first); this fiber executes it, anchoring
-    latency at the queued arrival time so the reported percentiles include
-    admission-queue delay.
-    """
-    config = cluster.config
-    durability = cluster.durability
-    env = cluster.env
-
-    while not cluster.stopped:
-        if server.crashed:
-            # The partition leader is down: idle until fail-over completes
-            # (arrivals keep queueing — and dropping once the queue fills).
-            yield env.timeout(config.heartbeat_interval_us)
-            continue
-        if cluster.pause_event is not None and not cluster.pause_event.triggered:
-            yield cluster.pause_event
-            continue
-        gate = durability.admission_gate(server)
-        if gate is not None:
-            yield gate
-            continue
-
-        item = queue.take()
+        item = take()
         if item is None:
-            yield queue.wait()
+            yield wait()
             continue
         arrival_us, spec = item
-        yield from _drive(cluster, server, spec, arrival_us,
-                          queue_wait_us=env._now - arrival_us)
+        yield from _drive(cluster, server, spec, arrival_us)
+        if think_time_us > 0.0:
+            yield env.timeout(think_time_us)

@@ -31,7 +31,8 @@ class TransactionSpec:
 
 
 class TxnSource(abc.ABC):
-    """An endless, deterministic stream of transactions for one worker fiber.
+    """An endless, deterministic stream of transactions for one service
+    fiber (closed loop) or one arrival stream (open loop).
 
     Draw-order contract
     -------------------

@@ -19,6 +19,8 @@ open-loop runtime:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import repro
@@ -27,6 +29,7 @@ from repro.arrivals import (
     CLOSED, AdmissionQueue, ArrivalContext, ArrivalSpec, arrival,
 )
 from repro.cluster.cluster import Cluster
+from repro.cluster.worker import service_loop
 from repro.registry import ARRIVAL_REGISTRY, UnknownNameError
 from repro.scenario import build, sweep
 from repro.sim.engine import Environment
@@ -223,6 +226,26 @@ def test_think_time_validation():
 # ---------------------------------------------------------------------------
 # Open-loop runtime semantics
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("arrival_value", [
+    None, arrival("closed", think_time_us=800), arrival("poisson", 50_000),
+], ids=["closed", "closed-think", "poisson"])
+def test_every_arrival_mode_runs_the_closed_loop_width(arrival_value):
+    """Each partition runs ``concurrency_per_partition`` service fibers in
+    every mode, so saturation is comparable; arrival streams are extra."""
+    cluster = Cluster(tiny_config(workers_per_partition=3, inflight_per_worker=2),
+                      tiny_ycsb(), arrival=arrival_value)
+    cluster.start()
+    width = Counter()
+    for fiber in cluster.fibers:
+        if fiber._generator.gi_code is service_loop.__code__:
+            server = fiber._generator.gi_frame.f_locals["server"]
+            width[server.partition_id] += 1
+    assert width == {pid: 6 for pid in cluster.servers}
+    streams = [f for f in cluster.fibers if f.name.startswith("arrival-")]
+    open_loop = arrival_value is not None and arrival_value.open_loop
+    assert len(streams) == (len(cluster.servers) if open_loop else 0)
+
 
 def test_open_loop_run_counts_offered_arrivals():
     cluster, result = run_open_tiny(arrival("poisson", 50_000))
