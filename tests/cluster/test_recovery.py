@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.faults import fault
+from repro.scenario import ScenarioSpec, build
 
 from tests.conftest import TransferWorkload, elections, tiny_config, tiny_ycsb
 
@@ -111,3 +112,45 @@ def test_no_crash_injection_when_not_configured():
     result = cluster.run()
     assert result.metrics.counters.get("crashes_injected") == 0
     assert result.metrics.crash_aborted == 0
+
+
+#: One crash under each durability scheme: (committed, aborted,
+#: crash_aborted, env.now) and the recovery counters of the run.  The
+#: scenario files crash only under each protocol's default scheme, so these
+#: goldens are the one place a crash runs under CLV, sync and none.
+SCHEME_GOLDENS = {
+    "wm": ((1100, 59, 9, 52000.0),
+           {"recovery_rolled_back": 10, "recovery_redelivered": 0,
+            "recovery_durable": 639, "recoveries_completed": 1,
+            "recovery_time_us": 400}),
+    "coco": ((633, 52, 638, 52000.0),
+             {"recovery_rolled_back": 772, "recovery_redelivered": 0,
+              "recoveries_completed": 1, "recovery_time_us": 400}),
+    "clv": ((991, 50, 4, 52000.0),
+            {"recovery_rolled_back": 643, "recovery_redelivered": 0,
+             "recoveries_completed": 1, "recovery_time_us": 400}),
+    "sync": ((1104, 59, 5, 52000.0),
+             {"recovery_rolled_back": 772, "recovery_redelivered": 0,
+              "recoveries_completed": 1, "recovery_time_us": 400}),
+    "none": ((1109, 59, 0, 52000.0),
+             {"recovery_rolled_back": 772, "recovery_redelivered": 0,
+              "recoveries_completed": 1, "recovery_time_us": 400}),
+}
+
+
+@pytest.mark.parametrize("durability", list(SCHEME_GOLDENS))
+def test_one_crash_under_each_scheme_matches_its_golden(durability):
+    spec = ScenarioSpec(
+        protocol="sundial", workload="ycsb", durability=durability, scale="tiny",
+        config_overrides={"seed": 42, "duration_us": 20_000.0,
+                          "heartbeat_interval_us": 500.0,
+                          "heartbeat_timeout_us": 2_000.0},
+        faults=[fault("crash", at_us=9_000.0, target=1)],
+    )
+    cluster = build(spec)
+    result = cluster.run()
+    counts, recovery = SCHEME_GOLDENS[durability]
+    assert (result.committed, result.aborted, result.metrics.crash_aborted,
+            cluster.env.now) == counts
+    assert {name: value for name, value in result.metrics.counters.as_dict().items()
+            if name.startswith(("recovery_", "recoveries_"))} == recovery
