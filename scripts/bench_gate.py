@@ -3,9 +3,8 @@
 
 Runs five fixed-seed end-to-end rows (YCSB closed and open loop, TPC-C, the
 million-key tapir tier and the standard fault storm) and records each row's
-simulated counts and tracemalloc peak in the committed
-``BENCH_substrate.json``.  Host time is not measured here: walls belong to
-``python -m perf.run``.
+simulated counts and memory peak in the committed ``BENCH_substrate.json``.
+Host time is not measured here: walls belong to ``python -m perf.run``.
 
 ``python scripts/bench_gate.py`` measures and (over)writes the file.
 ``python scripts/bench_gate.py --check`` measures and fails when a row's
@@ -16,9 +15,11 @@ the baseline file, a row or a field is missing.  An intentional change
 regenerates the baseline in the same commit.  ``--summary FILE`` (default:
 ``$GITHUB_STEP_SUMMARY`` when set) appends the verdict as Markdown.
 
-Every row runs twice, untraced and under tracemalloc (which gives
-``mem_peak_mb``); the two runs' correctness fields must be identical, or the
-simulator lost determinism within one process and the gate fails.
+Every row runs twice, untraced and under tracemalloc; the two runs'
+correctness fields must be identical, or the simulator lost determinism
+within one process and the gate fails.  ``mem_peak_mb`` is the traced run's
+tracemalloc peak plus the bytes of its columnar tables' slot arrays: a slot
+array is an anonymous mapping, which tracemalloc does not see.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
 from repro.bench.experiments import storm_duration_us  # noqa: E402
+from repro.storage.columnar import ColumnarTable  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_substrate.json"
 # Bumped whenever a row gains or loses a field.  v8 holds counts and
 # ``mem_peak_mb`` only: host time is measured by ``perf/``.
 SCHEMA_VERSION = 8
-#: A row fails when its tracemalloc peak exceeds the baseline's by more than
-#: this fraction.  tracemalloc counts allocator bytes, not time, so the
-#: ceiling means the same on any machine.
+#: A row fails when its memory peak exceeds the baseline's by more than
+#: this fraction.  The peak counts bytes, not time, so the ceiling means
+#: the same on any machine.
 MEM_TOLERANCE = 0.30
 REGENERATE = ("If intentional, regenerate the baseline with "
               "`python scripts/bench_gate.py` in this commit.")
@@ -89,7 +91,8 @@ def _arrival_stamp(arrival) -> str:
 
 
 def run_e2e(row: E2ERow, traced: bool = False) -> dict:
-    """One fixed-seed end-to-end run; ``traced`` adds ``mem_peak_mb``."""
+    """One fixed-seed end-to-end run; ``traced`` adds ``mem_peak_mb``
+    (module docstring)."""
     spec = repro.ScenarioSpec(protocol=row.protocol, workload=row.workload,
                               scale=row.scale, arrival=row.arrival)
     if row.faults == "standard_storm":
@@ -126,7 +129,10 @@ def run_e2e(row: E2ERow, traced: bool = False) -> dict:
         }
         if traced:
             _, peak = tracemalloc.get_traced_memory()
-            sample["mem_peak_mb"] = round(peak / 2**20, 1)
+            mapped = sum(table._slot.nbytes for server in cluster.servers.values()
+                         for table in server.store.tables.values()
+                         if isinstance(table, ColumnarTable))
+            sample["mem_peak_mb"] = round((peak + mapped) / 2**20, 1)
     finally:
         if traced:
             tracemalloc.stop()

@@ -18,6 +18,10 @@ notification and runs the paper's recovery sequence:
    partitions' logs, everything below is acknowledged;
 4. normal processing resumes.
 
+Crash state lives on ``Server`` (``crashed``, ``partition_watermark``); the
+scheme's crash hooks are ``notify_crash`` (run by ``Server.crash()``) and
+``resolve_after_crash`` (step 3 here).
+
 The history these steps read is bounded, and this module alone decides
 where: :meth:`RecoveryCoordinator.forget_unreadable_history`, which every WM
 watermark tick calls, computes both floors and drops what lies below them
@@ -30,7 +34,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..commit.logging import LogRecordKind
-from ..core.watermark import WatermarkGroupCommit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import Cluster
@@ -123,14 +126,11 @@ class RecoveryCoordinator:
         redelivered = self._redeliver_lost_writes(partition_id, agreed)
         cluster.counters.increment("recovery_redelivered", redelivered)
 
-        if isinstance(cluster.durability, WatermarkGroupCommit):
-            outcome = cluster.durability.resolve_after_crash(agreed)
-            cluster.counters.increment("recovery_durable", outcome["durable"])
+        cluster.durability.resolve_after_crash(agreed)
 
         # (4) resume normal processing.
         failed.recover_as_new_leader()
         cluster.membership.mark_recovered(partition_id)
-        cluster.durability.notify_recovered(partition_id)
         if cluster.pause_event is not None and not cluster.pause_event.triggered:
             cluster.pause_event.succeed(None)
         cluster.pause_event = None
@@ -153,7 +153,7 @@ class RecoveryCoordinator:
         """
         return {
             pid: (server.log.latest_persisted_watermark() if pid == failed_partition
-                  else self._partition_watermark(pid))
+                  else server.partition_watermark)
             for pid, server in self.cluster.servers.items()
         }
 
@@ -197,16 +197,9 @@ class RecoveryCoordinator:
         """
         servers = self.cluster.servers
         writeset_floor = self.lowest_agreeable_watermark()
-        decision_floor = min(self._partition_watermark(pid) for pid in servers)
+        decision_floor = min(server.partition_watermark for server in servers.values())
         for server in servers.values():
             server.log.forget(writeset_floor, decision_floor)
-
-    def _partition_watermark(self, pid: int) -> float:
-        """A live partition's watermark: only WM sets one, else 0.0."""
-        cluster = self.cluster
-        if isinstance(cluster.durability, WatermarkGroupCommit):
-            return cluster.durability.latest_partition_watermark(pid)
-        return cluster.servers[pid].partition_watermark
 
     def _redeliver_lost_writes(self, crashed_partition: int, agreed_watermark: float) -> int:
         """Re-install writes below the agreed watermark that never reached the

@@ -117,8 +117,8 @@ class Server:
     def crash(self) -> None:
         """Simulate the partition leader failing."""
         self.crashed = True
-        self.replication.leader_crashed()
         self.cluster.network.set_unreachable(self.partition_id, True)
+        self.cluster.durability.notify_crash(self.partition_id)
 
     def recover_as_new_leader(self) -> None:
         """Complete fail-over: a replica takes over with the replicated state."""

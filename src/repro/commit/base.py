@@ -22,6 +22,10 @@ need from ``txn`` *inside* :meth:`transaction_executed` (``effective_ts()``,
 waits for durability is the event, those scalars and the receipt — not the
 read-set, row snapshots, write-set and indexes — so the state awaiting a group
 commit is O(1) per transaction (``tests/commit/test_commit_lifetime.py``).
+
+**Crash state** lives on ``Server`` (``crashed``, ``partition_watermark``);
+a scheme keeps no copy.  Its crash hooks are :meth:`notify_crash`, called by
+``Server.crash()``, and :meth:`resolve_after_crash`, called by recovery.
 """
 
 from __future__ import annotations
@@ -113,5 +117,5 @@ class DurabilityScheme:
     def notify_crash(self, partition_id: int) -> None:
         """A partition leader crashed; fail whatever cannot survive it."""
 
-    def notify_recovered(self, partition_id: int) -> None:
-        """The partition has a new leader and normal processing resumed."""
+    def resolve_after_crash(self, agreed_wg: float) -> None:
+        """Recovery agreed on the global watermark ``agreed_wg`` (§5.2 step 3)."""

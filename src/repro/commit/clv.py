@@ -49,7 +49,6 @@ class ControlledLockViolation(DurabilityScheme):
     def __init__(self, cluster):
         super().__init__(cluster)
         self._pending: list[_PendingTxn] = []
-        self._crashed: set[int] = set()
 
     def start(self) -> None:
         for partition_id in range(self.config.n_partitions):
@@ -82,16 +81,17 @@ class ControlledLockViolation(DurabilityScheme):
         # A flush round typically makes a whole batch of transactions durable
         # at once; they are released after the scan, in pending order, while
         # crash-aborted ones are succeeded as the scan meets them.
+        servers = self.cluster.servers
         released = []
         still_pending = []
         for pending in self._pending:
             if pending.event.triggered:
                 continue
-            if any(p in self._crashed for p in pending.needed):
+            if any(servers[p].crashed for p in pending.needed):
                 pending.event.succeed(CRASH_ABORTED)
                 continue
             durable_everywhere = all(
-                self.cluster.servers[p].log.durable_lsn >= lsn
+                servers[p].log.durable_lsn >= lsn
                 for p, lsn in pending.needed.items()
             )
             if durable_everywhere:
@@ -103,8 +103,5 @@ class ControlledLockViolation(DurabilityScheme):
             event.succeed(DURABLE)
 
     def notify_crash(self, partition_id: int) -> None:
-        self._crashed.add(partition_id)
+        """Crash-abort the commits that need the partition now, not at the next flush."""
         self._release_ready()
-
-    def notify_recovered(self, partition_id: int) -> None:
-        self._crashed.discard(partition_id)

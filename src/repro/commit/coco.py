@@ -69,7 +69,6 @@ class CocoGroupCommit(DurabilityScheme):
         self.epoch = 0
         self.coordinator_partition = 0
         self._states = {p: _PartitionEpochState(self.env) for p in range(self.config.n_partitions)}
-        self._crashed: set[int] = set()
         self._message_delay_us: dict[int, float] = {}
 
     def set_message_delay(self, partition_id: int, delay_us: float) -> None:
@@ -106,7 +105,7 @@ class CocoGroupCommit(DurabilityScheme):
             ready = []
             aborted = False
             for partition_id in range(self.config.n_partitions):
-                if partition_id in self._crashed or self.cluster.servers[partition_id].crashed:
+                if self.cluster.servers[partition_id].crashed:
                     aborted = True
                     continue
                 # Coordinator-side handling cost per message (prepare + ready).
@@ -179,10 +178,3 @@ class CocoGroupCommit(DurabilityScheme):
     def _abort_epoch(self, epoch: int) -> None:
         self.cluster.counters.increment("epochs_aborted")
         self._resolve_epoch(epoch, CRASH_ABORTED)
-
-    # -- failure handling ----------------------------------------------------------
-    def notify_crash(self, partition_id: int) -> None:
-        self._crashed.add(partition_id)
-
-    def notify_recovered(self, partition_id: int) -> None:
-        self._crashed.discard(partition_id)

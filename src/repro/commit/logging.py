@@ -102,7 +102,6 @@ class LogManager:
         self.retain_history = True
         # Every write-set below this was dropped by forget().
         self.forgotten_below = 0.0
-        self.durable_lsn = 0
         self._flush_in_progress = False
         self._flush_waiters: list[Event] = []
         self.counters = counters if counters is not None else Counter()
@@ -143,6 +142,11 @@ class LogManager:
         return self._next_lsn - 1
 
     @property
+    def durable_lsn(self) -> int:
+        """The replicated prefix; the replication group owns it."""
+        return self.replication.durable_lsn
+
+    @property
     def unpersisted_count(self) -> int:
         return len(self._buffer)
 
@@ -181,7 +185,6 @@ class LogManager:
             waiters, self._flush_waiters = self._flush_waiters, []
             for waiter in waiters:
                 waiter.succeed(None)
-        self.durable_lsn = max(self.durable_lsn, target_lsn)
         self.counters.increment("log_flushes")
         return self.durable_lsn
 

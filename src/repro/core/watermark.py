@@ -46,11 +46,10 @@ __all__ = ["WatermarkGroupCommit"]
 
 
 class _PartitionWatermarkState:
-    """Per-partition WM bookkeeping."""
+    """Per-partition WM bookkeeping; ``Wp`` is ``Server.partition_watermark``."""
 
     def __init__(self, n_partitions: int, partition_id: int):
         self.partition_id = partition_id
-        self.wp = 0.0
         # Last watermark heard from every partition (including ourselves).
         self.table = {p: 0.0 for p in range(n_partitions)}
         self.wg = 0.0
@@ -68,7 +67,6 @@ class WatermarkGroupCommit(DurabilityScheme):
             p: _PartitionWatermarkState(self.config.n_partitions, p)
             for p in range(self.config.n_partitions)
         }
-        self._crashed: set[int] = set()
         self._message_delay_us: dict[int, float] = {}
 
     def set_message_delay(self, partition_id: int, delay_us: float) -> None:
@@ -99,37 +97,34 @@ class WatermarkGroupCommit(DurabilityScheme):
         state = self._states[partition_id]
         while True:
             yield self.env.timeout(self.config.epoch_length_us)
-            if server.crashed or partition_id in self._crashed:
+            if server.crashed:
                 continue
             # (1) make everything executed so far durable on this partition.
             if server.log.unpersisted_count > 0:
                 yield from server.log.flush()
             # (2) compute the new partition watermark.
-            new_wp = self._compute_wp(server, state)
-            if new_wp > state.wp:
-                state.wp = new_wp
-            server.partition_watermark = state.wp
+            wp = server.partition_watermark = self._compute_wp(server)
             # Advance the timestamp floor to the partition's logical-time
             # frontier: every transaction that starts from now on commits with
             # ts above everything already installed here, so the *next*
             # interval's watermark covers everything committed during this one
-            # and the acknowledgement delay stays at interval scale.  (This is
-            # a strengthening of the paper's "ts > Wp" constraint — raising a
-            # TicToc commit timestamp is always legal — documented in
-            # DESIGN.md.)
-            server.ts_floor = max(server.ts_floor, state.wp, server.highest_ts_seen)
+            # and the acknowledgement delay stays at interval scale.  This
+            # strengthens the paper's "ts > Wp" constraint; raising a TicToc
+            # commit timestamp is always legal.
+            server.ts_floor = max(server.ts_floor, wp, server.highest_ts_seen)
             # Force update for lagging/idle partitions.
             if self.config.watermark_force_update:
                 self._force_update(server, state)
-            # (3) persist and broadcast.
-            server.log.append(LogRecordKind.WATERMARK, payload={"watermark": state.wp})
-            self._receive_watermark(partition_id, partition_id, state.wp)
+            # (3) persist and broadcast what force update left.
+            wp = server.partition_watermark
+            server.log.append(LogRecordKind.WATERMARK, payload={"watermark": wp})
+            self._receive_watermark(partition_id, partition_id, wp)
             delay = self._message_delay_us.get(partition_id, 0.0)
             for other in range(self.config.n_partitions):
                 if other == partition_id:
                     continue
                 self.env.process(
-                    self._broadcast(partition_id, other, state.wp, delay),
+                    self._broadcast(partition_id, other, wp, delay),
                     name=f"wm-broadcast-p{partition_id}",
                 )
             # (4) drop the log history no recovery can read any more.
@@ -146,7 +141,8 @@ class WatermarkGroupCommit(DurabilityScheme):
             source, destination, self._receive_watermark, destination, source, wp
         )
 
-    def _compute_wp(self, server: "Server", state: _PartitionWatermarkState) -> float:
+    def _compute_wp(self, server: "Server") -> float:
+        wp = server.partition_watermark
         candidates = []
         active_min = server.active_txns.min_effective_ts()
         if active_min is not None:
@@ -155,10 +151,10 @@ class WatermarkGroupCommit(DurabilityScheme):
         if unpersisted_min is not None:
             candidates.append(unpersisted_min)
         if candidates:
-            return max(state.wp, min(candidates))
+            return max(wp, min(candidates))
         # Idle partition: everything it has seen is durable, so the watermark
         # may advance to just past the highest timestamp it assigned/installed.
-        return max(state.wp, server.highest_ts_seen + 1)
+        return max(wp, server.highest_ts_seen + 1)
 
     def _force_update(self, server: "Server", state: _PartitionWatermarkState) -> None:
         others = [
@@ -167,16 +163,16 @@ class WatermarkGroupCommit(DurabilityScheme):
         if not others:
             return
         average = sum(others) / len(others)
-        if state.wp >= average:
+        wp = server.partition_watermark
+        if wp >= average:
             return
-        delta = average - state.wp
+        delta = average - wp
         self.cluster.counters.increment("watermark_force_updates")
         # Future transactions on this partition must pick timestamps above the
         # average so the next watermark can catch up (R2 + Δ, §5.1).
-        server.ts_floor = max(server.ts_floor, state.wp + delta)
+        server.ts_floor = max(server.ts_floor, wp + delta)
         if server.active_txns.is_empty() and server.log.unpersisted_count == 0:
-            state.wp = state.wp + delta
-            server.partition_watermark = state.wp
+            server.partition_watermark = wp + delta
 
     # -- watermark propagation ------------------------------------------------------------
     def _receive_watermark(self, at_partition: int, from_partition: int, wp: float) -> None:
@@ -201,26 +197,17 @@ class WatermarkGroupCommit(DurabilityScheme):
         state.pending = still_pending
 
     # -- failure handling -------------------------------------------------------------------
-    def notify_crash(self, partition_id: int) -> None:
-        self._crashed.add(partition_id)
-
-    def notify_recovered(self, partition_id: int) -> None:
-        self._crashed.discard(partition_id)
-
-    def latest_partition_watermark(self, partition_id: int) -> float:
-        return self._states[partition_id].wp
-
     def resolve_after_crash(self, agreed_wg: float) -> dict[str, int]:
         """Apply the recovery decision: ack below ``agreed_wg``, abort the rest.
 
-        Returns counts used by the crash-abort-rate experiment (Fig. 12b).
+        Counts the acknowledged ones in ``recovery_durable`` and returns both
+        counts (the crash-abort-rate experiment, Fig. 12b).
         """
         outcome = {"durable": 0, "crash_aborted": 0}
         for state in self._states.values():
             state.wg = max(state.wg, agreed_wg)
             for p in state.table:
                 state.table[p] = max(state.table[p], agreed_wg)
-            remaining = []
             for ts, event in state.pending:
                 if event.triggered:
                     continue
@@ -230,5 +217,6 @@ class WatermarkGroupCommit(DurabilityScheme):
                 else:
                     event.succeed(CRASH_ABORTED)
                     outcome["crash_aborted"] += 1
-            state.pending = remaining
+            state.pending = []
+        self.cluster.counters.increment("recovery_durable", outcome["durable"])
         return outcome

@@ -380,9 +380,7 @@ class CrashFault:
 
     @staticmethod
     def apply(cluster: "Cluster", partition_id: int, params: dict) -> None:
-        server = cluster.servers[partition_id]
-        server.crash()
-        cluster.durability.notify_crash(partition_id)
+        cluster.servers[partition_id].crash()
         cluster.counters.increment("crashes_injected")
 
     @staticmethod
@@ -560,7 +558,6 @@ class LeaderFlapFault:
                     # flap cannot re-kill a dead leader, so skip this cycle.
                     continue
                 server.crash()
-                cluster.durability.notify_crash(partition_id)
                 cluster.counters.increment("crashes_injected")
                 cluster.counters.increment("leader_flaps")
 

@@ -78,7 +78,6 @@ class ReplicationGroup:
         self.n_replicas = n_replicas
         self.storage_persist_us = storage_persist_us
         self.term = 1
-        self.leader_alive = True
         # Follower node ids live in a separate id space so network latency
         # between the leader and its followers is the normal inter-node latency.
         self.followers = [
@@ -159,9 +158,6 @@ class ReplicationGroup:
         return self.durable_lsn
 
     # -- failure handling -------------------------------------------------------
-    def leader_crashed(self) -> None:
-        self.leader_alive = False
-
     def elect_new_leader(self) -> Generator[Event, object, int]:
         """Run a (simplified) election; returns the new term.
 
@@ -182,7 +178,6 @@ class ReplicationGroup:
             election_delay = 2.0 * slowest + self.storage_persist_us
         yield self.env.timeout(election_delay)
         self.term += 1
-        self.leader_alive = True
         return self.term
 
     def highest_replicated_lsn(self) -> int:

@@ -66,8 +66,8 @@ def test_the_lowest_agreeable_watermark_is_the_least_a_recovery_can_agree_on(dur
         # No other scheme sets a partition watermark: nothing is ever below it.
         assert recovery.lowest_agreeable_watermark() == 0.0
         return
-    for state, wp in zip(cluster.durability._states.values(), (10.0, 30.0)):
-        state.wp = wp
+    for server, wp in zip(cluster.servers.values(), (10.0, 30.0)):
+        server.partition_watermark = wp
     # The failed partition offers what its log persisted (nothing yet).
     assert recovery.watermarks_to_publish(0) == {0: 0.0, 1: 30.0}
     assert recovery.watermarks_to_publish(1) == {0: 10.0, 1: 0.0}

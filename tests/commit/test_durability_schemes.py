@@ -60,7 +60,7 @@ def test_coco_aborts_epoch_when_a_partition_is_crashed():
     server = cluster.servers[0]
     txn = server.new_transaction("t")
     event = scheme.transaction_executed(server, txn)
-    scheme.notify_crash(1)
+    cluster.servers[1].crash()
     scheme._abort_epoch(scheme.epoch)
     assert event.triggered and event.value == CRASH_ABORTED
 
@@ -75,6 +75,18 @@ def test_clv_charges_tracking_overhead_per_access():
     txn.add_write(WriteEntry(partition=0, table="kv", key=1, updates={}))
     expected = 2 * cluster.config.clv_tracking_overhead_us
     assert scheme.execution_overhead_us(txn) == pytest.approx(expected)
+
+
+def test_clv_crash_aborts_a_dependent_commit_at_the_crash_instant():
+    cluster = Cluster(tiny_config("sundial", durability="clv"), tiny_ycsb())
+    server = cluster.servers[0]
+    txn = server.new_transaction("t")
+    txn.participants.add(1)
+    event = cluster.durability.transaction_executed(server, txn)
+    assert not event.triggered
+    # Only the crash itself: no fault scheduler, no engine step.
+    cluster.servers[1].crash()
+    assert event.triggered and event.value == CRASH_ABORTED
 
 
 def test_clv_acknowledges_after_background_flush():

@@ -16,10 +16,11 @@ def make_wm_cluster(**overrides):
 def test_partition_watermarks_are_monotone_and_global_watermark_is_min():
     cluster, result = run_tiny("primo", durability="wm")
     wm: WatermarkGroupCommit = cluster.durability
-    for state in wm._states.values():
-        assert state.wp >= 0.0
+    for pid, state in wm._states.items():
+        wp = cluster.servers[pid].partition_watermark
+        assert wp >= 0.0
         assert state.wg == min(state.table.values())
-        assert state.wg <= state.wp or state.wg <= max(state.table.values())
+        assert state.wg <= wp or state.wg <= max(state.table.values())
 
 
 def test_transactions_become_durable_below_the_global_watermark():
@@ -78,12 +79,12 @@ def test_force_update_advances_an_idle_partition():
     state = wm._states[0]
     server = cluster.servers[0]
     state.table.update({1: 200.0})
-    state.wp = 10.0
+    server.partition_watermark = 10.0
     wm._force_update(server, state)
     assert cluster.counters.get("watermark_force_updates") == 1
     assert server.ts_floor >= 200.0
     # With no active transactions and an empty log buffer the watermark jumps.
-    assert state.wp >= 200.0
+    assert server.partition_watermark >= 200.0
 
 
 def test_force_update_does_not_touch_leading_partitions():
@@ -91,7 +92,7 @@ def test_force_update_does_not_touch_leading_partitions():
     state = wm._states[0]
     server = cluster.servers[0]
     state.table.update({1: 5.0})
-    state.wp = 50.0
+    server.partition_watermark = 50.0
     wm._force_update(server, state)
     assert cluster.counters.get("watermark_force_updates") == 0
 
@@ -114,9 +115,8 @@ def test_resolve_after_crash_splits_pending_by_agreed_watermark():
 def test_watermark_computation_includes_unpersisted_log_records():
     cluster, wm = make_wm_cluster()
     server = cluster.servers[0]
-    state = wm._states[0]
     server.highest_ts_seen = 500.0
     from repro.commit.logging import LogRecordKind
     server.log.append(LogRecordKind.WRITESET, txn_ts=42.0)
-    candidate = wm._compute_wp(server, state)
+    candidate = wm._compute_wp(server)
     assert candidate <= 42.0
