@@ -107,6 +107,7 @@ def test_resolve_after_crash_splits_pending_by_agreed_watermark():
         events.append((ts, wm.transaction_executed(server, txn)))
     outcome = wm.resolve_after_crash(agreed_wg=25.0)
     assert outcome == {"durable": 2, "crash_aborted": 1}
+    assert cluster.counters.get("recovery_durable") == 2
     for ts, event in events:
         assert event.triggered
         assert event.value == (DURABLE if ts < 25.0 else CRASH_ABORTED)
